@@ -3,12 +3,11 @@
 window closing as entries expire. Fully deterministic: delays advance the
 lab's simulated clock, not wall time."""
 
+import http.client
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-import requests  # noqa: E402
 
 from wcdscan.detector import MarkerSet, WcdTestConfig, run_wcd_test  # noqa: E402
 from wcdscan.http_engine import (  # noqa: E402
@@ -36,20 +35,19 @@ def main() -> int:
     transport = Transport(resolve_overrides=server.resolve_overrides())
     limiter = RateLimiter(rate=1000, burst=100)
 
+    def control(path: str) -> None:
+        conn = http.client.HTTPConnection(server.address, server.port, timeout=10)
+        try:
+            conn.request("GET", path, headers={"Host": site.host})
+            conn.getresponse().read()
+        finally:
+            conn.close()
+
     def advance(seconds: float) -> None:
-        requests.get(
-            f"http://{server.address}:{server.port}/_lab/advance",
-            params={"seconds": seconds},
-            headers={"Host": site.host},
-            timeout=10,
-        )
+        control(f"/_lab/advance?seconds={seconds}")
 
     def reset() -> None:
-        requests.get(
-            f"http://{server.address}:{server.port}/_lab/reset",
-            headers={"Host": site.host},
-            timeout=10,
-        )
+        control("/_lab/reset")
 
     print(f"default TTL: {site.cache_profile.default_ttl}s")
     print(f"{'attacker delay (s)':>20}{'exploitable':>14}")
@@ -89,6 +87,7 @@ def main() -> int:
             )
             print(f"{delay:>20}{str(verdict.vulnerable):>14}")
     finally:
+        transport.close()
         server.stop()
     return 0
 

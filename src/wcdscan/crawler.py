@@ -22,6 +22,7 @@ from urllib.parse import urljoin
 from .detector import MarkerSet
 from .http_engine import (
     DEFAULT_LOGOUT_PATTERNS,
+    DEFAULT_TRANSPORT,
     Identity,
     LoginDescriptor,
     NetworkError,
@@ -206,10 +207,13 @@ def ingest_domains(
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"bad site config {config_ref!r}: {exc}") from exc
         scheme = data.get("scheme", scheme)
-        live = [
-            h for h in hosts
-            if not probe or probe_host(scheme, h, transport, rate_limiter)
-        ]
+        try:
+            live = [
+                h for h in hosts
+                if not probe or probe_host(scheme, h, transport, rate_limiter)
+            ]
+        finally:
+            (transport or DEFAULT_TRANSPORT).close()  # what the probes opened
         if not live:
             log.info("seed site %s: no live hosts, skipping", site_key)
             continue

@@ -1,26 +1,32 @@
 """Victim/attacker/unauthenticated HTTP identities, pacing, and fetching.
 
 Every network interaction in the scanner flows through :func:`fetch`, which
-keeps per-identity cookie jars authoritative (the transport library is used
-for sockets only), follows redirects hop by hop, and takes a pacing token per
-request. Identities are confined to one worker at a time; the rate limiter is
-shared and internally synchronized; exchanges are immutable once produced.
+keeps per-identity cookie jars authoritative, follows redirects hop by hop,
+and takes a pacing token per request. Requests travel over stdlib
+``http.client`` keep-alive connections that :class:`Transport` pools per
+worker thread; proxy settings in the environment (``HTTP_PROXY`` and the
+like) are not used. Identities are confined to one worker at a time; the
+rate limiter is shared and internally synchronized; exchanges are immutable
+once produced.
 """
 
 from __future__ import annotations
 
+import gzip
+import http.client
 import logging
 import re
+import ssl
+import string
 import threading
 import time
+import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from email.utils import parsedate_to_datetime
 from http.cookies import SimpleCookie
-from urllib.parse import urljoin, urlsplit
-
-import requests
+from urllib.parse import SplitResult, quote, urlencode, urljoin, urlsplit
 
 log = logging.getLogger(__name__)
 
@@ -33,6 +39,18 @@ DEFAULT_USER_AGENT = (
 DEFAULT_LOGOUT_PATTERNS = ("logout", "signout", "sign-out", "log-out", "session/destroy")
 
 _REDIRECT_STATUSES = {301, 302, 303, 307, 308}
+
+# Every identity advertises the same codings, so all three land on the same
+# cache variant; bodies are decoded before marker search.
+ACCEPT_ENCODING = "gzip, deflate"
+
+_DEFAULT_PORTS = {"http": 80, "https": 443}
+
+# A kept-alive socket the server already closed fails like this before any
+# response arrives; such a request is sent again once on a new connection.
+_STALE_SOCKET_ERRORS = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+
+Endpoint = tuple[str, str, int]  # (scheme, connect host, port)
 
 
 class NetworkError(Exception):
@@ -195,12 +213,16 @@ class RateLimiter:
 
 @dataclass
 class Transport:
-    """Socket-level knobs shared by all fetches in a run.
+    """Socket-level knobs and the keep-alive connections of a run.
 
     ``resolve_overrides`` maps a logical hostname to a concrete (ip, port) to
-    connect to while still sending the logical Host header; this is how the
-    scanner reaches lab vhosts without DNS. Proxy settings are taken from the
-    environment by the underlying library.
+    connect to over plain HTTP while still sending the logical Host header;
+    this is how the scanner reaches lab vhosts without DNS. Connections are
+    pooled per thread and keyed by endpoint (scheme, connect host, port), so
+    a worker reuses one socket per endpoint for every identity without
+    locking; :meth:`close` closes the calling thread's connections. HTTPS
+    certificates and hostnames are verified against the default trust store.
+    Proxy settings in the environment are not used.
     """
 
     resolve_overrides: dict[str, tuple[str, int]] = field(default_factory=dict)
@@ -208,41 +230,136 @@ class Transport:
     max_redirects: int = 10
     retries: int = 2
     retry_backoff: float = 0.1
+    _local: threading.local = field(
+        default_factory=threading.local, init=False, repr=False, compare=False
+    )
+
+    def _pool(self) -> dict[Endpoint, http.client.HTTPConnection]:
+        pool = getattr(self._local, "pool", None)
+        if pool is None:
+            pool = self._local.pool = {}
+        return pool
+
+    def _connection(self, endpoint: Endpoint) -> http.client.HTTPConnection:
+        """The calling thread's connection to ``endpoint``, created on first use."""
+        pool = self._pool()
+        conn = pool.get(endpoint)
+        if conn is None:
+            scheme, host, port = endpoint
+            if scheme == "https":
+                conn = http.client.HTTPSConnection(
+                    host, port, timeout=self.timeout, context=ssl.create_default_context()
+                )
+            else:
+                conn = http.client.HTTPConnection(host, port, timeout=self.timeout)
+            pool[endpoint] = conn
+        return conn
+
+    def _discard(self, endpoint: Endpoint) -> None:
+        """Close and forget the calling thread's connection to ``endpoint``."""
+        conn = self._pool().pop(endpoint, None)
+        if conn is not None:
+            conn.close()
+
+    def close(self) -> None:
+        """Close every connection the calling thread holds."""
+        pool = self._pool()
+        for conn in pool.values():
+            conn.close()
+        pool.clear()
 
 
 DEFAULT_TRANSPORT = Transport()
 
 
-def _connect_url(url: str, transport: Transport) -> tuple[str, str | None]:
-    """Rewrite the URL for an override target; returns (url, host_header)."""
-    parts = urlsplit(url)
-    host = (parts.hostname or "").lower()
+def _route(
+    parts: SplitResult, host: str, transport: Transport
+) -> tuple[Endpoint, str, str | None]:
+    """Where to send a request: (endpoint, request target, Host header override).
+
+    The target keeps existing ``%XX`` escapes and reserved characters byte for
+    byte (attack payloads depend on it) and percent-encodes only what
+    ``http.client`` refuses to send: spaces, control characters and non-ASCII.
+    """
+    target = parts.path or "/"
+    if parts.query:
+        target += "?" + parts.query
+    target = quote(target, safe=string.punctuation)
     if host in transport.resolve_overrides:
         ip, port = transport.resolve_overrides[host]
-        rest = parts.path or "/"
-        if parts.query:
-            rest += "?" + parts.query
-        return f"http://{ip}:{port}{rest}", host
-    return url, None
+        return ("http", ip, port), target, host
+    scheme = parts.scheme.lower()
+    return (scheme, host, parts.port or _DEFAULT_PORTS[scheme]), target, None
 
 
-def _issue(method: str, url: str, headers: dict, data, transport: Transport):
+def _decode(body: bytes, content_encoding: str | None) -> bytes:
+    """Undo gzip and deflate content codings, last applied first."""
+    if not body or not content_encoding:
+        return body
+    for coding in reversed(content_encoding.lower().split(",")):
+        coding = coding.strip()
+        if coding in ("gzip", "x-gzip"):
+            body = gzip.decompress(body)
+        elif coding == "deflate":
+            try:
+                body = zlib.decompress(body)
+            except zlib.error:  # raw deflate without the zlib wrapper
+                body = zlib.decompress(body, -zlib.MAX_WBITS)
+        elif coding not in ("", "identity"):
+            break  # a coding we never asked for: leave the body as sent
+    return body
+
+
+def _issue(
+    method: str,
+    endpoint: Endpoint,
+    target: str,
+    headers: dict[str, str],
+    body: bytes | None,
+    transport: Transport,
+) -> tuple[http.client.HTTPResponse, bytes]:
+    """Send one request and read its whole, decoded body.
+
+    Any failure up to the end of the body (refused or reset connection,
+    timeout, truncated or undecodable body) is retried ``transport.retries``
+    times and then raised as :class:`NetworkError`. A reused socket that
+    turns out to be closed before any response arrives is replaced once
+    without spending a retry.
+    """
     last_exc: Exception | None = None
-    for attempt in range(transport.retries + 1):
+    may_reconnect = True
+    attempt = 0
+    while attempt <= transport.retries:
+        conn = transport._connection(endpoint)
+        reused = conn.sock is not None
+        resp = None
         try:
-            return requests.request(
-                method,
-                url,
-                headers=headers,
-                data=data,
-                allow_redirects=False,
-                timeout=transport.timeout,
-            )
-        except (requests.ConnectionError, requests.Timeout) as exc:
+            conn.request(method, target, body=body, headers=headers)
+            resp = conn.getresponse()
+            return resp, _decode(resp.read(), resp.getheader("Content-Encoding"))
+        except (OSError, http.client.HTTPException, zlib.error, EOFError) as exc:
+            transport._discard(endpoint)
             last_exc = exc
-            if attempt < transport.retries:
-                time.sleep(transport.retry_backoff)
-    raise NetworkError(f"{method} {url} failed after retries: {last_exc}")
+            stale = reused and resp is None and isinstance(exc, _STALE_SOCKET_ERRORS)
+            if stale and may_reconnect:
+                may_reconnect = False
+                continue
+        attempt += 1
+        if attempt <= transport.retries:
+            time.sleep(transport.retry_backoff)
+    scheme, host, port = endpoint
+    raise NetworkError(
+        f"{method} {scheme}://{host}:{port}{target} failed after retries: {last_exc}"
+    )
+
+
+def _merge_headers(pairs: list[tuple[str, str]]) -> tuple[tuple[str, str], ...]:
+    """One entry per header name, in first-seen order and first-seen case,
+    with repeated values joined by ", "."""
+    merged: dict[str, tuple[str, list[str]]] = {}
+    for name, value in pairs:
+        merged.setdefault(name.lower(), (name, []))[1].append(value)
+    return tuple((name, ", ".join(values)) for name, values in merged.values())
 
 
 def fetch(
@@ -269,22 +386,32 @@ def fetch(
         host = (parts.hostname or "").lower()
         if rate_limiter is not None:
             rate_limiter.acquire(host)
-        connect_url, host_header = _connect_url(current, transport)
-        headers = {"User-Agent": identity.user_agent, "Accept": "*/*"}
+        endpoint, target, host_header = _route(parts, host, transport)
+        headers = {
+            "User-Agent": identity.user_agent,
+            "Accept": "*/*",
+            "Accept-Encoding": ACCEPT_ENCODING,
+        }
         if host_header:
             headers["Host"] = host_header
         cookie = identity.cookie_header(host)
         if cookie:
             headers["Cookie"] = cookie
+        payload = None
+        if data:
+            payload = urlencode(data).encode()
+            headers["Content-Type"] = "application/x-www-form-urlencoded"
         if extra_headers:
             headers.update(extra_headers)
-        resp = _issue(method, connect_url, headers, data, transport)
-        for set_cookie in resp.raw.headers.getlist("Set-Cookie"):
+        resp, body = _issue(method, endpoint, target, headers, payload, transport)
+        for set_cookie in resp.msg.get_all("Set-Cookie") or ():
             identity.store_set_cookie(host, set_cookie)
-        if resp.status_code in _REDIRECT_STATUSES and resp.headers.get("Location"):
-            history.append((current, resp.status_code))
-            current = urljoin(current, resp.headers["Location"])
-            if resp.status_code in (301, 302, 303):
+        response_headers = _merge_headers(resp.getheaders())
+        location = resp.getheader("Location")
+        if resp.status in _REDIRECT_STATUSES and location:
+            history.append((current, resp.status))
+            current = urljoin(current, location)
+            if resp.status in (301, 302, 303):
                 method, data = "GET", None
             continue
         elapsed_ms = (time.monotonic() - started) * 1000.0
@@ -292,9 +419,9 @@ def fetch(
             url=current,
             method=method,
             request_headers=tuple(headers.items()),
-            status=resp.status_code,
-            response_headers=tuple(resp.headers.items()),
-            body=resp.content,
+            status=resp.status,
+            response_headers=response_headers,
+            body=body,
             timing=elapsed_ms,
             identity_role=identity.role,
             history=tuple(history),

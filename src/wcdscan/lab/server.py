@@ -2,14 +2,17 @@
 
 The scanner talks to the lab over real sockets: it connects to the listener
 address while sending the site's logical Host header (see
-``Transport.resolve_overrides``). Requests are serialized per site, arrival
-times are logged per host for pacing checks, and ``/_lab/*`` control
-endpoints allow deterministic clock advancement from tests.
+``Transport.resolve_overrides``). The listener speaks HTTP/1.1 with
+keep-alive, so a worker sends all of its requests over one connection.
+Requests are serialized per site, arrival times are logged per host for
+pacing checks, and ``/_lab/*`` control endpoints allow deterministic clock
+advancement from tests.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from dataclasses import dataclass, field
@@ -41,8 +44,40 @@ class _VhostServer(ThreadingHTTPServer):
     allow_reuse_address = True
     runtimes: dict[str, SiteRuntime]
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.connections: set[socket.socket] = set()
+        self.connections_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        with self.connections_lock:
+            self.connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self.connections_lock:
+            self.connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self):
+        # server_close joins every handler thread, and a kept-alive
+        # connection parks its thread in a read until the client hangs up:
+        # end those reads first.
+        with self.connections_lock:
+            for conn in self.connections:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+        super().server_close()
+
 
 class _Handler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate writes; with Nagle's algorithm on,
+    # the body waits for the client's delayed ACK (about 40 ms a request).
+    disable_nagle_algorithm = True
+
     def log_message(self, *args):  # keep test output clean
         pass
 
@@ -94,6 +129,10 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(200, [("Content-Type", "application/json")], json.dumps(payload).encode())
 
     def _handle(self, method: str) -> None:
+        # Read the body before any early return: on a kept-alive connection
+        # unread body bytes would be parsed as the next request.
+        length = int(self.headers.get("Content-Length", "0") or 0)
+        raw = self.rfile.read(length) if length > 0 else b""
         runtime = self._runtime()
         if runtime is None:
             self._send(404, [], b"<html><body>unknown lab host</body></html>")
@@ -114,8 +153,6 @@ class _Handler(BaseHTTPRequestHandler):
 
         form: dict[str, str] | None = None
         if method == "POST":
-            length = int(self.headers.get("Content-Length", "0") or 0)
-            raw = self.rfile.read(length) if length else b""
             form = dict(parse_qsl(raw.decode("utf-8", errors="replace")))
 
         request = LabRequest(

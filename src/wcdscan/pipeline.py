@@ -121,57 +121,60 @@ def _names_for(site: SiteConfig, settings: ScanSettings) -> RandomNameGenerator:
 def scan_site(
     site: SiteConfig, settings: ScanSettings, rate_limiter: RateLimiter
 ) -> SiteScanResult:
-    victim = Identity(
-        role=Role.VICTIM, credentials=site.victim_login, user_agent=settings.user_agent
-    )
-    attacker = Identity(
-        role=Role.ATTACKER, credentials=site.attacker_login, user_agent=settings.user_agent
-    )
     try:
-        if victim.credentials:
-            maintain_session(victim, rate_limiter, settings.transport)
-        if attacker.credentials:
-            maintain_session(attacker, rate_limiter, settings.transport)
-    except AuthFailure as exc:
-        return SiteScanResult(site=site, surface=None, verdicts=[], error=str(exc))
-
-    surface = crawl_domain(
-        site,
-        victim,
-        site.budget or settings.budget,
-        rate_limiter,
-        settings.transport,
-        seed=settings.seed or 0,
-        logout_patterns=settings.logout_patterns,
-        respect_robots=settings.respect_robots,
-        journal=settings.journal,
-    )
-    markers = site.markers or MarkerSet([])
-    if settings.mode == "marker-gated":
-        surface = filter_marked_pages(surface, markers)
-
-    config = WcdTestConfig(
-        extension=settings.extension,
-        randomness=settings.randomness,
-        names=_names_for(site, settings),
-        rate_limiter=rate_limiter,
-        transport=settings.transport,
-        attacker_delay=settings.attacker_delay,
-        delay_fn=settings.delay_fn,
-        embed_query=settings.embed_query,
-        label_fn=lambda ex: cdn_label(ex, settings.fingerprints),
-    )
-    verdicts = []
-    for page in surface.pages:
-        for technique in settings.techniques:
+        victim = Identity(
+            role=Role.VICTIM, credentials=site.victim_login, user_agent=settings.user_agent
+        )
+        attacker = Identity(
+            role=Role.ATTACKER, credentials=site.attacker_login, user_agent=settings.user_agent
+        )
+        try:
             if victim.credentials:
                 maintain_session(victim, rate_limiter, settings.transport)
             if attacker.credentials:
                 maintain_session(attacker, rate_limiter, settings.transport)
-            verdicts.append(
-                run_wcd_test(page, technique, victim, attacker, markers, config)
-            )
-    return SiteScanResult(site=site, surface=surface, verdicts=verdicts)
+        except AuthFailure as exc:
+            return SiteScanResult(site=site, surface=None, verdicts=[], error=str(exc))
+
+        surface = crawl_domain(
+            site,
+            victim,
+            site.budget or settings.budget,
+            rate_limiter,
+            settings.transport,
+            seed=settings.seed or 0,
+            logout_patterns=settings.logout_patterns,
+            respect_robots=settings.respect_robots,
+            journal=settings.journal,
+        )
+        markers = site.markers or MarkerSet([])
+        if settings.mode == "marker-gated":
+            surface = filter_marked_pages(surface, markers)
+
+        config = WcdTestConfig(
+            extension=settings.extension,
+            randomness=settings.randomness,
+            names=_names_for(site, settings),
+            rate_limiter=rate_limiter,
+            transport=settings.transport,
+            attacker_delay=settings.attacker_delay,
+            delay_fn=settings.delay_fn,
+            embed_query=settings.embed_query,
+            label_fn=lambda ex: cdn_label(ex, settings.fingerprints),
+        )
+        verdicts = []
+        for page in surface.pages:
+            for technique in settings.techniques:
+                if victim.credentials:
+                    maintain_session(victim, rate_limiter, settings.transport)
+                if attacker.credentials:
+                    maintain_session(attacker, rate_limiter, settings.transport)
+                verdicts.append(
+                    run_wcd_test(page, technique, victim, attacker, markers, config)
+                )
+        return SiteScanResult(site=site, surface=surface, verdicts=verdicts)
+    finally:
+        settings.transport.close()  # this worker's pooled connections
 
 
 def scan_pool(pool: SeedPool, settings: ScanSettings) -> ScanRunResult:

@@ -1,4 +1,5 @@
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,15 @@ def fast_limiter() -> RateLimiter:
     return RateLimiter(rate=10000.0, burst=1000)
 
 
+def lab_connections_left_open(server: LabServer, grace: float = 5.0) -> int:
+    """Client connections the lab still holds after ``grace`` seconds for
+    closed ones to be noticed."""
+    deadline = time.monotonic() + grace
+    while server._httpd.connections and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return len(server._httpd.connections)
+
+
 @pytest.fixture(scope="session")
 def support_lab():
     """One lab server carrying the support sites, shared across tests that
@@ -27,7 +37,9 @@ def support_lab():
 
 @pytest.fixture(scope="session")
 def support_transport(support_lab):
-    return Transport(resolve_overrides=support_lab.resolve_overrides())
+    transport = Transport(resolve_overrides=support_lab.resolve_overrides())
+    yield transport
+    transport.close()
 
 
 @pytest.fixture()

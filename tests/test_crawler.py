@@ -18,7 +18,7 @@ from wcdscan.lab.sim import LabResource, SimSite
 from wcdscan.lab.server import LabServer
 from wcdscan.url_toolkit import group_key
 
-from conftest import fast_limiter
+from conftest import fast_limiter, lab_connections_left_open
 
 
 def _victim(host):
@@ -57,6 +57,7 @@ class TestIngestDomains:
                 "http://dead.test\n"
             )
             pool = ingest_domains(str(seeds), transport, fast_limiter())
+            assert lab_connections_left_open(server) == 0  # the probes closed theirs
         finally:
             server.stop()
         domains = sorted(site.primary_domain for site in pool.sites)

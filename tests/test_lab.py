@@ -420,6 +420,30 @@ class TestControlEndpoints:
         finally:
             server.stop()
 
+    def test_unread_bodies_do_not_corrupt_a_kept_alive_connection(self):
+        import http.client
+
+        from wcdscan.lab.server import LabServer
+
+        site = catalog.pacing_site()
+        server = LabServer([site]).start()
+        conn = http.client.HTTPConnection(server.address, server.port, timeout=5)
+        try:
+            # Both early returns (unknown host, control endpoint) get a body
+            # they never use; the GET after each must still parse cleanly.
+            for host, path in (("stranger.test", "/"), (site.host, "/_lab/state")):
+                conn.request("POST", path, body=b"junk=1&more=2", headers={"Host": host})
+                conn.getresponse().read()
+                sock = conn.sock
+                conn.request("GET", "/", headers={"Host": site.host})
+                response = conn.getresponse()
+                assert response.status == 200
+                assert b"pacing target" in response.read()
+                assert conn.sock is sock  # the same connection served both
+        finally:
+            conn.close()
+            server.stop()
+
     def test_catalog_shape(self):
         matrix = catalog.matrix_sites()
         assert len(matrix) == 128  # 16 semantics subsets x 4 profiles x 2

@@ -1,6 +1,9 @@
 """Orchestration: pool scanning modes, budgets, and failure isolation."""
 
+import gc
 import json
+import sys
+import warnings
 
 import pytest
 
@@ -9,6 +12,8 @@ from wcdscan.lab import catalog
 from wcdscan.lab.server import LabServer
 from wcdscan.http_engine import Transport
 from wcdscan.pipeline import ScanSettings, pool_from_lab_sites, scan_pool
+
+from conftest import lab_connections_left_open
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +104,22 @@ def test_verdicts_serialize_to_records(pipeline_lab):
     for verdict in run.verdicts:
         record = json.loads(json.dumps(verdict.to_record()))
         assert record["page"].startswith("http://classic-pp.test/")
+
+
+def test_no_pooled_connection_outlives_scan_pool(pipeline_lab):
+    """Each worker closes its keep-alive connections when a site is done, so
+    nothing is left for the garbage collector (which would warn) or the lab."""
+    unraisable = []
+    previous_hook = sys.unraisablehook
+    sys.unraisablehook = unraisable.append
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            pool = pool_from_lab_sites([catalog.classic_site(), catalog.pacing_site()])
+            run = scan_pool(pool, _settings(pipeline_lab, workers=2))
+            gc.collect()
+    finally:
+        sys.unraisablehook = previous_hook
+    assert not run.errors and run.verdicts
+    assert [u.exc_value for u in unraisable] == []
+    assert lab_connections_left_open(pipeline_lab) == 0

@@ -1,0 +1,350 @@
+"""The stdlib keep-alive transport: what goes on the wire, what comes back,
+and how transport failures end. ``requests`` serves as the reference where
+the transport must keep its observable behaviour."""
+
+import gzip
+import http.server
+import re
+import shutil
+import socket
+import ssl
+import struct
+import subprocess
+import threading
+import zlib
+
+import pytest
+import requests
+
+from wcdscan.detector import MarkerSet, WcdTestConfig, run_wcd_test
+from wcdscan.http_engine import Identity, NetworkError, Role, Transport, fetch
+from wcdscan.lab import catalog
+from wcdscan.lab.server import LabServer
+from wcdscan.url_toolkit import PathConfusionTechnique, RandomNameGenerator, parse_url
+
+from conftest import fast_limiter
+
+HOST = "edge.test"
+
+
+def _response(body: bytes, *headers: str, status: str = "200 OK") -> bytes:
+    head = [f"HTTP/1.1 {status}", *headers, f"Content-Length: {len(body)}"]
+    return ("\r\n".join(head) + "\r\n\r\n").encode() + body
+
+
+class ScriptedServer:
+    """A one-connection-at-a-time TCP listener that answers each request
+    with the reply ``script(connection_index, request_head)`` returns: the
+    bytes to send and then "keep" (the connection open), "close" or
+    "reset" (close with an RST)."""
+
+    def __init__(self, script):
+        self._script = script
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self._listener.getsockname()[1]
+        self.connections = 0
+        self.requests: list[tuple[int, bytes, bytes]] = []  # (connection, head, body)
+        self.hung_up = threading.Event()  # set each time the server closes a connection
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
+            index = self.connections
+            self.connections += 1
+            with conn, conn.makefile("rb") as reader:
+                while True:
+                    head = b""
+                    while not head.endswith(b"\r\n\r\n"):
+                        line = reader.readline()
+                        if not line:
+                            break
+                        head += line
+                    if not head.endswith(b"\r\n\r\n"):
+                        break  # the client hung up
+                    length = re.search(rb"(?im)^content-length:\s*(\d+)", head)
+                    body = reader.read(int(length.group(1))) if length else b""
+                    self.requests.append((index, head, body))
+                    reply, after = self._script(index, head)
+                    conn.sendall(reply)
+                    if after == "reset":
+                        linger = struct.pack("ii", 1, 0)  # on, 0 s: close sends RST
+                        conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, linger)
+                    if after != "keep":
+                        break
+            self.hung_up.set()
+
+    def transport(self, **kwargs) -> Transport:
+        return Transport(resolve_overrides={HOST: ("127.0.0.1", self.port)}, **kwargs)
+
+    def stop(self) -> None:
+        self._listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept()
+        self._listener.close()
+        self._thread.join(timeout=5)
+
+
+@pytest.fixture()
+def scripted():
+    servers = []
+
+    def start(script) -> ScriptedServer:
+        servers.append(ScriptedServer(script))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.stop()
+
+
+def _always(reply: bytes, after: str = "keep"):
+    return lambda _index, _head: (reply, after)
+
+
+@pytest.fixture(scope="module")
+def pacing_lab():
+    server = LabServer([catalog.pacing_site()]).start()
+    yield server
+    server.stop()
+
+
+class TestWireFormat:
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "/account.php%0Anonexistent.css",
+            "/account.php%3Bnonexistent.css",
+            "/account.php%23nonexistent.css",
+            "/account.php%3Fnonexistent.css",
+            "/%0An0n3.css?x=%3F%41",
+        ],
+    )
+    def test_attack_targets_arrive_byte_exact(self, pacing_lab, path):
+        host = "pacing.test"
+        transport = Transport(resolve_overrides=pacing_lab.resolve_overrides())
+        fetch(Identity(role=Role.UNAUTHENTICATED), f"http://{host}{path}",
+              fast_limiter(), transport)
+        transport.close()
+        assert pacing_lab.request_log(host)[-1].target == path
+
+    def test_only_unsendable_characters_are_encoded(self, scripted):
+        server = scripted(_always(_response(b"ok")))
+        transport = server.transport()
+        fetch(Identity(role=Role.UNAUTHENTICATED), f"http://{HOST}/a b/café?q=x y&r=%41",
+              None, transport)
+        transport.close()
+        request_line = server.requests[0][1].split(b"\r\n", 1)[0]
+        assert request_line == b"GET /a%20b/caf%C3%A9?q=x%20y&r=%41 HTTP/1.1"
+
+    def test_post_form_is_urlencoded(self, scripted):
+        server = scripted(_always(_response(b"ok")))
+        transport = server.transport()
+        form = {"username": "victim", "password": "p w&x=ü"}
+        fetch(Identity(role=Role.VICTIM), f"http://{HOST}/login", None, transport,
+              method="POST", data=form)
+        transport.close()
+        _, head, body = server.requests[0]
+        reference = requests.Request("POST", f"http://{HOST}/login", data=form).prepare()
+        assert body == reference.body.encode()
+        assert b"\r\nContent-Type: application/x-www-form-urlencoded\r\n" in head
+
+    def test_every_identity_sends_the_same_accept_encoding(self, scripted):
+        server = scripted(_always(_response(b"ok")))
+        transport = server.transport()
+        for role in Role:
+            fetch(Identity(role=role), f"http://{HOST}/", None, transport)
+        transport.close()
+        encodings = [re.search(rb"(?m)^Accept-Encoding: (.*)\r$", head).group(1)
+                     for _, head, _ in server.requests]
+        assert encodings == [b"gzip, deflate"] * 3
+
+
+class TestResponseShape:
+    PAGE = b"<html><body>account of victim@example.com</body></html>" * 20
+
+    @pytest.mark.parametrize(
+        "coding,encoded",
+        [
+            ("gzip", gzip.compress(PAGE)),
+            ("deflate", zlib.compress(PAGE)),
+            ("deflate", zlib.compress(PAGE, wbits=-zlib.MAX_WBITS)),  # raw, no zlib header
+        ],
+        ids=["gzip", "deflate", "raw-deflate"],
+    )
+    def test_content_encoding_is_decoded(self, scripted, coding, encoded):
+        server = scripted(_always(_response(encoded, f"Content-Encoding: {coding}")))
+        transport = server.transport()
+        exchange = fetch(Identity(role=Role.VICTIM), f"http://{HOST}/", None, transport)
+        transport.close()
+        reference = requests.get(f"http://127.0.0.1:{server.port}/", timeout=5)
+        assert exchange.body == reference.content == self.PAGE
+
+    def test_chunked_body_is_read_whole(self, scripted):
+        chunked = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                   b"4\r\nWiki\r\n5\r\npedia\r\n0\r\n\r\n")
+        server = scripted(_always(chunked))
+        transport = server.transport()
+        first = fetch(Identity(role=Role.VICTIM), f"http://{HOST}/", None, transport)
+        second = fetch(Identity(role=Role.VICTIM), f"http://{HOST}/", None, transport)
+        transport.close()
+        assert first.body == second.body == b"Wikipedia"
+        assert server.connections == 1  # the chunked framing kept the socket usable
+
+    def test_headers_keep_the_requests_shape(self, scripted):
+        reply = _response(
+            b"ok",
+            "X-Cache: HIT",
+            "Via: 1.1 varnish",
+            "x-cache: MISS from edge",
+            "Set-Cookie: a=1; Path=/",
+            "Set-Cookie: b=2; Path=/",
+        )
+        server = scripted(_always(reply))
+        transport = server.transport()
+        victim = Identity(role=Role.VICTIM)
+        exchange = fetch(victim, f"http://{HOST}/", None, transport)
+        transport.close()
+        reference = requests.get(f"http://127.0.0.1:{server.port}/", timeout=5)
+        assert exchange.response_headers == tuple(reference.headers.items())
+        assert exchange.header("x-cache") == "HIT, MISS from edge"
+        assert {(c.name, c.value) for c in victim.cookie_jar.values()} == {("a", "1"), ("b", "2")}
+
+
+class TestFailures:
+    TRUNCATED = _response(b"x" * 50)[:-45]
+
+    @pytest.mark.parametrize("after", ["close", "reset"])
+    def test_body_cut_short_is_network_error(self, scripted, after):
+        server = scripted(_always(self.TRUNCATED, after))
+        transport = server.transport(retries=1, retry_backoff=0.0)
+        with pytest.raises(NetworkError):
+            fetch(Identity(role=Role.VICTIM), f"http://{HOST}/", None, transport)
+        transport.close()
+        assert server.connections == 2  # the first try and one retry
+
+    def test_body_cut_short_makes_the_test_inconclusive(self, scripted):
+        server = scripted(_always(self.TRUNCATED, "close"))
+        transport = server.transport(retries=0)
+        verdict = run_wcd_test(
+            parse_url(f"http://{HOST}/account.php"),
+            PathConfusionTechnique.PATH_PARAMETER,
+            Identity(role=Role.VICTIM),
+            Identity(role=Role.ATTACKER),
+            MarkerSet([]),
+            WcdTestConfig(names=RandomNameGenerator(seed=1), transport=transport),
+        )
+        transport.close()
+        assert verdict.inconclusive and not verdict.vulnerable
+        assert "failed after retries" in verdict.error
+
+    def test_stale_socket_is_reconnected_without_spending_a_retry(self, scripted):
+        server = scripted(
+            lambda index, _head: (_response(b"ok"), "close" if index == 0 else "keep")
+        )
+        transport = server.transport(retries=0)
+        identity = Identity(role=Role.VICTIM)
+        fetch(identity, f"http://{HOST}/", None, transport)
+        assert server.hung_up.wait(5)  # the kept-alive socket is now dead
+        assert fetch(identity, f"http://{HOST}/", None, transport).body == b"ok"
+        transport.close()
+        assert server.connections == 2
+
+    def test_stale_socket_is_reconnected_only_once(self, scripted):
+        # The first connection answers and is then closed by the server;
+        # every later one hangs up without answering.
+        server = scripted(
+            lambda index, _head: (_response(b"ok"), "close") if index == 0 else (b"", "close")
+        )
+        transport = server.transport(retries=0)
+        identity = Identity(role=Role.VICTIM)
+        fetch(identity, f"http://{HOST}/", None, transport)
+        assert server.hung_up.wait(5)
+        with pytest.raises(NetworkError):
+            fetch(identity, f"http://{HOST}/", None, transport)
+        transport.close()
+        assert server.connections == 2
+
+
+def _self_signed_cert(directory) -> tuple[str, str]:
+    """(certificate, key) files for a certificate valid for 127.0.0.1."""
+    cert, key = str(directory / "cert.pem"), str(directory / "key.pem")
+    if shutil.which("openssl"):
+        subprocess.run(
+            ["openssl", "req", "-x509", "-newkey", "ec", "-pkeyopt",
+             "ec_paramgen_curve:prime256v1", "-nodes", "-keyout", key, "-out", cert,
+             "-days", "1", "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1"],
+            check=True, capture_output=True,
+        )
+        return cert, key
+    try:
+        import datetime
+        import ipaddress
+
+        from cryptography import x509
+        from cryptography.hazmat.primitives import hashes, serialization
+        from cryptography.hazmat.primitives.asymmetric import ec
+        from cryptography.x509.oid import NameOID
+    except ImportError:
+        pytest.skip("needs the openssl command or the cryptography package")
+    private = ec.generate_private_key(ec.SECP256R1())
+    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "127.0.0.1")])
+    now = datetime.datetime.now(datetime.timezone.utc)
+    certificate = (
+        x509.CertificateBuilder().subject_name(name).issuer_name(name)
+        .public_key(private.public_key()).serial_number(x509.random_serial_number())
+        .not_valid_before(now).not_valid_after(now + datetime.timedelta(days=1))
+        .add_extension(x509.SubjectAlternativeName(
+            [x509.IPAddress(ipaddress.ip_address("127.0.0.1"))]), critical=False)
+        .sign(private, hashes.SHA256())
+    )
+    with open(cert, "wb") as fh:
+        fh.write(certificate.public_bytes(serialization.Encoding.PEM))
+    with open(key, "wb") as fh:
+        fh.write(private.private_bytes(serialization.Encoding.PEM,
+                                       serialization.PrivateFormat.PKCS8,
+                                       serialization.NoEncryption()))
+    return cert, key
+
+
+class _QuietTLSServer(http.server.ThreadingHTTPServer):
+    daemon_threads = True
+
+    def handle_error(self, request, client_address):
+        pass  # refused handshakes are the point of the test
+
+
+class _Hello(http.server.BaseHTTPRequestHandler):
+    def do_GET(self):
+        self.send_response(200)
+        self.send_header("Content-Length", "5")
+        self.end_headers()
+        self.wfile.write(b"hello")
+
+    def log_message(self, *args):
+        pass
+
+
+def test_https_certificates_are_verified(tmp_path, monkeypatch):
+    cert, key = _self_signed_cert(tmp_path)
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert, key)
+    server = _QuietTLSServer(("127.0.0.1", 0), _Hello)
+    server.socket = context.wrap_socket(server.socket, server_side=True)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    url = f"https://127.0.0.1:{server.server_address[1]}/"
+    transport = Transport(retries=0, timeout=5)
+    try:
+        with pytest.raises(NetworkError, match="CERTIFICATE_VERIFY_FAILED"):
+            fetch(Identity(role=Role.UNAUTHENTICATED), url, None, transport)
+        monkeypatch.setenv("SSL_CERT_FILE", cert)  # trust the test certificate only
+        exchange = fetch(Identity(role=Role.UNAUTHENTICATED), url, None, transport)
+        assert (exchange.status, exchange.body) == (200, b"hello")
+    finally:
+        transport.close()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
