@@ -33,7 +33,7 @@ def main() -> int:
     site = catalog.classic_site()
     server = LabServer([site]).start()
     transport = Transport(resolve_overrides=server.resolve_overrides())
-    limiter = RateLimiter(rate=1000, burst=100)
+    limiter = RateLimiter(rate=1000)
 
     def control(path: str) -> None:
         conn = http.client.HTTPConnection(server.address, server.port, timeout=10)

@@ -9,7 +9,6 @@ so profiles can be shared freely across scan workers.
 from __future__ import annotations
 
 import fnmatch
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -314,8 +313,3 @@ def profile_to_dict(profile: CdnProfile) -> dict:
             for r in profile.rules
         ]
     return out
-
-
-def load_profile(path: str) -> CdnProfile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return profile_from_dict(json.load(fh))

@@ -29,7 +29,7 @@ from .reporting import (
     stats_to_records,
     write_records,
 )
-from .url_toolkit import PathConfusionTechnique
+from .url_toolkit import PathConfusionTechnique, parse_url
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -87,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--techniques", default="all", help="'all' or comma list of technique names")
     scan.add_argument("--budget", type=int, default=500, help="unique page groups per domain")
     scan.add_argument("--rate", type=float, default=2.0, help="max requests/second/host")
-    scan.add_argument("--burst", type=int, default=4)
     scan.add_argument("--mode", choices=["full", "marker-gated"], default="full")
     scan.add_argument("--delay", type=float, default=0.0, help="seconds between victim and attacker steps")
     scan.add_argument("--extension", default="css", help="bogus static extension for attack URLs")
@@ -149,7 +148,6 @@ def _cmd_scan(args) -> int:
         budget=args.budget,
         mode=args.mode,
         rate=args.rate,
-        burst=args.burst,
         extension=args.extension,
         seed=args.seed,
         attacker_delay=args.delay,
@@ -161,7 +159,7 @@ def _cmd_scan(args) -> int:
         embed_query=args.question_embed,
         journal=LockedJournal(journal_fh) if journal_fh else None,
     )
-    limiter = RateLimiter(rate=settings.rate, burst=settings.burst)
+    limiter = RateLimiter(rate=settings.rate)
     try:
         pool = ingest_domains(
             args.seeds, settings.transport, limiter, probe=not args.no_probe
@@ -271,9 +269,7 @@ def _cmd_report(args) -> int:
             verdicts = read_records(fh)
     if args.redact:
         verdicts = redact_verdicts(verdicts)
-    hosts = set()
-    for verdict in verdicts:
-        hosts.add(verdict.page.split("//", 1)[1].split("/", 1)[0].split(":")[0])
+    hosts = {parse_url(verdict.page).host for verdict in verdicts}
     stats = aggregate(verdicts, build_site_map(hosts))
     if args.format == "records":
         print(json.dumps(stats_to_records(stats), indent=2))
@@ -290,7 +286,6 @@ def _cmd_selfcheck(args) -> int:
     settings = ScanSettings(
         techniques=_parse_techniques(args.techniques),
         rate=args.rate,
-        burst=max(4, int(args.rate)),
         workers=args.workers,
         extension=args.extension,
         seed=0,

@@ -8,12 +8,13 @@ victim/attacker bodies gate a secret-token sweep by keyword and entropy.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 import re
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from html.parser import HTMLParser
 from typing import Callable
@@ -337,6 +338,12 @@ class WcdTestConfig:
     normalize_dates: bool = True
     # Optional HttpExchange -> vendor labels hook (reporting owns the tables).
     label_fn: Callable[[HttpExchange], list[str]] | None = None
+    # Secret sweeps already run with this config, keyed by the SHA-256 digest
+    # of the attacker body (extract_secrets is pure in body and randomness).
+    # Not an init field, so dataclasses.replace() starts with an empty memo.
+    sweeps: dict[bytes, tuple[SecretCandidate, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True)
@@ -344,8 +351,9 @@ class ScanVerdict:
     """Outcome of one (page, technique) attack.
 
     ``vulnerable`` is true iff markers leaked, or the victim/attacker bodies
-    were identical and secret candidates were found. ``inconclusive`` flags
-    network failure mid-test, distinct from a clean negative. Cache-evidence
+    were identical and secret candidates were found. ``inconclusive`` flags a
+    test that could not finish (network failure, failed re-login), with the
+    reason in ``error``; distinct from a clean negative. Cache-evidence
     fields are recorded for reporting only.
     """
 
@@ -434,8 +442,30 @@ class ScanVerdict:
         )
 
 
-def with_cdn_labels(verdict: ScanVerdict, labels: list[str]) -> ScanVerdict:
-    return replace(verdict, cdn_labels=tuple(labels))
+def inconclusive_verdict(
+    page: ParsedUrl,
+    technique: PathConfusionTechnique,
+    error: str,
+    attack_url: str = "",
+    statuses: tuple[int, int, int] = (0, 0, 0),
+) -> ScanVerdict:
+    """A test that could not finish: recorded with its reason, never as a
+    clean negative."""
+    return ScanVerdict(
+        page=page.text(),
+        technique=technique,
+        attack_url=attack_url,
+        victim_status=statuses[0],
+        attacker_status=statuses[1],
+        unauth_status=statuses[2],
+        markers_leaked=(),
+        secrets=(),
+        responses_identical=False,
+        unauth_exploitable=False,
+        vulnerable=False,
+        inconclusive=True,
+        error=error,
+    )
 
 
 def _evidence(exchange: HttpExchange) -> tuple[tuple[str, str], ...]:
@@ -459,8 +489,9 @@ def run_wcd_test(
 
     Order is fixed: victim fetch, attacker fetch, unauthenticated fetch.
     Secret extraction runs only when the victim and attacker responses are
-    identical or a marker already leaked. Network failures yield an
-    inconclusive verdict instead of aborting the scan.
+    identical or a marker already leaked, and at most once per distinct
+    attacker body per config. Network failures yield an inconclusive verdict
+    instead of aborting the scan.
     """
     nonce = config.names.next()
     attack: AttackUrl = make_attack_url(
@@ -479,20 +510,8 @@ def run_wcd_test(
         uex = fetch(unauth, attack.rendered, config.rate_limiter, config.transport)
         statuses[2] = uex.status
     except (NetworkError, TooManyRedirects) as exc:
-        return ScanVerdict(
-            page=page.text(),
-            technique=technique,
-            attack_url=attack.rendered,
-            victim_status=statuses[0],
-            attacker_status=statuses[1],
-            unauth_status=statuses[2],
-            markers_leaked=(),
-            secrets=(),
-            responses_identical=False,
-            unauth_exploitable=False,
-            vulnerable=False,
-            inconclusive=True,
-            error=str(exc),
+        return inconclusive_verdict(
+            page, technique, str(exc), attack.rendered, tuple(statuses)
         )
 
     leaked = tuple(extract_markers(aex.body, markers))
@@ -501,7 +520,10 @@ def run_wcd_test(
     )
     secrets: tuple[SecretCandidate, ...] = ()
     if identical or leaked:
-        secrets = tuple(extract_secrets(aex.body, config.randomness))
+        digest = hashlib.sha256(aex.body).digest()
+        if digest not in config.sweeps:
+            config.sweeps[digest] = tuple(extract_secrets(aex.body, config.randomness))
+        secrets = config.sweeps[digest]
     vulnerable = bool(leaked) or (identical and bool(secrets))
 
     unauth_leak = bool(extract_markers(uex.body, markers))

@@ -174,14 +174,12 @@ class RateLimiter:
 
     A small slack is added to the window so that network jitter downstream of
     the limiter cannot compress two boundary requests into the same observed
-    second. ``burst`` bounds how many requests may be dispatched back-to-back
-    but never loosens the window guarantee. Thread-safe.
+    second. Thread-safe.
     """
 
     def __init__(
         self,
         rate: float = 2.0,
-        burst: int = 4,
         slack: float = 0.05,
         time_fn=time.monotonic,
         sleep_fn=time.sleep,
@@ -191,7 +189,6 @@ class RateLimiter:
         self.rate = rate
         self._max_in_window = max(1, int(rate))
         self.window = (1.0 if rate >= 1 else 1.0 / rate) + slack
-        self.burst = max(1, min(int(burst), self._max_in_window))
         self._time = time_fn
         self._sleep = sleep_fn
         self._lock = threading.Lock()

@@ -225,6 +225,3 @@ class LabServer:
 
     def request_log(self, host: str) -> list[RequestLogEntry]:
         return list(self.runtimes[host].log)
-
-    def requested_targets(self, host: str) -> list[str]:
-        return [entry.target for entry in self.runtimes[host].log]

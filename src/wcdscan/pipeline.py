@@ -29,6 +29,7 @@ from .detector import (
     RandomnessConfig,
     ScanVerdict,
     WcdTestConfig,
+    inconclusive_verdict,
     run_wcd_test,
 )
 from .http_engine import (
@@ -46,7 +47,7 @@ from .lab.oracle import enumerate_oracle
 from .lab.server import LabServer
 from .lab.sim import SimSite
 from .reporting import DEFAULT_FINGERPRINTS, CdnFingerprint, cdn_label
-from .url_toolkit import PathConfusionTechnique, RandomNameGenerator
+from .url_toolkit import PathConfusionTechnique, RandomNameGenerator, parse_url
 
 log = logging.getLogger(__name__)
 
@@ -61,7 +62,6 @@ class ScanSettings:
     budget: int = 500
     mode: str = "full"  # "full" or "marker-gated"
     rate: float = 2.0
-    burst: int = 4
     extension: str = "css"
     seed: int | None = None
     attacker_delay: float = 0.0
@@ -165,10 +165,16 @@ def scan_site(
         verdicts = []
         for page in surface.pages:
             for technique in settings.techniques:
-                if victim.credentials:
-                    maintain_session(victim, rate_limiter, settings.transport)
-                if attacker.credentials:
-                    maintain_session(attacker, rate_limiter, settings.transport)
+                try:
+                    if victim.credentials:
+                        maintain_session(victim, rate_limiter, settings.transport)
+                    if attacker.credentials:
+                        maintain_session(attacker, rate_limiter, settings.transport)
+                except AuthFailure as exc:  # costs this test, not the site
+                    verdicts.append(
+                        inconclusive_verdict(page, technique, f"AuthFailure: {exc}")
+                    )
+                    continue
                 verdicts.append(
                     run_wcd_test(page, technique, victim, attacker, markers, config)
                 )
@@ -179,7 +185,7 @@ def scan_site(
 
 def scan_pool(pool: SeedPool, settings: ScanSettings) -> ScanRunResult:
     """Scan every site in the pool, one concurrent worker per domain."""
-    rate_limiter = RateLimiter(rate=settings.rate, burst=settings.burst)
+    rate_limiter = RateLimiter(rate=settings.rate)
     results: list[SiteScanResult] = []
     if not pool.sites:
         return ScanRunResult(site_results=[])
@@ -236,7 +242,7 @@ def run_selfcheck(
     started = time.monotonic()
     if sites is None:
         sites = catalog.matrix_sites() + [catalog.classic_site()]
-    settings = settings or ScanSettings(rate=500.0, burst=64, workers=8, seed=0)
+    settings = settings or ScanSettings(rate=500.0, workers=8, seed=0)
 
     server = LabServer(sites).start()
     try:
@@ -256,8 +262,7 @@ def run_selfcheck(
     }
     inconclusive = 0
     for verdict in run.verdicts:
-        host = verdict.page.split("//", 1)[1].split("/", 1)[0].split(":")[0]
-        name = host_to_name.get(host)
+        name = host_to_name.get(parse_url(verdict.page).host)
         if name is None:
             continue
         if verdict.inconclusive:

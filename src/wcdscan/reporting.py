@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, TextIO
+from urllib.parse import urlsplit
 
 from .detector import ScanVerdict
 from .http_engine import HttpExchange
@@ -404,20 +405,37 @@ def read_records(fh: TextIO) -> list[ScanVerdict]:
     return out
 
 
-def redact_verdicts(verdicts: list[ScanVerdict]) -> list[ScanVerdict]:
-    """Replace impacted hostnames with stable placeholder names."""
-    from dataclasses import replace
+def _swap_host(url: str, mapping: Mapping[str, str]) -> str:
+    """``url`` with the host of its netloc replaced through ``mapping``; any
+    userinfo and port, and the path, query and fragment, are kept as is."""
+    try:
+        parts = urlsplit(url)
+    except ValueError:
+        return url
+    alias = mapping.get(parts.hostname or "")
+    if alias is None:
+        return url
+    userinfo, at, hostport = parts.netloc.rpartition("@")
+    if hostport.startswith("["):
+        port = hostport[hostport.find("]") + 1 :]
+    else:
+        port = hostport[len(hostport.partition(":")[0]) :]
+    start = url.index("//") + 2
+    return url[:start] + userinfo + at + alias + port + url[start + len(parts.netloc) :]
 
+
+def redact_verdicts(verdicts: list[ScanVerdict]) -> list[ScanVerdict]:
+    """Replace impacted hostnames with stable placeholder names. Only the
+    host of each URL is replaced; a host name inside a path or query stays."""
     hosts = sorted(
         {parse_url(v.page).host for v in verdicts if not v.page.startswith("site-")}
     )
     mapping = {host: f"site-{i + 1}.redacted" for i, host in enumerate(hosts)}
-    out = []
-    for verdict in verdicts:
-        page = verdict.page
-        attack = verdict.attack_url
-        for host, alias in mapping.items():
-            page = page.replace(host, alias)
-            attack = attack.replace(host, alias)
-        out.append(replace(verdict, page=page, attack_url=attack))
-    return out
+    return [
+        replace(
+            verdict,
+            page=_swap_host(verdict.page, mapping),
+            attack_url=_swap_host(verdict.attack_url, mapping),
+        )
+        for verdict in verdicts
+    ]

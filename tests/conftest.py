@@ -14,7 +14,7 @@ from wcdscan.lab.server import LabServer  # noqa: E402
 
 
 def fast_limiter() -> RateLimiter:
-    return RateLimiter(rate=10000.0, burst=1000)
+    return RateLimiter(rate=10000.0)
 
 
 def lab_connections_left_open(server: LabServer, grace: float = 5.0) -> int:

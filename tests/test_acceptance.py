@@ -63,19 +63,22 @@ def _scan_one(server, site, technique, extension="css", delay=0.0, delay_fn=None
     limiter = fast_limiter()
     victim = _login(site.host, "victim", catalog.VICTIM_PASSWORD)
     attacker = _login(site.host, "attacker", catalog.ATTACKER_PASSWORD)
-    maintain_session(victim, limiter, transport)
-    maintain_session(attacker, limiter, transport)
-    config = WcdTestConfig(
-        extension=extension,
-        names=RandomNameGenerator(seed=seed),
-        rate_limiter=limiter,
-        transport=transport,
-        attacker_delay=delay,
-        delay_fn=delay_fn or (lambda s: None),
-    )
-    markers = MarkerSet(list(catalog.victim_markers(site.name).items()))
-    page = parse_url(f"http://{site.host}/account.php")
-    return run_wcd_test(page, technique, victim, attacker, markers, config)
+    try:
+        maintain_session(victim, limiter, transport)
+        maintain_session(attacker, limiter, transport)
+        config = WcdTestConfig(
+            extension=extension,
+            names=RandomNameGenerator(seed=seed),
+            rate_limiter=limiter,
+            transport=transport,
+            attacker_delay=delay,
+            delay_fn=delay_fn or (lambda s: None),
+        )
+        markers = MarkerSet(list(catalog.victim_markers(site.name).items()))
+        page = parse_url(f"http://{site.host}/account.php")
+        return run_wcd_test(page, technique, victim, attacker, markers, config)
+    finally:
+        transport.close()
 
 
 def test_criterion_1_oracle_equivalence_matrix():
@@ -321,8 +324,8 @@ def test_criterion_9_grouping_determinism():
     """The 1,200-page/7-group sitemap yields exactly 7 representatives with
     budget 500, identically across runs with a fixed seed."""
     server = LabServer([catalog.sitemap_site()]).start()
+    transport = Transport(resolve_overrides=server.resolve_overrides())
     try:
-        transport = Transport(resolve_overrides=server.resolve_overrides())
 
         def crawl():
             return crawl_domain(
@@ -337,6 +340,7 @@ def test_criterion_9_grouping_determinism():
         first = crawl()
         second = crawl()
     finally:
+        transport.close()
         server.stop()
     same = [p.text() for p in first.pages] == [p.text() for p in second.pages]
     ok = (
@@ -365,12 +369,15 @@ def test_criterion_10_request_pacing():
     server = LabServer([catalog.pacing_site()]).start()
     try:
         transport = Transport(resolve_overrides=server.resolve_overrides())
-        limiter = RateLimiter(rate=rate, burst=4)
+        limiter = RateLimiter(rate=rate)
 
         def worker():
             identity = Identity(role=Role.UNAUTHENTICATED)
-            for _ in range(6):
-                fetch(identity, "http://pacing.test/", limiter, transport)
+            try:
+                for _ in range(6):
+                    fetch(identity, "http://pacing.test/", limiter, transport)
+            finally:
+                transport.close()  # this thread's pooled connections
 
         threads = [threading.Thread(target=worker) for _ in range(4)]
         for t in threads:

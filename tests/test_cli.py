@@ -42,7 +42,6 @@ def test_scan_lab_site_end_to_end(tmp_path, capsys):
             "--seeds", str(seeds),
             "--resolve", f"{site.host}=127.0.0.1:{server.port}",
             "--rate", "500",
-            "--burst", "64",
             "--seed", "1",
             "--out", str(out_file),
         ])

@@ -200,8 +200,8 @@ class TestCrawlDomain:
             cache_profile=builtin_profile("akamai_default"), resources=resources,
         )
         server = LabServer([site]).start()
+        transport = Transport(resolve_overrides=server.resolve_overrides())
         try:
-            transport = Transport(resolve_overrides=server.resolve_overrides())
             surface = crawl_domain(
                 SiteConfig(primary_domain="numeric.test"),
                 Identity(role=Role.VICTIM),
@@ -210,6 +210,7 @@ class TestCrawlDomain:
                 transport=transport,
             )
         finally:
+            transport.close()
             server.stop()
         item_reps = [p for p in surface.pages if p.raw_path.startswith("/item/")]
         assert len(item_reps) == 1
@@ -262,6 +263,7 @@ class TestCrawlDomain:
                 rate_limiter=limiter,
                 transport=transport,
             )
+            transport.close()
         finally:
             server.stop()
         paths = {p.raw_path for p in surface.pages}
@@ -306,6 +308,7 @@ class TestRobots:
             rate_limiter=limiter,
             transport=transport,
         )
+        transport.close()
         assert "/private" in {p.raw_path for p in surface.pages}
 
     def test_respected_on_request(self, robots_lab, limiter):
@@ -318,6 +321,7 @@ class TestRobots:
             transport=transport,
             respect_robots=True,
         )
+        transport.close()
         paths = {p.raw_path for p in surface.pages}
         assert "/private" not in paths
         assert "/ok" in paths

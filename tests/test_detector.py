@@ -2,11 +2,14 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
+import requests
 from hypothesis import given, settings, strategies as st
 
-from wcdscan.cache_policy import CdnProfile, DefaultCached
+from wcdscan import detector
+from wcdscan.cache_policy import CdnProfile, DefaultCached, builtin_profile
 from wcdscan.detector import (
     Marker,
     MarkerSet,
@@ -25,8 +28,9 @@ from wcdscan.detector import (
 )
 from wcdscan.http_engine import HttpExchange, Identity, LoginDescriptor, Role, Transport
 from wcdscan.lab import catalog
-from wcdscan.lab.origin import OriginVariant
+from wcdscan.lab.origin import OriginSemantics, OriginVariant
 from wcdscan.lab.server import LabServer
+from wcdscan.lab.sim import LabResource, SimSite
 from wcdscan.url_toolkit import PathConfusionTechnique, RandomNameGenerator, parse_url
 
 from conftest import fast_limiter
@@ -335,12 +339,23 @@ def _identities(host):
     return victim, attacker
 
 
-def _config(server, seed=11):
-    return WcdTestConfig(
-        names=RandomNameGenerator(seed=seed),
-        rate_limiter=fast_limiter(),
-        transport=Transport(resolve_overrides=server.resolve_overrides()),
-    )
+@pytest.fixture()
+def make_config():
+    """``make_config(server, seed)`` builds a test config; the transports it
+    made are closed at teardown."""
+    transports = []
+
+    def make(server, seed=11):
+        transports.append(Transport(resolve_overrides=server.resolve_overrides()))
+        return WcdTestConfig(
+            names=RandomNameGenerator(seed=seed),
+            rate_limiter=fast_limiter(),
+            transport=transports[-1],
+        )
+
+    yield make
+    for transport in transports:
+        transport.close()
 
 
 def _marker_set(site_name):
@@ -358,9 +373,9 @@ def _login_both(server, host, config):
 
 
 class TestRunWcdTest:
-    def test_exploitable_page_full_verdict(self, detector_lab):
+    def test_exploitable_page_full_verdict(self, detector_lab, make_config):
         host = "classic-pp.test"
-        config = _config(detector_lab)
+        config = make_config(detector_lab)
         victim, attacker = _login_both(detector_lab, host, config)
         page = parse_url(f"http://{host}/account.php")
         verdict = run_wcd_test(
@@ -380,9 +395,9 @@ class TestRunWcdTest:
         assert any(s.name == "csrf_token" for s in verdict.secrets)
         assert not verdict.inconclusive
 
-    def test_honored_no_store_is_clean(self, detector_lab):
+    def test_honored_no_store_is_clean(self, detector_lab, make_config):
         host = "det-cf-ns.test"
-        config = _config(detector_lab)
+        config = make_config(detector_lab)
         victim, attacker = _login_both(detector_lab, host, config)
         page = parse_url(f"http://{host}/account.php")
         verdict = run_wcd_test(
@@ -401,9 +416,9 @@ class TestRunWcdTest:
         assert verdict.secrets == ()
         assert verdict.unauth_exploitable is False
 
-    def test_never_stored_profile_is_clean(self, detector_lab):
+    def test_never_stored_profile_is_clean(self, detector_lab, make_config):
         host = "det-nomatch.test"
-        config = _config(detector_lab)
+        config = make_config(detector_lab)
         victim, attacker = _login_both(detector_lab, host, config)
         page = parse_url(f"http://{host}/account.php")
         verdict = run_wcd_test(
@@ -416,9 +431,9 @@ class TestRunWcdTest:
         )
         assert verdict.vulnerable is False
 
-    def test_fresh_nonce_per_test(self, detector_lab):
+    def test_fresh_nonce_per_test(self, detector_lab, make_config):
         host = "classic-pp.test"
-        config = _config(detector_lab, seed=12)
+        config = make_config(detector_lab, seed=12)
         victim, attacker = _login_both(detector_lab, host, config)
         page = parse_url(f"http://{host}/account.php")
         markers = _marker_set("classic-pp")
@@ -430,9 +445,9 @@ class TestRunWcdTest:
         )
         assert first.attack_url != second.attack_url
 
-    def test_fetch_order_victim_attacker_unauth(self, detector_lab):
+    def test_fetch_order_victim_attacker_unauth(self, detector_lab, make_config):
         host = "classic-pp.test"
-        config = _config(detector_lab, seed=13)
+        config = make_config(detector_lab, seed=13)
         victim, attacker = _login_both(detector_lab, host, config)
         page = parse_url(f"http://{host}/account.php")
         verdict = run_wcd_test(
@@ -465,9 +480,9 @@ class TestRunWcdTest:
         assert verdict.vulnerable is False
         assert verdict.error
 
-    def test_verdict_record_round_trip(self, detector_lab):
+    def test_verdict_record_round_trip(self, detector_lab, make_config):
         host = "classic-pp.test"
-        config = _config(detector_lab, seed=14)
+        config = make_config(detector_lab, seed=14)
         victim, attacker = _login_both(detector_lab, host, config)
         page = parse_url(f"http://{host}/account.php")
         verdict = run_wcd_test(
@@ -477,3 +492,112 @@ class TestRunWcdTest:
         from wcdscan.detector import ScanVerdict
 
         assert ScanVerdict.from_record(verdict.to_record()) == verdict
+
+
+# --- the secret sweep runs once per distinct attacker body per config ---
+
+PUBLIC_HOST = "det-public.test"
+PUBLIC_BODY = (
+    "<html><body><h1>News</h1>"
+    '<form><input type="hidden" name="csrf_token" value="static"></form>'
+    "</body></html>"
+)
+
+
+@pytest.fixture()
+def public_lab():
+    """A public page that every technique routes back to, so all five tests
+    get the same body for victim and attacker alike."""
+    site = SimSite(
+        name="det-public",
+        host=PUBLIC_HOST,
+        origin=OriginSemantics(variants=frozenset(OriginVariant), decode_before_route=True),
+        cache_profile=builtin_profile("akamai_default"),
+        resources={"/news": LabResource(path="/news", body_template=PUBLIC_BODY)},
+    )
+    server = LabServer([site]).start()
+    yield server
+    server.stop()
+
+
+def _reset_lab(server, host):
+    requests.post(
+        f"http://{server.address}:{server.port}/_lab/reset", headers={"Host": host}, timeout=5
+    ).raise_for_status()
+
+
+def _count_sweeps(monkeypatch) -> list[bytes]:
+    """Record the body of every call that reaches ``extract_secrets``."""
+    calls: list[bytes] = []
+    original = detector.extract_secrets
+
+    def counting(body, config):
+        calls.append(body)
+        return original(body, config)
+
+    monkeypatch.setattr(detector, "extract_secrets", counting)
+    return calls
+
+
+class TestSweepMemo:
+    PAGE = parse_url(f"http://{PUBLIC_HOST}/news")
+
+    def _run_all(self, configs):
+        victim, attacker = Identity(role=Role.VICTIM), Identity(role=Role.ATTACKER)
+        return [
+            run_wcd_test(self.PAGE, technique, victim, attacker, MarkerSet([]), config)
+            for technique, config in zip(PathConfusionTechnique, configs)
+        ]
+
+    def test_repeated_body_is_swept_once(self, public_lab, make_config, monkeypatch):
+        calls = _count_sweeps(monkeypatch)
+        config = make_config(public_lab)
+        memoized = self._run_all([config] * 5)
+        assert len(calls) == 1
+        assert list(config.sweeps.values()) == [memoized[0].secrets]
+        assert all(v.responses_identical and v.secrets for v in memoized)
+
+        # The same five tests, each with a fresh config (so an empty memo)
+        # drawing the same nonces, against a reset lab.
+        _reset_lab(public_lab, PUBLIC_HOST)
+        names = RandomNameGenerator(seed=11)
+        fresh = self._run_all([replace(config, names=names) for _ in range(5)])
+        assert len(calls) == 6
+        assert fresh == memoized
+
+    def test_reflected_url_is_swept_once_per_test(self, monkeypatch):
+        calls = _count_sweeps(monkeypatch)
+
+        def reflecting_fetch(identity, url, *args, **kwargs):
+            body = f'<html><body><a href="{url}?csrf=1">again</a></body></html>'
+            return HttpExchange(
+                url=url, method="GET", request_headers=(), status=200,
+                response_headers=(), body=body.encode(), timing=1.0,
+                identity_role=identity.role,
+            )
+
+        monkeypatch.setattr(detector, "fetch", reflecting_fetch)
+        config = WcdTestConfig(names=RandomNameGenerator(seed=5))
+        verdicts = self._run_all([config] * 5)
+        # Bodies match once the nonce is stripped, but each test's differs.
+        assert all(v.responses_identical for v in verdicts)
+        assert len(calls) == 5
+        assert len(set(calls)) == 5
+        assert len(config.sweeps) == 5
+
+    def test_replaced_config_starts_with_an_empty_memo(self, public_lab, make_config):
+        config = make_config(public_lab, seed=21)
+        victim, attacker = Identity(role=Role.VICTIM), Identity(role=Role.ATTACKER)
+        technique = PathConfusionTechnique.PATH_PARAMETER
+        first = run_wcd_test(self.PAGE, technique, victim, attacker, MarkerSet([]), config)
+        assert [s.name for s in first.secrets] == ["csrf_token"]
+        assert len(config.sweeps) == 1
+
+        strict = replace(config, randomness=RandomnessConfig(keywords=("zzz",)))
+        assert strict.sweeps == {}
+        second = run_wcd_test(self.PAGE, technique, victim, attacker, MarkerSet([]), strict)
+        assert second.responses_identical
+        assert second.secrets == ()
+        assert second.vulnerable is False
+        assert len(strict.sweeps) == 1
+        assert len(config.sweeps) == 1

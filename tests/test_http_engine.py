@@ -41,7 +41,7 @@ class FakeClock:
 class TestRateLimiter:
     def test_window_contract_single_thread(self):
         clock = FakeClock()
-        limiter = RateLimiter(rate=2.0, burst=4, time_fn=clock.time, sleep_fn=clock.sleep)
+        limiter = RateLimiter(rate=2.0, time_fn=clock.time, sleep_fn=clock.sleep)
         stamps = []
         for _ in range(10):
             limiter.acquire("host")
@@ -211,14 +211,15 @@ class TestTransportFailures:
             },
         )
         server = LabServer([site]).start()
+        transport = Transport(
+            resolve_overrides=server.resolve_overrides(), max_redirects=5
+        )
         try:
-            transport = Transport(
-                resolve_overrides=server.resolve_overrides(), max_redirects=5
-            )
             unauth = Identity(role=Role.UNAUTHENTICATED)
             with pytest.raises(TooManyRedirects):
                 fetch(unauth, "http://loop.test/loop", limiter, transport)
         finally:
+            transport.close()
             server.stop()
 
     def test_dead_host_raises_network_error(self, limiter):
@@ -243,7 +244,7 @@ def test_concurrent_workers_share_window(support_lab, support_transport):
         headers={"Host": host},
         timeout=5,
     )
-    limiter = RateLimiter(rate=5.0, burst=4)
+    limiter = RateLimiter(rate=5.0)
     errors = []
 
     def worker():
@@ -253,6 +254,7 @@ def test_concurrent_workers_share_window(support_lab, support_transport):
                 fetch(identity, f"http://{host}/", limiter, support_transport)
             except Exception as exc:  # pragma: no cover - diagnostic only
                 errors.append(exc)
+        support_transport.close()  # this thread's pooled connections
 
     threads = [threading.Thread(target=worker) for _ in range(4)]
     for t in threads:

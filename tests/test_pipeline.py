@@ -7,11 +7,13 @@ import warnings
 
 import pytest
 
+from wcdscan import pipeline
 from wcdscan.crawler import SeedPool, site_config_from_dict
 from wcdscan.lab import catalog
 from wcdscan.lab.server import LabServer
-from wcdscan.http_engine import Transport
+from wcdscan.http_engine import AuthFailure, Transport
 from wcdscan.pipeline import ScanSettings, pool_from_lab_sites, scan_pool
+from wcdscan.url_toolkit import PathConfusionTechnique
 
 from conftest import lab_connections_left_open
 
@@ -27,7 +29,6 @@ def pipeline_lab():
 def _settings(server, **kwargs) -> ScanSettings:
     defaults = dict(
         rate=500.0,
-        burst=64,
         workers=2,
         seed=3,
         transport=Transport(resolve_overrides=server.resolve_overrides()),
@@ -84,6 +85,37 @@ def test_auth_failure_isolated_per_site(pipeline_lab):
     assert by_domain["classic-pp.test"].verdicts == []
     assert by_domain["pacing.test"].error is None
     assert by_domain["pacing.test"].verdicts  # clean site still scanned
+
+
+def test_failed_relogin_costs_one_test_not_the_site(pipeline_lab, monkeypatch):
+    """A re-login that fails before one test makes that test inconclusive;
+    the verdicts already produced are kept."""
+    real = pipeline.maintain_session
+    calls = []
+    first_failure = 2 + 2 * 11 + 1  # after the initial logins and 11 tests
+
+    def failing_from_then_on(identity, *args, **kwargs):
+        calls.append(identity.role)
+        if len(calls) >= first_failure:
+            raise AuthFailure("login rejected")
+        return real(identity, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "maintain_session", failing_from_then_on)
+    run = scan_pool(_classic_pool(), _settings(pipeline_lab, seed=4))
+    result = run.site_results[0]
+    assert result.error is None
+    assert len(result.verdicts) == 15
+    kept, lost = result.verdicts[:11], result.verdicts[11:]
+    assert not any(v.inconclusive for v in kept)
+    assert all(v.attack_url for v in kept)
+    assert any(v.vulnerable for v in kept)  # /account.php via path_parameter
+    assert all(
+        v.inconclusive and not v.vulnerable and v.error.startswith("AuthFailure")
+        for v in lost
+    )
+    assert [(v.page, v.technique) for v in lost] == [
+        (lost[0].page, t) for t in list(PathConfusionTechnique)[1:]
+    ]
 
 
 def test_nonces_are_unique_across_a_run(pipeline_lab):

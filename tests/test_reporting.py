@@ -270,6 +270,22 @@ def test_redaction_hides_hosts():
     assert redacted[0].page.startswith("http://site-1.redacted/")
 
 
+def test_redaction_replaces_only_the_url_host():
+    verdicts = [
+        _verdict("http://www.shop.example/go?next=shop.example"),
+        _verdict("http://shop.example/www.shop.example/account"),
+    ]
+    redacted = redact_verdicts(verdicts)
+    assert [v.page for v in redacted] == [
+        "http://site-2.redacted/go?next=shop.example",
+        "http://site-1.redacted/www.shop.example/account",
+    ]
+    assert [v.attack_url for v in redacted] == [
+        "http://site-2.redacted/go?next=shop.example/x.css",
+        "http://site-1.redacted/www.shop.example/account/x.css",
+    ]
+
+
 def test_render_table_smoke():
     verdicts = [
         _verdict("http://y.test/a"),
