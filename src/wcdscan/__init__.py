@@ -1,78 +1,3 @@
 """wcdscan: web cache deception scanner plus a deterministic cache lab."""
 
-from .url_toolkit import (
-    AttackUrl,
-    MalformedUrl,
-    ParsedUrl,
-    PathConfusionTechnique,
-    RandomNameGenerator,
-    UrlGroupKey,
-    group_key,
-    make_attack_url,
-    parse_url,
-    registrable_domain,
-    select_representatives,
-)
-from .cache_policy import (
-    CacheControlDirectives,
-    CacheDecision,
-    CacheRule,
-    CdnProfile,
-    DecisionReason,
-    DefaultCached,
-    builtin_profile,
-    builtin_profiles,
-    decide,
-    parse_cache_control,
-)
-from .http_engine import (
-    AuthFailure,
-    HttpExchange,
-    Identity,
-    LoginDescriptor,
-    NetworkError,
-    RateLimiter,
-    Role,
-    TooManyRedirects,
-    Transport,
-    fetch,
-    is_logout_link,
-    maintain_session,
-)
-from .detector import (
-    Marker,
-    MarkerSet,
-    RandomnessConfig,
-    ScanVerdict,
-    SecretCandidate,
-    SecretSource,
-    SecretTrigger,
-    WcdTestConfig,
-    extract_markers,
-    extract_secrets,
-    randomness_score,
-    responses_identical,
-    run_wcd_test,
-    shannon_entropy,
-)
-from .crawler import (
-    AttackSurface,
-    ConfigError,
-    SeedPool,
-    SiteConfig,
-    crawl_domain,
-    filter_marked_pages,
-    ingest_domains,
-)
-from .reporting import (
-    AggregateStats,
-    CdnFingerprint,
-    DegenerateTable,
-    aggregate,
-    cdn_label,
-    chi_square_2x2,
-    render_table,
-)
-from .pipeline import ScanSettings, run_selfcheck, scan_pool
-
 __version__ = "0.1.0"

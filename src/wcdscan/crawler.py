@@ -10,6 +10,7 @@ are sequential.
 
 from __future__ import annotations
 
+import html
 import json
 import logging
 import re
@@ -19,9 +20,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from urllib.parse import urljoin
 
-from .detector import MarkerSet
+from .detector import ANCHOR_HREF, MarkerSet
 from .http_engine import (
-    DEFAULT_LOGOUT_PATTERNS,
     DEFAULT_TRANSPORT,
     Identity,
     LoginDescriptor,
@@ -44,8 +44,6 @@ from .url_toolkit import (
 )
 
 log = logging.getLogger(__name__)
-
-RE_HREF = re.compile(r"""href\s*=\s*["']([^"']+)["']""", re.IGNORECASE)
 
 RAW_PAGE_CAP_FACTOR = 10
 
@@ -224,11 +222,12 @@ def ingest_domains(
 
 
 def extract_links(body: bytes, base_url: str) -> list[str]:
-    """Absolute http(s) URLs from anchor hrefs, in document order."""
+    """Absolute http(s) URLs from anchor hrefs, in document order; character
+    references such as ``&amp;`` are decoded before resolving."""
     text = body.decode("utf-8", errors="replace")
     out = []
-    for href in RE_HREF.findall(text):
-        absolute = urljoin(base_url, href.strip())
+    for href in ANCHOR_HREF.findall(text):
+        absolute = urljoin(base_url, html.unescape(href).strip())
         if absolute.startswith(("http://", "https://")):
             out.append(absolute)
     return out
@@ -268,7 +267,6 @@ def crawl_domain(
     rate_limiter: RateLimiter | None = None,
     transport: Transport | None = None,
     seed: int = 0,
-    logout_patterns: tuple[str, ...] = DEFAULT_LOGOUT_PATTERNS,
     respect_robots: bool = False,
     journal=None,
 ) -> AttackSurface:
@@ -303,7 +301,7 @@ def crawl_domain(
         if raw_url in seen:
             continue
         seen.add(raw_url)
-        if is_logout_link(raw_url, logout_patterns):
+        if is_logout_link(raw_url):
             continue
         if robots is not None and not robots.can_fetch(identity.user_agent, raw_url):
             continue

@@ -61,10 +61,11 @@ _RFC1123_DATE = re.compile(
 _RE_JS_VAR = re.compile(
     r"\b(?:var|let|const)\s+([A-Za-z_$][\w$]*)\s*=\s*[\"']([^\"']*)[\"']"
 )
-# Regex fallbacks for when HTML parsing fails outright.
+# The href of each <a> tag, entity-encoded as written. The crawler's link
+# rule, and with the patterns below the fallback when HTML parsing fails.
+ANCHOR_HREF = re.compile(r"<a\b[^>]*\bhref\s*=\s*[\"']([^\"']+)[\"']", re.IGNORECASE)
 _RE_HIDDEN_INPUT = re.compile(r"<input\b[^>]*>", re.IGNORECASE)
 _RE_ATTR = re.compile(r"([a-zA-Z_-]+)\s*=\s*[\"']([^\"']*)[\"']")
-_RE_HREF = re.compile(r"<a\b[^>]*\bhref\s*=\s*[\"']([^\"']+)[\"']", re.IGNORECASE)
 _RE_SCRIPT_SRC = re.compile(r"<script\b[^>]*\bsrc\s*=\s*[\"']([^\"']+)[\"']", re.IGNORECASE)
 _RE_SCRIPT_BLOCK = re.compile(r"<script\b[^>]*>(.*?)</script>", re.IGNORECASE | re.DOTALL)
 
@@ -231,7 +232,7 @@ def _scan_html(text: str) -> _HtmlScan:
             attrs = dict((k.lower(), v) for k, v in _RE_ATTR.findall(tag))
             if attrs.get("type", "").lower() == "hidden" and attrs.get("name"):
                 scan.hidden_inputs.append((attrs["name"], attrs.get("value", "")))
-        scan.anchor_hrefs = _RE_HREF.findall(text)
+        scan.anchor_hrefs = ANCHOR_HREF.findall(text)
         scan.script_srcs = _RE_SCRIPT_SRC.findall(text)
         scan.inline_scripts = _RE_SCRIPT_BLOCK.findall(text)
     return scan
@@ -297,28 +298,19 @@ def extract_secrets(body: bytes, config: RandomnessConfig) -> list[SecretCandida
     return out
 
 
-def normalize_body(
-    body: bytes, strip: tuple[str, ...] = (), strip_dates: bool = True
-) -> bytes:
-    """Remove the given nonce strings and (by default) RFC 1123 dates before
-    comparison."""
+def normalize_body(body: bytes, strip: tuple[str, ...] = ()) -> bytes:
+    """Remove the given nonce strings and RFC 1123 dates before comparison."""
     for token in strip:
         body = body.replace(token.encode(), b"")
-    return _RFC1123_DATE.sub(b"", body) if strip_dates else body
+    return _RFC1123_DATE.sub(b"", body)
 
 
 def responses_identical(
-    a: HttpExchange,
-    b: HttpExchange,
-    strip: tuple[str, ...] = (),
-    strip_dates: bool = True,
+    a: HttpExchange, b: HttpExchange, strip: tuple[str, ...] = ()
 ) -> bool:
     """Byte-equality of the two bodies after nonce/date normalization;
-    headers are deliberately excluded. ``strip_dates=False`` demands the
-    stricter, date-sensitive comparison."""
-    return normalize_body(a.body, strip, strip_dates) == normalize_body(
-        b.body, strip, strip_dates
-    )
+    headers are deliberately excluded."""
+    return normalize_body(a.body, strip) == normalize_body(b.body, strip)
 
 
 @dataclass
@@ -333,9 +325,6 @@ class WcdTestConfig:
     attacker_delay: float = 0.0
     delay_fn: Callable[[float], None] = time.sleep
     embed_query: str | None = None
-    # Part of the "identical responses" definition: strip RFC 1123 dates
-    # before comparing (the nonce is always stripped).
-    normalize_dates: bool = True
     # Optional HttpExchange -> vendor labels hook (reporting owns the tables).
     label_fn: Callable[[HttpExchange], list[str]] | None = None
     # Secret sweeps already run with this config, keyed by the SHA-256 digest
@@ -515,9 +504,7 @@ def run_wcd_test(
         )
 
     leaked = tuple(extract_markers(aex.body, markers))
-    identical = responses_identical(
-        vex, aex, strip=(nonce,), strip_dates=config.normalize_dates
-    )
+    identical = responses_identical(vex, aex, strip=(nonce,))
     secrets: tuple[SecretCandidate, ...] = ()
     if identical or leaked:
         digest = hashlib.sha256(aex.body).digest()
@@ -531,8 +518,7 @@ def run_wcd_test(
         unauth_leak
         or (
             bool(secrets)
-            and normalize_body(uex.body, (nonce,), config.normalize_dates)
-            == normalize_body(aex.body, (nonce,), config.normalize_dates)
+            and normalize_body(uex.body, (nonce,)) == normalize_body(aex.body, (nonce,))
         )
     )
 

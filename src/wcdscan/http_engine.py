@@ -37,6 +37,12 @@ DEFAULT_USER_AGENT = (
 
 # Matched on word boundaries against path+query, case-insensitive.
 DEFAULT_LOGOUT_PATTERNS = ("logout", "signout", "sign-out", "log-out", "session/destroy")
+_LOGOUT_RE = re.compile(
+    r"(?<![a-z0-9])(?:"
+    + "|".join(map(re.escape, DEFAULT_LOGOUT_PATTERNS))
+    + r")(?![a-z0-9])",
+    re.IGNORECASE,
+)
 
 _REDIRECT_STATUSES = {301, 302, 303, 307, 308}
 
@@ -460,15 +466,11 @@ def maintain_session(
     return identity
 
 
-def is_logout_link(url: str, blacklist: tuple[str, ...] = DEFAULT_LOGOUT_PATTERNS) -> bool:
-    """True when any blacklist pattern matches the path or query on word
+def is_logout_link(url: str) -> bool:
+    """True when a logout pattern matches the path or query on word
     boundaries, case-insensitively."""
     parts = urlsplit(url)
     haystack = parts.path
     if parts.query:
         haystack += "?" + parts.query
-    for pattern in blacklist:
-        rx = r"(?<![a-z0-9])" + re.escape(pattern) + r"(?![a-z0-9])"
-        if re.search(rx, haystack, re.IGNORECASE):
-            return True
-    return False
+    return _LOGOUT_RE.search(haystack) is not None

@@ -1,45 +1,1 @@
 """Deterministic origin/cache lab: simulator, scenario catalog, oracle, server."""
-
-from .origin import OriginSemantics, OriginVariant, effective_path, route
-from .sim import (
-    CacheEntry,
-    CacheEvent,
-    LabAccount,
-    LabAuth,
-    LabRequest,
-    LabResource,
-    LabResponse,
-    SimClock,
-    SimSite,
-    advance_clock,
-    handle_login,
-    origin_resolve,
-    proxy_handle,
-)
-from .oracle import enumerate_oracle, oracle_vulnerable
-from .server import LabServer
-from . import catalog
-
-__all__ = [
-    "OriginSemantics",
-    "OriginVariant",
-    "effective_path",
-    "route",
-    "CacheEntry",
-    "CacheEvent",
-    "LabAccount",
-    "LabAuth",
-    "LabRequest",
-    "LabResource",
-    "LabResponse",
-    "SimClock",
-    "SimSite",
-    "advance_clock",
-    "handle_login",
-    "origin_resolve",
-    "proxy_handle",
-    "enumerate_oracle",
-    "oracle_vulnerable",
-    "LabServer",
-    "catalog",
-]

@@ -251,7 +251,7 @@ def sitemap_site() -> SimSite:
     for n in range(1, 49):
         page(f"/tag/{n}", f"Tag {n}")
         links.append(f"/tag/{n}")
-    links.append("/logout")  # blacklisted; the crawler must never request it
+    links.append("/logout")  # matches the logout rule; the crawler must never request it
     page("/logout", "Signed out")
 
     home = (

@@ -33,7 +33,6 @@ from .detector import (
     run_wcd_test,
 )
 from .http_engine import (
-    DEFAULT_LOGOUT_PATTERNS,
     DEFAULT_USER_AGENT,
     AuthFailure,
     Identity,
@@ -46,7 +45,7 @@ from .lab import catalog
 from .lab.oracle import enumerate_oracle
 from .lab.server import LabServer
 from .lab.sim import SimSite
-from .reporting import DEFAULT_FINGERPRINTS, CdnFingerprint, cdn_label
+from .reporting import cdn_label
 from .url_toolkit import PathConfusionTechnique, RandomNameGenerator, parse_url
 
 log = logging.getLogger(__name__)
@@ -70,8 +69,6 @@ class ScanSettings:
     user_agent: str = DEFAULT_USER_AGENT
     transport: Transport = field(default_factory=Transport)
     randomness: RandomnessConfig = field(default_factory=RandomnessConfig)
-    fingerprints: tuple[CdnFingerprint, ...] = DEFAULT_FINGERPRINTS
-    logout_patterns: tuple[str, ...] = DEFAULT_LOGOUT_PATTERNS
     respect_robots: bool = False
     embed_query: str | None = None
     journal: "LockedJournal | None" = None
@@ -143,7 +140,6 @@ def scan_site(
             rate_limiter,
             settings.transport,
             seed=settings.seed or 0,
-            logout_patterns=settings.logout_patterns,
             respect_robots=settings.respect_robots,
             journal=settings.journal,
         )
@@ -160,7 +156,7 @@ def scan_site(
             attacker_delay=settings.attacker_delay,
             delay_fn=settings.delay_fn,
             embed_query=settings.embed_query,
-            label_fn=lambda ex: cdn_label(ex, settings.fingerprints),
+            label_fn=cdn_label,
         )
         verdicts = []
         for page in surface.pages:

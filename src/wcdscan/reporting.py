@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, TextIO
 from urllib.parse import urlsplit
@@ -105,29 +106,13 @@ OTHER_CDN_FINGERPRINT = CdnFingerprint(
 )
 
 
-def cdn_label(
-    exchange: HttpExchange,
-    fingerprints: tuple[CdnFingerprint, ...] = DEFAULT_FINGERPRINTS,
-    other: CdnFingerprint | None = OTHER_CDN_FINGERPRINT,
-) -> list[str]:
+def cdn_label(exchange: HttpExchange) -> list[str]:
     """All vendors whose fingerprint matches; multi-CDN setups return several
     labels, and an empty list means unlabeled."""
-    labels = [fp.vendor for fp in fingerprints if fp.matches(exchange)]
-    if not labels and other is not None and other.matches(exchange):
-        labels = [other.vendor]
+    labels = [fp.vendor for fp in DEFAULT_FINGERPRINTS if fp.matches(exchange)]
+    if not labels and OTHER_CDN_FINGERPRINT.matches(exchange):
+        labels = [OTHER_CDN_FINGERPRINT.vendor]
     return labels
-
-
-def fingerprints_from_file(path: str) -> tuple[CdnFingerprint, ...]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return tuple(
-        CdnFingerprint(
-            vendor=item["vendor"],
-            header_patterns=tuple((p["header"], p.get("substring", "")) for p in item["patterns"]),
-        )
-        for item in data
-    )
 
 
 @dataclass(frozen=True)
@@ -424,13 +409,19 @@ def _swap_host(url: str, mapping: Mapping[str, str]) -> str:
     return url[:start] + userinfo + at + alias + port + url[start + len(parts.netloc) :]
 
 
+_PLACEHOLDER_HOST = re.compile(r"site-(\d+)\.redacted")
+
+
 def redact_verdicts(verdicts: list[ScanVerdict]) -> list[ScanVerdict]:
     """Replace impacted hostnames with stable placeholder names. Only the
-    host of each URL is replaced; a host name inside a path or query stays."""
-    hosts = sorted(
-        {parse_url(v.page).host for v in verdicts if not v.page.startswith("site-")}
-    )
-    mapping = {host: f"site-{i + 1}.redacted" for i, host in enumerate(hosts)}
+    host of each URL is replaced; a host name inside a path or query stays.
+    Placeholder hosts are kept, and new hosts are numbered after the largest
+    placeholder present, so redacting a redacted stream changes nothing."""
+    hosts = {parse_url(v.page).host for v in verdicts}
+    placeholders = {h: m for h in hosts if (m := _PLACEHOLDER_HOST.fullmatch(h))}
+    start = max((int(m[1]) for m in placeholders.values()), default=0) + 1
+    fresh = sorted(hosts - placeholders.keys())
+    mapping = {host: f"site-{i}.redacted" for i, host in enumerate(fresh, start)}
     return [
         replace(
             verdict,

