@@ -10,7 +10,6 @@ are sequential.
 
 from __future__ import annotations
 
-import html
 import json
 import logging
 import re
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from urllib.parse import urljoin
 
-from .detector import ANCHOR_HREF, MarkerSet
+from .detector import MarkerSet, scan_html
 from .http_engine import (
     DEFAULT_TRANSPORT,
     Identity,
@@ -224,10 +223,9 @@ def ingest_domains(
 def extract_links(body: bytes, base_url: str) -> list[str]:
     """Absolute http(s) URLs from anchor hrefs, in document order; character
     references such as ``&amp;`` are decoded before resolving."""
-    text = body.decode("utf-8", errors="replace")
     out = []
-    for href in ANCHOR_HREF.findall(text):
-        absolute = urljoin(base_url, html.unescape(href).strip())
+    for href in scan_html(body.decode("utf-8", errors="replace")).anchor_hrefs:
+        absolute = urljoin(base_url, href.strip())
         if absolute.startswith(("http://", "https://")):
             out.append(absolute)
     return out

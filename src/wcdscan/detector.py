@@ -9,14 +9,13 @@ victim/attacker bodies gate a secret-token sweep by keyword and entropy.
 from __future__ import annotations
 
 import hashlib
-import logging
+import html
 import math
 import re
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from html.parser import HTMLParser
 from typing import Callable
 from urllib.parse import parse_qsl, urlsplit
 
@@ -31,15 +30,12 @@ from .http_engine import (
     fetch,
 )
 from .url_toolkit import (
-    AttackUrl,
     ParsedUrl,
     PathConfusionTechnique,
     RandomNameGenerator,
     make_attack_url,
 )
 from .words import COMMON_WORDS
-
-log = logging.getLogger(__name__)
 
 MIN_MARKER_LENGTH = 12
 MIN_MARKER_ENTROPY = 3.0  # bits/char, makes accidental collisions negligible
@@ -61,13 +57,30 @@ _RFC1123_DATE = re.compile(
 _RE_JS_VAR = re.compile(
     r"\b(?:var|let|const)\s+([A-Za-z_$][\w$]*)\s*=\s*[\"']([^\"']*)[\"']"
 )
-# The href of each <a> tag, entity-encoded as written. The crawler's link
-# rule, and with the patterns below the fallback when HTML parsing fails.
-ANCHOR_HREF = re.compile(r"<a\b[^>]*\bhref\s*=\s*[\"']([^\"']+)[\"']", re.IGNORECASE)
-_RE_HIDDEN_INPUT = re.compile(r"<input\b[^>]*>", re.IGNORECASE)
-_RE_ATTR = re.compile(r"([a-zA-Z_-]+)\s*=\s*[\"']([^\"']*)[\"']")
-_RE_SCRIPT_SRC = re.compile(r"<script\b[^>]*\bsrc\s*=\s*[\"']([^\"']+)[\"']", re.IGNORECASE)
-_RE_SCRIPT_BLOCK = re.compile(r"<script\b[^>]*>(.*?)</script>", re.IGNORECASE | re.DOTALL)
+# One attribute as html.parser reads it: the name, then an optional value in
+# single quotes, double quotes or bare.
+_HTML_ATTR = re.compile(
+    r"""(?<=['"\s/])([^\s/>][^\s/=>]*)"""
+    r"""(?:\s*=+\s*(?:'([^']*)'|"([^"]*)"|(?!['"])([^>\s]*)))?"""
+)
+_SEP = r"(?:\s|/(?!>))*"
+# One token per comment, start tag, or other markup (end tag, doctype,
+# processing instruction, bogus comment), split where html.parser splits them.
+# Attributes are read once: the lookahead keeps their greedy match and the
+# backreference consumes it, so an unclosed tag fails at once instead of trying
+# the exponentially many splits of names that hold quotes. A <script> or <style>
+# start tag not ending in "/>" takes its body up to the matching end tag. A tag
+# name cut by a NUL opens nothing; whatever else never closes runs to the end
+# of the text, so a broken page costs one pass.
+_HTML_TOKEN = re.compile(
+    r"<!--(?:.*?--\s*>|.*)"
+    r"|<(?P<tag>(?ai:(?P<raw>script|style))(?=[\t\n\r\f />])"
+    r"|[a-zA-Z][^\t\n\r\f />\x00]*(?![^\t\n\r\f />\x00]))"
+    rf"(?=(?P<attrs>{_SEP}(?:{_HTML_ATTR.pattern}{_SEP})*))(?P=attrs)"
+    r"(?:/>|>(?(raw)(?:(?P<body>.*?)</\s*(?ai:(?P=raw))\s*>|.*)))"
+    r"|<(?:[a-zA-Z][^\t\n\r\f />\x00]*(?=\x00)|[!/?][^>]*>|(?=[a-zA-Z!/?]).*)",
+    re.DOTALL,
+)
 
 
 def shannon_entropy(text: str) -> float:
@@ -187,55 +200,47 @@ class SecretCandidate:
     residual_length: int
 
 
-class _HtmlScan(HTMLParser):
-    """Collects the four secret-candidate surfaces from an HTML document."""
+@dataclass
+class HtmlSurfaces:
+    """The four secret-candidate surfaces of an HTML document, in document
+    order; the crawler follows the anchor hrefs."""
 
-    def __init__(self):
-        super().__init__(convert_charrefs=True)
-        self.hidden_inputs: list[tuple[str, str]] = []
-        self.anchor_hrefs: list[str] = []
-        self.script_srcs: list[str] = []
-        self.inline_scripts: list[str] = []
-        self._in_inline_script = False
-
-    def handle_starttag(self, tag, attrs):
-        attrs_d = {k.lower(): (v or "") for k, v in attrs}
-        if tag == "input" and attrs_d.get("type", "").lower() == "hidden":
-            if attrs_d.get("name"):
-                self.hidden_inputs.append((attrs_d["name"], attrs_d.get("value", "")))
-        elif tag == "a" and attrs_d.get("href"):
-            self.anchor_hrefs.append(attrs_d["href"])
-        elif tag == "script":
-            if attrs_d.get("src"):
-                self.script_srcs.append(attrs_d["src"])
-            else:
-                self._in_inline_script = True
-
-    def handle_endtag(self, tag):
-        if tag == "script":
-            self._in_inline_script = False
-
-    def handle_data(self, data):
-        if self._in_inline_script:
-            self.inline_scripts.append(data)
+    hidden_inputs: list[tuple[str, str]] = field(default_factory=list)
+    anchor_hrefs: list[str] = field(default_factory=list)
+    script_srcs: list[str] = field(default_factory=list)
+    inline_scripts: list[str] = field(default_factory=list)
 
 
-def _scan_html(text: str) -> _HtmlScan:
-    scan = _HtmlScan()
-    try:
-        scan.feed(text)
-        scan.close()
-    except Exception as exc:
-        log.warning("HTML parse failed (%s); falling back to regex extraction", exc)
-        scan = _HtmlScan()
-        for tag in _RE_HIDDEN_INPUT.findall(text):
-            attrs = dict((k.lower(), v) for k, v in _RE_ATTR.findall(tag))
+def scan_html(text: str) -> HtmlSurfaces:
+    """Hidden inputs (name, value), non-empty anchor hrefs and script srcs,
+    and inline script bodies, read from one pass over the text.
+
+    Comments and <style> bodies are skipped. Tag and attribute names match
+    case-insensitively; when an attribute repeats, its last value counts.
+    Attribute values have their character references decoded; a script body
+    is kept as written. A comment, tag, attribute value or body that never
+    closes hides the rest of the text, as it does in a browser.
+    """
+    out = HtmlSurfaces()
+    for token in _HTML_TOKEN.finditer(text):
+        tag = (token["tag"] or "").lower()
+        if tag not in ("a", "input", "script"):
+            continue
+        attrs = {
+            name.lower(): html.unescape(single or double or bare)
+            for name, single, double, bare in _HTML_ATTR.findall(token["attrs"])
+        }
+        if tag == "input":
             if attrs.get("type", "").lower() == "hidden" and attrs.get("name"):
-                scan.hidden_inputs.append((attrs["name"], attrs.get("value", "")))
-        scan.anchor_hrefs = ANCHOR_HREF.findall(text)
-        scan.script_srcs = _RE_SCRIPT_SRC.findall(text)
-        scan.inline_scripts = _RE_SCRIPT_BLOCK.findall(text)
-    return scan
+                out.hidden_inputs.append((attrs["name"], attrs.get("value", "")))
+        elif tag == "a":
+            if attrs.get("href"):
+                out.anchor_hrefs.append(attrs["href"])
+        elif attrs.get("src"):
+            out.script_srcs.append(attrs["src"])
+        elif token["body"]:
+            out.inline_scripts.append(token["body"])
+    return out
 
 
 def extract_markers(body: bytes, markers: MarkerSet) -> list[str]:
@@ -250,8 +255,7 @@ def extract_secrets(body: bytes, config: RandomnessConfig) -> list[SecretCandida
     A candidate is kept when its name contains a keyword, or its value still
     looks random after dictionary words are stripped.
     """
-    text = body.decode("utf-8", errors="replace")
-    scan = _scan_html(text)
+    scan = scan_html(body.decode("utf-8", errors="replace"))
 
     pairs: list[tuple[str, str, SecretSource]] = []
     for name, value in scan.hidden_inputs:
@@ -483,24 +487,24 @@ def run_wcd_test(
     instead of aborting the scan.
     """
     nonce = config.names.next()
-    attack: AttackUrl = make_attack_url(
+    attack_url = make_attack_url(
         page, technique, nonce, config.extension, embed_query=config.embed_query
     )
     unauth = Identity(role=Role.UNAUTHENTICATED, user_agent=victim.user_agent)
 
     statuses = [0, 0, 0]
     try:
-        vex = fetch(victim, attack.rendered, config.rate_limiter, config.transport)
+        vex = fetch(victim, attack_url, config.rate_limiter, config.transport)
         statuses[0] = vex.status
         if config.attacker_delay:
             config.delay_fn(config.attacker_delay)
-        aex = fetch(attacker, attack.rendered, config.rate_limiter, config.transport)
+        aex = fetch(attacker, attack_url, config.rate_limiter, config.transport)
         statuses[1] = aex.status
-        uex = fetch(unauth, attack.rendered, config.rate_limiter, config.transport)
+        uex = fetch(unauth, attack_url, config.rate_limiter, config.transport)
         statuses[2] = uex.status
     except (NetworkError, TooManyRedirects) as exc:
         return inconclusive_verdict(
-            page, technique, str(exc), attack.rendered, tuple(statuses)
+            page, technique, str(exc), attack_url, tuple(statuses)
         )
 
     leaked = tuple(extract_markers(aex.body, markers))
@@ -525,7 +529,7 @@ def run_wcd_test(
     return ScanVerdict(
         page=page.text(),
         technique=technique,
-        attack_url=attack.rendered,
+        attack_url=attack_url,
         victim_status=vex.status,
         attacker_status=aex.status,
         unauth_status=uex.status,

@@ -79,6 +79,9 @@ class Role(Enum):
 
 @dataclass
 class Cookie:
+    """A stored cookie. ``domain`` is the setting host for a host-only cookie
+    and the Domain attribute with a leading dot otherwise (RFC 6265 §5.3)."""
+
     domain: str
     name: str
     value: str
@@ -86,6 +89,15 @@ class Cookie:
 
     def expired(self, now: float) -> bool:
         return self.expiry is not None and self.expiry <= now
+
+    def sent_to(self, host: str) -> bool:
+        """A host-only cookie goes to its host alone, a domain cookie also to
+        the subdomains of its domain; an IP address matches only itself
+        (RFC 6265 §5.1.3)."""
+        if host == self.domain.lstrip("."):
+            return True
+        is_ip = ":" in host or host.replace(".", "").isdigit()
+        return self.domain.startswith(".") and not is_ip and host.endswith(self.domain)
 
 
 @dataclass
@@ -119,7 +131,7 @@ class Identity:
         pairs = [
             f"{c.name}={c.value}"
             for c in self.cookie_jar.values()
-            if c.domain == host and not c.expired(now)
+            if c.sent_to(host) and not c.expired(now)
         ]
         return "; ".join(pairs) if pairs else None
 
@@ -133,7 +145,7 @@ class Identity:
             log.debug("unparseable Set-Cookie from %s: %r", host, header_value)
             return
         for name, morsel in jar.items():
-            domain = (morsel["domain"] or host).lstrip(".").lower()
+            domain = morsel["domain"].lstrip(".").lower()
             expiry: float | None = None
             if morsel["max-age"]:
                 try:
@@ -145,7 +157,9 @@ class Identity:
                     expiry = parsedate_to_datetime(morsel["expires"]).timestamp()
                 except (TypeError, ValueError):
                     pass
-            self.cookie_jar[(domain, name)] = Cookie(domain, name, morsel.value, expiry)
+            cookie = Cookie(f".{domain}" if domain else host, name, morsel.value, expiry)
+            if cookie.sent_to(host):  # else its Domain does not cover the setting host
+                self.cookie_jar[(domain or host, name)] = cookie
 
     def has_expired_cookies(self, now: float | None = None) -> bool:
         now = time.time() if now is None else now

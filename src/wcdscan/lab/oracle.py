@@ -40,8 +40,8 @@ def oracle_vulnerable(
 
     page = parse_url(f"http://{sim.host}{pages[0]}")
     nonce = _deterministic_nonce(sim.name, technique)
-    attack = make_attack_url(page, technique, nonce, extension, embed_query=embed_query)
-    target = attack.rendered.split(sim.host, 1)[1]
+    attack_url = make_attack_url(page, technique, nonce, extension, embed_query=embed_query)
+    target = attack_url.split(sim.host, 1)[1]
 
     auth = sim.auth
     victim = auth.victim()

@@ -112,18 +112,6 @@ class UrlGroupKey:
         return (self.host, self.abstract_path, self.param_names)
 
 
-@dataclass(frozen=True)
-class AttackUrl:
-    """A crafted URL that a cache should read as a static resource while the
-    origin still resolves it to the base page."""
-
-    base: ParsedUrl
-    technique: PathConfusionTechnique
-    random_name: str
-    extension: str
-    rendered: str
-
-
 class RandomNameGenerator:
     """Produces the bogus file stems (``[a-z0-9]{16}``) appended to attack
     URLs. Seedable so test runs are reproducible."""
@@ -174,9 +162,9 @@ def make_attack_url(
     random_name: str,
     extension: str = "css",
     embed_query: str | None = None,
-) -> AttackUrl:
-    """Append a bogus ``<random_name>.<extension>`` to the base path using the
-    given technique's separator.
+) -> str:
+    """The base URL with a bogus ``<random_name>.<extension>`` appended after
+    the given technique's separator.
 
     The base URL's query string and fragment are dropped. ``embed_query``
     switches the encoded-question variant to its embedded-parameter form
@@ -191,13 +179,7 @@ def make_attack_url(
         raise ValueError(
             f"random name {random_name!r} collides with the base URL {base.raw!r}"
         )
-    return AttackUrl(
-        base=base,
-        technique=technique,
-        random_name=random_name,
-        extension=extension,
-        rendered=rendered,
-    )
+    return rendered
 
 
 def _is_numeric_segment(segment: str) -> bool:

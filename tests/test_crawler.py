@@ -131,6 +131,10 @@ class TestIngestDomains:
         ('<map><area shape="rect" coords="0,0,9,9" href="/map"></map>', []),
         ('<a href="/news?id=1&amp;page=2">news</a>', ["http://h.test/news?id=1&page=2"]),
         ("<A HREF='/x'>x</A>", ["http://h.test/x"]),
+        ('<a href="/a" data-href="/b">a</a>', ["http://h.test/a"]),
+        ('<a title="a>b" href="/q">q</a>', ["http://h.test/q"]),
+        ('<!-- <a href="/old">old</a> --><a href="/new">new</a>', ["http://h.test/new"]),
+        ('<style>a[href="/s"] { }<a href="/s"></style><a href="/t">t</a>', ["http://h.test/t"]),
     ],
 )
 def test_extract_links_follows_anchors_only(markup, links):

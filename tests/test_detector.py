@@ -2,7 +2,9 @@
 
 import math
 import random
+import time
 from dataclasses import replace
+from html.parser import HTMLParser
 
 import pytest
 import requests
@@ -24,6 +26,7 @@ from wcdscan.detector import (
     randomness_score,
     responses_identical,
     run_wcd_test,
+    scan_html,
     shannon_entropy,
     strip_dictionary_words,
 )
@@ -229,25 +232,151 @@ class TestExtractSecrets:
         names = {s.name for s in found}
         assert "xsrf" in names and "client_id" in names
 
-    def test_regex_fallback_when_the_parser_gives_up(self, caplog):
-        # HTMLParser raises on an unknown marked section, so the page is
-        # read by the regex fallback; the crawler's anchor rule is the same.
+    def test_unknown_marked_section_does_not_stop_the_scan(self):
+        # html.parser raises on an unknown marked section; the scanner reads
+        # it as a bogus comment and goes on, decoding &amp; after it too.
         body = (
             b"<html><body><![foo[ legacy ]]>"
             b'<form><input type="hidden" name="csrf_token" value="q8ZvX2mK9pL4wR7t"></form>'
             b'<a href="/account?state=Zq8Xv2Km9Lp4Wr7T">account</a> <a href="/news">news</a>'
+            b'<a href="/orders?page=2&amp;state=Mq7Xz2Kv9Lp4Wr8T">orders</a>'
             b"</body></html>"
         )
         found = extract_secrets(body, RandomnessConfig())
-        assert "falling back to regex extraction" in caplog.text
         assert {(s.name, s.value, s.source) for s in found} == {
             ("csrf_token", "q8ZvX2mK9pL4wR7t", SecretSource.HIDDEN_FORM_FIELD),
             ("state", "Zq8Xv2Km9Lp4Wr7T", SecretSource.ANCHOR_QUERY_STRING),
+            ("state", "Mq7Xz2Kv9Lp4Wr8T", SecretSource.ANCHOR_QUERY_STRING),
         }
+        assert "amp;state" not in {s.name for s in found}
         assert extract_links(body, "http://h.test/") == [
             "http://h.test/account?state=Zq8Xv2Km9Lp4Wr7T",
             "http://h.test/news",
+            "http://h.test/orders?page=2&state=Mq7Xz2Kv9Lp4Wr8T",
         ]
+
+
+@pytest.mark.parametrize(
+    "markup, surfaces",
+    [
+        # (hidden inputs, anchor hrefs, script srcs, inline script bodies)
+        ("<!-- <a href='/c'> <input type=hidden name=n value=v> -->", ([], [], [], [])),
+        ("<style>a { }<a href='/s'></style><STYLE >x</style >", ([], [], [], [])),
+        (
+            "<script>if (a<b) { document.write('<a href=\"/w\">'); }</script>",
+            ([], [], [], ["if (a<b) { document.write('<a href=\"/w\">'); }"]),
+        ),
+        ("<script src='/app.js'>var a = 1;</script>", ([], [], ["/app.js"], [])),
+        ("<script src=/app.js /><a href=/x>", ([], ["/x"], ["/app.js"], [])),
+        ("<script>var a = 1; <a href=/x>", ([], [], [], [])),
+        (
+            "<INPUT Type=Hidden NAME='n1' Value=\"v1\"><input type=hidden name=n2 value=v2>",
+            ([("n1", "v1"), ("n2", "v2")], [], [], []),
+        ),
+        ("<input type=text name=q value=v><input type=hidden value=v>", ([], [], [], [])),
+        ('<a title="x>y" href=\'/q?a=1&amp;b=&lt;2&gt;\'>', ([], ["/q?a=1&b=<2>"], [], [])),
+        ('<a href="" data-href="/d"><a href=/e href=/f><a href>', ([], ["/f"], [], [])),
+        ('<div title="<a href=\'/hidden\'>"></div><a href="/shown">', ([], ["/shown"], [], [])),
+        ("<a href='/open", ([], [], [], [])),
+        ("<script / >var a;</script><script/>var b;</script>", ([], [], [], ["var a;"])),
+        ("<a\x00<a href=/x>", ([], ["/x"], [], [])),
+        # Where html.parser differs on purpose. A CDATA section in HTML is a
+        # bogus comment that ends at the first ">", as browsers read it
+        # (html.parser skipped it to "]]>"). A comment or attribute value
+        # that never closes hides the rest of the text (html.parser's close()
+        # re-read it as text up to the next ">").
+        ("<![CDATA[ a>b <a href='/c'> ]]>", ([], ["/c"], [], [])),
+        ("<a href=/x><!-- open > <a href=/y>", ([], ["/x"], [], [])),
+        ("<a href=/x><a title='open><a href=/y>", ([], ["/x"], [], [])),
+    ],
+)
+def test_scan_html(markup, surfaces):
+    scan = scan_html(markup)
+    assert (
+        scan.hidden_inputs, scan.anchor_hrefs, scan.script_srcs, scan.inline_scripts
+    ) == surfaces
+
+
+class _FedHtmlParser(HTMLParser):
+    """The four surfaces as html.parser reports them, the reference for
+    scan_html. Read after feed() and without close(): feed() stops at the
+    first construct that never closes, where scan_html stops too."""
+
+    def __init__(self, text: str):
+        super().__init__(convert_charrefs=True)
+        self.surfaces = ([], [], [], [])
+        self._body = None
+        self.feed(text)
+
+    def handle_starttag(self, tag, attrs):
+        hidden, anchors, srcs, _ = self.surfaces
+        attrs = {k.lower(): v or "" for k, v in attrs}
+        if tag == "input" and attrs.get("type", "").lower() == "hidden":
+            if attrs.get("name"):
+                hidden.append((attrs["name"], attrs.get("value", "")))
+        elif tag == "a" and attrs.get("href"):
+            anchors.append(attrs["href"])
+        elif tag == "script":
+            if attrs.get("src"):
+                srcs.append(attrs["src"])
+            else:
+                self._body = []
+
+    def handle_data(self, data):
+        if self._body is not None:
+            self._body.append(data)
+
+    def handle_endtag(self, tag):
+        if tag == "script" and self._body:
+            self.surfaces[3].append("".join(self._body))
+        self._body = None
+
+
+# Pieces of tag soup: tags, attributes, quotes, comments, raw-text elements,
+# other markup and odd whitespace. "<![" is left out: html.parser raises on
+# an unknown marked section and skips CDATA to "]]>".
+_SOUP = [
+    "<a", "<A", "<input", "<script", "<SCRIPT", "<style", "<div", "<b", "<p>", "<br/>",
+    "</a>", "</script>", "</SCRIPT >", "</style>", "</", "</>", "<!--", "-->", "--!>",
+    "--", "<!DOCTYPE html>", "<!", "<!-x>", "<?pi?>", "<?", "<", ">", "/>", "/", " / ",
+    " ", "\n", "\t", "\x0b", "\xa0", "\x00", "=", "'", '"', "x'", "='", '="',
+    " href", " HREF", " data-href=\"/d\"", " src=\"/s.js\"", " type=hidden",
+    " TYPE='HIDDEN'", " name=csrf", ' value="v&lt;"', ' title="a>b"', "'/y'",
+    '"/x?a=1&amp;b=2"', "=x", "/z", "f('a','b')", "var a='q';", "&amp;", "text",
+    "<ſcript>", "</ſcript>", "<script\x0b>", "<a x='>'",
+]
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.lists(st.sampled_from(_SOUP), max_size=30).map("".join))
+def test_scan_html_reads_tag_soup_as_html_parser_does(markup):
+    scan = scan_html(markup)
+    assert (
+        scan.hidden_inputs, scan.anchor_hrefs, scan.script_srcs, scan.inline_scripts
+    ) == _FedHtmlParser(markup).surfaces
+
+
+@pytest.mark.parametrize(
+    "markup",
+    [
+        # Attribute names that hold quotes, unclosed at the end of the text,
+        # gave the tokenizer 2**n ways to split them.
+        "<a " + "x'" * 24,
+        "<a " + "x'" * 24 + " y='",
+        "<script " + "x'" * 24,
+        "<a onclick=f(" + "'a'," * 12,
+        # Constructs that never close, each searched to the end of the text.
+        "<!-- a > " * 20000,
+        "</a " * 50000,
+        "<a x='>'" * 3000,
+    ],
+    ids=["quotes", "quotes-open-value", "script-quotes", "onclick", "comments",
+         "end-tags", "quoted-gt"],
+)
+def test_scan_html_hostile_markup_costs_one_pass(markup):
+    start = time.perf_counter()
+    scan_html(markup)
+    assert time.perf_counter() - start < 1.0
 
 
 class _Ex:

@@ -97,6 +97,43 @@ def _log_len(lab, host):
     return len(lab.request_log(host))
 
 
+_COOKIE_HOSTS = (
+    "shop.example", "www.shop.example", "login.shop.example", "a.b.shop.example",
+    "myshop.example", "other.example", "10.0.0.1",
+)
+
+
+@pytest.mark.parametrize(
+    "set_by, set_cookie, sent_to",
+    [
+        # No Domain attribute: host-only, sent to the setting host alone.
+        ("shop.example", "sid=1", {"shop.example"}),
+        ("login.shop.example", "sid=1", {"login.shop.example"}),
+        # A Domain the setting host domain-matches: sent to its subdomains too.
+        (
+            "login.shop.example",
+            "sid=1; Domain=.shop.example",
+            {"shop.example", "www.shop.example", "login.shop.example", "a.b.shop.example"},
+        ),
+        (
+            "shop.example",
+            "sid=1; Domain=SHOP.example",
+            {"shop.example", "www.shop.example", "login.shop.example", "a.b.shop.example"},
+        ),
+        # A Domain the setting host does not domain-match: ignored.
+        ("shop.example", "sid=1; Domain=other.example", set()),
+        ("www.shop.example", "sid=1; Domain=login.shop.example", set()),
+        ("myshop.example", "sid=1; Domain=shop.example", set()),
+        ("10.0.0.1", "sid=1; Domain=0.0.1", set()),
+        ("10.0.0.1", "sid=1", {"10.0.0.1"}),
+    ],
+)
+def test_cookie_domain_matching(set_by, set_cookie, sent_to):
+    victim = Identity(role=Role.VICTIM)
+    victim.store_set_cookie(set_by, set_cookie)
+    assert {h for h in _COOKIE_HOSTS if victim.cookie_header(h) == "sid=1"} == sent_to
+
+
 class TestFetchAgainstLab:
     HOST = "classic-pp.test"
 

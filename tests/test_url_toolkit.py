@@ -101,7 +101,7 @@ class TestMakeAttackUrl:
     )
     def test_rendered_per_technique(self, technique, expected):
         attack = make_attack_url(self.BASE, technique, "nonexistent", "css")
-        assert attack.rendered == expected
+        assert attack == expected
 
     def test_embedded_parameter_variant(self):
         attack = make_attack_url(
@@ -111,19 +111,19 @@ class TestMakeAttackUrl:
             "css",
             embed_query="name=val",
         )
-        assert attack.rendered == "http://example.com/account.php%3Fname=valnonexistent.css"
+        assert attack == "http://example.com/account.php%3Fname=valnonexistent.css"
 
     def test_query_and_fragment_dropped(self):
         base = parse_url("http://example.com/account.php?tab=summary#top")
         attack = make_attack_url(base, PathConfusionTechnique.PATH_PARAMETER, "n0n3", "css")
-        assert "?" not in attack.rendered
-        assert "#" not in attack.rendered
-        assert attack.rendered.endswith("/account.php/n0n3.css")
+        assert "?" not in attack
+        assert "#" not in attack
+        assert attack.endswith("/account.php/n0n3.css")
 
     def test_root_path_gets_leading_slash(self):
         base = parse_url("http://example.com")
         attack = make_attack_url(base, PathConfusionTechnique.ENCODED_NEWLINE, "n0n3", "css")
-        assert attack.rendered == "http://example.com/%0An0n3.css"
+        assert attack == "http://example.com/%0An0n3.css"
 
 
 _nonce = st.text(alphabet=NONCE_ALPHABET, min_size=16, max_size=16)
@@ -134,8 +134,8 @@ _nonce = st.text(alphabet=NONCE_ALPHABET, min_size=16, max_size=16)
 def test_attack_url_invariants(nonce, technique, extension):
     base = parse_url("http://example.com/account.php")
     attack = make_attack_url(base, technique, nonce, extension)
-    assert attack.rendered.count(nonce) == 1
-    assert attack.rendered.endswith("." + extension)
+    assert attack.count(nonce) == 1
+    assert attack.endswith("." + extension)
 
 
 @given(st.sampled_from(list(PathConfusionTechnique)))
@@ -144,7 +144,7 @@ def test_dual_interpretation_property(technique):
     semantics, and as a .css resource when treated as an opaque path."""
     base = parse_url("http://example.com/account.php")
     attack = make_attack_url(base, technique, "n0nc3n0nc3n0nc3x", "css")
-    wire_path = attack.rendered.split("example.com", 1)[1]
+    wire_path = attack.split("example.com", 1)[1]
 
     semantics_for = {
         PathConfusionTechnique.ENCODED_NEWLINE: OriginVariant.TRUNCATE_AT_NEWLINE,
