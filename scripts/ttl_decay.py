@@ -9,11 +9,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from wcdscan.detector import MarkerSet, WcdTestConfig, run_wcd_test  # noqa: E402
+from wcdscan.detector import (  # noqa: E402
+    MarkerSet,
+    ScanSettings,
+    WcdTestConfig,
+    run_wcd_test,
+)
 from wcdscan.http_engine import (  # noqa: E402
     Identity,
     LoginDescriptor,
-    RateLimiter,
     Role,
     Transport,
     maintain_session,
@@ -33,7 +37,6 @@ def main() -> int:
     site = catalog.classic_site()
     server = LabServer([site]).start()
     transport = Transport(resolve_overrides=server.resolve_overrides())
-    limiter = RateLimiter(rate=1000)
 
     def control(path: str) -> None:
         conn = http.client.HTTPConnection(server.address, server.port, timeout=10)
@@ -68,15 +71,12 @@ def main() -> int:
                     fields={"username": "attacker", "password": catalog.ATTACKER_PASSWORD},
                 ),
             )
-            maintain_session(victim, limiter, transport)
-            maintain_session(attacker, limiter, transport)
-            config = WcdTestConfig(
-                names=RandomNameGenerator(seed=delay),
-                rate_limiter=limiter,
-                transport=transport,
-                attacker_delay=delay,
-                delay_fn=advance,
+            settings = ScanSettings(
+                rate=1000, transport=transport, attacker_delay=delay, delay_fn=advance
             )
+            maintain_session(victim, settings.rate_limiter, transport)
+            maintain_session(attacker, settings.rate_limiter, transport)
+            config = WcdTestConfig(settings, names=RandomNameGenerator(seed=delay))
             verdict = run_wcd_test(
                 parse_url(f"http://{site.host}/account.php"),
                 PathConfusionTechnique.PATH_PARAMETER,

@@ -14,12 +14,18 @@ import time
 from pathlib import Path
 
 from .crawler import ConfigError, ingest_domains
-from .detector import RandomnessConfig
-from .http_engine import DEFAULT_USER_AGENT, RateLimiter, Transport
+from .detector import ALL_TECHNIQUES, RandomnessConfig
+from .http_engine import DEFAULT_USER_AGENT, Transport
 from .lab import catalog
 from .lab.oracle import enumerate_oracle
 from .lab.server import LabServer
-from .pipeline import ALL_TECHNIQUES, LockedJournal, ScanSettings, run_selfcheck, scan_pool
+from .pipeline import (
+    LockedJournal,
+    ScanSettings,
+    run_selfcheck,
+    scan_pool,
+    selfcheck_sites,
+)
 from .reporting import (
     aggregate,
     build_site_map,
@@ -105,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="use the embedded-parameter encoded-? payload form")
     scan.add_argument("--no-probe", action="store_true", help="skip seed liveness probing")
     scan.add_argument("--journal", default=None, metavar="FILE",
-                      help="append crawl-journal records (JSONL) for resumability")
+                      help="append a JSONL record of the crawl (not read back to resume a run)")
 
     lab = sub.add_parser("lab", help="run the scenario catalog as local HTTP listeners")
     lab.add_argument("--port", type=int, default=0)
@@ -159,10 +165,9 @@ def _cmd_scan(args) -> int:
         embed_query=args.question_embed,
         journal=LockedJournal(journal_fh) if journal_fh else None,
     )
-    limiter = RateLimiter(rate=settings.rate)
     try:
         pool = ingest_domains(
-            args.seeds, settings.transport, limiter, probe=not args.no_probe
+            args.seeds, settings.transport, settings.rate_limiter, probe=not args.no_probe
         )
         run = scan_pool(pool, settings)
     finally:
@@ -250,13 +255,30 @@ def _cmd_oracle(args) -> int:
                     "vulnerable": truth[(site.name, technique)],
                 }))
         return EXIT_CLEAN
+    short = {t: t.value.replace("encoded_", "") for t in techniques}
     width = max(len(s.name) for s in sites) + 2
-    header = " " * width + "".join(f"{t.value.replace('encoded_', ''):>16}" for t in techniques)
-    print(header)
+    print(" " * width + "".join(f"{short[t]:>16}" for t in techniques))
     for site in sites:
         row = f"{site.name:<{width}}"
         for technique in techniques:
             row += f"{'VULN' if truth[(site.name, technique)] else '-':>16}"
+        print(row)
+
+    exploited = {t: {s.name for s in sites if truth[(s.name, t)]} for t in techniques}
+    print(f"\n{'technique':<22}{'vulnerable sites':>18}")
+    for technique in techniques:
+        print(f"{technique.value:<22}{len(exploited[technique]):>18}")
+    path_parameter = PathConfusionTechnique.PATH_PARAMETER
+    if path_parameter in exploited:
+        only_encoded = set().union(*exploited.values()) - exploited[path_parameter]
+        print(f"\nsites exploitable only via an encoded variant: {len(only_encoded)}")
+    print("\nuniqueness (row exploits, column misses):")
+    print(" " * 16 + "".join(f"{short[t]:>12}" for t in techniques))
+    for ti in techniques:
+        row = f"{short[ti]:<16}"
+        for tj in techniques:
+            cell = "-" if ti is tj else str(len(exploited[ti] - exploited[tj]))
+            row += f"{cell:>12}"
         print(row)
     return EXIT_CLEAN
 
@@ -279,10 +301,9 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
-    sites = catalog.matrix_sites()
-    if args.quick:
-        sites = sites[:: len(sites) // 16 or 1][:16]
-    sites = sites + [catalog.classic_site()]
+    sites = selfcheck_sites()
+    if args.quick:  # every 8th site: 16 of the matrix, and classic-pp, the last
+        sites = sites[:: len(sites) // 16]
     settings = ScanSettings(
         techniques=_parse_techniques(args.techniques),
         rate=args.rate,
@@ -296,6 +317,12 @@ def _cmd_selfcheck(args) -> int:
         f"selfcheck: {len(report.sites)} sites x {len(settings.techniques)} techniques "
         f"= {checked} verdicts in {report.elapsed_seconds:.1f}s"
     )
+    print(f"  {'technique':<22}{'oracle-vulnerable sites':>26}{'scanner agrees':>16}")
+    for technique in settings.techniques:
+        keys = [key for key in report.scanned if key[1] is technique]
+        expected = sum(report.oracle[key] for key in keys)
+        agreed = sum(report.scanned[key] == report.oracle[key] for key in keys)
+        print(f"  {technique.value:<22}{expected:>26}{agreed:>16}")
     print(f"  inconclusive verdicts: {report.inconclusive}")
     print(f"  disagreements with oracle: {len(report.disagreements)}")
     for name, technique, expected, got in report.disagreements:

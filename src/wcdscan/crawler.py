@@ -274,8 +274,8 @@ def crawl_domain(
     seeded representative of each group is fetched once more if it differs,
     so the returned victim bodies correspond exactly to the pages that will
     be attacked. When ``journal`` (a writable text stream) is given, one
-    JSON line is emitted per observed page plus a final surface record, so
-    an interrupted run can be picked up from the journal.
+    JSON line is emitted per observed page plus a final surface record;
+    nothing reads the journal back yet.
     """
     if isinstance(site, str):
         site = SiteConfig(primary_domain=site)

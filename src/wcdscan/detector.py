@@ -14,12 +14,14 @@ import math
 import re
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Callable
+from operator import attrgetter
+from typing import Callable, TextIO, get_type_hints
 from urllib.parse import parse_qsl, urlsplit
 
 from .http_engine import (
+    DEFAULT_USER_AGENT,
     HttpExchange,
     Identity,
     NetworkError,
@@ -190,8 +192,32 @@ class SecretTrigger(Enum):
     ENTROPY_MATCH = "entropy_match"
 
 
+class _Record:
+    """JSON records derived from the dataclass fields: one key per field, in
+    field order, holding the value as is unless its type is in
+    ``_record_codecs``. A missing key takes the field's default, and a key
+    that names no field is ignored."""
+
+    _names: tuple[str, ...]
+    _codecs: dict[str, tuple[Callable, Callable]]
+
+    def to_record(self) -> dict:
+        record = {name: getattr(self, name) for name in self._names}
+        for name, (to_json, _) in self._codecs.items():
+            record[name] = to_json(record[name])
+        return record
+
+    @classmethod
+    def from_record(cls, record: dict):
+        values = {name: record[name] for name in cls._names if name in record}
+        for name, (_, from_json) in cls._codecs.items():
+            if name in values:
+                values[name] = from_json(values[name])
+        return cls(**values)
+
+
 @dataclass(frozen=True)
-class SecretCandidate:
+class SecretCandidate(_Record):
     name: str
     value: str
     source: SecretSource
@@ -317,18 +343,45 @@ def responses_identical(
     return normalize_body(a.body, strip) == normalize_body(b.body, strip)
 
 
-@dataclass
-class WcdTestConfig:
-    """Everything one attack run needs besides the page and identities."""
+ALL_TECHNIQUES = tuple(PathConfusionTechnique)
 
+
+@dataclass
+class ScanSettings:
+    """Everything a scan run needs beyond the seed pool itself: one object
+    per run, shared by every site worker and by every attack step."""
+
+    techniques: tuple[PathConfusionTechnique, ...] = ALL_TECHNIQUES
+    budget: int = 500
+    mode: str = "full"  # "full" or "marker-gated"
+    rate: float = 2.0
     extension: str = "css"
-    randomness: RandomnessConfig = field(default_factory=RandomnessConfig)
-    names: RandomNameGenerator = field(default_factory=RandomNameGenerator)
-    rate_limiter: RateLimiter | None = None
-    transport: Transport | None = None
+    seed: int | None = None
     attacker_delay: float = 0.0
     delay_fn: Callable[[float], None] = time.sleep
+    workers: int = 4
+    user_agent: str = DEFAULT_USER_AGENT
+    transport: Transport = field(default_factory=Transport)
+    randomness: RandomnessConfig = field(default_factory=RandomnessConfig)
+    respect_robots: bool = False
     embed_query: str | None = None
+    journal: TextIO | None = None  # crawl journal, see crawler.crawl_domain
+    # The run's one pacing state: probes, logins, the crawl and the attacks
+    # all wait on it, so no host sees more than ``rate`` requests in any
+    # window. Built from ``rate``; dataclasses.replace() builds a fresh one.
+    rate_limiter: RateLimiter = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.rate_limiter = RateLimiter(rate=self.rate)
+
+
+@dataclass
+class WcdTestConfig:
+    """The per-site part of an attack run; the run-level knobs are read from
+    ``settings``."""
+
+    settings: ScanSettings
+    names: RandomNameGenerator = field(default_factory=RandomNameGenerator)
     # Optional HttpExchange -> vendor labels hook (reporting owns the tables).
     label_fn: Callable[[HttpExchange], list[str]] | None = None
     # Secret sweeps already run with this config, keyed by the SHA-256 digest
@@ -340,7 +393,7 @@ class WcdTestConfig:
 
 
 @dataclass(frozen=True)
-class ScanVerdict:
+class ScanVerdict(_Record):
     """Outcome of one (page, technique) attack.
 
     ``vulnerable`` is true iff markers leaked, or the victim/attacker bodies
@@ -369,70 +422,31 @@ class ScanVerdict:
     cache_evidence: tuple[tuple[str, str], ...] = ()
     cdn_labels: tuple[str, ...] = ()
 
-    def to_record(self) -> dict:
-        return {
-            "page": self.page,
-            "technique": self.technique.value,
-            "attack_url": self.attack_url,
-            "victim_status": self.victim_status,
-            "attacker_status": self.attacker_status,
-            "unauth_status": self.unauth_status,
-            "markers_leaked": list(self.markers_leaked),
-            "secrets": [
-                {
-                    "name": s.name,
-                    "value": s.value,
-                    "source": s.source.value,
-                    "trigger": s.trigger.value,
-                    "entropy_bits_per_char": s.entropy_bits_per_char,
-                    "residual_length": s.residual_length,
-                }
-                for s in self.secrets
-            ],
-            "responses_identical": self.responses_identical,
-            "unauth_exploitable": self.unauth_exploitable,
-            "vulnerable": self.vulnerable,
-            "inconclusive": self.inconclusive,
-            "error": self.error,
-            "cache_control": self.cache_control,
-            "pragma": self.pragma,
-            "expires": self.expires,
-            "cache_evidence": dict(self.cache_evidence),
-            "cdn_labels": list(self.cdn_labels),
-        }
 
-    @classmethod
-    def from_record(cls, record: dict) -> "ScanVerdict":
-        return cls(
-            page=record["page"],
-            technique=PathConfusionTechnique.from_name(record["technique"]),
-            attack_url=record["attack_url"],
-            victim_status=record["victim_status"],
-            attacker_status=record["attacker_status"],
-            unauth_status=record["unauth_status"],
-            markers_leaked=tuple(record["markers_leaked"]),
-            secrets=tuple(
-                SecretCandidate(
-                    name=s["name"],
-                    value=s["value"],
-                    source=SecretSource(s["source"]),
-                    trigger=SecretTrigger(s["trigger"]),
-                    entropy_bits_per_char=s["entropy_bits_per_char"],
-                    residual_length=s["residual_length"],
-                )
-                for s in record["secrets"]
-            ),
-            responses_identical=record["responses_identical"],
-            unauth_exploitable=record["unauth_exploitable"],
-            vulnerable=record["vulnerable"],
-            inconclusive=record.get("inconclusive", False),
-            error=record.get("error"),
-            cache_control=record.get("cache_control", ""),
-            pragma=record.get("pragma", ""),
-            expires=record.get("expires", ""),
-            cache_evidence=tuple(record.get("cache_evidence", {}).items()),
-            cdn_labels=tuple(record.get("cdn_labels", ())),
-        )
+def _record_codecs(cls: type) -> None:
+    """Give a ``_Record`` dataclass its field names and, for each field whose
+    type is not plain JSON, a (to JSON, from JSON) converter pair."""
+    by_type = {
+        tuple[str, ...]: (list, tuple),
+        tuple[tuple[str, str], ...]: (dict, lambda pairs: tuple(pairs.items())),
+        tuple[SecretCandidate, ...]: (
+            lambda secrets: [secret.to_record() for secret in secrets],
+            lambda records: tuple(map(SecretCandidate.from_record, records)),
+        ),
+    }
+    hints = get_type_hints(cls)
+    cls._names = tuple(f.name for f in fields(cls))
+    cls._codecs = {}
+    for name in cls._names:
+        kind = hints[name]
+        if isinstance(kind, type) and issubclass(kind, Enum):
+            cls._codecs[name] = (attrgetter("value"), kind)
+        elif kind in by_type:
+            cls._codecs[name] = by_type[kind]
+
+
+_record_codecs(SecretCandidate)
+_record_codecs(ScanVerdict)
 
 
 def inconclusive_verdict(
@@ -486,21 +500,22 @@ def run_wcd_test(
     attacker body per config. Network failures yield an inconclusive verdict
     instead of aborting the scan.
     """
+    settings = config.settings
     nonce = config.names.next()
     attack_url = make_attack_url(
-        page, technique, nonce, config.extension, embed_query=config.embed_query
+        page, technique, nonce, settings.extension, embed_query=settings.embed_query
     )
     unauth = Identity(role=Role.UNAUTHENTICATED, user_agent=victim.user_agent)
 
     statuses = [0, 0, 0]
     try:
-        vex = fetch(victim, attack_url, config.rate_limiter, config.transport)
+        vex = fetch(victim, attack_url, settings.rate_limiter, settings.transport)
         statuses[0] = vex.status
-        if config.attacker_delay:
-            config.delay_fn(config.attacker_delay)
-        aex = fetch(attacker, attack_url, config.rate_limiter, config.transport)
+        if settings.attacker_delay:
+            settings.delay_fn(settings.attacker_delay)
+        aex = fetch(attacker, attack_url, settings.rate_limiter, settings.transport)
         statuses[1] = aex.status
-        uex = fetch(unauth, attack_url, config.rate_limiter, config.transport)
+        uex = fetch(unauth, attack_url, settings.rate_limiter, settings.transport)
         statuses[2] = uex.status
     except (NetworkError, TooManyRedirects) as exc:
         return inconclusive_verdict(
@@ -513,7 +528,7 @@ def run_wcd_test(
     if identical or leaked:
         digest = hashlib.sha256(aex.body).digest()
         if digest not in config.sweeps:
-            config.sweeps[digest] = tuple(extract_secrets(aex.body, config.randomness))
+            config.sweeps[digest] = tuple(extract_secrets(aex.body, settings.randomness))
         secrets = config.sweeps[digest]
     vulnerable = bool(leaked) or (identical and bool(secrets))
 

@@ -13,8 +13,7 @@ import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, replace
 
 from .crawler import (
     AttackSurface,
@@ -26,21 +25,13 @@ from .crawler import (
 )
 from .detector import (
     MarkerSet,
-    RandomnessConfig,
+    ScanSettings,
     ScanVerdict,
     WcdTestConfig,
     inconclusive_verdict,
     run_wcd_test,
 )
-from .http_engine import (
-    DEFAULT_USER_AGENT,
-    AuthFailure,
-    Identity,
-    RateLimiter,
-    Role,
-    Transport,
-    maintain_session,
-)
+from .http_engine import AuthFailure, Identity, Role, Transport, maintain_session
 from .lab import catalog
 from .lab.oracle import enumerate_oracle
 from .lab.server import LabServer
@@ -49,29 +40,6 @@ from .reporting import cdn_label
 from .url_toolkit import PathConfusionTechnique, RandomNameGenerator, parse_url
 
 log = logging.getLogger(__name__)
-
-ALL_TECHNIQUES = tuple(PathConfusionTechnique)
-
-
-@dataclass
-class ScanSettings:
-    """Everything a scan run needs beyond the seed pool itself."""
-
-    techniques: tuple[PathConfusionTechnique, ...] = ALL_TECHNIQUES
-    budget: int = 500
-    mode: str = "full"  # "full" or "marker-gated"
-    rate: float = 2.0
-    extension: str = "css"
-    seed: int | None = None
-    attacker_delay: float = 0.0
-    delay_fn: Callable[[float], None] = time.sleep
-    workers: int = 4
-    user_agent: str = DEFAULT_USER_AGENT
-    transport: Transport = field(default_factory=Transport)
-    randomness: RandomnessConfig = field(default_factory=RandomnessConfig)
-    respect_robots: bool = False
-    embed_query: str | None = None
-    journal: "LockedJournal | None" = None
 
 
 class LockedJournal:
@@ -115,9 +83,13 @@ def _names_for(site: SiteConfig, settings: ScanSettings) -> RandomNameGenerator:
     return RandomNameGenerator(int.from_bytes(hashlib.sha1(basis).digest()[:8], "big"))
 
 
-def scan_site(
-    site: SiteConfig, settings: ScanSettings, rate_limiter: RateLimiter
-) -> SiteScanResult:
+def _log_in(identities: tuple[Identity, ...], settings: ScanSettings) -> None:
+    for identity in identities:
+        if identity.credentials:
+            maintain_session(identity, settings.rate_limiter, settings.transport)
+
+
+def scan_site(site: SiteConfig, settings: ScanSettings) -> SiteScanResult:
     try:
         victim = Identity(
             role=Role.VICTIM, credentials=site.victim_login, user_agent=settings.user_agent
@@ -126,10 +98,7 @@ def scan_site(
             role=Role.ATTACKER, credentials=site.attacker_login, user_agent=settings.user_agent
         )
         try:
-            if victim.credentials:
-                maintain_session(victim, rate_limiter, settings.transport)
-            if attacker.credentials:
-                maintain_session(attacker, rate_limiter, settings.transport)
+            _log_in((victim, attacker), settings)
         except AuthFailure as exc:
             return SiteScanResult(site=site, surface=None, verdicts=[], error=str(exc))
 
@@ -137,7 +106,7 @@ def scan_site(
             site,
             victim,
             site.budget or settings.budget,
-            rate_limiter,
+            settings.rate_limiter,
             settings.transport,
             seed=settings.seed or 0,
             respect_robots=settings.respect_robots,
@@ -147,25 +116,12 @@ def scan_site(
         if settings.mode == "marker-gated":
             surface = filter_marked_pages(surface, markers)
 
-        config = WcdTestConfig(
-            extension=settings.extension,
-            randomness=settings.randomness,
-            names=_names_for(site, settings),
-            rate_limiter=rate_limiter,
-            transport=settings.transport,
-            attacker_delay=settings.attacker_delay,
-            delay_fn=settings.delay_fn,
-            embed_query=settings.embed_query,
-            label_fn=cdn_label,
-        )
+        config = WcdTestConfig(settings, names=_names_for(site, settings), label_fn=cdn_label)
         verdicts = []
         for page in surface.pages:
             for technique in settings.techniques:
                 try:
-                    if victim.credentials:
-                        maintain_session(victim, rate_limiter, settings.transport)
-                    if attacker.credentials:
-                        maintain_session(attacker, rate_limiter, settings.transport)
+                    _log_in((victim, attacker), settings)
                 except AuthFailure as exc:  # costs this test, not the site
                     verdicts.append(
                         inconclusive_verdict(page, technique, f"AuthFailure: {exc}")
@@ -180,15 +136,14 @@ def scan_site(
 
 
 def scan_pool(pool: SeedPool, settings: ScanSettings) -> ScanRunResult:
-    """Scan every site in the pool, one concurrent worker per domain."""
-    rate_limiter = RateLimiter(rate=settings.rate)
+    """Scan every site in the pool, one concurrent worker per domain; every
+    worker paces its requests with the settings' one rate limiter."""
     results: list[SiteScanResult] = []
     if not pool.sites:
         return ScanRunResult(site_results=[])
     with ThreadPoolExecutor(max_workers=max(1, settings.workers)) as pool_exec:
         futures = {
-            pool_exec.submit(scan_site, site, settings, rate_limiter): site
-            for site in pool.sites
+            pool_exec.submit(scan_site, site, settings): site for site in pool.sites
         }
         for future in as_completed(futures):
             try:
@@ -225,6 +180,12 @@ class SelfcheckReport:
         return not self.disagreements and self.inconclusive == 0
 
 
+def selfcheck_sites() -> list[SimSite]:
+    """The sites selfcheck scans by default: the 128 matrix sites, then
+    ``classic-pp``."""
+    return catalog.matrix_sites() + [catalog.classic_site()]
+
+
 def run_selfcheck(
     sites: list[SimSite] | None = None,
     settings: ScanSettings | None = None,
@@ -237,7 +198,7 @@ def run_selfcheck(
     """
     started = time.monotonic()
     if sites is None:
-        sites = catalog.matrix_sites() + [catalog.classic_site()]
+        sites = selfcheck_sites()
     settings = settings or ScanSettings(rate=500.0, workers=8, seed=0)
 
     server = LabServer(sites).start()

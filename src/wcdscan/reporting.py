@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Mapping, TextIO
 from urllib.parse import urlsplit
 
@@ -355,25 +355,9 @@ def render_table(stats: AggregateStats) -> str:
 
 
 def stats_to_records(stats: AggregateStats) -> dict:
-    return {
-        "tested": vars(stats.tested),
-        "vulnerable": vars(stats.vulnerable),
-        "inconclusive_pages": stats.inconclusive_pages,
-        "per_technique": {t: vars(c) for t, c in stats.per_technique.items()},
-        "uniqueness": {
-            f"{ti}|{tj}": vars(c) for (ti, tj), c in stats.uniqueness.items()
-        },
-        "response_codes": {str(k): vars(c) for k, c in stats.response_codes.items()},
-        "cache_control_combos": {k: vars(c) for k, c in stats.cache_control_combos.items()},
-        "pragma_no_cache": vars(stats.pragma_no_cache),
-        "expires_present": vars(stats.expires_present),
-        "no_cache_headers": vars(stats.no_cache_headers),
-        "leak_types": {k: vars(c) for k, c in stats.leak_types.items()},
-        "unauth_exploitable": vars(stats.unauth_exploitable),
-        "cdn_tested": {k: vars(c) for k, c in stats.cdn_tested.items()},
-        "cdn_vulnerable": {k: vars(c) for k, c in stats.cdn_vulnerable.items()},
-        "quarantined": stats.quarantined,
-    }
+    records = asdict(stats)
+    records["uniqueness"] = {f"{ti}|{tj}": c for (ti, tj), c in records["uniqueness"].items()}
+    return records
 
 
 def write_records(verdicts: Iterable[ScanVerdict], fh: TextIO) -> None:

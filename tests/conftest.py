@@ -8,6 +8,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+from wcdscan.detector import ScanSettings  # noqa: E402
 from wcdscan.http_engine import RateLimiter, Transport  # noqa: E402
 from wcdscan.lab import catalog  # noqa: E402
 from wcdscan.lab.server import LabServer  # noqa: E402
@@ -15,6 +16,11 @@ from wcdscan.lab.server import LabServer  # noqa: E402
 
 def fast_limiter() -> RateLimiter:
     return RateLimiter(rate=10000.0)
+
+
+def fast_settings(**kwargs) -> ScanSettings:
+    """Run settings whose rate limiter is as fast as ``fast_limiter()``."""
+    return ScanSettings(rate=10000.0, **kwargs)
 
 
 def lab_connections_left_open(server: LabServer, grace: float = 5.0) -> int:

@@ -39,7 +39,7 @@ from wcdscan.pipeline import run_selfcheck
 from wcdscan.reporting import aggregate, build_site_map, chi_square_2x2
 from wcdscan.url_toolkit import PathConfusionTechnique, RandomNameGenerator, parse_url
 
-from conftest import fast_limiter
+from conftest import fast_limiter, fast_settings
 
 
 def _report(criterion: str, ok: bool) -> None:
@@ -60,20 +60,18 @@ def _login(host: str, username: str, password: str) -> Identity:
 def _scan_one(server, site, technique, extension="css", delay=0.0, delay_fn=None, seed=1):
     """Run the real scanner's attack step for one (site, technique)."""
     transport = Transport(resolve_overrides=server.resolve_overrides())
-    limiter = fast_limiter()
+    settings = fast_settings(
+        extension=extension,
+        transport=transport,
+        attacker_delay=delay,
+        delay_fn=delay_fn or (lambda s: None),
+    )
     victim = _login(site.host, "victim", catalog.VICTIM_PASSWORD)
     attacker = _login(site.host, "attacker", catalog.ATTACKER_PASSWORD)
     try:
-        maintain_session(victim, limiter, transport)
-        maintain_session(attacker, limiter, transport)
-        config = WcdTestConfig(
-            extension=extension,
-            names=RandomNameGenerator(seed=seed),
-            rate_limiter=limiter,
-            transport=transport,
-            attacker_delay=delay,
-            delay_fn=delay_fn or (lambda s: None),
-        )
+        maintain_session(victim, settings.rate_limiter, transport)
+        maintain_session(attacker, settings.rate_limiter, transport)
+        config = WcdTestConfig(settings, names=RandomNameGenerator(seed=seed))
         markers = MarkerSet(list(catalog.victim_markers(site.name).items()))
         page = parse_url(f"http://{site.host}/account.php")
         return run_wcd_test(page, technique, victim, attacker, markers, config)

@@ -3,11 +3,18 @@
 import argparse
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from wcdscan.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS, build_parser, main
+from wcdscan.detector import ScanVerdict, SecretCandidate, SecretSource, SecretTrigger
 from wcdscan.lab import catalog
 from wcdscan.lab.server import LabServer
+from wcdscan.reporting import write_records
+from wcdscan.url_toolkit import PathConfusionTechnique
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_scan_empty_seed_pool_is_clean(tmp_path, capsys):
@@ -65,6 +72,34 @@ def test_scan_lab_site_end_to_end(tmp_path, capsys):
         server.stop()
 
 
+def test_scan_paces_probes_logins_and_attacks_together(tmp_path):
+    """At --rate 2 the host sees at most 2 requests in any 1 s window, from
+    the liveness probe through the logins, the crawl and the attacks."""
+    site = catalog.classic_site()
+    server = LabServer([site]).start()
+    try:
+        seeds = tmp_path / "seeds.txt"
+        (tmp_path / "site.json").write_text(json.dumps(catalog.seed_entry(site)))
+        seeds.write_text(f"http://{site.host} site.json\n")
+        code = main([
+            "scan",
+            "--seeds", str(seeds),
+            "--resolve", f"{site.host}=127.0.0.1:{server.port}",
+            "--rate", "2",
+            "--budget", "1",
+            "--techniques", "path_parameter",
+            "--seed", "1",
+            "--format", "records",
+        ])
+        stamps = [e.t for e in server.request_log(site.host)]
+    finally:
+        server.stop()
+    assert code in (EXIT_CLEAN, EXIT_FINDINGS)
+    assert len(stamps) >= 6  # probe, two logins, crawl, three attack steps
+    worst = max(len([t for t in stamps if start <= t < start + 1.0]) for start in stamps)
+    assert worst <= 2
+
+
 def test_scan_redacts_hostnames(tmp_path):
     site = catalog.classic_site()
     server = LabServer([site]).start()
@@ -105,6 +140,20 @@ def test_oracle_table_output(capsys):
     out = capsys.readouterr().out
     assert "classic-pp" in out
     assert "VULN" in out
+
+
+def test_oracle_table_counts_techniques_and_uniqueness(capsys):
+    assert main(["oracle"]) == EXIT_CLEAN
+    lines = capsys.readouterr().out.splitlines()
+    for technique in PathConfusionTechnique:
+        assert f"{technique.value:<22}{30:>18}" in lines
+    assert "sites exploitable only via an encoded variant: 60" in lines
+    matrix = lines[lines.index("uniqueness (row exploits, column misses):") + 2 :]
+    short = ["path_parameter", "newline", "semicolon", "pound", "question"]
+    assert matrix == [
+        f"{row:<16}" + "".join(f"{'-' if row == col else '24':>12}" for col in short)
+        for row in short
+    ]
 
 
 def test_lab_export_round_trips(tmp_path):
@@ -148,6 +197,88 @@ def test_selfcheck_quick_passes(capsys):
     assert "disagreements with oracle: 0" in out
     assert "selfcheck PASS" in out
     assert code == EXIT_CLEAN
+    # 16 matrix sites and classic-pp; one line per technique: the sites the
+    # oracle calls vulnerable, and the sites where the scanner agrees.
+    assert "selfcheck: 17 sites x 5 techniques = 85 verdicts" in out
+    expected = {"path_parameter": 6, "encoded_newline": 5, "encoded_semicolon": 5,
+                "encoded_pound": 5, "encoded_question": 5}
+    for technique, vulnerable in expected.items():
+        assert f"  {technique:<22}{vulnerable:>26}{17:>16}" in out.splitlines()
+
+
+def _verdict(page, technique, vulnerable, **fields):
+    values = dict(
+        page=page, technique=technique, attack_url=page + "/x.css", victim_status=200,
+        attacker_status=200, unauth_status=200, markers_leaked=(), secrets=(),
+        responses_identical=False, unauth_exploitable=False, vulnerable=vulnerable,
+    )
+    values.update(fields)
+    return ScanVerdict(**values)
+
+
+def _counts(pages, domains, sites):
+    return {"pages": pages, "domains": domains, "sites": sites}
+
+
+def test_report_records_output_is_pinned(tmp_path, capsys):
+    T = PathConfusionTechnique
+    secret = SecretCandidate("csrf", "k2Jf9QzX1pLw", SecretSource.HIDDEN_FORM_FIELD,
+                             SecretTrigger.KEYWORD_MATCH, 3.58, 12)
+    verdicts = [
+        _verdict("http://www.a.test/account", T.PATH_PARAMETER, True,
+                 markers_leaked=("email",), cache_control="private, max-age=60",
+                 cdn_labels=("Akamai",)),
+        _verdict("http://shop.a.test/profile", T.ENCODED_SEMICOLON, True,
+                 attacker_status=404, secrets=(secret,), responses_identical=True,
+                 unauth_exploitable=True, pragma="no-cache", expires="0",
+                 cdn_labels=("Cloudflare",)),
+        _verdict("http://b.test/", T.PATH_PARAMETER, False, cdn_labels=("Akamai",)),
+        _verdict("http://b.test/x", T.ENCODED_POUND, False, inconclusive=True,
+                 error="NetworkError: reset"),
+    ]
+    records = tmp_path / "verdicts.jsonl"
+    with open(records, "w", encoding="utf-8") as fh:
+        write_records(verdicts, fh)
+    assert main(["report", "--records", str(records), "--format", "records"]) == EXIT_CLEAN
+
+    one, none = _counts(1, 1, 1), _counts(0, 0, 0)
+    techniques = [t.value for t in T]
+    by_technique = {"path_parameter": one, "encoded_semicolon": one}
+    uniqueness = {
+        f"{ti}|{tj}": by_technique.get(ti, none)
+        for ti in techniques for tj in techniques if ti != tj
+    }
+    uniqueness["path_parameter|encoded_semicolon"] = _counts(1, 1, 0)
+    uniqueness["encoded_semicolon|path_parameter"] = _counts(1, 1, 0)
+    expected = {
+        "tested": _counts(3, 3, 2),
+        "vulnerable": _counts(2, 2, 1),
+        "inconclusive_pages": 1,
+        "per_technique": {t: by_technique.get(t, none) for t in techniques},
+        "uniqueness": uniqueness,
+        "response_codes": {"200": one, "404": one},
+        "cache_control_combos": {"max-age=, private": one, "(none)": one},
+        "pragma_no_cache": one,
+        "expires_present": one,
+        "no_cache_headers": none,
+        "leak_types": {"markers": one, "marker:email": one, "secrets": one,
+                       "secret:hidden_form_field": one},
+        "unauth_exploitable": one,
+        "cdn_tested": {"Akamai": _counts(2, 2, 2), "Cloudflare": one},
+        "cdn_vulnerable": {"Akamai": one, "Cloudflare": one},
+        "quarantined": [],
+    }
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_ttl_decay_script_shows_the_window_closing():
+    result = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "ttl_decay.py")],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    rows = dict(line.split() for line in result.stdout.splitlines()[2:])
+    assert rows == {"0": "True", "1800": "True", "3600": "False", "7200": "False",
+                    "86400": "False"}
 
 
 def _parser_flags(parser: argparse.ArgumentParser) -> set[str]:

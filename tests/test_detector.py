@@ -37,7 +37,7 @@ from wcdscan.lab.server import LabServer
 from wcdscan.lab.sim import LabResource, SimSite
 from wcdscan.url_toolkit import PathConfusionTechnique, RandomNameGenerator, parse_url
 
-from conftest import fast_limiter
+from conftest import fast_settings
 
 
 # --- independent reference implementations (kept deliberately separate) ---
@@ -493,9 +493,7 @@ def make_config():
     def make(server, seed=11):
         transports.append(Transport(resolve_overrides=server.resolve_overrides()))
         return WcdTestConfig(
-            names=RandomNameGenerator(seed=seed),
-            rate_limiter=fast_limiter(),
-            transport=transports[-1],
+            fast_settings(transport=transports[-1]), names=RandomNameGenerator(seed=seed)
         )
 
     yield make
@@ -512,8 +510,8 @@ def _login_both(server, host, config):
     from wcdscan.http_engine import maintain_session
 
     victim, attacker = _identities(host)
-    maintain_session(victim, config.rate_limiter, config.transport)
-    maintain_session(attacker, config.rate_limiter, config.transport)
+    maintain_session(victim, config.settings.rate_limiter, config.settings.transport)
+    maintain_session(attacker, config.settings.rate_limiter, config.settings.transport)
     return victim, attacker
 
 
@@ -607,12 +605,13 @@ class TestRunWcdTest:
 
     def test_network_failure_is_inconclusive(self):
         config = WcdTestConfig(
-            rate_limiter=fast_limiter(),
-            transport=Transport(
-                resolve_overrides={"gone.test": ("127.0.0.1", 1)},
-                retries=0,
-                timeout=0.5,
-            ),
+            fast_settings(
+                transport=Transport(
+                    resolve_overrides={"gone.test": ("127.0.0.1", 1)},
+                    retries=0,
+                    timeout=0.5,
+                ),
+            )
         )
         victim = Identity(role=Role.VICTIM)
         attacker = Identity(role=Role.ATTACKER)
@@ -722,7 +721,7 @@ class TestSweepMemo:
             )
 
         monkeypatch.setattr(detector, "fetch", reflecting_fetch)
-        config = WcdTestConfig(names=RandomNameGenerator(seed=5))
+        config = WcdTestConfig(fast_settings(), names=RandomNameGenerator(seed=5))
         verdicts = self._run_all([config] * 5)
         # Bodies match once the nonce is stripped, but each test's differs.
         assert all(v.responses_identical for v in verdicts)
@@ -738,7 +737,10 @@ class TestSweepMemo:
         assert [s.name for s in first.secrets] == ["csrf_token"]
         assert len(config.sweeps) == 1
 
-        strict = replace(config, randomness=RandomnessConfig(keywords=("zzz",)))
+        strict = replace(
+            config,
+            settings=replace(config.settings, randomness=RandomnessConfig(keywords=("zzz",))),
+        )
         assert strict.sweeps == {}
         second = run_wcd_test(self.PAGE, technique, victim, attacker, MarkerSet([]), strict)
         assert second.responses_identical

@@ -2,12 +2,13 @@
 
 import io
 import random
+from dataclasses import replace
 
 import pytest
 import scipy.stats
 from hypothesis import given, strategies as st
 
-from wcdscan.detector import ScanVerdict
+from wcdscan.detector import ScanVerdict, SecretCandidate, SecretSource, SecretTrigger
 from wcdscan.http_engine import HttpExchange, Role
 from wcdscan.reporting import (
     CdnFingerprint,
@@ -260,6 +261,78 @@ def test_records_round_trip():
     write_records(verdicts, buffer)
     buffer.seek(0)
     assert read_records(buffer) == verdicts
+
+
+GOLDEN_VERDICT = ScanVerdict(
+    page="https://www.shop.example/account.php?id=7",
+    technique=PathConfusionTechnique.ENCODED_SEMICOLON,
+    attack_url="https://www.shop.example/account.php%3Bq7x2k9wz.css?id=7",
+    victim_status=200,
+    attacker_status=200,
+    unauth_status=302,
+    markers_leaked=("email", "name"),
+    secrets=(
+        SecretCandidate("csrf_token", "a8F3kLq9Zx", SecretSource.HIDDEN_FORM_FIELD,
+                        SecretTrigger.KEYWORD_MATCH, 3.321928094887362, 10),
+        SecretCandidate("app.9f8e7d6c5b4a.js", "app.9f8e7d6c5b4a",
+                        SecretSource.SCRIPT_FILE_NAME, SecretTrigger.ENTROPY_MATCH, 3.75, 12),
+    ),
+    responses_identical=True,
+    unauth_exploitable=False,
+    vulnerable=True,
+    # No scan sets both flags; every field differs from its default here.
+    inconclusive=True,
+    error="NetworkError: connection reset",
+    cache_control="private, max-age=0",
+    pragma="no-cache",
+    expires="0",
+    cache_evidence=(("x-cache", "HIT"), ("age", "12")),
+    cdn_labels=("Akamai", "Other"),
+)
+GOLDEN_LINE = (
+    '{"page": "https://www.shop.example/account.php?id=7", "technique": "encoded_semicolon", '
+    '"attack_url": "https://www.shop.example/account.php%3Bq7x2k9wz.css?id=7", '
+    '"victim_status": 200, "attacker_status": 200, "unauth_status": 302, '
+    '"markers_leaked": ["email", "name"], "secrets": ['
+    '{"name": "csrf_token", "value": "a8F3kLq9Zx", "source": "hidden_form_field", '
+    '"trigger": "keyword_match", "entropy_bits_per_char": 3.321928094887362, '
+    '"residual_length": 10}, '
+    '{"name": "app.9f8e7d6c5b4a.js", "value": "app.9f8e7d6c5b4a", '
+    '"source": "script_file_name", "trigger": "entropy_match", '
+    '"entropy_bits_per_char": 3.75, "residual_length": 12}], '
+    '"responses_identical": true, "unauth_exploitable": false, "vulnerable": true, '
+    '"inconclusive": true, "error": "NetworkError: connection reset", '
+    '"cache_control": "private, max-age=0", "pragma": "no-cache", "expires": "0", '
+    '"cache_evidence": {"x-cache": "HIT", "age": "12"}, "cdn_labels": ["Akamai", "Other"]}\n'
+)
+OPTIONAL_KEYS = (
+    "inconclusive", "error", "cache_control", "pragma", "expires", "cache_evidence", "cdn_labels"
+)
+
+
+def test_record_line_is_pinned():
+    buffer = io.StringIO()
+    write_records([GOLDEN_VERDICT], buffer)
+    assert buffer.getvalue() == GOLDEN_LINE
+    assert read_records(io.StringIO(GOLDEN_LINE)) == [GOLDEN_VERDICT]
+
+
+def test_record_without_optional_keys_loads_with_defaults():
+    record = GOLDEN_VERDICT.to_record()
+    for key in OPTIONAL_KEYS:
+        del record[key]
+    loaded = ScanVerdict.from_record(record)
+    assert loaded == replace(
+        GOLDEN_VERDICT, inconclusive=False, error=None, cache_control="", pragma="",
+        expires="", cache_evidence=(), cdn_labels=(),
+    )
+
+
+def test_record_with_an_unknown_key_loads():
+    record = GOLDEN_VERDICT.to_record()
+    record["cache_event"] = "hit"
+    record["secrets"][0]["context"] = "form"
+    assert ScanVerdict.from_record(record) == GOLDEN_VERDICT
 
 
 def test_redaction_hides_hosts():

@@ -22,7 +22,7 @@ from wcdscan.lab import catalog
 from wcdscan.lab.server import LabServer
 from wcdscan.url_toolkit import PathConfusionTechnique, RandomNameGenerator, parse_url
 
-from conftest import fast_limiter
+from conftest import fast_limiter, fast_settings
 
 HOST = "edge.test"
 
@@ -234,7 +234,7 @@ class TestFailures:
             Identity(role=Role.VICTIM),
             Identity(role=Role.ATTACKER),
             MarkerSet([]),
-            WcdTestConfig(names=RandomNameGenerator(seed=1), transport=transport),
+            WcdTestConfig(fast_settings(transport=transport), names=RandomNameGenerator(seed=1)),
         )
         transport.close()
         assert verdict.inconclusive and not verdict.vulnerable
