@@ -62,6 +62,13 @@ def _parse_resolve(entries: list[str]) -> dict[str, tuple[str, int]]:
     return overrides
 
 
+def _positive_rate(text: str) -> float:
+    rate = float(text)
+    if not 0 < rate < float("inf"):  # also rejects nan
+        raise argparse.ArgumentTypeError(f"rate must be a positive number, got {text!r}")
+    return rate
+
+
 def _load_wordlist(path: str) -> tuple[str, ...]:
     return tuple(Path(path).read_text(encoding="utf-8").split())
 
@@ -92,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--seeds", required=True, help="seed file: one host per line, optional config ref")
     scan.add_argument("--techniques", default="all", help="'all' or comma list of technique names")
     scan.add_argument("--budget", type=int, default=500, help="unique page groups per domain")
-    scan.add_argument("--rate", type=float, default=2.0, help="max requests/second/host")
+    scan.add_argument("--rate", type=_positive_rate, default=2.0, help="max requests/second/host")
     scan.add_argument("--mode", choices=["full", "marker-gated"], default="full")
     scan.add_argument("--delay", type=float, default=0.0, help="seconds between victim and attacker steps")
     scan.add_argument("--extension", default="css", help="bogus static extension for attack URLs")
@@ -136,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     selfcheck = sub.add_parser("selfcheck", help="scan the lab and diff against the oracle")
     selfcheck.add_argument("--techniques", default="all")
-    selfcheck.add_argument("--rate", type=float, default=500.0)
+    selfcheck.add_argument("--rate", type=_positive_rate, default=500.0)
     selfcheck.add_argument("--workers", type=int, default=8)
     selfcheck.add_argument("--extension", default="css")
     selfcheck.add_argument("--quick", action="store_true",
@@ -244,6 +251,9 @@ def _cmd_lab(args) -> int:
 def _cmd_oracle(args) -> int:
     sites = _scenario_sites(args)
     sites = [s for s in sites if s.marker_pages()]
+    if not sites:
+        print("no scenario has a protected marker page", file=sys.stderr)
+        return EXIT_ERROR
     techniques = _parse_techniques(args.techniques)
     truth = enumerate_oracle(sites, techniques, args.extension)
     if args.format == "records":

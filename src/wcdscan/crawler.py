@@ -21,7 +21,6 @@ from urllib.parse import urljoin
 
 from .detector import MarkerSet, scan_html
 from .http_engine import (
-    DEFAULT_TRANSPORT,
     Identity,
     LoginDescriptor,
     NetworkError,
@@ -125,12 +124,7 @@ def site_config_from_dict(primary: str, subdomains: tuple[str, ...], data: dict)
     )
 
 
-def probe_host(
-    scheme: str,
-    host: str,
-    transport: Transport | None = None,
-    rate_limiter: RateLimiter | None = None,
-) -> bool:
+def probe_host(scheme: str, host: str, transport: Transport, rate_limiter: RateLimiter) -> bool:
     """True when the host answers HTTP at all (HEAD first, then GET)."""
     probe_identity = Identity(role=Role.UNAUTHENTICATED)
     for method in ("HEAD", "GET"):
@@ -143,13 +137,11 @@ def probe_host(
 
 
 def ingest_domains(
-    path: str,
-    transport: Transport | None = None,
-    rate_limiter: RateLimiter | None = None,
-    probe: bool = True,
+    path: str, transport: Transport, rate_limiter: RateLimiter, probe: bool = True
 ) -> SeedPool:
     """Load a seed file (one host per line, optional site-config reference)
-    into a pool, keeping only hosts that answer HTTP(S).
+    into a pool, keeping only hosts that answer HTTP(S). The calling thread's
+    connections on ``transport`` are closed before it returns.
 
     Hosts sharing a registrable domain form one site; the config reference of
     the first such line applies to the whole site. Malformed lines raise
@@ -210,7 +202,7 @@ def ingest_domains(
                 if not probe or probe_host(scheme, h, transport, rate_limiter)
             ]
         finally:
-            (transport or DEFAULT_TRANSPORT).close()  # what the probes opened
+            transport.close()  # what the probes opened
         if not live:
             log.info("seed site %s: no live hosts, skipping", site_key)
             continue
@@ -234,8 +226,8 @@ def extract_links(body: bytes, base_url: str) -> list[str]:
 def _load_robots(
     start_url: str,
     identity: Identity,
-    rate_limiter: RateLimiter | None,
-    transport: Transport | None,
+    rate_limiter: RateLimiter,
+    transport: Transport,
 ) -> urllib.robotparser.RobotFileParser | None:
     robots_url = urljoin(start_url, "/robots.txt")
     try:
@@ -259,11 +251,12 @@ def _journal_write(journal, record: dict) -> None:
 
 
 def crawl_domain(
-    site: SiteConfig | str,
+    site: SiteConfig,
     identity: Identity,
     budget: int = 500,
-    rate_limiter: RateLimiter | None = None,
-    transport: Transport | None = None,
+    *,
+    rate_limiter: RateLimiter,
+    transport: Transport,
     seed: int = 0,
     respect_robots: bool = False,
     journal=None,
@@ -277,8 +270,6 @@ def crawl_domain(
     JSON line is emitted per observed page plus a final surface record;
     nothing reads the journal back yet.
     """
-    if isinstance(site, str):
-        site = SiteConfig(primary_domain=site)
     start = f"{site.scheme}://{site.primary_domain}/"
     site_scope = site.site
     raw_cap = budget * RAW_PAGE_CAP_FACTOR

@@ -42,6 +42,13 @@ from .words import COMMON_WORDS
 MIN_MARKER_LENGTH = 12
 MIN_MARKER_ENTROPY = 3.0  # bits/char, makes accidental collisions negligible
 
+# The randomness test: a value counts as random when, after dictionary words
+# of at least MIN_WORD_LENGTH chars are stripped, at least MIN_RESIDUAL_LENGTH
+# chars remain at MIN_RESIDUAL_ENTROPY bits/char or more.
+MIN_WORD_LENGTH = 3
+MIN_RESIDUAL_LENGTH = 8
+MIN_RESIDUAL_ENTROPY = 3.0
+
 DEFAULT_KEYWORDS = ("csrf", "xsrf", "token", "state", "client_id")
 
 # Headers that hint at cache involvement. Recorded for reporting only: they
@@ -133,20 +140,14 @@ class MarkerSet:
 
 @dataclass
 class RandomnessConfig:
-    """Knobs for the dictionary-strip + entropy randomness test."""
+    """The word lists of the secret sweep: the dictionary the randomness test
+    strips and the keywords that flag a candidate by name."""
 
     dictionary: tuple[str, ...] = COMMON_WORDS
-    min_residual_length: int = 8
-    entropy_threshold_bits_per_char: float = 3.0
     keywords: tuple[str, ...] = DEFAULT_KEYWORDS
-    min_word_length: int = 3
 
     def __post_init__(self):
-        if self.min_residual_length <= 0 or self.entropy_threshold_bits_per_char <= 0:
-            raise ValueError("randomness thresholds must be strictly positive")
-        self._words = {
-            w.lower() for w in self.dictionary if len(w) >= self.min_word_length
-        }
+        self._words = {w.lower() for w in self.dictionary if len(w) >= MIN_WORD_LENGTH}
         self._max_word = max((len(w) for w in self._words), default=0)
 
 
@@ -160,7 +161,7 @@ def strip_dictionary_words(value: str, config: RandomnessConfig) -> str:
     while i < n:
         matched = 0
         longest = min(config._max_word, n - i)
-        for length in range(longest, config.min_word_length - 1, -1):
+        for length in range(longest, MIN_WORD_LENGTH - 1, -1):
             if lowered[i : i + length] in config._words:
                 matched = length
                 break
@@ -314,10 +315,7 @@ def extract_secrets(body: bytes, config: RandomnessConfig) -> list[SecretCandida
         seen.add((name, value, source))
         residual, entropy = randomness_score(value, config)
         keyword_hit = any(k in name.lower() for k in config.keywords)
-        entropy_hit = (
-            residual >= config.min_residual_length
-            and entropy >= config.entropy_threshold_bits_per_char
-        )
+        entropy_hit = residual >= MIN_RESIDUAL_LENGTH and entropy >= MIN_RESIDUAL_ENTROPY
         if keyword_hit:
             trigger = SecretTrigger.KEYWORD_MATCH
         elif entropy_hit:

@@ -172,13 +172,10 @@ class HttpExchange:
     marker search depends on exact content."""
 
     url: str
-    method: str
-    request_headers: tuple[tuple[str, str], ...]
     status: int
     response_headers: tuple[tuple[str, str], ...]
     body: bytes
     timing: float  # milliseconds
-    identity_role: Role
     history: tuple[tuple[str, int], ...] = ()
 
     def header(self, name: str) -> str | None:
@@ -189,26 +186,21 @@ class HttpExchange:
         return None
 
 
+# Added to the pacing window so that network jitter downstream of the limiter
+# cannot compress two boundary requests into the same observed second.
+WINDOW_SLACK = 0.05
+
+
 class RateLimiter:
-    """Per-host pacing: at most ``rate`` requests in any trailing 1 s window.
+    """Per-host pacing: at most ``rate`` requests in any trailing 1 s window
+    (widened by ``WINDOW_SLACK``). Thread-safe."""
 
-    A small slack is added to the window so that network jitter downstream of
-    the limiter cannot compress two boundary requests into the same observed
-    second. Thread-safe.
-    """
-
-    def __init__(
-        self,
-        rate: float = 2.0,
-        slack: float = 0.05,
-        time_fn=time.monotonic,
-        sleep_fn=time.sleep,
-    ):
+    def __init__(self, rate: float = 2.0, time_fn=time.monotonic, sleep_fn=time.sleep):
         if rate <= 0:
             raise ValueError("rate must be positive")
         self.rate = rate
         self._max_in_window = max(1, int(rate))
-        self.window = (1.0 if rate >= 1 else 1.0 / rate) + slack
+        self.window = (1.0 if rate >= 1 else 1.0 / rate) + WINDOW_SLACK
         self._time = time_fn
         self._sleep = sleep_fn
         self._lock = threading.Lock()
@@ -284,9 +276,6 @@ class Transport:
         for conn in pool.values():
             conn.close()
         pool.clear()
-
-
-DEFAULT_TRANSPORT = Transport()
 
 
 def _route(
@@ -382,9 +371,8 @@ def _merge_headers(pairs: list[tuple[str, str]]) -> tuple[tuple[str, str], ...]:
 def fetch(
     identity: Identity,
     url: str,
-    rate_limiter: RateLimiter | None = None,
-    transport: Transport | None = None,
-    extra_headers: dict[str, str] | None = None,
+    rate_limiter: RateLimiter,
+    transport: Transport,
     method: str = "GET",
     data: dict[str, str] | None = None,
 ) -> HttpExchange:
@@ -394,15 +382,13 @@ def fetch(
     unauthenticated role), every hop takes a pacing token, and the full hop
     chain is recorded on the returned exchange.
     """
-    transport = transport or DEFAULT_TRANSPORT
     history: list[tuple[str, int]] = []
     current = url
     started = time.monotonic()
     for _hop in range(transport.max_redirects + 1):
         parts = urlsplit(current)
         host = (parts.hostname or "").lower()
-        if rate_limiter is not None:
-            rate_limiter.acquire(host)
+        rate_limiter.acquire(host)
         endpoint, target, host_header = _route(parts, host, transport)
         headers = {
             "User-Agent": identity.user_agent,
@@ -418,8 +404,6 @@ def fetch(
         if data:
             payload = urlencode(data).encode()
             headers["Content-Type"] = "application/x-www-form-urlencoded"
-        if extra_headers:
-            headers.update(extra_headers)
         resp, body = _issue(method, endpoint, target, headers, payload, transport)
         for set_cookie in resp.msg.get_all("Set-Cookie") or ():
             identity.store_set_cookie(host, set_cookie)
@@ -434,22 +418,17 @@ def fetch(
         elapsed_ms = (time.monotonic() - started) * 1000.0
         return HttpExchange(
             url=current,
-            method=method,
-            request_headers=tuple(headers.items()),
             status=resp.status,
             response_headers=response_headers,
             body=body,
             timing=elapsed_ms,
-            identity_role=identity.role,
             history=tuple(history),
         )
     raise TooManyRedirects(f"more than {transport.max_redirects} redirects from {url}")
 
 
 def maintain_session(
-    identity: Identity,
-    rate_limiter: RateLimiter | None = None,
-    transport: Transport | None = None,
+    identity: Identity, rate_limiter: RateLimiter, transport: Transport
 ) -> Identity:
     """Re-run the login descriptor when the jar is empty or holds expired
     cookies; a fresh jar triggers no network activity."""

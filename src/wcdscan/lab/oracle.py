@@ -22,10 +22,7 @@ def _deterministic_nonce(site_name: str, technique: PathConfusionTechnique) -> s
 
 
 def oracle_vulnerable(
-    site: SimSite,
-    technique: PathConfusionTechnique,
-    extension: str = "css",
-    embed_query: str | None = None,
+    site: SimSite, technique: PathConfusionTechnique, extension: str = "css"
 ) -> bool:
     """True iff the attacker's simulated response contains a victim marker.
 
@@ -40,7 +37,7 @@ def oracle_vulnerable(
 
     page = parse_url(f"http://{sim.host}{pages[0]}")
     nonce = _deterministic_nonce(sim.name, technique)
-    attack_url = make_attack_url(page, technique, nonce, extension, embed_query=embed_query)
+    attack_url = make_attack_url(page, technique, nonce, extension)
     target = attack_url.split(sim.host, 1)[1]
 
     auth = sim.auth

@@ -60,9 +60,10 @@ class _VhostServer(ThreadingHTTPServer):
         super().shutdown_request(request)
 
     def server_close(self):
-        # server_close joins every handler thread, and a kept-alive
-        # connection parks its thread in a read until the client hangs up:
-        # end those reads first.
+        # Handler threads are daemons and are never joined, so a kept-alive
+        # connection would outlive the listener: its handler thread, parked
+        # in a read, would go on answering requests after stop(). Shutting
+        # the open connections down ends them with the listener.
         with self.connections_lock:
             for conn in self.connections:
                 try:

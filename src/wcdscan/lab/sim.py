@@ -61,7 +61,6 @@ def advance_clock(clock: SimClock, seconds: float) -> SimClock:
 
 @dataclass
 class CacheEntry:
-    key: str
     body: bytes
     status: int
     headers: tuple[tuple[str, str], ...]
@@ -94,14 +93,6 @@ class LabResponse:
             if key.lower() == lowered:
                 return value
         return None
-
-
-@dataclass
-class OriginResponse:
-    resource_path: str | None
-    status: int
-    body: bytes
-    headers: dict[str, str]
 
 
 @dataclass
@@ -297,7 +288,7 @@ class SimSite:
 
 def origin_resolve(
     site: SimSite, raw_target: str, session_user: str | None = None
-) -> OriginResponse:
+) -> LabResponse:
     """Resolve a wire target through the site's URL semantics and render it.
 
     Unauthenticated access to a protected resource yields a login redirect or
@@ -307,24 +298,23 @@ def origin_resolve(
     raw_path = raw_target.partition("?")[0]
     resolved = route(site.origin, raw_path, site.resources.keys())
     if resolved is None:
-        return OriginResponse(
-            None, 404, GENERIC_404_BODY.encode(), {"Content-Type": "text/html; charset=utf-8"}
+        return LabResponse(
+            404, [("Content-Type", "text/html; charset=utf-8")], GENERIC_404_BODY.encode()
         )
     res = site.resources[resolved]
     if res.protected:
         if site.auth is None or session_user is None:
             if site.auth is not None and site.auth.mode == "redirect":
-                return OriginResponse(
-                    resolved,
+                return LabResponse(
                     302,
+                    [
+                        ("Content-Type", "text/html; charset=utf-8"),
+                        ("Location", site.auth.login_path),
+                    ],
                     LOGIN_REQUIRED_BODY.encode(),
-                    {
-                        "Content-Type": "text/html; charset=utf-8",
-                        "Location": site.auth.login_path,
-                    },
                 )
-            return OriginResponse(
-                resolved, 403, FORBIDDEN_BODY.encode(), {"Content-Type": "text/html; charset=utf-8"}
+            return LabResponse(
+                403, [("Content-Type", "text/html; charset=utf-8")], FORBIDDEN_BODY.encode()
             )
         values = site.auth.accounts[session_user].values
     else:
@@ -333,7 +323,7 @@ def origin_resolve(
             values = site.auth.accounts[session_user].values
     headers = {"Content-Type": res.content_type}
     headers.update(res.headers)
-    return OriginResponse(resolved, res.status, res.render(values), headers)
+    return LabResponse(res.status, list(headers.items()), res.render(values))
 
 
 def handle_login(site: SimSite, form: dict[str, str]) -> LabResponse:
@@ -412,8 +402,7 @@ def proxy_handle(
             response = handle_login(site, request.form or {})
         else:
             site.origin_requests += 1
-            o = origin_resolve(site, request.target, site.session_user(request.cookies))
-            response = LabResponse(o.status, list(o.headers.items()), o.body)
+            response = origin_resolve(site, request.target, site.session_user(request.cookies))
         response.headers.extend(_proxy_headers(site, False, request.target))
         return response, CacheEvent.MISS_NOT_STORED
 
@@ -437,9 +426,9 @@ def proxy_handle(
         event = CacheEvent.EXPIRED
 
     site.origin_requests += 1
-    o = origin_resolve(site, request.target, site.session_user(request.cookies))
-    directives = parse_cache_control(o.headers.get("Cache-Control", ""))
-    decision = decide(site.cache_profile, rule_path, o.status, directives)
+    response = origin_resolve(site, request.target, site.session_user(request.cookies))
+    directives = parse_cache_control(response.header("Cache-Control") or "")
+    decision = decide(site.cache_profile, rule_path, response.status, directives)
     ttl = decision.ttl
     if decision.store:
         for suffix, seconds in site.ttl_overrides.items():
@@ -447,16 +436,14 @@ def proxy_handle(
                 ttl = seconds
                 break
         site.entries[(request.region, key)] = CacheEntry(
-            key=key,
-            body=o.body,
-            status=o.status,
-            headers=tuple(o.headers.items()),
+            body=response.body,
+            status=response.status,
+            headers=tuple(response.headers),
             stored_at=now,
             ttl=ttl,
             region=request.region,
         )
     if event is None:
         event = CacheEvent.MISS_STORED if decision.store else CacheEvent.MISS_NOT_STORED
-    headers = list(o.headers.items())
-    headers.extend(_proxy_headers(site, False, key))
-    return LabResponse(o.status, headers, o.body), event
+    response.headers.extend(_proxy_headers(site, False, key))
+    return response, event

@@ -106,8 +106,8 @@ def scan_site(site: SiteConfig, settings: ScanSettings) -> SiteScanResult:
             site,
             victim,
             site.budget or settings.budget,
-            settings.rate_limiter,
-            settings.transport,
+            rate_limiter=settings.rate_limiter,
+            transport=settings.transport,
             seed=settings.seed or 0,
             respect_robots=settings.respect_robots,
             journal=settings.journal,

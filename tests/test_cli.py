@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from wcdscan.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS, build_parser, main
 from wcdscan.detector import ScanVerdict, SecretCandidate, SecretSource, SecretTrigger
 from wcdscan.lab import catalog
@@ -28,6 +30,20 @@ def test_scan_empty_seed_pool_is_clean(tmp_path, capsys):
 
 def test_scan_missing_seed_file_is_config_error(capsys):
     assert main(["scan", "--seeds", "/does/not/exist"]) == EXIT_ERROR
+
+
+@pytest.mark.parametrize("command", ["scan", "selfcheck"])
+@pytest.mark.parametrize("rate", ["0", "-1"])
+def test_nonpositive_rate_is_a_usage_error(tmp_path, capsys, command, rate):
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("# nothing to scan\n")
+    argv = [command, "--rate", rate]
+    if command == "scan":
+        argv += ["--seeds", str(seeds), "--no-probe"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == EXIT_ERROR
+    assert "argument --rate: rate must be a positive number" in capsys.readouterr().err
 
 
 def test_scan_lab_site_end_to_end(tmp_path, capsys):
@@ -154,6 +170,14 @@ def test_oracle_table_counts_techniques_and_uniqueness(capsys):
         f"{row:<16}" + "".join(f"{'-' if row == col else '24':>12}" for col in short)
         for row in short
     ]
+
+
+@pytest.mark.parametrize("output", ["table", "records"])
+def test_oracle_without_marker_pages_is_an_error(tmp_path, capsys, output):
+    scenarios = tmp_path / "scenarios.json"
+    catalog.dump_scenarios([catalog.sitemap_site()], str(scenarios))
+    assert main(["oracle", "--scenarios", str(scenarios), "--format", output]) == EXIT_ERROR
+    assert capsys.readouterr().err == "no scenario has a protected marker page\n"
 
 
 def test_lab_export_round_trips(tmp_path):

@@ -92,17 +92,17 @@ class TestIngestDomains:
         seeds = tmp_path / "seeds.txt"
         seeds.write_text("host.test extra tokens here\n")
         with pytest.raises(ConfigError):
-            ingest_domains(str(seeds), probe=False)
+            ingest_domains(str(seeds), Transport(), fast_limiter(), probe=False)
 
     def test_bad_host_aborts(self, tmp_path):
         seeds = tmp_path / "seeds.txt"
         seeds.write_text("not a_host!\n")
         with pytest.raises(ConfigError):
-            ingest_domains(str(seeds), probe=False)
+            ingest_domains(str(seeds), Transport(), fast_limiter(), probe=False)
 
     def test_missing_file_aborts(self):
         with pytest.raises(ConfigError):
-            ingest_domains("/nonexistent/seeds.txt", probe=False)
+            ingest_domains("/nonexistent/seeds.txt", Transport(), fast_limiter(), probe=False)
 
     def test_site_config_reference(self, tmp_path):
         seeds = tmp_path / "seeds.txt"
@@ -115,7 +115,7 @@ class TestIngestDomains:
             ' "markers": [{"label": "email", "value": "zz7q9x2w8v4n6mkp"}]}'
         )
         seeds.write_text("http://configured.test site.json\n")
-        pool = ingest_domains(str(seeds), probe=False)
+        pool = ingest_domains(str(seeds), Transport(), fast_limiter(), probe=False)
         site = pool.sites[0]
         assert site.victim_login.url == "http://configured.test/login"
         assert site.victim_login.fields == {"username": "v", "password": "p"}

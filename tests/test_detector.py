@@ -14,6 +14,8 @@ from wcdscan import detector
 from wcdscan.cache_policy import CdnProfile, DefaultCached, builtin_profile
 from wcdscan.crawler import extract_links
 from wcdscan.detector import (
+    MIN_RESIDUAL_ENTROPY,
+    MIN_RESIDUAL_LENGTH,
     Marker,
     MarkerSet,
     RandomnessConfig,
@@ -92,29 +94,20 @@ class TestRandomnessScore:
 
     def test_prose_strips_to_short_residual(self):
         residual, _ = randomness_score("thecatsatonthemat", RandomnessConfig())
-        assert residual < RandomnessConfig().min_residual_length
+        assert residual < MIN_RESIDUAL_LENGTH
 
     def test_min_word_length_respected(self):
         config = RandomnessConfig(dictionary=("on", "the"))
         # "on" is below the 3-char minimum and must not be stripped.
         assert strip_dictionary_words("onthe", config) == "on"
 
-    def test_thresholds_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RandomnessConfig(min_residual_length=0)
-        with pytest.raises(ValueError):
-            RandomnessConfig(entropy_threshold_bits_per_char=0)
-
     def test_default_thresholds_pass_hex_tokens_and_fail_prose(self):
         config = RandomnessConfig()
         residual, entropy = randomness_score("9f8e7d6c5b4a3210", config)
-        assert residual >= config.min_residual_length
-        assert entropy >= config.entropy_threshold_bits_per_char
+        assert residual >= MIN_RESIDUAL_LENGTH
+        assert entropy >= MIN_RESIDUAL_ENTROPY
         residual, entropy = randomness_score("pleaseremembertosavethefile", config)
-        assert (
-            residual < config.min_residual_length
-            or entropy < config.entropy_threshold_bits_per_char
-        )
+        assert residual < MIN_RESIDUAL_LENGTH or entropy < MIN_RESIDUAL_ENTROPY
 
 
 @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_-.", max_size=32))
@@ -386,13 +379,10 @@ class _Ex:
     def make(body: bytes, status: int = 200) -> HttpExchange:
         return HttpExchange(
             url="http://e.com/x",
-            method="GET",
-            request_headers=(),
             status=status,
             response_headers=(),
             body=body,
             timing=1.0,
-            identity_role=Role.VICTIM,
         )
 
 
@@ -416,14 +406,10 @@ class TestResponsesIdentical:
 
     def test_headers_do_not_matter(self):
         a = HttpExchange(
-            url="u", method="GET", request_headers=(), status=200,
-            response_headers=(("X-Cache", "HIT"),), body=b"x", timing=0,
-            identity_role=Role.VICTIM,
+            url="u", status=200, response_headers=(("X-Cache", "HIT"),), body=b"x", timing=0,
         )
         b = HttpExchange(
-            url="u", method="GET", request_headers=(), status=200,
-            response_headers=(("X-Cache", "MISS"),), body=b"x", timing=0,
-            identity_role=Role.ATTACKER,
+            url="u", status=200, response_headers=(("X-Cache", "MISS"),), body=b"x", timing=0,
         )
         assert responses_identical(a, b) is True
 
@@ -715,9 +701,7 @@ class TestSweepMemo:
         def reflecting_fetch(identity, url, *args, **kwargs):
             body = f'<html><body><a href="{url}?csrf=1">again</a></body></html>'
             return HttpExchange(
-                url=url, method="GET", request_headers=(), status=200,
-                response_headers=(), body=body.encode(), timing=1.0,
-                identity_role=identity.role,
+                url=url, status=200, response_headers=(), body=body.encode(), timing=1.0,
             )
 
         monkeypatch.setattr(detector, "fetch", reflecting_fetch)

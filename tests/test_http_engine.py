@@ -1,11 +1,13 @@
 """Identities, cookies, pacing, and fetch behavior against the lab."""
 
+import inspect
 import threading
 import time
 
 import pytest
 import requests
 
+from wcdscan import crawler
 from wcdscan.cache_policy import builtin_profile
 from wcdscan.http_engine import (
     AuthFailure,
@@ -67,6 +69,37 @@ class TestRateLimiter:
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
             RateLimiter(rate=0)
+
+
+@pytest.mark.parametrize(
+    "function",
+    [
+        fetch,
+        maintain_session,
+        crawler.probe_host,
+        crawler.ingest_domains,
+        crawler._load_robots,
+        crawler.crawl_domain,
+    ],
+    ids=lambda function: function.__name__,
+)
+def test_pacing_and_transport_are_required(function):
+    """No request can leave without the run's limiter and transport."""
+    parameters = inspect.signature(function).parameters
+    for name in ("rate_limiter", "transport"):
+        assert parameters[name].default is inspect.Parameter.empty, name
+
+
+class RecordingLimiter(RateLimiter):
+    """A fast limiter that records the host of every token it hands out."""
+
+    def __init__(self):
+        super().__init__(rate=10000.0)
+        self.hosts: list[str] = []
+
+    def acquire(self, host: str) -> None:
+        self.hosts.append(host)
+        super().acquire(host)
 
 
 @pytest.mark.parametrize(
@@ -174,6 +207,13 @@ class TestFetchAgainstLab:
         assert exchange.history and exchange.history[0][1] == 302
         assert exchange.url.endswith("/login")
 
+    def test_every_redirect_hop_waits_on_the_limiter(self, support_lab, support_transport):
+        limiter = RecordingLimiter()
+        unauth = Identity(role=Role.UNAUTHENTICATED)
+        exchange = fetch(unauth, f"http://{self.HOST}/account.php", limiter, support_transport)
+        assert limiter.hosts == [self.HOST, self.HOST]
+        assert exchange.history == ((f"http://{self.HOST}/account.php", 302),)
+
     def test_set_cookie_records_expiry(self, support_lab, support_transport, limiter):
         victim = Identity(role=Role.VICTIM, credentials=_victim_login(self.HOST))
         maintain_session(victim, limiter, support_transport)
@@ -226,9 +266,9 @@ class TestMaintainSession:
         with pytest.raises(AuthFailure):
             maintain_session(victim, limiter, support_transport)
 
-    def test_no_credentials_raise(self):
+    def test_no_credentials_raise(self, limiter):
         with pytest.raises(AuthFailure):
-            maintain_session(Identity(role=Role.VICTIM))
+            maintain_session(Identity(role=Role.VICTIM), limiter, Transport())
 
 
 class TestTransportFailures:

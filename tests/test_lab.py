@@ -1,6 +1,8 @@
 """Origin semantics, caching proxy, clock, oracle, and scenario files."""
 
 import copy
+import http.client
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from wcdscan.cache_policy import CdnProfile, DefaultCached
 from wcdscan.lab import catalog
 from wcdscan.lab.oracle import enumerate_oracle, oracle_vulnerable
 from wcdscan.lab.origin import OriginSemantics, OriginVariant, effective_path, route
+from wcdscan.lab.server import LabServer
 from wcdscan.lab.sim import (
     CacheEvent,
     LabRequest,
@@ -40,6 +43,11 @@ def _attacker_cookie(site):
     return {site.auth.cookie_name: site.auth.issue("attacker", site.name)}
 
 
+def _victim_account_page(site):
+    """/account.php as the origin renders it for the victim's session."""
+    return site.resources["/account.php"].render(site.auth.accounts["victim"].values)
+
+
 class TestOriginResolve:
     def test_newline_truncation_with_decode(self):
         site = catalog._account_site(
@@ -50,14 +58,14 @@ class TestOriginResolve:
         )
         response = origin_resolve(site, "/account.php%0Anonexistent.css", "victim")
         assert response.status == 200
-        assert response.resource_path == "/account.php"
+        assert response.body == _victim_account_page(site)
         assert site.auth.accounts["victim"].values["email"].encode() in response.body
 
     def test_path_parameter_fallback(self):
         site = _pp_site()
         response = origin_resolve(site, "/account.php/nonexistent.css", "victim")
         assert response.status == 200
-        assert response.resource_path == "/account.php"
+        assert response.body == _victim_account_page(site)
 
     def test_exact_routing_404(self):
         site = catalog._account_site(
@@ -71,7 +79,7 @@ class TestOriginResolve:
         site = _pp_site()
         response = origin_resolve(site, "/account.php", None)
         assert response.status == 302
-        assert response.headers["Location"] == "/login"
+        assert response.header("Location") == "/login"
 
     def test_forbid_mode(self):
         site = _pp_site()
@@ -87,7 +95,7 @@ class TestOriginResolve:
             variants=site.origin.variants, decode_before_route=False
         )
         response = origin_resolve(site, "/account.php;par1;par2", "victim")
-        assert response.resource_path == "/account.php"
+        assert response.body == _victim_account_page(site)
 
 
 class TestEffectivePathAndRoute:
@@ -458,3 +466,19 @@ class TestControlEndpoints:
         sites = catalog.matrix_sites()[:4]
         truth = enumerate_oracle(sites)
         assert len(truth) == 4 * 5
+
+
+def test_stop_ends_kept_alive_connections():
+    server = LabServer([catalog.pacing_site()]).start()
+    with closing(http.client.HTTPConnection(server.address, server.port, timeout=5)) as conn:
+        try:
+            conn.request("GET", "/", headers={"Host": "pacing.test"})
+            response = conn.getresponse()
+            response.read()
+        finally:
+            server.stop()
+        assert response.status == 200
+        assert not response.will_close  # the server keeps the connection open
+        with pytest.raises((OSError, http.client.HTTPException)):
+            conn.request("GET", "/", headers={"Host": "pacing.test"})
+            conn.getresponse()

@@ -9,7 +9,7 @@ import scipy.stats
 from hypothesis import given, strategies as st
 
 from wcdscan.detector import ScanVerdict, SecretCandidate, SecretSource, SecretTrigger
-from wcdscan.http_engine import HttpExchange, Role
+from wcdscan.http_engine import HttpExchange
 from wcdscan.reporting import (
     CdnFingerprint,
     Counts3,
@@ -71,13 +71,10 @@ class TestChiSquare:
 def _exchange(headers: dict[str, str]) -> HttpExchange:
     return HttpExchange(
         url="http://x.test/",
-        method="GET",
-        request_headers=(),
         status=200,
         response_headers=tuple(headers.items()),
         body=b"",
         timing=0.0,
-        identity_role=Role.ATTACKER,
     )
 
 

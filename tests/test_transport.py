@@ -134,7 +134,7 @@ class TestWireFormat:
         server = scripted(_always(_response(b"ok")))
         transport = server.transport()
         fetch(Identity(role=Role.UNAUTHENTICATED), f"http://{HOST}/a b/café?q=x y&r=%41",
-              None, transport)
+              fast_limiter(), transport)
         transport.close()
         request_line = server.requests[0][1].split(b"\r\n", 1)[0]
         assert request_line == b"GET /a%20b/caf%C3%A9?q=x%20y&r=%41 HTTP/1.1"
@@ -143,7 +143,7 @@ class TestWireFormat:
         server = scripted(_always(_response(b"ok")))
         transport = server.transport()
         form = {"username": "victim", "password": "p w&x=ü"}
-        fetch(Identity(role=Role.VICTIM), f"http://{HOST}/login", None, transport,
+        fetch(Identity(role=Role.VICTIM), f"http://{HOST}/login", fast_limiter(), transport,
               method="POST", data=form)
         transport.close()
         _, head, body = server.requests[0]
@@ -155,7 +155,7 @@ class TestWireFormat:
         server = scripted(_always(_response(b"ok")))
         transport = server.transport()
         for role in Role:
-            fetch(Identity(role=role), f"http://{HOST}/", None, transport)
+            fetch(Identity(role=role), f"http://{HOST}/", fast_limiter(), transport)
         transport.close()
         encodings = [re.search(rb"(?m)^Accept-Encoding: (.*)\r$", head).group(1)
                      for _, head, _ in server.requests]
@@ -177,7 +177,7 @@ class TestResponseShape:
     def test_content_encoding_is_decoded(self, scripted, coding, encoded):
         server = scripted(_always(_response(encoded, f"Content-Encoding: {coding}")))
         transport = server.transport()
-        exchange = fetch(Identity(role=Role.VICTIM), f"http://{HOST}/", None, transport)
+        exchange = fetch(Identity(role=Role.VICTIM), f"http://{HOST}/", fast_limiter(), transport)
         transport.close()
         reference = requests.get(f"http://127.0.0.1:{server.port}/", timeout=5)
         assert exchange.body == reference.content == self.PAGE
@@ -187,8 +187,8 @@ class TestResponseShape:
                    b"4\r\nWiki\r\n5\r\npedia\r\n0\r\n\r\n")
         server = scripted(_always(chunked))
         transport = server.transport()
-        first = fetch(Identity(role=Role.VICTIM), f"http://{HOST}/", None, transport)
-        second = fetch(Identity(role=Role.VICTIM), f"http://{HOST}/", None, transport)
+        first = fetch(Identity(role=Role.VICTIM), f"http://{HOST}/", fast_limiter(), transport)
+        second = fetch(Identity(role=Role.VICTIM), f"http://{HOST}/", fast_limiter(), transport)
         transport.close()
         assert first.body == second.body == b"Wikipedia"
         assert server.connections == 1  # the chunked framing kept the socket usable
@@ -205,7 +205,7 @@ class TestResponseShape:
         server = scripted(_always(reply))
         transport = server.transport()
         victim = Identity(role=Role.VICTIM)
-        exchange = fetch(victim, f"http://{HOST}/", None, transport)
+        exchange = fetch(victim, f"http://{HOST}/", fast_limiter(), transport)
         transport.close()
         reference = requests.get(f"http://127.0.0.1:{server.port}/", timeout=5)
         assert exchange.response_headers == tuple(reference.headers.items())
@@ -221,7 +221,7 @@ class TestFailures:
         server = scripted(_always(self.TRUNCATED, after))
         transport = server.transport(retries=1, retry_backoff=0.0)
         with pytest.raises(NetworkError):
-            fetch(Identity(role=Role.VICTIM), f"http://{HOST}/", None, transport)
+            fetch(Identity(role=Role.VICTIM), f"http://{HOST}/", fast_limiter(), transport)
         transport.close()
         assert server.connections == 2  # the first try and one retry
 
@@ -246,9 +246,9 @@ class TestFailures:
         )
         transport = server.transport(retries=0)
         identity = Identity(role=Role.VICTIM)
-        fetch(identity, f"http://{HOST}/", None, transport)
+        fetch(identity, f"http://{HOST}/", fast_limiter(), transport)
         assert server.hung_up.wait(5)  # the kept-alive socket is now dead
-        assert fetch(identity, f"http://{HOST}/", None, transport).body == b"ok"
+        assert fetch(identity, f"http://{HOST}/", fast_limiter(), transport).body == b"ok"
         transport.close()
         assert server.connections == 2
 
@@ -260,10 +260,10 @@ class TestFailures:
         )
         transport = server.transport(retries=0)
         identity = Identity(role=Role.VICTIM)
-        fetch(identity, f"http://{HOST}/", None, transport)
+        fetch(identity, f"http://{HOST}/", fast_limiter(), transport)
         assert server.hung_up.wait(5)
         with pytest.raises(NetworkError):
-            fetch(identity, f"http://{HOST}/", None, transport)
+            fetch(identity, f"http://{HOST}/", fast_limiter(), transport)
         transport.close()
         assert server.connections == 2
 
@@ -339,9 +339,9 @@ def test_https_certificates_are_verified(tmp_path, monkeypatch):
     transport = Transport(retries=0, timeout=5)
     try:
         with pytest.raises(NetworkError, match="CERTIFICATE_VERIFY_FAILED"):
-            fetch(Identity(role=Role.UNAUTHENTICATED), url, None, transport)
+            fetch(Identity(role=Role.UNAUTHENTICATED), url, fast_limiter(), transport)
         monkeypatch.setenv("SSL_CERT_FILE", cert)  # trust the test certificate only
-        exchange = fetch(Identity(role=Role.UNAUTHENTICATED), url, None, transport)
+        exchange = fetch(Identity(role=Role.UNAUTHENTICATED), url, fast_limiter(), transport)
         assert (exchange.status, exchange.body) == (200, b"hello")
     finally:
         transport.close()
