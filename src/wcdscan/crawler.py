@@ -17,7 +17,7 @@ import urllib.robotparser
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from urllib.parse import urljoin
+from urllib.parse import urljoin, urlsplit
 
 from .detector import MarkerSet, scan_html
 from .http_engine import (
@@ -37,13 +37,22 @@ from .url_toolkit import (
     UrlGroupKey,
     group_key,
     parse_url,
+    pick_per_group,
     registrable_domain,
-    select_representatives,
 )
 
 log = logging.getLogger(__name__)
 
 RAW_PAGE_CAP_FACTOR = 10
+
+# What HTML strips from around a URL attribute value; str.strip() would also
+# take Unicode spaces such as U+00A0, which a browser keeps and percent-encodes.
+_HTML_SPACE = " \t\n\f\r"
+
+# An href that urljoin resolves to scheme://netloc + href unchanged: one
+# leading slash, and no backslash, dot segment, ";", "#", tab, newline or
+# empty trailing query for urljoin to rewrite.
+_PLAIN_ROOTED_HREF = re.compile(r"(?!.*/\.\.?(?:[/?]|$))/(?!/)[^\\;#\t\n\r]*(?<!\?)")
 
 
 class ConfigError(Exception):
@@ -215,9 +224,15 @@ def ingest_domains(
 def extract_links(body: bytes, base_url: str) -> list[str]:
     """Absolute http(s) URLs from anchor hrefs, in document order; character
     references such as ``&amp;`` are decoded before resolving."""
+    base = urlsplit(base_url)
+    root = f"{base.scheme}://{base.netloc}" if base.scheme in ("http", "https") else None
     out = []
     for href in scan_html(body.decode("utf-8", errors="replace")).anchor_hrefs:
-        absolute = urljoin(base_url, href.strip())
+        href = href.strip(_HTML_SPACE)
+        if root is not None and _PLAIN_ROOTED_HREF.fullmatch(href):
+            out.append(root + href)
+            continue
+        absolute = urljoin(base_url, href)
         if absolute.startswith(("http://", "https://")):
             out.append(absolute)
     return out
@@ -279,7 +294,8 @@ def crawl_domain(
         robots = _load_robots(start, identity, rate_limiter, transport)
 
     queue: deque[str] = deque([start])
-    seen: set[str] = set()
+    seen: set[str] = {start}  # every URL ever queued
+    in_scope: dict[str, bool] = {}  # host -> same registrable domain as the site
     members: dict[UrlGroupKey, list[ParsedUrl]] = {}
     first_fetched: dict[UrlGroupKey, tuple[str, bytes]] = {}
     pages_seen = 0
@@ -287,42 +303,46 @@ def crawl_domain(
 
     while queue:
         raw_url = queue.popleft()
-        if raw_url in seen:
-            continue
-        seen.add(raw_url)
-        if is_logout_link(raw_url):
-            continue
-        if robots is not None and not robots.can_fetch(identity.user_agent, raw_url):
-            continue
         try:
             page = parse_url(raw_url)
         except MalformedUrl:
             log.debug("skipping malformed link %s", raw_url)
             continue
-        if registrable_domain(page.host) != site_scope:
+        if is_logout_link(page.raw_path, page.raw_query):
+            continue
+        if robots is not None and not robots.can_fetch(identity.user_agent, raw_url):
+            continue
+        scoped = in_scope.get(page.host)
+        if scoped is None:
+            scoped = in_scope[page.host] = registrable_domain(page.host) == site_scope
+        if not scoped:
             continue
 
         key = group_key(page)
-        if key not in members and len(members) >= budget:
+        group = members.get(key)
+        if group is None and len(members) >= budget:
             truncated = True
             break
         pages_seen += 1
         if pages_seen > raw_cap:
             truncated = True
             break
-        is_new_group = key not in members
-        members.setdefault(key, []).append(page)
-        _journal_write(
-            journal,
-            {
-                "event": "page",
-                "domain": site.primary_domain,
-                "url": raw_url,
-                "group": _group_tag(key),
-                "new_group": is_new_group,
-            },
-        )
-        if not is_new_group:
+        if group is None:
+            members[key] = [page]
+        else:
+            group.append(page)
+        if journal is not None:
+            _journal_write(
+                journal,
+                {
+                    "event": "page",
+                    "domain": site.primary_domain,
+                    "url": raw_url,
+                    "group": _group_tag(key),
+                    "new_group": group is None,
+                },
+            )
+        if group is not None:
             continue
         try:
             exchange = fetch(identity, raw_url, rate_limiter, transport)
@@ -341,14 +361,14 @@ def crawl_domain(
         first_fetched[key] = (raw_url, exchange.body)
         for link in extract_links(exchange.body, exchange.url):
             if link not in seen:
+                seen.add(link)
                 queue.append(link)
 
-    all_pages = [page for pages in members.values() for page in pages]
-    representatives = select_representatives(all_pages, seed)
+    chosen = pick_per_group(members, seed)
+    representatives = list(chosen.values())
 
     victim_bodies: dict[str, bytes] = {}
-    for rep in representatives:
-        key = group_key(rep)
+    for key, rep in chosen.items():
         fetched = first_fetched.get(key)
         if fetched is not None and fetched[0] == rep.raw:
             victim_bodies[rep.text()] = fetched[1]

@@ -459,11 +459,7 @@ def maintain_session(
     return identity
 
 
-def is_logout_link(url: str) -> bool:
-    """True when a logout pattern matches the path or query on word
+def is_logout_link(path: str, query: str) -> bool:
+    """True when a logout pattern matches a URL's path or query on word
     boundaries, case-insensitively."""
-    parts = urlsplit(url)
-    haystack = parts.path
-    if parts.query:
-        haystack += "?" + parts.query
-    return _LOGOUT_RE.search(haystack) is not None
+    return _LOGOUT_RE.search(f"{path}?{query}" if query else path) is not None

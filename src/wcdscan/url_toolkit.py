@@ -7,6 +7,7 @@ safe to call from any number of concurrent scan workers.
 from __future__ import annotations
 
 import random
+import re
 import string
 from dataclasses import dataclass
 from enum import Enum
@@ -16,6 +17,15 @@ NONCE_ALPHABET = string.ascii_lowercase + string.digits
 NONCE_LENGTH = 16
 
 _DEFAULT_PORTS = {"http": 80, "https": 443}
+
+# A plain URL, which this pattern splits exactly as urlsplit would: lowercase
+# http(s) scheme and host, no port, userinfo or fragment, and only RFC 3986
+# path and query characters. Any other URL goes through urlsplit.
+_PLAIN_URL = re.compile(
+    r"(https?)://([a-z0-9.-]+)"
+    r"((?:/[A-Za-z0-9\-._~!$&'()*+,;=:@%/]*)?)"
+    r"(?:\?([A-Za-z0-9\-._~!$&'()*+,;=:@%/?]*))?"
+)
 
 # Placeholder substituted for all-digit path segments when grouping.
 NUMERIC_PLACEHOLDER = "<num>"
@@ -127,8 +137,21 @@ def parse_url(raw: str) -> ParsedUrl:
     """Parse an absolute http(s) URL, preserving the raw path and query order.
 
     Raises MalformedUrl for non-http(s) schemes, empty hosts, or invalid
-    ports; the caller should skip the input and log it.
+    ports (port 0 included); the caller should skip the input and log it.
     """
+    plain = _PLAIN_URL.fullmatch(raw)
+    if plain is not None:
+        scheme, host, path, query = plain.groups()
+        return ParsedUrl(
+            scheme=scheme,
+            host=host,
+            port=_DEFAULT_PORTS[scheme],
+            raw_path=path,
+            query_params=tuple(parse_qsl(query, keep_blank_values=True)) if query else (),
+            fragment=None,
+            raw=raw,
+            raw_query=query or "",
+        )
     try:
         parts = urlsplit(raw)
     except ValueError as exc:
@@ -138,16 +161,18 @@ def parse_url(raw: str) -> ParsedUrl:
     if not parts.hostname:
         raise MalformedUrl(f"missing host in {raw!r}")
     try:
-        port = parts.port or _DEFAULT_PORTS[parts.scheme]
+        port = parts.port
     except ValueError as exc:
         raise MalformedUrl(f"invalid port in {raw!r}") from exc
+    if port == 0:
+        raise MalformedUrl(f"invalid port in {raw!r}")
 
     params = tuple(parse_qsl(parts.query, keep_blank_values=True))
     fragment = parts.fragment if parts.fragment else None
     return ParsedUrl(
         scheme=parts.scheme,
         host=parts.hostname.lower(),
-        port=port,
+        port=port or _DEFAULT_PORTS[parts.scheme],
         raw_path=parts.path,
         query_params=params,
         fragment=fragment,
@@ -182,11 +207,6 @@ def make_attack_url(
     return rendered
 
 
-def _is_numeric_segment(segment: str) -> bool:
-    # ASCII digits only; mixed segments like "item28" are not grouped.
-    return bool(segment) and all(c in string.digits for c in segment)
-
-
 def group_key(url: ParsedUrl) -> UrlGroupKey:
     """Structural group key: all-digit path segments are replaced with a
     placeholder and query values are discarded (names kept, sorted)."""
@@ -194,11 +214,11 @@ def group_key(url: ParsedUrl) -> UrlGroupKey:
     if raw_path == "/":
         abstract = "/"
     else:
-        raw_segments = raw_path.lstrip("/").split("/")
-        abstract = "/" + "/".join(
-            NUMERIC_PLACEHOLDER if _is_numeric_segment(seg) else seg
-            for seg in raw_segments
-        )
+        # ASCII digits only; mixed segments like "item28" are not grouped.
+        abstract = "/" + "/".join([
+            NUMERIC_PLACEHOLDER if seg.isascii() and seg.isdigit() else seg
+            for seg in raw_path.lstrip("/").split("/")
+        ])
     names = tuple(sorted({name for name, _ in url.query_params}))
     return UrlGroupKey(host=url.host, abstract_path=abstract, param_names=names)
 
@@ -206,17 +226,28 @@ def group_key(url: ParsedUrl) -> UrlGroupKey:
 def select_representatives(urls: list[ParsedUrl], seed: int) -> list[ParsedUrl]:
     """Pick one random member per structural group, deterministically.
 
-    The selection depends only on the set of input URLs and the seed: members
-    are sorted before the seeded draw, and the output is ordered by group key.
+    The selection depends only on the set of input URLs and the seed; see
+    :func:`pick_per_group`.
     """
     groups: dict[UrlGroupKey, list[ParsedUrl]] = {}
     for url in urls:
         groups.setdefault(group_key(url), []).append(url)
+    return list(pick_per_group(groups, seed).values())
+
+
+def pick_per_group(
+    groups: dict[UrlGroupKey, list[ParsedUrl]], seed: int
+) -> dict[UrlGroupKey, ParsedUrl]:
+    """The seeded pick of one member per group, keyed and ordered by group key.
+
+    Members are deduplicated and sorted by their text, ties broken by the raw
+    URL, before the draw, so neither input order nor the hash seed matters.
+    """
     rng = random.Random(seed)
-    chosen = []
+    chosen = {}
     for key in sorted(groups, key=UrlGroupKey.sort_key):
-        members = sorted(set(groups[key]), key=lambda u: u.text())
-        chosen.append(members[rng.randrange(len(members))])
+        members = sorted(set(groups[key]), key=lambda u: (u.text(), u.raw))
+        chosen[key] = members[rng.randrange(len(members))]
     return chosen
 
 

@@ -1,7 +1,12 @@
 """Seed ingestion and the grouping crawler against lab sites."""
 
-import pytest
+import html
+from urllib.parse import urljoin
 
+import pytest
+from hypothesis import given, strategies as st
+
+from wcdscan import crawler
 from wcdscan.cache_policy import builtin_profile
 from wcdscan.crawler import (
     ConfigError,
@@ -17,7 +22,7 @@ from wcdscan.lab import catalog
 from wcdscan.lab.origin import OriginSemantics
 from wcdscan.lab.sim import LabResource, SimSite
 from wcdscan.lab.server import LabServer
-from wcdscan.url_toolkit import group_key
+from wcdscan.url_toolkit import group_key, select_representatives
 
 from conftest import fast_limiter, lab_connections_left_open
 
@@ -135,10 +140,40 @@ class TestIngestDomains:
         ('<a title="a>b" href="/q">q</a>', ["http://h.test/q"]),
         ('<!-- <a href="/old">old</a> --><a href="/new">new</a>', ["http://h.test/new"]),
         ('<style>a[href="/s"] { }<a href="/s"></style><a href="/t">t</a>', ["http://h.test/t"]),
+        # Only ASCII whitespace is stripped; a browser keeps U+00A0 as %C2%A0.
+        ('<a href=" /x&nbsp;\n">x</a>', ["http://h.test/x\u00a0"]),
     ],
 )
 def test_extract_links_follows_anchors_only(markup, links):
     assert extract_links(markup.encode(), "http://h.test/") == links
+
+
+_HREF_PIECES = [
+    "/", "//", "a", "B1", ".", "..", ";p", "\\", "\t", "\n", "?", "#", "%2e", "%41",
+    "é", "\u00a0", "\u3000", " ", "javascript:", "mailto:x", "x=1&y", ":", "@",
+    "http://o.test", "HTTPS:", "~",
+]
+_hrefs = st.lists(st.sampled_from(_HREF_PIECES), max_size=8).map("".join)
+_bases = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["http", "https", "HTTP", "ftp"]),
+        st.just("://"),
+        st.sampled_from(["", "u@", "u:p@"]),
+        st.sampled_from(["h.test", "H.Test", "EXAMPLE.com", "127.0.0.1"]),
+        st.sampled_from(["", ":8080", ":0"]),
+        st.sampled_from(["", "/", "/dir/page", "/dir/", "/a;p"]),
+        st.sampled_from(["", "?q=1"]),
+    ),
+)
+
+
+@given(st.lists(st.one_of(_hrefs, _hrefs.map(lambda h: "/" + h)), max_size=6), _bases)
+def test_extract_links_matches_urljoin_reference(hrefs, base):
+    markup = "".join(f'<a href="{html.escape(h)}">x</a>' for h in hrefs)
+    resolved = [urljoin(base, h.strip(" \t\n\f\r")) for h in hrefs if h]
+    expected = [url for url in resolved if url.startswith(("http://", "https://"))]
+    assert extract_links(markup.encode(), base) == expected
 
 
 class TestCrawlDomain:
@@ -155,6 +190,33 @@ class TestCrawlDomain:
         assert surface.pages_seen == 1200
         assert surface.truncated is False
         assert len({group_key(p) for p in surface.pages}) == 7
+
+    def test_each_page_is_grouped_once(
+        self, support_lab, support_transport, limiter, monkeypatch
+    ):
+        grouped, joined = [], []
+
+        def counting_group_key(page):
+            grouped.append(page)
+            return group_key(page)
+
+        def counting_urljoin(*args):
+            joined.append(args)
+            return urljoin(*args)
+
+        monkeypatch.setattr(crawler, "group_key", counting_group_key)
+        monkeypatch.setattr(crawler, "urljoin", counting_urljoin)
+        surface = crawl_domain(
+            SiteConfig(primary_domain="sitemap.test"),
+            Identity(role=Role.VICTIM),
+            budget=500,
+            rate_limiter=limiter,
+            transport=support_transport,
+            seed=5,
+        )
+        assert len(grouped) == surface.pages_seen == 1200
+        assert joined == []  # every sitemap href is plainly rooted
+        assert surface.pages == tuple(select_representatives(grouped, 5))
 
     def test_recrawl_is_deterministic(self, support_lab, support_transport, limiter):
         def run():

@@ -27,6 +27,7 @@ from wcdscan.lab import catalog
 from wcdscan.lab.origin import OriginSemantics
 from wcdscan.lab.server import LabServer
 from wcdscan.lab.sim import LabResource, SimSite
+from wcdscan.url_toolkit import parse_url
 
 
 class FakeClock:
@@ -115,7 +116,8 @@ class RecordingLimiter(RateLimiter):
     ],
 )
 def test_is_logout_link(url, expected):
-    assert is_logout_link(url) is expected
+    page = parse_url(url)
+    assert is_logout_link(page.raw_path, page.raw_query) is expected
 
 
 def _victim_login(host: str) -> LoginDescriptor:

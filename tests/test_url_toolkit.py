@@ -1,7 +1,11 @@
 """URL parsing, attack crafting, grouping, and representative selection."""
 
+import os
 import random
-from urllib.parse import urlsplit
+import subprocess
+import sys
+from pathlib import Path
+from urllib.parse import parse_qsl, urlsplit
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +13,7 @@ from hypothesis import given, strategies as st
 from wcdscan.url_toolkit import (
     MalformedUrl,
     NONCE_ALPHABET,
+    ParsedUrl,
     PathConfusionTechnique,
     RandomNameGenerator,
     group_key,
@@ -66,6 +71,81 @@ class TestParseUrl:
         url = parse_url("http://[2001:db8::1]:8080/x")
         assert url.host == "2001:db8::1"
         assert url.text() == "http://[2001:db8::1]:8080/x"
+
+    @pytest.mark.parametrize("raw", ["http://h.test:0/", "https://h.test:00", "http://u@h.test:0/x"])
+    def test_port_zero_is_invalid(self, raw):
+        with pytest.raises(MalformedUrl, match="invalid port"):
+            parse_url(raw)
+
+
+def _reference_parse(raw: str) -> ParsedUrl:
+    """parse_url's contract spelled out with urlsplit alone."""
+    try:
+        parts = urlsplit(raw)
+    except ValueError as exc:
+        raise MalformedUrl(raw) from exc
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise MalformedUrl(raw)
+    try:
+        port = parts.port
+    except ValueError as exc:
+        raise MalformedUrl(raw) from exc
+    if port == 0:
+        raise MalformedUrl(raw)
+    return ParsedUrl(
+        scheme=parts.scheme,
+        host=parts.hostname.lower(),
+        port=port or {"http": 80, "https": 443}[parts.scheme],
+        raw_path=parts.path,
+        query_params=tuple(parse_qsl(parts.query, keep_blank_values=True)),
+        fragment=parts.fragment or None,
+        raw=raw,
+        raw_query=parts.query,
+    )
+
+
+def _outcome(parse, raw):
+    try:
+        return parse(raw)
+    except MalformedUrl:
+        return MalformedUrl
+
+
+_URL_TEXT = "aZ09-._~!$&'()*+,;=:@%/?#[]\\^`{|}\"<> \t\né\u00a0"
+_RFC3986_TEXT = "az09-._~!$&'()*+,;=:@%/?"
+# Mostly URLs that parse_url takes apart without urlsplit, each with an
+# optional tail that may push it onto the urlsplit path.
+_plain_urls = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["http://", "https://"]),
+        st.text(alphabet="az09.-", min_size=1, max_size=10),
+        st.one_of(st.just(""), st.text(alphabet=_RFC3986_TEXT, max_size=16).map(lambda p: "/" + p)),
+        st.sampled_from(["", "", "", "", "#", "#f", ":0", "@x", "A", "é", " ", "[", "\t"]),
+    ),
+)
+_wild_urls = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["http", "https", "HTTP", "hTTps", "ftp", "javascript", ""]),
+        st.sampled_from(["://", "://", "://", ":", ":///", "//"]),
+        st.sampled_from(["", "", "", "u@", "u:p@", "@"]),
+        st.one_of(
+            st.sampled_from(["h.test", "a-b.example.com", "127.0.0.1", "EXAMPLE.com", ""]),
+            st.text(alphabet="azAZ09.-_é[]:%", max_size=10),
+        ),
+        st.sampled_from(["", "", "", ":", ":0", ":00", ":80", ":8080", ":65536", ":x", ":-1"]),
+        st.one_of(st.just(""), st.text(alphabet=_URL_TEXT, max_size=16).map(lambda p: "/" + p)),
+        st.one_of(st.just(""), st.text(alphabet=_URL_TEXT, max_size=12).map(lambda q: "?" + q)),
+        st.sampled_from(["", "", "#", "#f"]),
+    ),
+)
+_urls = st.one_of(_plain_urls, _wild_urls)
+
+
+@given(_urls)
+def test_parse_url_matches_urlsplit_reference(raw):
+    assert _outcome(parse_url, raw) == _outcome(_reference_parse, raw)
 
 
 _path_segments = st.lists(
@@ -256,6 +336,24 @@ class TestSelectRepresentatives:
         shuffled = urls[:]
         random.Random(9).shuffle(shuffled)
         assert select_representatives(urls, 5) == select_representatives(shuffled, 5)
+
+    def test_pick_does_not_depend_on_hash_seed(self):
+        # Three spellings of one URL share text(); the raw URL breaks the tie.
+        code = (
+            "from wcdscan.url_toolkit import parse_url, select_representatives\n"
+            "urls = [parse_url('http://' + h + '/a') for h in ('Example.com', 'example.com', 'EXAMPLE.com')]\n"
+            "print(select_representatives(urls, 0)[0].raw)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        picks = {
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for hash_seed in ("1", "4")
+        }
+        assert len(picks) == 1
 
     def test_seed_changes_choice(self):
         urls = [parse_url(f"http://e.com/item/{n}") for n in range(50)]
