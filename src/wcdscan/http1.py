@@ -1,0 +1,149 @@
+"""HTTP/1.1 message framing (RFC 9112) for both ends of the wire.
+
+The scanner's transport reads responses with :func:`read_response` and the
+lab reads request headers with :func:`read_fields`, each straight from a
+buffered binary file over the socket. Field values are kept as
+``http.client`` keeps them: leading blanks and the line ending are removed,
+trailing blanks stay. Limits are ``http.client``'s as well: 65,536 bytes a
+line and 100 lines in a header section. Where ``http.client`` follows its
+e-mail parser instead of RFC 9112, this module follows the RFC:
+
+- an obs-fold line continues the previous value after one space;
+- a line with no colon, or whose name is not printable ASCII without
+  blanks, is skipped (the e-mail parser ends the header section there);
+- a 1xx, 204 or 304 response has no body even with ``Transfer-Encoding:
+  chunked``; when it announces one (any ``Transfer-Encoding``, or a
+  ``Content-Length`` other than 0) the connection is not kept, so bytes the
+  server may send after it never reach the next response.
+"""
+
+from __future__ import annotations
+
+from typing import BinaryIO
+
+MAX_LINE = 65536
+MAX_HEADERS = 100
+
+_END_OF_FIELDS = (b"\r\n", b"\n", b"")
+
+
+class FramingError(Exception):
+    """A message that does not frame as HTTP/1.1 or breaks a size limit."""
+
+
+def _readline(fp: BinaryIO, what: str) -> bytes:
+    line = fp.readline(MAX_LINE + 1)
+    if len(line) > MAX_LINE:
+        raise FramingError(f"{what} longer than {MAX_LINE} bytes")
+    return line
+
+
+def read_fields(fp: BinaryIO) -> list[tuple[str, str]]:
+    """The header (or trailer) section up to its empty line or EOF, as
+    (name, value) pairs in wire order."""
+    fields: list[tuple[str, str]] = []
+    for _ in range(MAX_HEADERS):  # the empty line counts, as in http.client
+        line = fp.readline(MAX_LINE + 1)
+        if len(line) > MAX_LINE:
+            raise FramingError(f"header line longer than {MAX_LINE} bytes")
+        if line in _END_OF_FIELDS:
+            return fields
+        text = line.decode("latin-1")
+        if text[0] in " \t":
+            if fields:  # obs-fold
+                name, value = fields[-1]
+                fields[-1] = (name, value + " " + text.strip(" \t\r\n"))
+            continue
+        name, colon, value = text.partition(":")
+        if colon and name and name.isascii() and name.isprintable() and " " not in name:
+            fields.append((name, value.lstrip(" \t").rstrip("\r\n")))
+    raise FramingError(f"more than {MAX_HEADERS} lines in a header section")
+
+
+def _status_line(fp: BinaryIO) -> tuple[str, int]:
+    line = _readline(fp, "status line")
+    if not line:
+        raise FramingError("connection closed before a status line")
+    words = line.decode("latin-1").split(None, 2)
+    try:
+        version, status = words[0], int(words[1])
+    except (IndexError, ValueError):
+        raise FramingError(f"bad status line {line!r}") from None
+    if not version.startswith("HTTP/") or not 100 <= status <= 999:
+        raise FramingError(f"bad status line {line!r}")
+    return version, status
+
+
+def _read_exactly(fp: BinaryIO, size: int) -> bytes:
+    data = fp.read(size)
+    if len(data) < size:
+        raise FramingError(f"body ended {size - len(data)} bytes short")
+    return data
+
+
+def _read_chunked(fp: BinaryIO) -> bytes:
+    chunks = []
+    while True:
+        line = _readline(fp, "chunk size line")
+        try:
+            size = int(line.split(b";", 1)[0], 16)  # extensions dropped
+        except ValueError:
+            raise FramingError(f"bad chunk size line {line!r}") from None
+        if size < 0:
+            raise FramingError(f"bad chunk size line {line!r}")
+        if size == 0:
+            break
+        chunks.append(_read_exactly(fp, size))
+        _read_exactly(fp, 2)  # the CRLF after the chunk data
+    while _readline(fp, "trailer line") not in _END_OF_FIELDS:
+        pass  # trailers are read and dropped
+    return b"".join(chunks)
+
+
+def read_response(fp: BinaryIO, method: str) -> tuple[int, list[tuple[str, str]], bytes, bool]:
+    """Read one response to ``method``: (status, header pairs, body,
+    keep-alive).
+
+    A ``100 Continue`` ahead of the response is skipped. The body is chunked,
+    ``Content-Length`` bytes, or everything up to EOF (and then the
+    connection is not kept). Any framing fault raises :class:`FramingError`.
+    """
+    version, status = _status_line(fp)
+    while status == 100:
+        read_fields(fp)
+        version, status = _status_line(fp)
+    if version in ("HTTP/1.0", "HTTP/0.9"):
+        http11 = False
+    elif version.startswith("HTTP/1."):
+        http11 = True
+    else:
+        raise FramingError(f"unsupported protocol {version!r}")
+    fields = read_fields(fp)
+    first: dict[str, str] = {}
+    for name, value in fields:
+        first.setdefault(name.lower(), value)
+
+    connection = first.get("connection", "").lower()
+    if http11:
+        keep_alive = "close" not in connection
+    else:
+        keep_alive = (
+            bool(first.get("keep-alive"))
+            or "keep-alive" in connection
+            or "keep-alive" in first.get("proxy-connection", "").lower()
+        )
+
+    if method == "HEAD":
+        return status, fields, b"", keep_alive
+    if status < 200 or status in (204, 304):
+        announced = "transfer-encoding" in first or first.get("content-length", "0").strip() != "0"
+        return status, fields, b"", keep_alive and not announced
+    if first.get("transfer-encoding", "").lower() == "chunked":
+        return status, fields, _read_chunked(fp), keep_alive
+    try:
+        length = int(first.get("content-length", ""))
+    except ValueError:
+        length = -1
+    if length < 0:
+        return status, fields, fp.read(), False
+    return status, fields, _read_exactly(fp, length), keep_alive

@@ -2,10 +2,11 @@
 
 Every network interaction in the scanner flows through :func:`fetch`, which
 keeps per-identity cookie jars authoritative, follows redirects hop by hop,
-and takes a pacing token per request. Requests travel over stdlib
-``http.client`` keep-alive connections that :class:`Transport` pools per
-worker thread; proxy settings in the environment (``HTTP_PROXY`` and the
-like) are not used. Identities are confined to one worker at a time; the
+and takes a pacing token per request. Requests travel over HTTP/1.1
+keep-alive sockets that :class:`Transport` pools per worker thread: each
+request goes out in one write and each response is framed by
+:mod:`wcdscan.http1`. Proxy settings in the environment (``HTTP_PROXY`` and
+the like) are not used. Identities are confined to one worker at a time; the
 rate limiter is shared and internally synchronized; exchanges are immutable
 once produced.
 """
@@ -13,9 +14,9 @@ once produced.
 from __future__ import annotations
 
 import gzip
-import http.client
 import logging
 import re
+import socket
 import ssl
 import string
 import threading
@@ -26,7 +27,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from email.utils import parsedate_to_datetime
 from http.cookies import SimpleCookie
-from urllib.parse import SplitResult, quote, urlencode, urljoin, urlsplit
+from urllib.parse import quote, urlencode, urljoin, urlsplit
+
+from .http1 import FramingError, read_response
 
 log = logging.getLogger(__name__)
 
@@ -52,11 +55,23 @@ ACCEPT_ENCODING = "gzip, deflate"
 
 _DEFAULT_PORTS = {"http": 80, "https": 443}
 
+# http.client sends Content-Length: 0 for these methods when there is no body.
+_METHODS_WITH_BODY = ("PATCH", "POST", "PUT")
+
+# Characters http.client refuses in a host name.
+_UNSENDABLE_HOST = re.compile(r"[\x00-\x20\x7f]")
+
+# A header value holding one of these would end its line early and let the
+# rest pass as further headers or another request (http.client refuses CR
+# and LF).
+_UNSENDABLE_VALUE = re.compile(r"[\x00\r\n]")
+
 # A kept-alive socket the server already closed fails like this before any
 # response arrives; such a request is sent again once on a new connection.
-_STALE_SOCKET_ERRORS = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+_STALE_SOCKET_ERRORS = (FramingError, ConnectionResetError, BrokenPipeError)
 
 Endpoint = tuple[str, str, int]  # (scheme, connect host, port)
+Headers = dict[str, tuple[str, list[str]]]  # lowercase name -> (name, values)
 
 
 class NetworkError(Exception):
@@ -145,6 +160,9 @@ class Identity:
             log.debug("unparseable Set-Cookie from %s: %r", host, header_value)
             return
         for name, morsel in jar.items():
+            if _UNSENDABLE_VALUE.search(morsel.value):  # "\015\012" decodes to CRLF
+                log.debug("unsendable cookie %s from %s: %r", name, host, morsel.value)
+                continue
             domain = morsel["domain"].lstrip(".").lower()
             expiry: float | None = None
             if morsel["max-age"]:
@@ -220,6 +238,30 @@ class RateLimiter:
             self._sleep(max(wait, 0.001))
 
 
+class _Connection:
+    """One socket with its buffered reader. HTTPS verifies the certificate
+    and the host name against the default trust store."""
+
+    __slots__ = ("sock", "reader")
+
+    def __init__(self, endpoint: Endpoint, timeout: float):
+        scheme, host, port = endpoint
+        sock = socket.create_connection((host, port), timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if scheme == "https":
+                sock = ssl.create_default_context().wrap_socket(sock, server_hostname=host)
+        except BaseException:
+            sock.close()
+            raise
+        self.sock = sock
+        self.reader = sock.makefile("rb")
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+
 @dataclass
 class Transport:
     """Socket-level knobs and the keep-alive connections of a run.
@@ -243,26 +285,11 @@ class Transport:
         default_factory=threading.local, init=False, repr=False, compare=False
     )
 
-    def _pool(self) -> dict[Endpoint, http.client.HTTPConnection]:
+    def _pool(self) -> dict[Endpoint, _Connection]:
         pool = getattr(self._local, "pool", None)
         if pool is None:
             pool = self._local.pool = {}
         return pool
-
-    def _connection(self, endpoint: Endpoint) -> http.client.HTTPConnection:
-        """The calling thread's connection to ``endpoint``, created on first use."""
-        pool = self._pool()
-        conn = pool.get(endpoint)
-        if conn is None:
-            scheme, host, port = endpoint
-            if scheme == "https":
-                conn = http.client.HTTPSConnection(
-                    host, port, timeout=self.timeout, context=ssl.create_default_context()
-                )
-            else:
-                conn = http.client.HTTPConnection(host, port, timeout=self.timeout)
-            pool[endpoint] = conn
-        return conn
 
     def _discard(self, endpoint: Endpoint) -> None:
         """Close and forget the calling thread's connection to ``endpoint``."""
@@ -278,24 +305,44 @@ class Transport:
         pool.clear()
 
 
-def _route(
-    parts: SplitResult, host: str, transport: Transport
-) -> tuple[Endpoint, str, str | None]:
-    """Where to send a request: (endpoint, request target, Host header override).
+def _route(url: str, transport: Transport) -> tuple[str, Endpoint, str, str, bool]:
+    """Where to send a request for ``url``: (host, endpoint, request target,
+    Host header value, whether that value overrides the endpoint's).
 
     The target keeps existing ``%XX`` escapes and reserved characters byte for
-    byte (attack payloads depend on it) and percent-encodes only what
-    ``http.client`` refuses to send: spaces, control characters and non-ASCII.
+    byte (attack payloads depend on it) and percent-encodes only spaces,
+    control characters and non-ASCII. A URL that names no reachable endpoint
+    (another scheme, a bad port or IPv6 literal, no host) raises
+    :class:`NetworkError`.
     """
-    target = parts.path or "/"
-    if parts.query:
-        target += "?" + parts.query
-    target = quote(target, safe=string.punctuation)
-    if host in transport.resolve_overrides:
-        ip, port = transport.resolve_overrides[host]
-        return ("http", ip, port), target, host
-    scheme = parts.scheme.lower()
-    return (scheme, host, parts.port or _DEFAULT_PORTS[scheme]), target, None
+    try:
+        parts = urlsplit(url)
+        host = (parts.hostname or "").lower()
+        target = parts.path or "/"
+        if parts.query:
+            target += "?" + parts.query
+        target = quote(target, safe=string.punctuation)
+        if host in transport.resolve_overrides:
+            ip, port = transport.resolve_overrides[host]
+            return host, ("http", ip, port), target, host, True
+        scheme = parts.scheme.lower()
+        if scheme not in _DEFAULT_PORTS:
+            raise ValueError(f"scheme {scheme!r} is not http or https")
+        default_port = _DEFAULT_PORTS[scheme]
+        port = parts.port or default_port
+        if not host or _UNSENDABLE_HOST.search(host):
+            raise ValueError(f"bad host {host!r}")
+        try:
+            host_value = host.encode("ascii").decode()
+        except UnicodeEncodeError:
+            host_value = host.encode("idna").decode()
+    except ValueError as exc:  # UnicodeError is a ValueError
+        raise NetworkError(f"cannot route {url!r}: {exc}") from None
+    if ":" in host:
+        host_value = f"[{host_value}]"
+    if port != default_port:
+        host_value = f"{host_value}:{port}"
+    return host, (scheme, host, port), target, host_value, False
 
 
 def _decode(body: bytes, content_encoding: str | None) -> bytes:
@@ -317,36 +364,40 @@ def _decode(body: bytes, content_encoding: str | None) -> bytes:
 
 
 def _issue(
-    method: str,
-    endpoint: Endpoint,
-    target: str,
-    headers: dict[str, str],
-    body: bytes | None,
-    transport: Transport,
-) -> tuple[http.client.HTTPResponse, bytes]:
-    """Send one request and read its whole, decoded body.
+    method: str, endpoint: Endpoint, target: str, message: bytes, transport: Transport
+) -> tuple[int, Headers, bytes]:
+    """Send one request message in one write and read the response:
+    (status, headers as :func:`_merge_headers` gives them, decoded body).
 
     Any failure up to the end of the body (refused or reset connection,
-    timeout, truncated or undecodable body) is retried ``transport.retries``
-    times and then raised as :class:`NetworkError`. A reused socket that
-    turns out to be closed before any response arrives is replaced once
-    without spending a retry.
+    timeout, framing fault, truncated or undecodable body) is retried
+    ``transport.retries`` times and then raised as :class:`NetworkError`. A
+    reused socket that turns out to be closed before any response arrives is
+    replaced once without spending a retry.
     """
+    pool = transport._pool()
     last_exc: Exception | None = None
     may_reconnect = True
     attempt = 0
     while attempt <= transport.retries:
-        conn = transport._connection(endpoint)
-        reused = conn.sock is not None
-        resp = None
+        conn = pool.get(endpoint)
+        reused = conn is not None
+        answered = False
         try:
-            conn.request(method, target, body=body, headers=headers)
-            resp = conn.getresponse()
-            return resp, _decode(resp.read(), resp.getheader("Content-Encoding"))
-        except (OSError, http.client.HTTPException, zlib.error, EOFError) as exc:
+            if conn is None:
+                conn = pool[endpoint] = _Connection(endpoint, transport.timeout)
+            conn.sock.sendall(message)
+            answered = bool(conn.reader.peek(1))  # waits for the reply's first byte
+            status, pairs, body, keep_alive = read_response(conn.reader, method)
+            if not keep_alive:
+                transport._discard(endpoint)
+            headers = _merge_headers(pairs)
+            coding = headers.get("content-encoding")
+            return status, headers, _decode(body, coding and ", ".join(coding[1]))
+        except (OSError, FramingError, zlib.error, EOFError) as exc:
             transport._discard(endpoint)
             last_exc = exc
-            stale = reused and resp is None and isinstance(exc, _STALE_SOCKET_ERRORS)
+            stale = reused and not answered and isinstance(exc, _STALE_SOCKET_ERRORS)
             if stale and may_reconnect:
                 may_reconnect = False
                 continue
@@ -359,13 +410,13 @@ def _issue(
     )
 
 
-def _merge_headers(pairs: list[tuple[str, str]]) -> tuple[tuple[str, str], ...]:
-    """One entry per header name, in first-seen order and first-seen case,
-    with repeated values joined by ", "."""
-    merged: dict[str, tuple[str, list[str]]] = {}
+def _merge_headers(pairs: list[tuple[str, str]]) -> Headers:
+    """The header pairs by lowercase name, in first-seen order: each name as
+    first seen and its values in wire order."""
+    merged: Headers = {}
     for name, value in pairs:
         merged.setdefault(name.lower(), (name, []))[1].append(value)
-    return tuple((name, ", ".join(values)) for name, values in merged.values())
+    return merged
 
 
 def fetch(
@@ -380,46 +431,61 @@ def fetch(
 
     Cookies are sent/stored per the identity's jar (never for the
     unauthenticated role), every hop takes a pacing token, and the full hop
-    chain is recorded on the returned exchange.
+    chain is recorded on the returned exchange. A hop that cannot be routed
+    raises :class:`NetworkError` without taking a token, and so does a
+    ``User-Agent`` or ``Cookie`` value holding CR, LF or NUL (a stored
+    cookie never does: ``store_set_cookie`` drops such values).
     """
     history: list[tuple[str, int]] = []
     current = url
     started = time.monotonic()
     for _hop in range(transport.max_redirects + 1):
-        parts = urlsplit(current)
-        host = (parts.hostname or "").lower()
+        host, endpoint, target, host_value, overridden = _route(current, transport)
         rate_limiter.acquire(host)
-        endpoint, target, host_header = _route(parts, host, transport)
-        headers = {
-            "User-Agent": identity.user_agent,
-            "Accept": "*/*",
-            "Accept-Encoding": ACCEPT_ENCODING,
-        }
-        if host_header:
-            headers["Host"] = host_header
+        # Header order and bytes as http.client sends them: its own Host
+        # first, then Content-Length, then the request's headers in order.
+        lines = [f"{method} {target} HTTP/1.1"]
+        if not overridden:
+            lines.append(f"Host: {host_value}")
+        payload = urlencode(data).encode() if data else b""
+        if payload or method in _METHODS_WITH_BODY:
+            lines.append(f"Content-Length: {len(payload)}")
+        lines += [
+            f"User-Agent: {identity.user_agent}",
+            "Accept: */*",
+            f"Accept-Encoding: {ACCEPT_ENCODING}",
+        ]
+        if overridden:
+            lines.append(f"Host: {host_value}")
         cookie = identity.cookie_header(host)
         if cookie:
-            headers["Cookie"] = cookie
-        payload = None
-        if data:
-            payload = urlencode(data).encode()
-            headers["Content-Type"] = "application/x-www-form-urlencoded"
-        resp, body = _issue(method, endpoint, target, headers, payload, transport)
-        for set_cookie in resp.msg.get_all("Set-Cookie") or ():
-            identity.store_set_cookie(host, set_cookie)
-        response_headers = _merge_headers(resp.getheaders())
-        location = resp.getheader("Location")
-        if resp.status in _REDIRECT_STATUSES and location:
-            history.append((current, resp.status))
-            current = urljoin(current, location)
-            if resp.status in (301, 302, 303):
+            lines.append(f"Cookie: {cookie}")
+        for value in (identity.user_agent, cookie or ""):
+            if _UNSENDABLE_VALUE.search(value):
+                raise NetworkError(f"header value for {host} holds CR, LF or NUL: {value!r}")
+        if payload:
+            lines.append("Content-Type: application/x-www-form-urlencoded")
+        lines.append("\r\n")
+        message = "\r\n".join(lines).encode("latin-1") + payload
+        status, headers, body = _issue(method, endpoint, target, message, transport)
+        for value in headers.get("set-cookie", ("", []))[1]:
+            identity.store_set_cookie(host, value)
+        redirect = status in _REDIRECT_STATUSES
+        location = ", ".join(headers.get("location", ("", []))[1]) if redirect else ""
+        if location:
+            history.append((current, status))
+            try:
+                current = urljoin(current, location)
+            except ValueError as exc:
+                raise NetworkError(f"cannot route redirect to {location!r}: {exc}") from None
+            if status in (301, 302, 303):
                 method, data = "GET", None
             continue
         elapsed_ms = (time.monotonic() - started) * 1000.0
         return HttpExchange(
             url=current,
-            status=resp.status,
-            response_headers=response_headers,
+            status=status,
+            response_headers=tuple((name, ", ".join(values)) for name, values in headers.values()),
             body=body,
             timing=elapsed_ms,
             history=tuple(history),

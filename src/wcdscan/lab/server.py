@@ -3,7 +3,9 @@
 The scanner talks to the lab over real sockets: it connects to the listener
 address while sending the site's logical Host header (see
 ``Transport.resolve_overrides``). The listener speaks HTTP/1.1 with
-keep-alive, so a worker sends all of its requests over one connection.
+keep-alive, so a worker sends all of its requests over one connection; it
+reads requests with :mod:`wcdscan.http1` and writes each response in one
+``sendall``.
 Requests are serialized per site, arrival times are logged per host for
 pacing checks, and ``/_lab/*`` control endpoints allow deterministic clock
 advancement from tests.
@@ -12,20 +14,26 @@ advancement from tests.
 from __future__ import annotations
 
 import json
+import re
 import socket
+import socketserver
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
+from email.utils import formatdate
+from functools import lru_cache
+from http import HTTPStatus
 from http.cookies import SimpleCookie
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, urlsplit
 
+from ..http1 import MAX_LINE, FramingError, read_fields
 from .sim import LabRequest, SimClock, SimSite, advance_clock, proxy_handle
 
 
 @dataclass
 class RequestLogEntry:
-    t: float  # time.monotonic() at arrival
+    t: float  # time.monotonic() when the request line was read
     method: str
     target: str
     has_cookie: bool
@@ -39,7 +47,7 @@ class SiteRuntime:
     log: list[RequestLogEntry] = field(default_factory=list)
 
 
-class _VhostServer(ThreadingHTTPServer):
+class _VhostServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
     allow_reuse_address = True
     runtimes: dict[str, SiteRuntime]
@@ -73,33 +81,111 @@ class _VhostServer(ThreadingHTTPServer):
         super().server_close()
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    # Headers and body go out in separate writes; with Nagle's algorithm on,
-    # the body waits for the client's delayed ACK (about 40 ms a request).
+# The status line and the Server header as http.server writes them.
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+_SERVER = f"BaseHTTP/0.6 Python/{sys.version.split()[0]}"
+_METHODS = ("GET", "HEAD", "POST")
+_VERSION = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})", re.ASCII)
+
+
+@lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    return formatdate(second, usegmt=True)
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """Reads each request's line and headers itself (RFC 9112) and writes
+    each response in one ``sendall``; keeps the connection open as HTTP/1.1
+    does unless the request asks to close it."""
+
+    # Small writes go out at once instead of waiting for the client's
+    # delayed ACK (about 40 ms a request).
     disable_nagle_algorithm = True
 
-    def log_message(self, *args):  # keep test output clean
-        pass
+    def handle(self) -> None:
+        try:
+            while self._handle_one():
+                pass
+        except ConnectionError:
+            pass  # the client reset or went away mid-request
 
-    def _runtime(self) -> SiteRuntime | None:
-        host = self.headers.get("Host", "").split(":", 1)[0].lower()
+    def _send(
+        self,
+        status: int,
+        headers: list[tuple[str, str]],
+        body: bytes,
+        head_only: bool = False,
+    ) -> None:
+        lines = [
+            f"HTTP/1.1 {status} {_REASONS.get(status, '')}",
+            f"Server: {_SERVER}",
+            f"Date: {_http_date(int(time.time()))}",
+        ]
+        if not any(k.lower() == "content-type" for k, _ in headers):
+            lines.append("Content-Type: text/html; charset=utf-8")
+        lines += [f"{key}: {value}" for key, value in headers]
+        lines.append(f"Content-Length: {len(body)}")
+        lines.append("\r\n")
+        head = "\r\n".join(lines).encode("latin-1")
+        self.connection.sendall(head if head_only else head + body)
+
+    def _refuse(self, status: int) -> bool:
+        """Answer a request that cannot be served, and end the connection."""
+        body = f"<html><body>{status} {_REASONS[status]}</body></html>".encode()
+        self._send(status, [("Connection", "close")], body)
+        return False
+
+    def _handle_one(self) -> bool:
+        """Serve one request; whether to keep the connection for another."""
+        line = self.rfile.readline(MAX_LINE + 1)
+        arrival = time.monotonic()
+        if len(line) > MAX_LINE:
+            return self._refuse(HTTPStatus.REQUEST_URI_TOO_LONG)
+        words = line.decode("latin-1").split()
+        if not words:
+            return False  # EOF or an empty line: end the connection quietly
+        if len(words) != 3:
+            return self._refuse(HTTPStatus.BAD_REQUEST)
+        method, target, version = words
+        match = _VERSION.fullmatch(version)
+        if match is None:
+            return self._refuse(HTTPStatus.BAD_REQUEST)
+        version_number = int(match[1]), int(match[2])
+        if version_number >= (2, 0):
+            return self._refuse(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED)
+        if target.startswith("//"):  # as http.server does against open redirects
+            target = "/" + target.lstrip("/")
+        try:
+            fields = read_fields(self.rfile)
+        except FramingError:
+            return self._refuse(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE)
+        headers: dict[str, str] = {}
+        for name, value in fields:
+            headers.setdefault(name.lower(), value)
+        keep_alive = version_number >= (1, 1)
+        connection = headers.get("connection", "").lower()
+        if connection == "close":
+            keep_alive = False
+        elif connection == "keep-alive":
+            keep_alive = True
+        if method not in _METHODS:
+            return self._refuse(HTTPStatus.NOT_IMPLEMENTED)
+        # Read the body before any early return: on a kept-alive connection
+        # unread body bytes would be parsed as the next request.
+        try:
+            length = int(headers.get("content-length", "0") or 0)
+        except ValueError:
+            return self._refuse(HTTPStatus.BAD_REQUEST)
+        raw = self.rfile.read(length) if length > 0 else b""
+        self._handle(method, target, headers, raw, arrival)
+        return keep_alive
+
+    def _runtime(self, headers: dict[str, str]) -> SiteRuntime | None:
+        host = headers.get("host", "").split(":", 1)[0].lower()
         return self.server.runtimes.get(host)  # type: ignore[attr-defined]
 
-    def _send(self, status: int, headers: list[tuple[str, str]], body: bytes, head_only=False):
-        self.send_response(status)
-        has_type = any(k.lower() == "content-type" for k, _ in headers)
-        if not has_type:
-            self.send_header("Content-Type", "text/html; charset=utf-8")
-        for key, value in headers:
-            self.send_header(key, value)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        if not head_only:
-            self.wfile.write(body)
-
-    def _control(self, runtime: SiteRuntime) -> None:
-        parts = urlsplit(self.path)
+    def _control(self, runtime: SiteRuntime, target: str) -> None:
+        parts = urlsplit(target)
         params = dict(parse_qsl(parts.query))
         with runtime.lock:
             if parts.path == "/_lab/advance":
@@ -129,20 +215,18 @@ class _Handler(BaseHTTPRequestHandler):
                 return
         self._send(200, [("Content-Type", "application/json")], json.dumps(payload).encode())
 
-    def _handle(self, method: str) -> None:
-        # Read the body before any early return: on a kept-alive connection
-        # unread body bytes would be parsed as the next request.
-        length = int(self.headers.get("Content-Length", "0") or 0)
-        raw = self.rfile.read(length) if length > 0 else b""
-        runtime = self._runtime()
+    def _handle(
+        self, method: str, target: str, headers: dict[str, str], raw: bytes, arrival: float
+    ) -> None:
+        runtime = self._runtime(headers)
         if runtime is None:
             self._send(404, [], b"<html><body>unknown lab host</body></html>")
             return
-        if self.path.startswith("/_lab/"):
-            self._control(runtime)
+        if target.startswith("/_lab/"):
+            self._control(runtime, target)
             return
 
-        cookie_header = self.headers.get("Cookie", "")
+        cookie_header = headers.get("cookie", "")
         cookies: dict[str, str] = {}
         if cookie_header:
             jar = SimpleCookie()
@@ -158,33 +242,27 @@ class _Handler(BaseHTTPRequestHandler):
 
         request = LabRequest(
             method=method,
-            target=self.path,
+            target=target,
             cookies=cookies,
-            region=self.headers.get("X-Lab-Region", "default"),
+            region=headers.get("x-lab-region", "default"),
             form=form,
         )
         with runtime.lock:
             runtime.log.append(
                 RequestLogEntry(
-                    t=time.monotonic(),
+                    t=arrival,
                     method=method,
-                    target=self.path,
+                    target=target,
                     has_cookie=bool(cookie_header),
                 )
             )
             response, event = proxy_handle(runtime.site, request, runtime.clock)
-        headers = list(response.headers)
-        headers.append(("X-Lab-Event", event.value))
-        self._send(response.status, headers, response.body, head_only=(method == "HEAD"))
-
-    def do_GET(self):
-        self._handle("GET")
-
-    def do_HEAD(self):
-        self._handle("HEAD")
-
-    def do_POST(self):
-        self._handle("POST")
+        self._send(
+            response.status,
+            [*response.headers, ("X-Lab-Event", event.value)],
+            response.body,
+            head_only=(method == "HEAD"),
+        )
 
 
 class LabServer:

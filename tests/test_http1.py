@@ -1,0 +1,206 @@
+"""HTTP/1.1 response framing, against ``http.client.HTTPResponse`` as the
+reference: both read the same raw bytes and must agree on what ``fetch``
+keeps. The differences chosen on purpose are pinned one by one below."""
+
+import http.client
+import io
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from wcdscan.http1 import FramingError, read_response
+from wcdscan.http_engine import _merge_headers
+
+
+class _FakeSocket:
+    def __init__(self, data: bytes):
+        self._data = data
+
+    def makefile(self, *_args, **_kwargs):
+        return io.BufferedReader(io.BytesIO(self._data))
+
+
+def _stored(pairs) -> tuple[tuple[str, str], ...]:
+    """The headers as ``fetch`` stores them on an exchange."""
+    return tuple((name, ", ".join(values)) for name, values in _merge_headers(pairs).values())
+
+
+def _reference(raw: bytes, method: str):
+    """(status, merged headers, body, keep-alive) as http.client reads them,
+    or the exception class it raises."""
+    response = http.client.HTTPResponse(_FakeSocket(raw), method=method)
+    try:
+        response.begin()
+        body = response.read()
+    except Exception as exc:  # every failure ends as NetworkError in fetch
+        return type(exc)
+    return response.status, _stored(response.getheaders()), body, not response.will_close
+
+
+def _framed(raw: bytes, method: str):
+    try:
+        status, pairs, body, keep_alive = read_response(io.BufferedReader(io.BytesIO(raw)), method)
+    except FramingError as exc:
+        return type(exc)
+    return status, _stored(pairs), body, keep_alive
+
+
+def _agree(raw: bytes, method: str = "GET"):
+    expected, got = _reference(raw, method), _framed(raw, method)
+    if isinstance(expected, type):
+        assert got is FramingError, (raw, expected)
+    else:
+        assert got == expected, raw
+    return got
+
+
+_NAMES = st.sampled_from(
+    ["Content-Type", "content-type", "X-Cache", "x-cache", "X-CACHE", "Set-Cookie", "Location",
+     "Via", "Age", "Cache-Control", "Content-Encoding", "Keep-Alive", "Proxy-Connection",
+     "X-Empty", "Server"]
+)
+# Field values as servers send them: any visible latin-1 text with inner
+# blanks, plus leading and trailing spaces and tabs.
+_VALUES = st.builds(
+    lambda lead, text, trail: lead + text + trail,
+    st.sampled_from(["", " ", "  ", "\t", " \t"]),
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0xFF, blacklist_characters="\x7f"),
+            max_size=20).map(str.strip),
+    st.sampled_from(["", " ", "\t", " \t "]),
+)
+_BODIES = st.binary(max_size=64)
+
+
+@st.composite
+def _chunked(draw, body: bytes) -> bytes:
+    out, rest = b"", body
+    while rest:
+        size = draw(st.integers(1, len(rest)))
+        digits = f"{size:x}"
+        digits = draw(st.sampled_from([digits, digits.upper(), digits.rjust(4, "0")]))
+        extension = draw(st.sampled_from(["", ";ext", ";name=value", " ;a=1;b"]))
+        out += f"{digits}{extension}\r\n".encode() + rest[:size] + b"\r\n"
+        rest = rest[size:]
+    last = draw(st.sampled_from(["0", "000", "0;done"]))
+    trailers = draw(st.sampled_from(["", "Expires: never\r\n", "A: 1\r\nB: 2\r\n"]))
+    return out + f"{last}\r\n{trailers}\r\n".encode()
+
+
+@st.composite
+def responses(draw):
+    """(raw response bytes, request method)."""
+    method = draw(st.sampled_from(["GET", "GET", "HEAD"]))
+    version = draw(st.sampled_from(["HTTP/1.1", "HTTP/1.1", "HTTP/1.0", "HTTP/0.9", "HTTP/1.2"]))
+    status = draw(st.sampled_from([200, 200, 201, 204, 206, 301, 302, 304, 404, 500, 101, 199]))
+    reason = draw(st.sampled_from(["", " ", " OK", " Some Reason"]))
+    lines = [f"{version} {status}{reason}"]
+    for name, value in draw(st.lists(st.tuples(_NAMES, _VALUES), max_size=6)):
+        lines.append(f"{name}:{value}" if draw(st.booleans()) else f"{name}: {value}")
+    # A body announced on these is a pinned difference.
+    no_body = status < 200 or status in (204, 304)
+    body = b"" if no_body else draw(_BODIES)
+    framing = draw(st.sampled_from(
+        ["length", "none", "two-lengths"] if no_body else
+        ["length", "length", "none", "bad-length", "negative-length", "empty-length",
+         "two-lengths", "chunked", "chunked", "Chunked"]
+    ))
+    if framing == "length":
+        lines.append(f"Content-Length: {len(body)}")
+    elif framing == "bad-length":
+        lines.append("Content-Length: 12abc")
+    elif framing == "negative-length":
+        lines.append("Content-Length: -4")
+    elif framing == "empty-length":
+        lines.append("Content-Length:")
+    elif framing == "two-lengths":
+        lines += [f"content-length: {len(body)}", f"Content-Length: {len(body) + 3}"]
+    elif framing in ("chunked", "Chunked"):
+        lines.append(f"Transfer-Encoding: {framing}")
+        body = draw(_chunked(body))
+    connection = draw(st.sampled_from([None, "close", "keep-alive", "Keep-Alive", "CLOSE"]))
+    if connection:
+        lines.insert(draw(st.integers(1, len(lines))), f"Connection: {connection}")
+    raw = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+    if draw(st.booleans()):
+        raw = b"HTTP/1.1 100 Continue\r\nX-Note: go on\r\n\r\n" + raw
+    if draw(st.integers(0, 4)) == 0:  # truncated anywhere
+        raw = raw[: draw(st.integers(0, len(raw)))]
+    return raw, method
+
+
+@settings(max_examples=400, deadline=None)
+@given(responses())
+def test_framing_agrees_with_http_client(case):
+    raw, method = case
+    _agree(raw, method)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"",
+        b"HTTP/1.1\r\n\r\n",
+        b"HTTQ/1.1 200 OK\r\n\r\n",
+        b"HTTP/1.1 20x OK\r\n\r\n",
+        b"HTTP/1.1 99 Low\r\n\r\n",
+        b"HTTP/2 200 OK\r\nContent-Length: 0\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\n" + b"X: 1\r\n" * 99 + b"\r\n",
+        b"HTTP/1.1 200 OK\r\n" + b"X: 1\r\n" * 100 + b"\r\n",
+        b"HTTP/1.1 200 OK\r\nX: " + b"v" * 65531 + b"\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nX: " + b"v" * 65532 + b"\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nabc",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n",
+        b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\nKeep-Alive: timeout=5\r\n\r\nok",
+        b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\nProxy-Connection: keep-alive\r\n\r\nok",
+        b"HTTP/1.1 200 OK\r\nConnection: keep-alive, close\r\nContent-Length: 2\r\n\r\nok",
+        b"HTTP/1.1 200 OK\nContent-Length: 2\n\nok",
+    ],
+    ids=["empty", "no-status", "not-http", "bad-status", "status-below-100", "http2",
+         "99-headers", "100-headers", "longest-line", "line-too-long", "bad-chunk-size",
+         "chunk-cut-short", "trailer-cut-at-eof", "headers-cut-at-eof", "http10-keep-alive",
+         "http10-proxy-connection", "close-in-a-list", "bare-newlines"],
+)
+def test_edge_cases_agree_with_http_client(raw):
+    _agree(raw)
+
+
+class TestPinnedDifferences:
+    """Where http.client follows its e-mail parser and this module follows
+    RFC 9112 (section 5.2 and 6.3)."""
+
+    def test_obs_fold_continues_the_value_after_one_space(self):
+        raw = b"HTTP/1.1 200 OK\r\nX-A: one\r\n  two\r\nContent-Length: 0\r\n\r\n"
+        assert _framed(raw, "GET")[1] == (("X-A", "one two"), ("Content-Length", "0"))
+        assert _reference(raw, "GET")[1] == (("X-A", "one\r\n  two"), ("Content-Length", "0"))
+
+    @pytest.mark.parametrize("bad", [b"no colon here", b"Bad Name: x", b": no name"])
+    def test_a_malformed_line_is_skipped(self, bad):
+        raw = b"HTTP/1.1 200 OK\r\nX-A: 1\r\n" + bad + b"\r\nContent-Length: 2\r\n\r\nok"
+        status, headers, body, keep_alive = _framed(raw, "GET")
+        assert headers == (("X-A", "1"), ("Content-Length", "2")) and body == b"ok"
+        assert keep_alive
+        reference = _reference(raw, "GET")
+        if bad.startswith(b":"):  # http.client drops just that line
+            assert reference == (status, headers, body, keep_alive)
+        else:  # http.client ends the header section there and reads to EOF
+            assert reference == (200, (("X-A", "1"),), b"ok", False)
+
+    @pytest.mark.parametrize("status", [204, 304, 101])
+    def test_no_body_status_ignores_chunked(self, status):
+        raw = (f"HTTP/1.1 {status} X\r\nTransfer-Encoding: chunked\r\n\r\n".encode()
+               + b"2\r\nok\r\n0\r\n\r\n")
+        assert _framed(raw, "GET")[2:] == (b"", False)  # the chunk stays unread: close
+        assert _reference(raw, "GET")[2:] == (b"ok", True)
+
+    @pytest.mark.parametrize("status", [204, 304, 101])
+    @pytest.mark.parametrize("length", ["2", "x", " 2"])
+    def test_no_body_status_with_a_length_is_not_kept(self, status, length):
+        raw = f"HTTP/1.1 {status} X\r\nContent-Length: {length}\r\n\r\nok".encode()
+        assert _framed(raw, "GET")[2:] == (b"", False)
+        assert _reference(raw, "GET")[2:] == (b"", True)  # "ok" is left for the next response
+
+    @pytest.mark.parametrize("status", [204, 304, 101])
+    def test_no_body_status_with_length_0_is_kept(self, status):
+        _agree(f"HTTP/1.1 {status} X\r\nContent-Length: 0\r\n\r\n".encode())

@@ -2,6 +2,9 @@
 
 import copy
 import http.client
+import socket
+import struct
+import time
 from contextlib import closing
 
 import pytest
@@ -21,6 +24,8 @@ from wcdscan.lab.sim import (
     proxy_handle,
 )
 from wcdscan.url_toolkit import PathConfusionTechnique
+
+from conftest import lab_connections_left_open
 
 
 def _pp_site(profile_name="akamai_default", no_store=False, **kwargs):
@@ -482,3 +487,54 @@ def test_stop_ends_kept_alive_connections():
         with pytest.raises((OSError, http.client.HTTPException)):
             conn.request("GET", "/", headers={"Host": "pacing.test"})
             conn.getresponse()
+
+
+@pytest.fixture()
+def pacing_lab():
+    server = LabServer([catalog.pacing_site()]).start()
+    yield server
+    server.stop()
+
+
+def _until_closed(server: LabServer, data: bytes) -> bytes:
+    """Everything the lab sends back on one connection for ``data``, up to
+    the lab closing it."""
+    with socket.create_connection((server.address, server.port), timeout=5) as sock:
+        sock.sendall(data)
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    return received
+
+
+class TestRequestFraming:
+    NEXT = b"GET / HTTP/1.1\r\nHost: pacing.test\r\n\r\n"
+
+    @pytest.mark.parametrize(
+        "request_line,status",
+        [(b"GET /a b HTTP/1.1", b"400"), (b"PUT / HTTP/1.1", b"501"), (b"get / HTTP/1.1", b"501")],
+        ids=["malformed", "unknown-method", "lowercase-method"],
+    )
+    def test_refusal_closes_the_connection(self, pacing_lab, request_line, status):
+        received = _until_closed(
+            pacing_lab, request_line + b"\r\nHost: pacing.test\r\n\r\n" + self.NEXT
+        )
+        assert received.startswith(b"HTTP/1.1 " + status + b" ")
+        assert received.count(b"HTTP/1.1 ") == 1  # the request after it is not served
+
+    def test_connection_close_gets_exactly_one_response(self, pacing_lab):
+        closing_request = b"GET / HTTP/1.1\r\nHost: pacing.test\r\nConnection: close\r\n\r\n"
+        received = _until_closed(pacing_lab, closing_request + self.NEXT)
+        assert received.count(b"HTTP/1.1 200 OK\r\n") == 1
+        assert received.endswith(b"<p>pacing target</p></body></html>")
+
+    def test_client_reset_leaves_nothing_on_stderr(self, pacing_lab, capfd):
+        sock = socket.create_connection((pacing_lab.address, pacing_lab.port), timeout=5)
+        sock.sendall(b"GET / HTTP/1.1\r\nHost: pac")
+        deadline = time.monotonic() + 5
+        while not pacing_lab._httpd.connections and time.monotonic() < deadline:
+            time.sleep(0.01)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()  # with a zero linger time: sends RST
+        assert lab_connections_left_open(pacing_lab) == 0  # the handler has finished
+        assert capfd.readouterr().err == ""

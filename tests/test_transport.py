@@ -1,8 +1,9 @@
 """The stdlib keep-alive transport: what goes on the wire, what comes back,
-and how transport failures end. ``requests`` serves as the reference where
-the transport must keep its observable behaviour."""
+and how transport failures end. ``requests`` and ``http.client`` serve as
+references where the transport must keep its observable behaviour."""
 
 import gzip
+import http.client
 import http.server
 import re
 import shutil
@@ -11,13 +12,15 @@ import ssl
 import struct
 import subprocess
 import threading
+import time
 import zlib
+from urllib.parse import urlencode
 
 import pytest
 import requests
 
 from wcdscan.detector import MarkerSet, WcdTestConfig, run_wcd_test
-from wcdscan.http_engine import Identity, NetworkError, Role, Transport, fetch
+from wcdscan.http_engine import Cookie, Identity, NetworkError, Role, Transport, _route, fetch
 from wcdscan.lab import catalog
 from wcdscan.lab.server import LabServer
 from wcdscan.url_toolkit import PathConfusionTechnique, RandomNameGenerator, parse_url
@@ -38,9 +41,10 @@ class ScriptedServer:
     bytes to send and then "keep" (the connection open), "close" or
     "reset" (close with an RST)."""
 
-    def __init__(self, script):
+    def __init__(self, script, address: str = "127.0.0.1"):
         self._script = script
-        self._listener = socket.create_server(("127.0.0.1", 0))
+        family = socket.AF_INET6 if ":" in address else socket.AF_INET
+        self._listener = socket.create_server((address, 0), family=family)
         self.port = self._listener.getsockname()[1]
         self.connections = 0
         self.requests: list[tuple[int, bytes, bytes]] = []  # (connection, head, body)
@@ -91,8 +95,8 @@ class ScriptedServer:
 def scripted():
     servers = []
 
-    def start(script) -> ScriptedServer:
-        servers.append(ScriptedServer(script))
+    def start(script, address: str = "127.0.0.1") -> ScriptedServer:
+        servers.append(ScriptedServer(script, address))
         return servers[-1]
 
     yield start
@@ -162,6 +166,96 @@ class TestWireFormat:
         assert encodings == [b"gzip, deflate"] * 3
 
 
+def _http_client_head(server: ScriptedServer, address: str, method: str, target: str,
+                      headers: dict[str, str], body: bytes | None) -> bytes:
+    """The request head ``http.client`` sends for the same request."""
+    conn = http.client.HTTPConnection(address, server.port, timeout=5)
+    try:
+        conn.request(method, target, body=body, headers=headers)
+        conn.getresponse().read()
+    finally:
+        conn.close()
+    return server.requests[-1][1]
+
+
+class TestRequestBytesMatchHttpClient:
+    """Each request's head is what http.client sent for it, byte for byte."""
+
+    @pytest.mark.parametrize("overridden", [True, False], ids=["host-override", "direct"])
+    @pytest.mark.parametrize(
+        "method,form,path,target",
+        [
+            ("GET", None, "/", "/"),
+            ("GET", None, "/a b/café?q=x y&r=%41", "/a%20b/caf%C3%A9?q=x%20y&r=%41"),
+            ("GET", None, "/account.php%3Bnonexistent.css", "/account.php%3Bnonexistent.css"),
+            ("POST", {"username": "victim", "password": "p w&x=ü"}, "/login", "/login"),
+            ("POST", None, "/login", "/login"),
+        ],
+        ids=["get", "escaped-target", "attack-target", "form-post", "empty-post"],
+    )
+    @pytest.mark.parametrize("with_cookie", [False, True], ids=["", "cookie"])
+    def test_request_head(self, scripted, overridden, method, form, path, target, with_cookie):
+        server = scripted(_always(_response(b"ok")))
+        identity = Identity(role=Role.VICTIM)
+        authority = HOST if overridden else f"127.0.0.1:{server.port}"  # a non-default port
+        if with_cookie:
+            identity.store_set_cookie(authority.split(":")[0], "sid=s0123456789abcde")
+        transport = server.transport()
+        fetch(identity, f"http://{authority}{path}", fast_limiter(), transport,
+              method=method, data=form)
+        transport.close()
+        sent = server.requests[-1][1]
+        headers = {"User-Agent": identity.user_agent, "Accept": "*/*",
+                   "Accept-Encoding": "gzip, deflate"}
+        if overridden:
+            headers["Host"] = HOST
+        if with_cookie:
+            headers["Cookie"] = "sid=s0123456789abcde"
+        body = None
+        if form:
+            body = urlencode(form).encode()
+            headers["Content-Type"] = "application/x-www-form-urlencoded"
+        assert sent == _http_client_head(server, "127.0.0.1", method, target, headers, body)
+
+    def test_ipv6_host_is_bracketed(self, scripted):
+        server = scripted(_always(_response(b"ok")), address="::1")
+        identity = Identity(role=Role.UNAUTHENTICATED)
+        transport = Transport()
+        fetch(identity, f"http://[::1]:{server.port}/x", fast_limiter(), transport)
+        transport.close()
+        sent = server.requests[-1][1]
+        headers = {"User-Agent": identity.user_agent, "Accept": "*/*",
+                   "Accept-Encoding": "gzip, deflate"}
+        assert b"\r\nHost: [::1]:" in sent
+        assert sent == _http_client_head(server, "::1", "GET", "/x", headers, None)
+
+    @pytest.mark.parametrize(
+        "url,host_line",
+        [
+            ("http://edge.example/", "edge.example"),
+            ("http://edge.example:80/", "edge.example"),
+            ("https://edge.example:443/", "edge.example"),
+            ("https://edge.example:8443/", "edge.example:8443"),
+            ("http://[2001:db8::1]/", "[2001:db8::1]"),
+            ("http://bücher.example/", "xn--bcher-kva.example"),
+        ],
+    )
+    def test_host_header_matches_http_client(self, url, host_line):
+        _, (scheme, host, port), _, host_value, overridden = _route(url, Transport())
+        assert (host_value, overridden) == (host_line, False)
+        sent = []
+
+        class Capture:  # stands in for the socket http.client writes to
+            sendall = sent.append
+
+        reference = (http.client.HTTPSConnection if scheme == "https"
+                     else http.client.HTTPConnection)(host, port)
+        reference.sock = Capture()
+        reference.putrequest("GET", "/", skip_accept_encoding=True)
+        reference.endheaders()
+        assert sent == [f"GET / HTTP/1.1\r\nHost: {host_line}\r\n\r\n".encode()]
+
+
 class TestResponseShape:
     PAGE = b"<html><body>account of victim@example.com</body></html>" * 20
 
@@ -211,6 +305,83 @@ class TestResponseShape:
         assert exchange.response_headers == tuple(reference.headers.items())
         assert exchange.header("x-cache") == "HIT, MISS from edge"
         assert {(c.name, c.value) for c in victim.cookie_jar.values()} == {("a", "1"), ("b", "2")}
+
+    def test_no_body_status_that_announces_a_body_is_not_reused(self, scripted):
+        # The chunk after the 204 must not be read as the next status line.
+        no_content = (b"HTTP/1.1 204 No Content\r\nTransfer-Encoding: chunked\r\n\r\n"
+                      b"2\r\nok\r\n0\r\n\r\n")
+        server = scripted(lambda index, _head: (no_content if index == 0 else _response(b"ok"),
+                                                "keep"))
+        transport = server.transport(retries=0)
+        identity = Identity(role=Role.VICTIM)
+        assert fetch(identity, f"http://{HOST}/", fast_limiter(), transport).status == 204
+        assert fetch(identity, f"http://{HOST}/", fast_limiter(), transport).body == b"ok"
+        transport.close()
+        assert server.connections == 2
+
+
+class TestHeaderInjection:
+    """A value holding CR or LF would end its header line early; the rest
+    would reach the server as headers or as another request on the shared
+    socket."""
+
+    EVIL = r'Set-Cookie: sid="a\015\012X-Evil: 1"; Path=/'  # SimpleCookie decodes to CRLF
+
+    def test_set_cookie_with_crlf_is_not_stored(self, scripted):
+        server = scripted(_always(_response(b"ok", self.EVIL, "Set-Cookie: good=1; Path=/")))
+        transport = server.transport(retries=0)
+        victim = Identity(role=Role.VICTIM)
+        fetch(victim, f"http://{HOST}/", fast_limiter(), transport)
+        fetch(victim, f"http://{HOST}/", fast_limiter(), transport)
+        transport.close()
+        assert [(c.name, c.value) for c in victim.cookie_jar.values()] == [("good", "1")]
+        head = server.requests[1][1]
+        assert b"X-Evil" not in head and b"\r\nCookie: good=1\r\n" in head
+        assert len(server.requests) == 2
+
+    def test_set_cookie_with_crlf_leaves_the_test_conclusive(self, scripted):
+        server = scripted(_always(_response(b"ok", self.EVIL)))
+        transport = server.transport(retries=0)
+        victim = Identity(role=Role.VICTIM)
+        fetch(victim, f"http://{HOST}/", fast_limiter(), transport)  # the site sets the cookie
+        verdict = run_wcd_test(
+            parse_url(f"http://{HOST}/account.php"),
+            PathConfusionTechnique.PATH_PARAMETER,
+            victim,
+            Identity(role=Role.ATTACKER),
+            MarkerSet([]),
+            WcdTestConfig(fast_settings(transport=transport), names=RandomNameGenerator(seed=1)),
+        )
+        transport.close()
+        assert not verdict.inconclusive, verdict.error
+        assert len(server.requests) > 2
+        assert all(b"X-Evil" not in head for _, head, _ in server.requests)
+
+    @pytest.mark.parametrize("value", ["a\r\nX-Evil: 1", "a\nb", "a\rb", "a\x00b"],
+                             ids=["crlf", "lf", "cr", "nul"])
+    def test_unsendable_cookie_in_the_jar_costs_one_test(self, scripted, value):
+        server = scripted(_always(_response(b"ok")))
+        transport = server.transport(retries=0)
+
+        def victim() -> Identity:
+            identity = Identity(role=Role.VICTIM)
+            identity.cookie_jar[(HOST, "sid")] = Cookie(HOST, "sid", value)
+            return identity
+
+        with pytest.raises(NetworkError, match="CR, LF or NUL"):
+            fetch(victim(), f"http://{HOST}/", fast_limiter(), transport)
+        verdict = run_wcd_test(
+            parse_url(f"http://{HOST}/account.php"),
+            PathConfusionTechnique.PATH_PARAMETER,
+            victim(),
+            Identity(role=Role.ATTACKER),
+            MarkerSet([]),
+            WcdTestConfig(fast_settings(transport=transport), names=RandomNameGenerator(seed=1)),
+        )
+        transport.close()
+        assert verdict.inconclusive and not verdict.vulnerable
+        assert "CR, LF or NUL" in verdict.error
+        assert server.requests == []  # nothing was sent
 
 
 class TestFailures:
@@ -266,6 +437,44 @@ class TestFailures:
             fetch(identity, f"http://{HOST}/", fast_limiter(), transport)
         transport.close()
         assert server.connections == 2
+
+
+def test_silent_server_times_out():
+    listener = socket.create_server(("127.0.0.1", 0))  # the kernel accepts; nothing answers
+    transport = Transport(resolve_overrides={HOST: listener.getsockname()}, timeout=0.3,
+                          retries=0)
+    started = time.monotonic()
+    try:
+        with pytest.raises(NetworkError):
+            fetch(Identity(role=Role.VICTIM), f"http://{HOST}/", fast_limiter(), transport)
+    finally:
+        transport.close()
+        listener.close()
+    assert time.monotonic() - started < 2.0
+
+
+@pytest.mark.parametrize(
+    "location",
+    ["ftp://other.test/x", "http://other.test:99999/x", "http://[::1/x"],
+    ids=["other-scheme", "port-out-of-range", "broken-ipv6"],
+)
+def test_unroutable_redirect_costs_one_test(scripted, location):
+    server = scripted(_always(_response(b"moved", f"Location: {location}", status="302 Found")))
+    transport = server.transport(retries=0)
+    with pytest.raises(NetworkError, match="cannot route"):
+        fetch(Identity(role=Role.VICTIM), f"http://{HOST}/account.php", fast_limiter(),
+              transport)
+    verdict = run_wcd_test(
+        parse_url(f"http://{HOST}/account.php"),
+        PathConfusionTechnique.PATH_PARAMETER,
+        Identity(role=Role.VICTIM),
+        Identity(role=Role.ATTACKER),
+        MarkerSet([]),
+        WcdTestConfig(fast_settings(transport=transport), names=RandomNameGenerator(seed=1)),
+    )
+    transport.close()
+    assert verdict.inconclusive and not verdict.vulnerable
+    assert "cannot route" in verdict.error
 
 
 def _self_signed_cert(directory) -> tuple[str, str]:
