@@ -2,11 +2,13 @@
 
 The scanner's transport reads responses with :func:`read_response` and the
 lab reads request headers with :func:`read_fields`, each straight from a
-buffered binary file over the socket. Field values are kept as
-``http.client`` keeps them: leading blanks and the line ending are removed,
-trailing blanks stay. Limits are ``http.client``'s as well: 65,536 bytes a
-line and 100 lines in a header section. Where ``http.client`` follows its
-e-mail parser instead of RFC 9112, this module follows the RFC:
+buffered binary file over the socket. A response's header section is
+indexed once, by :func:`index_fields`, and every later lookup reads that
+index. Field values are kept as ``http.client`` keeps them: leading blanks
+and the line ending are removed, trailing blanks stay. Limits are
+``http.client``'s as well: 65,536 bytes a line and 100 lines in a header
+section. Where ``http.client`` follows its e-mail parser instead of
+RFC 9112, this module follows the RFC:
 
 - an obs-fold line continues the previous value after one space;
 - a line with no colon, or whose name is not printable ASCII without
@@ -25,6 +27,8 @@ MAX_LINE = 65536
 MAX_HEADERS = 100
 
 _END_OF_FIELDS = (b"\r\n", b"\n", b"")
+
+Headers = dict[str, tuple[str, list[str]]]  # lowercase name -> (name, values)
 
 
 class FramingError(Exception):
@@ -100,9 +104,23 @@ def _read_chunked(fp: BinaryIO) -> bytes:
     return b"".join(chunks)
 
 
-def read_response(fp: BinaryIO, method: str) -> tuple[int, list[tuple[str, str]], bytes, bool]:
-    """Read one response to ``method``: (status, header pairs, body,
-    keep-alive).
+def index_fields(fields: list[tuple[str, str]]) -> Headers:
+    """The fields by lowercase name, in first-seen order: each name as first
+    seen and its values in wire order."""
+    index: Headers = {}
+    for name, value in fields:
+        index.setdefault(name.lower(), (name, []))[1].append(value)
+    return index
+
+
+def _first(headers: Headers, name: str, default: str = "") -> str:
+    entry = headers.get(name)
+    return entry[1][0] if entry else default
+
+
+def read_response(fp: BinaryIO, method: str) -> tuple[int, Headers, bytes, bool]:
+    """Read one response to ``method``: (status, header index as
+    :func:`index_fields` builds it, body, keep-alive).
 
     A ``100 Continue`` ahead of the response is skipped. The body is chunked,
     ``Content-Length`` bytes, or everything up to EOF (and then the
@@ -118,32 +136,32 @@ def read_response(fp: BinaryIO, method: str) -> tuple[int, list[tuple[str, str]]
         http11 = True
     else:
         raise FramingError(f"unsupported protocol {version!r}")
-    fields = read_fields(fp)
-    first: dict[str, str] = {}
-    for name, value in fields:
-        first.setdefault(name.lower(), value)
+    headers = index_fields(read_fields(fp))
 
-    connection = first.get("connection", "").lower()
+    connection = _first(headers, "connection").lower()
     if http11:
         keep_alive = "close" not in connection
     else:
         keep_alive = (
-            bool(first.get("keep-alive"))
+            bool(_first(headers, "keep-alive"))
             or "keep-alive" in connection
-            or "keep-alive" in first.get("proxy-connection", "").lower()
+            or "keep-alive" in _first(headers, "proxy-connection").lower()
         )
 
     if method == "HEAD":
-        return status, fields, b"", keep_alive
+        return status, headers, b"", keep_alive
     if status < 200 or status in (204, 304):
-        announced = "transfer-encoding" in first or first.get("content-length", "0").strip() != "0"
-        return status, fields, b"", keep_alive and not announced
-    if first.get("transfer-encoding", "").lower() == "chunked":
-        return status, fields, _read_chunked(fp), keep_alive
+        announced = (
+            "transfer-encoding" in headers
+            or _first(headers, "content-length", "0").strip() != "0"
+        )
+        return status, headers, b"", keep_alive and not announced
+    if _first(headers, "transfer-encoding").lower() == "chunked":
+        return status, headers, _read_chunked(fp), keep_alive
     try:
-        length = int(first.get("content-length", ""))
+        length = int(_first(headers, "content-length"))
     except ValueError:
         length = -1
     if length < 0:
-        return status, fields, fp.read(), False
-    return status, fields, _read_exactly(fp, length), keep_alive
+        return status, headers, fp.read(), False
+    return status, headers, _read_exactly(fp, length), keep_alive

@@ -7,8 +7,8 @@ keep-alive sockets that :class:`Transport` pools per worker thread: each
 request goes out in one write and each response is framed by
 :mod:`wcdscan.http1`. Proxy settings in the environment (``HTTP_PROXY`` and
 the like) are not used. Identities are confined to one worker at a time; the
-rate limiter is shared and internally synchronized; exchanges are immutable
-once produced.
+rate limiter is shared and internally synchronized; exchanges, header index
+included, are never modified once produced.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from email.utils import parsedate_to_datetime
 from http.cookies import SimpleCookie
-from urllib.parse import quote, urlencode, urljoin, urlsplit
+from urllib.parse import quote, urlencode, urljoin
 
-from .http1 import FramingError, read_response
+from .http1 import FramingError, Headers, read_response
+from .url_toolkit import DEFAULT_PORTS, parse_url
 
 log = logging.getLogger(__name__)
 
@@ -48,12 +49,11 @@ _LOGOUT_RE = re.compile(
 )
 
 _REDIRECT_STATUSES = {301, 302, 303, 307, 308}
+MAX_REDIRECTS = 10  # hops a fetch follows before TooManyRedirects
 
 # Every identity advertises the same codings, so all three land on the same
 # cache variant; bodies are decoded before marker search.
 ACCEPT_ENCODING = "gzip, deflate"
-
-_DEFAULT_PORTS = {"http": 80, "https": 443}
 
 # http.client sends Content-Length: 0 for these methods when there is no body.
 _METHODS_WITH_BODY = ("PATCH", "POST", "PUT")
@@ -69,9 +69,9 @@ _UNSENDABLE_VALUE = re.compile(r"[\x00\r\n]")
 # A kept-alive socket the server already closed fails like this before any
 # response arrives; such a request is sent again once on a new connection.
 _STALE_SOCKET_ERRORS = (FramingError, ConnectionResetError, BrokenPipeError)
+RETRY_BACKOFF = 0.1  # seconds between the tries of a failed request
 
 Endpoint = tuple[str, str, int]  # (scheme, connect host, port)
-Headers = dict[str, tuple[str, list[str]]]  # lowercase name -> (name, values)
 
 
 class NetworkError(Exception):
@@ -187,21 +187,20 @@ class Identity:
 @dataclass(frozen=True)
 class HttpExchange:
     """One request/response pair. The body is kept verbatim (bytes) because
-    marker search depends on exact content."""
+    marker search depends on exact content; ``headers`` is the response's
+    header index as :func:`wcdscan.http1.index_fields` builds it."""
 
     url: str
     status: int
-    response_headers: tuple[tuple[str, str], ...]
+    headers: Headers
     body: bytes
     timing: float  # milliseconds
     history: tuple[tuple[str, int], ...] = ()
 
     def header(self, name: str) -> str | None:
-        lowered = name.lower()
-        for key, value in self.response_headers:
-            if key.lower() == lowered:
-                return value
-        return None
+        """The field's values joined with ", ", or None when it is absent."""
+        entry = self.headers.get(name.lower())
+        return None if entry is None else ", ".join(entry[1])
 
 
 # Added to the pacing window so that network jitter downstream of the limiter
@@ -278,9 +277,7 @@ class Transport:
 
     resolve_overrides: dict[str, tuple[str, int]] = field(default_factory=dict)
     timeout: float = 10.0
-    max_redirects: int = 10
     retries: int = 2
-    retry_backoff: float = 0.1
     _local: threading.local = field(
         default_factory=threading.local, init=False, repr=False, compare=False
     )
@@ -311,38 +308,33 @@ def _route(url: str, transport: Transport) -> tuple[str, Endpoint, str, str, boo
 
     The target keeps existing ``%XX`` escapes and reserved characters byte for
     byte (attack payloads depend on it) and percent-encodes only spaces,
-    control characters and non-ASCII. A URL that names no reachable endpoint
-    (another scheme, a bad port or IPv6 literal, no host) raises
-    :class:`NetworkError`.
+    control characters and non-ASCII. A URL that ``parse_url`` rejects
+    (another scheme, no host, a bad or zero port, a broken IPv6 literal) or
+    whose host cannot be sent raises :class:`NetworkError`.
     """
     try:
-        parts = urlsplit(url)
-        host = (parts.hostname or "").lower()
-        target = parts.path or "/"
-        if parts.query:
-            target += "?" + parts.query
+        parsed = parse_url(url)
+        host = parsed.host
+        target = parsed.raw_path or "/"
+        if parsed.raw_query:
+            target += "?" + parsed.raw_query
         target = quote(target, safe=string.punctuation)
         if host in transport.resolve_overrides:
             ip, port = transport.resolve_overrides[host]
             return host, ("http", ip, port), target, host, True
-        scheme = parts.scheme.lower()
-        if scheme not in _DEFAULT_PORTS:
-            raise ValueError(f"scheme {scheme!r} is not http or https")
-        default_port = _DEFAULT_PORTS[scheme]
-        port = parts.port or default_port
-        if not host or _UNSENDABLE_HOST.search(host):
+        if _UNSENDABLE_HOST.search(host):
             raise ValueError(f"bad host {host!r}")
         try:
             host_value = host.encode("ascii").decode()
         except UnicodeEncodeError:
             host_value = host.encode("idna").decode()
-    except ValueError as exc:  # UnicodeError is a ValueError
+    except ValueError as exc:  # MalformedUrl and UnicodeError are ValueErrors
         raise NetworkError(f"cannot route {url!r}: {exc}") from None
     if ":" in host:
         host_value = f"[{host_value}]"
-    if port != default_port:
-        host_value = f"{host_value}:{port}"
-    return host, (scheme, host, port), target, host_value, False
+    if parsed.port != DEFAULT_PORTS[parsed.scheme]:
+        host_value = f"{host_value}:{parsed.port}"
+    return host, (parsed.scheme, host, parsed.port), target, host_value, False
 
 
 def _decode(body: bytes, content_encoding: str | None) -> bytes:
@@ -367,7 +359,7 @@ def _issue(
     method: str, endpoint: Endpoint, target: str, message: bytes, transport: Transport
 ) -> tuple[int, Headers, bytes]:
     """Send one request message in one write and read the response:
-    (status, headers as :func:`_merge_headers` gives them, decoded body).
+    (status, header index, decoded body).
 
     Any failure up to the end of the body (refused or reset connection,
     timeout, framing fault, truncated or undecodable body) is retried
@@ -388,10 +380,9 @@ def _issue(
                 conn = pool[endpoint] = _Connection(endpoint, transport.timeout)
             conn.sock.sendall(message)
             answered = bool(conn.reader.peek(1))  # waits for the reply's first byte
-            status, pairs, body, keep_alive = read_response(conn.reader, method)
+            status, headers, body, keep_alive = read_response(conn.reader, method)
             if not keep_alive:
                 transport._discard(endpoint)
-            headers = _merge_headers(pairs)
             coding = headers.get("content-encoding")
             return status, headers, _decode(body, coding and ", ".join(coding[1]))
         except (OSError, FramingError, zlib.error, EOFError) as exc:
@@ -403,20 +394,11 @@ def _issue(
                 continue
         attempt += 1
         if attempt <= transport.retries:
-            time.sleep(transport.retry_backoff)
+            time.sleep(RETRY_BACKOFF)
     scheme, host, port = endpoint
     raise NetworkError(
         f"{method} {scheme}://{host}:{port}{target} failed after retries: {last_exc}"
     )
-
-
-def _merge_headers(pairs: list[tuple[str, str]]) -> Headers:
-    """The header pairs by lowercase name, in first-seen order: each name as
-    first seen and its values in wire order."""
-    merged: Headers = {}
-    for name, value in pairs:
-        merged.setdefault(name.lower(), (name, []))[1].append(value)
-    return merged
 
 
 def fetch(
@@ -439,7 +421,7 @@ def fetch(
     history: list[tuple[str, int]] = []
     current = url
     started = time.monotonic()
-    for _hop in range(transport.max_redirects + 1):
+    for _hop in range(MAX_REDIRECTS + 1):
         host, endpoint, target, host_value, overridden = _route(current, transport)
         rate_limiter.acquire(host)
         # Header order and bytes as http.client sends them: its own Host
@@ -485,12 +467,12 @@ def fetch(
         return HttpExchange(
             url=current,
             status=status,
-            response_headers=tuple((name, ", ".join(values)) for name, values in headers.values()),
+            headers=headers,
             body=body,
             timing=elapsed_ms,
             history=tuple(history),
         )
-    raise TooManyRedirects(f"more than {transport.max_redirects} redirects from {url}")
+    raise TooManyRedirects(f"more than {MAX_REDIRECTS} redirects from {url}")
 
 
 def maintain_session(

@@ -296,11 +296,5 @@ class LabServer:
     def resolve_overrides(self) -> dict[str, tuple[str, int]]:
         return {host: (self.address, self.port) for host in self.runtimes}
 
-    def site(self, host: str) -> SimSite:
-        return self.runtimes[host].site
-
-    def clock(self, host: str) -> SimClock:
-        return self.runtimes[host].clock
-
     def request_log(self, host: str) -> list[RequestLogEntry]:
         return list(self.runtimes[host].log)

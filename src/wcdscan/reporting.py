@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Mapping, TextIO
 from urllib.parse import urlsplit
 
+from .cache_policy import parse_cache_control
 from .detector import ScanVerdict
 from .http_engine import HttpExchange
 from .url_toolkit import MalformedUrl, PathConfusionTechnique, parse_url, registrable_domain
@@ -170,14 +171,11 @@ class AggregateStats:
 
 def canonical_cache_combo(cache_control: str) -> str:
     """Table-style canonical form: directive names sorted, values elided."""
-    names = []
-    for token in cache_control.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        name, sep, _ = token.partition("=")
-        names.append(name.strip().lower() + ("=" if sep else ""))
-    return ", ".join(sorted(set(names))) if names else "(none)"
+    names = {
+        name.lower() + ("" if value is None else "=")
+        for name, value in parse_cache_control(cache_control).raw_items
+    }
+    return ", ".join(sorted(names)) if names else "(none)"
 
 
 def aggregate(

@@ -16,7 +16,7 @@ from urllib.parse import parse_qsl, urlsplit
 NONCE_ALPHABET = string.ascii_lowercase + string.digits
 NONCE_LENGTH = 16
 
-_DEFAULT_PORTS = {"http": 80, "https": 443}
+DEFAULT_PORTS = {"http": 80, "https": 443}
 
 # A plain URL, which this pattern splits exactly as urlsplit would: lowercase
 # http(s) scheme and host, no port, userinfo or fragment, and only RFC 3986
@@ -88,14 +88,13 @@ class ParsedUrl:
     host: str
     port: int
     raw_path: str
-    query_params: tuple[tuple[str, str], ...]
     fragment: str | None
     raw: str = ""
     raw_query: str = ""
 
     def origin(self) -> str:
         host = f"[{self.host}]" if ":" in self.host else self.host
-        if self.port == _DEFAULT_PORTS.get(self.scheme):
+        if self.port == DEFAULT_PORTS.get(self.scheme):
             return f"{self.scheme}://{host}"
         return f"{self.scheme}://{host}:{self.port}"
 
@@ -145,9 +144,8 @@ def parse_url(raw: str) -> ParsedUrl:
         return ParsedUrl(
             scheme=scheme,
             host=host,
-            port=_DEFAULT_PORTS[scheme],
+            port=DEFAULT_PORTS[scheme],
             raw_path=path,
-            query_params=tuple(parse_qsl(query, keep_blank_values=True)) if query else (),
             fragment=None,
             raw=raw,
             raw_query=query or "",
@@ -166,16 +164,12 @@ def parse_url(raw: str) -> ParsedUrl:
         raise MalformedUrl(f"invalid port in {raw!r}") from exc
     if port == 0:
         raise MalformedUrl(f"invalid port in {raw!r}")
-
-    params = tuple(parse_qsl(parts.query, keep_blank_values=True))
-    fragment = parts.fragment if parts.fragment else None
     return ParsedUrl(
         scheme=parts.scheme,
         host=parts.hostname.lower(),
-        port=port or _DEFAULT_PORTS[parts.scheme],
+        port=port or DEFAULT_PORTS[parts.scheme],
         raw_path=parts.path,
-        query_params=params,
-        fragment=fragment,
+        fragment=parts.fragment or None,
         raw=raw,
         raw_query=parts.query,
     )
@@ -219,7 +213,10 @@ def group_key(url: ParsedUrl) -> UrlGroupKey:
             NUMERIC_PLACEHOLDER if seg.isascii() and seg.isdigit() else seg
             for seg in raw_path.lstrip("/").split("/")
         ])
-    names = tuple(sorted({name for name, _ in url.query_params}))
+    names: tuple[str, ...] = ()
+    if url.raw_query:  # parse_qsl costs about a microsecond even on ""
+        pairs = parse_qsl(url.raw_query, keep_blank_values=True)
+        names = tuple(sorted({name for name, _ in pairs}))
     return UrlGroupKey(host=url.host, abstract_path=abstract, param_names=names)
 
 

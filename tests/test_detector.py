@@ -32,6 +32,7 @@ from wcdscan.detector import (
     shannon_entropy,
     strip_dictionary_words,
 )
+from wcdscan.http1 import index_fields
 from wcdscan.http_engine import HttpExchange, Identity, LoginDescriptor, Role, Transport
 from wcdscan.lab import catalog
 from wcdscan.lab.origin import OriginSemantics, OriginVariant
@@ -380,7 +381,7 @@ class _Ex:
         return HttpExchange(
             url="http://e.com/x",
             status=status,
-            response_headers=(),
+            headers={},
             body=body,
             timing=1.0,
         )
@@ -406,10 +407,12 @@ class TestResponsesIdentical:
 
     def test_headers_do_not_matter(self):
         a = HttpExchange(
-            url="u", status=200, response_headers=(("X-Cache", "HIT"),), body=b"x", timing=0,
+            url="u", status=200, headers=index_fields([("X-Cache", "HIT")]), body=b"x",
+            timing=0,
         )
         b = HttpExchange(
-            url="u", status=200, response_headers=(("X-Cache", "MISS"),), body=b"x", timing=0,
+            url="u", status=200, headers=index_fields([("X-Cache", "MISS")]), body=b"x",
+            timing=0,
         )
         assert responses_identical(a, b) is True
 
@@ -701,7 +704,7 @@ class TestSweepMemo:
         def reflecting_fetch(identity, url, *args, **kwargs):
             body = f'<html><body><a href="{url}?csrf=1">again</a></body></html>'
             return HttpExchange(
-                url=url, status=200, response_headers=(), body=body.encode(), timing=1.0,
+                url=url, status=200, headers={}, body=body.encode(), timing=1.0,
             )
 
         monkeypatch.setattr(detector, "fetch", reflecting_fetch)

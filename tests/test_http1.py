@@ -6,10 +6,9 @@ import http.client
 import io
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from wcdscan.http1 import FramingError, read_response
-from wcdscan.http_engine import _merge_headers
+from wcdscan.http1 import FramingError, index_fields, read_response
 
 
 class _FakeSocket:
@@ -20,9 +19,10 @@ class _FakeSocket:
         return io.BufferedReader(io.BytesIO(self._data))
 
 
-def _stored(pairs) -> tuple[tuple[str, str], ...]:
-    """The headers as ``fetch`` stores them on an exchange."""
-    return tuple((name, ", ".join(values)) for name, values in _merge_headers(pairs).values())
+def _stored(headers) -> tuple[tuple[str, str], ...]:
+    """A header index as ``HttpExchange.header`` reads it: each name as first
+    seen with its values joined, in first-seen order."""
+    return tuple((name, ", ".join(values)) for name, values in headers.values())
 
 
 def _reference(raw: bytes, method: str):
@@ -34,24 +34,43 @@ def _reference(raw: bytes, method: str):
         body = response.read()
     except Exception as exc:  # every failure ends as NetworkError in fetch
         return type(exc)
-    return response.status, _stored(response.getheaders()), body, not response.will_close
+    headers = _stored(index_fields(response.getheaders()))
+    return response.status, headers, body, not response.will_close
 
 
 def _framed(raw: bytes, method: str):
     try:
-        status, pairs, body, keep_alive = read_response(io.BufferedReader(io.BytesIO(raw)), method)
+        status, headers, body, keep_alive = read_response(
+            io.BufferedReader(io.BytesIO(raw)), method
+        )
     except FramingError as exc:
         return type(exc)
-    return status, _stored(pairs), body, keep_alive
+    return status, _stored(headers), body, keep_alive
 
 
 def _agree(raw: bytes, method: str = "GET"):
+    """Both readers agree on ``raw``, except that a 1xx, 204 or 304 response
+    that announces a body closes the connection where http.client keeps it
+    (pinned in TestPinnedDifferences)."""
     expected, got = _reference(raw, method), _framed(raw, method)
+    if not isinstance(expected, type) and _announces_a_body(expected, method):
+        expected = expected[:3] + (False,)
     if isinstance(expected, type):
         assert got is FramingError, (raw, expected)
     else:
         assert got == expected, raw
     return got
+
+
+def _announces_a_body(result, method: str) -> bool:
+    """A no-body status whose headers announce a body anyway: a
+    Transfer-Encoding, or a first Content-Length value other than 0."""
+    status, headers, _body, _keep_alive = result
+    if method == "HEAD" or not (status < 200 or status in (204, 304)):
+        return False
+    fields = {name.lower(): value for name, value in headers}
+    length = fields.get("content-length", "0").split(",")[0]
+    return "transfer-encoding" in fields or length.strip() != "0"
 
 
 _NAMES = st.sampled_from(
@@ -130,6 +149,8 @@ def responses(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(responses())
+@example((b"HTTP/1.1 204 X\r\nContent-Length:", "GET"))
+@example((b"HTTP/1.1 304 X\r\nContent-Length:", "GET"))
 def test_framing_agrees_with_http_client(case):
     raw, method = case
     _agree(raw, method)
@@ -195,7 +216,7 @@ class TestPinnedDifferences:
         assert _reference(raw, "GET")[2:] == (b"ok", True)
 
     @pytest.mark.parametrize("status", [204, 304, 101])
-    @pytest.mark.parametrize("length", ["2", "x", " 2"])
+    @pytest.mark.parametrize("length", ["2", "x", " 2", ""])
     def test_no_body_status_with_a_length_is_not_kept(self, status, length):
         raw = f"HTTP/1.1 {status} X\r\nContent-Length: {length}\r\n\r\nok".encode()
         assert _framed(raw, "GET")[2:] == (b"", False)

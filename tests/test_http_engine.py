@@ -290,9 +290,7 @@ class TestTransportFailures:
             },
         )
         server = LabServer([site]).start()
-        transport = Transport(
-            resolve_overrides=server.resolve_overrides(), max_redirects=5
-        )
+        transport = Transport(resolve_overrides=server.resolve_overrides())
         try:
             unauth = Identity(role=Role.UNAUTHENTICATED)
             with pytest.raises(TooManyRedirects):
@@ -305,7 +303,6 @@ class TestTransportFailures:
         transport = Transport(
             resolve_overrides={"dead.test": ("127.0.0.1", 1)},
             retries=1,
-            retry_backoff=0.01,
             timeout=0.5,
         )
         unauth = Identity(role=Role.UNAUTHENTICATED)

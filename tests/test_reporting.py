@@ -9,6 +9,7 @@ import scipy.stats
 from hypothesis import given, strategies as st
 
 from wcdscan.detector import ScanVerdict, SecretCandidate, SecretSource, SecretTrigger
+from wcdscan.http1 import index_fields
 from wcdscan.http_engine import HttpExchange
 from wcdscan.reporting import (
     CdnFingerprint,
@@ -72,7 +73,7 @@ def _exchange(headers: dict[str, str]) -> HttpExchange:
     return HttpExchange(
         url="http://x.test/",
         status=200,
-        response_headers=tuple(headers.items()),
+        headers=index_fields(list(headers.items())),
         body=b"",
         timing=0.0,
     )
@@ -246,6 +247,8 @@ def test_canonical_cache_combo():
     assert canonical_cache_combo("max-age=0, public") == "max-age=, public"
     assert canonical_cache_combo("Public, MAX-AGE=60") == "max-age=, public"
     assert canonical_cache_combo("") == "(none)"
+    assert canonical_cache_combo(" , ,") == "(none)"
+    assert canonical_cache_combo("max-age = 5") == "max-age="
     assert (
         canonical_cache_combo("must-revalidate, no-cache, no-store, post-check=0, pre-check=0")
         == "must-revalidate, no-cache, no-store, post-check=, pre-check="

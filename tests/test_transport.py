@@ -9,15 +9,17 @@ import re
 import shutil
 import socket
 import ssl
+import string
 import struct
 import subprocess
 import threading
 import time
 import zlib
-from urllib.parse import urlencode
+from urllib.parse import quote, urlencode, urlsplit
 
 import pytest
 import requests
+from hypothesis import assume, given, settings, strategies as st
 
 from wcdscan.detector import MarkerSet, WcdTestConfig, run_wcd_test
 from wcdscan.http_engine import Cookie, Identity, NetworkError, Role, Transport, _route, fetch
@@ -256,6 +258,102 @@ class TestRequestBytesMatchHttpClient:
         assert sent == [f"GET / HTTP/1.1\r\nHost: {host_line}\r\n\r\n".encode()]
 
 
+def _urlsplit_route(url: str, transport: Transport):
+    """_route's contract spelled out with urlsplit alone; a port of 0 here
+    means the scheme's default port."""
+    try:
+        parts = urlsplit(url)
+        host = (parts.hostname or "").lower()
+        target = parts.path or "/"
+        if parts.query:
+            target += "?" + parts.query
+        target = quote(target, safe=string.punctuation)
+        if host in transport.resolve_overrides:
+            ip, port = transport.resolve_overrides[host]
+            return host, ("http", ip, port), target, host, True
+        scheme = parts.scheme.lower()
+        if scheme not in ("http", "https"):
+            raise ValueError(f"scheme {scheme!r} is not http or https")
+        default_port = 443 if scheme == "https" else 80
+        port = parts.port or default_port
+        if not host or re.search(r"[\x00-\x20\x7f]", host):
+            raise ValueError(f"bad host {host!r}")
+        try:
+            host_value = host.encode("ascii").decode()
+        except UnicodeEncodeError:
+            host_value = host.encode("idna").decode()
+    except ValueError:
+        return NetworkError
+    if ":" in host:
+        host_value = f"[{host_value}]"
+    if port != default_port:
+        host_value = f"{host_value}:{port}"
+    return host, (scheme, host, port), target, host_value, False
+
+
+def _routed(url: str, transport: Transport):
+    try:
+        return _route(url, transport)
+    except NetworkError:
+        return NetworkError
+
+
+def _port_is_zero(url: str) -> bool:
+    try:
+        return urlsplit(url).port == 0
+    except ValueError:
+        return False
+
+
+_ROUTE_TEXT = "aZ09-._~!$&'()*+,;=:@%/? \té"
+_route_urls = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["http://", "https://", "HTTP://", "hTTps://", "ftp://", "//", ""]),
+        st.sampled_from(["", "", "", "u@", "u:p@", "@"]),
+        st.one_of(
+            st.sampled_from(["edge.example", "EDGE.Example", "127.0.0.1", "[2001:db8::1]",
+                             "[::1]", "[::1", "bücher.example", "BÜCHER.example",
+                             "xn--bcher-kva.example", "a b.example", ""]),
+            st.text(alphabet="azAZ09.-_é[]:% \x7f", max_size=10),
+        ),
+        st.sampled_from(["", "", "", ":", ":80", ":443", ":8080", ":65535", ":65536", ":x",
+                         ":-1", ":0", ":00"]),
+        st.one_of(st.just(""), st.text(alphabet=_ROUTE_TEXT, max_size=16).map(lambda p: "/" + p)),
+        st.sampled_from(["", "", "?", "?a=1&b", "?q=x y&r=%41"]),
+        st.sampled_from(["", "", "#", "#f", "#a?b"]),
+    ),
+)
+
+
+@settings(max_examples=300)
+@given(_route_urls)
+def test_route_matches_urlsplit_reference(url):
+    assume(not _port_is_zero(url))  # pinned below
+    assert _routed(url, Transport()) == _urlsplit_route(url, Transport())
+
+
+@pytest.mark.parametrize(
+    "url,overrides",
+    [
+        ("http://edge.example:0/", {}),
+        ("https://edge.example:00/x", {}),
+        ("http://u@edge.example:0/x?q=1", {}),
+        (f"http://{HOST}:0/", {HOST: ("127.0.0.1", 1)}),
+        (f"ftp://{HOST}/x", {HOST: ("127.0.0.1", 1)}),
+    ],
+    ids=["port-0", "port-00", "userinfo", "overridden-port-0", "overridden-other-scheme"],
+)
+def test_a_url_parse_url_rejects_is_unroutable(url, overrides):
+    """A deliberate difference from the urlsplit reference, which sends port 0
+    to the scheme's default port and an overridden host of any scheme to its
+    override."""
+    transport = Transport(resolve_overrides=overrides)
+    assert _urlsplit_route(url, transport) is not NetworkError
+    with pytest.raises(NetworkError, match="cannot route"):
+        _route(url, transport)
+
+
 class TestResponseShape:
     PAGE = b"<html><body>account of victim@example.com</body></html>" * 20
 
@@ -302,7 +400,8 @@ class TestResponseShape:
         exchange = fetch(victim, f"http://{HOST}/", fast_limiter(), transport)
         transport.close()
         reference = requests.get(f"http://127.0.0.1:{server.port}/", timeout=5)
-        assert exchange.response_headers == tuple(reference.headers.items())
+        stored = tuple((name, ", ".join(values)) for name, values in exchange.headers.values())
+        assert stored == tuple(reference.headers.items())
         assert exchange.header("x-cache") == "HIT, MISS from edge"
         assert {(c.name, c.value) for c in victim.cookie_jar.values()} == {("a", "1"), ("b", "2")}
 
@@ -390,7 +489,7 @@ class TestFailures:
     @pytest.mark.parametrize("after", ["close", "reset"])
     def test_body_cut_short_is_network_error(self, scripted, after):
         server = scripted(_always(self.TRUNCATED, after))
-        transport = server.transport(retries=1, retry_backoff=0.0)
+        transport = server.transport(retries=1)
         with pytest.raises(NetworkError):
             fetch(Identity(role=Role.VICTIM), f"http://{HOST}/", fast_limiter(), transport)
         transport.close()
