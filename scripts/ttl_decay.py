@@ -3,7 +3,6 @@
 window closing as entries expire. Fully deterministic: delays advance the
 lab's simulated clock, not wall time."""
 
-import http.client
 import sys
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from wcdscan.http_engine import (  # noqa: E402
     LoginDescriptor,
     Role,
     Transport,
+    fetch,
     maintain_session,
 )
 from wcdscan.lab import catalog  # noqa: E402
@@ -37,26 +37,22 @@ def main() -> int:
     site = catalog.classic_site()
     server = LabServer([site]).start()
     transport = Transport(resolve_overrides=server.resolve_overrides())
+    controller = Identity(role=Role.UNAUTHENTICATED)
 
     def control(path: str) -> None:
-        conn = http.client.HTTPConnection(server.address, server.port, timeout=10)
-        try:
-            conn.request("GET", path, headers={"Host": site.host})
-            conn.getresponse().read()
-        finally:
-            conn.close()
+        fetch(controller, f"http://{site.host}{path}", settings.rate_limiter, transport)
 
     def advance(seconds: float) -> None:
         control(f"/_lab/advance?seconds={seconds}")
 
-    def reset() -> None:
-        control("/_lab/reset")
+    # One limiter paces the control calls, the logins and the attacks alike.
+    settings = ScanSettings(rate=1000, transport=transport, delay_fn=advance)
 
     print(f"default TTL: {site.cache_profile.default_ttl}s")
     print(f"{'attacker delay (s)':>20}{'exploitable':>14}")
     try:
         for delay in DELAYS:
-            reset()
+            control("/_lab/reset")
             victim = Identity(
                 role=Role.VICTIM,
                 credentials=LoginDescriptor(
@@ -71,9 +67,7 @@ def main() -> int:
                     fields={"username": "attacker", "password": catalog.ATTACKER_PASSWORD},
                 ),
             )
-            settings = ScanSettings(
-                rate=1000, transport=transport, attacker_delay=delay, delay_fn=advance
-            )
+            settings.attacker_delay = delay
             maintain_session(victim, settings.rate_limiter, transport)
             maintain_session(attacker, settings.rate_limiter, transport)
             config = WcdTestConfig(settings, names=RandomNameGenerator(seed=delay))

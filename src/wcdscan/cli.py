@@ -27,6 +27,7 @@ from .pipeline import (
     selfcheck_sites,
 )
 from .reporting import (
+    MalformedRecord,
     aggregate,
     build_site_map,
     read_records,
@@ -47,7 +48,13 @@ log = logging.getLogger(__name__)
 def _parse_techniques(spec: str) -> tuple[PathConfusionTechnique, ...]:
     if spec.strip().lower() == "all":
         return ALL_TECHNIQUES
-    return tuple(PathConfusionTechnique.from_name(t.strip()) for t in spec.split(","))
+    try:
+        return tuple(PathConfusionTechnique(t.strip()) for t in spec.split(","))
+    except ValueError:
+        names = ", ".join(t.value for t in PathConfusionTechnique)
+        raise argparse.ArgumentTypeError(
+            f"unknown technique in {spec!r}; want 'all' or a comma list of {names}"
+        ) from None
 
 
 def _parse_resolve(entries: list[str]) -> dict[str, tuple[str, int]]:
@@ -67,6 +74,13 @@ def _positive_rate(text: str) -> float:
     if not 0 < rate < float("inf"):  # also rejects nan
         raise argparse.ArgumentTypeError(f"rate must be a positive number, got {text!r}")
     return rate
+
+
+def _delay(text: str) -> float:
+    delay = float(text)
+    if not 0 <= delay < float("inf"):  # also rejects nan
+        raise argparse.ArgumentTypeError(f"delay must be a non-negative number, got {text!r}")
+    return delay
 
 
 def _load_wordlist(path: str) -> tuple[str, ...]:
@@ -97,11 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     scan = sub.add_parser("scan", help="scan a seed pool and emit verdicts")
     scan.add_argument("--seeds", required=True, help="seed file: one host per line, optional config ref")
-    scan.add_argument("--techniques", default="all", help="'all' or comma list of technique names")
+    scan.add_argument("--techniques", type=_parse_techniques, default="all",
+                      help="'all' or comma list of technique names")
     scan.add_argument("--budget", type=int, default=500, help="unique page groups per domain")
     scan.add_argument("--rate", type=_positive_rate, default=2.0, help="max requests/second/host")
     scan.add_argument("--mode", choices=["full", "marker-gated"], default="full")
-    scan.add_argument("--delay", type=float, default=0.0, help="seconds between victim and attacker steps")
+    scan.add_argument("--delay", type=_delay, default=0.0, help="seconds between victim and attacker steps")
     scan.add_argument("--extension", default="css", help="bogus static extension for attack URLs")
     scan.add_argument("--seed", type=int, default=None, help="deterministic grouping/nonce seed")
     scan.add_argument("--workers", type=int, default=4, help="concurrent site workers")
@@ -132,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="enumerate ground-truth exploitability")
     oracle.add_argument("--scenarios", default=None)
     oracle.add_argument("--catalog", choices=["matrix", "support", "all"], default="matrix")
-    oracle.add_argument("--techniques", default="all")
+    oracle.add_argument("--techniques", type=_parse_techniques, default="all")
     oracle.add_argument("--extension", default="css")
     oracle.add_argument("--format", choices=["table", "records"], default="table")
 
@@ -142,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--redact", action="store_true")
 
     selfcheck = sub.add_parser("selfcheck", help="scan the lab and diff against the oracle")
-    selfcheck.add_argument("--techniques", default="all")
+    selfcheck.add_argument("--techniques", type=_parse_techniques, default="all")
     selfcheck.add_argument("--rate", type=_positive_rate, default=500.0)
     selfcheck.add_argument("--workers", type=int, default=8)
     selfcheck.add_argument("--extension", default="css")
@@ -157,7 +172,7 @@ def _cmd_scan(args) -> int:
         randomness = RandomnessConfig(dictionary=_load_wordlist(args.wordlist))
     journal_fh = open(args.journal, "a", encoding="utf-8") if args.journal else None
     settings = ScanSettings(
-        techniques=_parse_techniques(args.techniques),
+        techniques=args.techniques,
         budget=args.budget,
         mode=args.mode,
         rate=args.rate,
@@ -254,7 +269,7 @@ def _cmd_oracle(args) -> int:
     if not sites:
         print("no scenario has a protected marker page", file=sys.stderr)
         return EXIT_ERROR
-    techniques = _parse_techniques(args.techniques)
+    techniques = args.techniques
     truth = enumerate_oracle(sites, techniques, args.extension)
     if args.format == "records":
         for site in sites:
@@ -294,11 +309,15 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if args.records == "-":
-        verdicts = read_records(sys.stdin)
-    else:
-        with open(args.records, "r", encoding="utf-8") as fh:
-            verdicts = read_records(fh)
+    try:
+        if args.records == "-":
+            verdicts = read_records(sys.stdin)
+        else:
+            with open(args.records, "r", encoding="utf-8") as fh:
+                verdicts = read_records(fh)
+    except MalformedRecord as exc:
+        print(f"error: {args.records}:{exc}", file=sys.stderr)
+        return EXIT_ERROR
     if args.redact:
         verdicts = redact_verdicts(verdicts)
     hosts = {parse_url(verdict.page).host for verdict in verdicts}
@@ -315,7 +334,7 @@ def _cmd_selfcheck(args) -> int:
     if args.quick:  # every 8th site: 16 of the matrix, and classic-pp, the last
         sites = sites[:: len(sites) // 16]
     settings = ScanSettings(
-        techniques=_parse_techniques(args.techniques),
+        techniques=args.techniques,
         rate=args.rate,
         workers=args.workers,
         extension=args.extension,

@@ -134,9 +134,6 @@ class MarkerSet:
     def __len__(self):
         return len(self.markers)
 
-    def labels(self) -> list[str]:
-        return [m.label for m in self.markers]
-
 
 @dataclass
 class RandomnessConfig:

@@ -69,6 +69,8 @@ _UNSENDABLE_VALUE = re.compile(r"[\x00\r\n]")
 # A kept-alive socket the server already closed fails like this before any
 # response arrives; such a request is sent again once on a new connection.
 _STALE_SOCKET_ERRORS = (FramingError, ConnectionResetError, BrokenPipeError)
+TIMEOUT = 10.0  # seconds a connect or a read may take
+RETRIES = 2  # further tries of a failed request
 RETRY_BACKOFF = 0.1  # seconds between the tries of a failed request
 
 Endpoint = tuple[str, str, int]  # (scheme, connect host, port)
@@ -243,9 +245,9 @@ class _Connection:
 
     __slots__ = ("sock", "reader")
 
-    def __init__(self, endpoint: Endpoint, timeout: float):
+    def __init__(self, endpoint: Endpoint):
         scheme, host, port = endpoint
-        sock = socket.create_connection((host, port), timeout)
+        sock = socket.create_connection((host, port), TIMEOUT)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if scheme == "https":
@@ -263,7 +265,7 @@ class _Connection:
 
 @dataclass
 class Transport:
-    """Socket-level knobs and the keep-alive connections of a run.
+    """Host routing and the keep-alive connections of a run.
 
     ``resolve_overrides`` maps a logical hostname to a concrete (ip, port) to
     connect to over plain HTTP while still sending the logical Host header;
@@ -276,8 +278,6 @@ class Transport:
     """
 
     resolve_overrides: dict[str, tuple[str, int]] = field(default_factory=dict)
-    timeout: float = 10.0
-    retries: int = 2
     _local: threading.local = field(
         default_factory=threading.local, init=False, repr=False, compare=False
     )
@@ -363,7 +363,7 @@ def _issue(
 
     Any failure up to the end of the body (refused or reset connection,
     timeout, framing fault, truncated or undecodable body) is retried
-    ``transport.retries`` times and then raised as :class:`NetworkError`. A
+    ``RETRIES`` times and then raised as :class:`NetworkError`. A
     reused socket that turns out to be closed before any response arrives is
     replaced once without spending a retry.
     """
@@ -371,13 +371,13 @@ def _issue(
     last_exc: Exception | None = None
     may_reconnect = True
     attempt = 0
-    while attempt <= transport.retries:
+    while attempt <= RETRIES:
         conn = pool.get(endpoint)
         reused = conn is not None
         answered = False
         try:
             if conn is None:
-                conn = pool[endpoint] = _Connection(endpoint, transport.timeout)
+                conn = pool[endpoint] = _Connection(endpoint)
             conn.sock.sendall(message)
             answered = bool(conn.reader.peek(1))  # waits for the reply's first byte
             status, headers, body, keep_alive = read_response(conn.reader, method)
@@ -393,7 +393,7 @@ def _issue(
                 may_reconnect = False
                 continue
         attempt += 1
-        if attempt <= transport.retries:
+        if attempt <= RETRIES:
             time.sleep(RETRY_BACKOFF)
     scheme, host, port = endpoint
     raise NetworkError(

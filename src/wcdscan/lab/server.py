@@ -240,13 +240,7 @@ class _Handler(socketserver.StreamRequestHandler):
         if method == "POST":
             form = dict(parse_qsl(raw.decode("utf-8", errors="replace")))
 
-        request = LabRequest(
-            method=method,
-            target=target,
-            cookies=cookies,
-            region=headers.get("x-lab-region", "default"),
-            form=form,
-        )
+        request = LabRequest(method=method, target=target, cookies=cookies, form=form)
         with runtime.lock:
             runtime.log.append(
                 RequestLogEntry(

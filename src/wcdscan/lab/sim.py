@@ -66,7 +66,6 @@ class CacheEntry:
     headers: tuple[tuple[str, str], ...]
     stored_at: float
     ttl: float
-    region: str
 
     def fresh(self, now: float) -> bool:
         return self.stored_at + self.ttl > now
@@ -77,7 +76,6 @@ class LabRequest:
     method: str = "GET"
     target: str = "/"  # path[?query], percent-encoding exactly as on the wire
     cookies: dict[str, str] = field(default_factory=dict)
-    region: str = "default"
     form: dict[str, str] | None = None
 
 
@@ -163,8 +161,7 @@ class SimSite:
     proxy_decodes_percent: bool = False
     auth: LabAuth | None = None
     ttl_overrides: dict[str, int] = field(default_factory=dict)
-    tiered_retry: bool = False
-    entries: dict[tuple[str, str], CacheEntry] = field(default_factory=dict)
+    entries: dict[str, CacheEntry] = field(default_factory=dict)
     origin_requests: int = 0
 
     def __post_init__(self):
@@ -203,7 +200,6 @@ class SimSite:
             "origin": self.origin.to_dict(),
             "cache_profile": profile_to_dict(self.cache_profile),
             "proxy_decodes_percent": self.proxy_decodes_percent,
-            "tiered_retry": self.tiered_retry,
             "resources": [
                 {
                     "path": r.path,
@@ -282,7 +278,6 @@ class SimSite:
             proxy_decodes_percent=bool(data.get("proxy_decodes_percent", False)),
             auth=auth,
             ttl_overrides=dict(data.get("ttl_overrides", {})),
-            tiered_retry=bool(data.get("tiered_retry", False)),
         )
 
 
@@ -394,8 +389,7 @@ def proxy_handle(
     The cache key is the proxy-visible URL (decoded only when the proxy
     decodes percent-encoding). Fresh entries are served without contacting
     the origin; otherwise the response is forwarded and stored or not per the
-    profile decision. With ``tiered_retry``, a miss is converted into a hit
-    when any region holds a fresh entry for the key.
+    profile decision.
     """
     if request.method == "POST":
         if site.auth and request.target.partition("?")[0] == site.auth.login_path:
@@ -410,19 +404,14 @@ def proxy_handle(
     now = clock.now
     event: CacheEvent | None = None
 
-    entry = site.entries.get((request.region, key))
-    if entry is None and site.tiered_retry:
-        for (_region, other_key), other in site.entries.items():
-            if other_key == key:
-                entry = other
-                break
+    entry = site.entries.get(key)
     if entry is not None:
         if entry.fresh(now):
             headers = list(entry.headers)
             headers.append(("Age", str(int(now - entry.stored_at))))
             headers.extend(_proxy_headers(site, True, key))
             return LabResponse(entry.status, headers, entry.body), CacheEvent.HIT
-        site.entries.pop((entry.region, key), None)
+        del site.entries[key]
         event = CacheEvent.EXPIRED
 
     site.origin_requests += 1
@@ -435,13 +424,12 @@ def proxy_handle(
             if rule_path.endswith(suffix):
                 ttl = seconds
                 break
-        site.entries[(request.region, key)] = CacheEntry(
+        site.entries[key] = CacheEntry(
             body=response.body,
             status=response.status,
             headers=tuple(response.headers),
             stored_at=now,
             ttl=ttl,
-            region=request.region,
         )
     if event is None:
         event = CacheEvent.MISS_STORED if decision.store else CacheEvent.MISS_NOT_STORED

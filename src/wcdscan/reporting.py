@@ -363,12 +363,20 @@ def write_records(verdicts: Iterable[ScanVerdict], fh: TextIO) -> None:
         fh.write(json.dumps(verdict.to_record()) + "\n")
 
 
+class MalformedRecord(ValueError):
+    """A record line that is not a JSON verdict; the message starts with
+    its line number."""
+
+
 def read_records(fh: TextIO) -> list[ScanVerdict]:
     out = []
-    for line in fh:
+    for number, line in enumerate(fh, 1):
         line = line.strip()
         if line:
-            out.append(ScanVerdict.from_record(json.loads(line)))
+            try:
+                out.append(ScanVerdict.from_record(json.loads(line)))
+            except (ValueError, TypeError, AttributeError) as exc:
+                raise MalformedRecord(f"{number}: {exc}") from None
     return out
 
 

@@ -58,13 +58,6 @@ class PathConfusionTechnique(Enum):
     ENCODED_POUND = "encoded_pound"
     ENCODED_QUESTION = "encoded_question"
 
-    @classmethod
-    def from_name(cls, name: str) -> "PathConfusionTechnique":
-        for t in cls:
-            if t.value == name:
-                return t
-        raise ValueError(f"unknown technique: {name!r}")
-
 
 # Separator inserted between the base path and the bogus static file name.
 _TECHNIQUE_SEPARATORS = {
@@ -218,18 +211,6 @@ def group_key(url: ParsedUrl) -> UrlGroupKey:
         pairs = parse_qsl(url.raw_query, keep_blank_values=True)
         names = tuple(sorted({name for name, _ in pairs}))
     return UrlGroupKey(host=url.host, abstract_path=abstract, param_names=names)
-
-
-def select_representatives(urls: list[ParsedUrl], seed: int) -> list[ParsedUrl]:
-    """Pick one random member per structural group, deterministically.
-
-    The selection depends only on the set of input URLs and the seed; see
-    :func:`pick_per_group`.
-    """
-    groups: dict[UrlGroupKey, list[ParsedUrl]] = {}
-    for url in urls:
-        groups.setdefault(group_key(url), []).append(url)
-    return list(pick_per_group(groups, seed).values())
 
 
 def pick_per_group(

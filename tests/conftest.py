@@ -8,6 +8,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+from wcdscan import http_engine  # noqa: E402
 from wcdscan.detector import ScanSettings  # noqa: E402
 from wcdscan.http_engine import RateLimiter, Transport  # noqa: E402
 from wcdscan.lab import catalog  # noqa: E402
@@ -51,3 +52,16 @@ def support_transport(support_lab):
 @pytest.fixture()
 def limiter():
     return fast_limiter()
+
+
+@pytest.fixture()
+def transport_limits(monkeypatch):
+    """Sets ``http_engine.RETRIES`` and, when given, ``http_engine.TIMEOUT``
+    for one test, so a dead or silent peer fails fast."""
+
+    def set_limits(retries: int, timeout: float | None = None) -> None:
+        monkeypatch.setattr(http_engine, "RETRIES", retries)
+        if timeout is not None:
+            monkeypatch.setattr(http_engine, "TIMEOUT", timeout)
+
+    return set_limits

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from wcdscan import cli
 from wcdscan.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS, build_parser, main
 from wcdscan.detector import ScanVerdict, SecretCandidate, SecretSource, SecretTrigger
 from wcdscan.lab import catalog
@@ -44,6 +45,50 @@ def test_nonpositive_rate_is_a_usage_error(tmp_path, capsys, command, rate):
         main(argv)
     assert exit_info.value.code == EXIT_ERROR
     assert "argument --rate: rate must be a positive number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["scan", "selfcheck", "oracle"])
+def test_unknown_technique_is_a_usage_error(tmp_path, capsys, command):
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("# nothing to scan\n")
+    argv = [command, "--techniques", "path_parameter,bogus"]
+    if command == "scan":
+        argv += ["--seeds", str(seeds), "--no-probe"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == EXIT_ERROR
+    assert "argument --techniques: unknown technique" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delay", ["-1", "nan", "inf"])
+def test_bad_delay_is_a_usage_error_before_any_request(capsys, monkeypatch, delay):
+    def no_ingest(*_args, **_kwargs):
+        raise AssertionError("the seed pool was read")
+
+    monkeypatch.setattr(cli, "ingest_domains", no_ingest)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["scan", "--seeds", "seeds.txt", "--delay", delay])
+    assert exit_info.value.code == EXIT_ERROR
+    assert "argument --delay: delay must be a non-negative number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad_line,reason",
+    [("{not json", "Expecting property name"),
+     ('{"page": "http://a.test/"}', "missing 10 required positional arguments"),
+     ('{"cache_evidence": ["x"]}', "has no attribute 'items'")],
+    ids=["not-json", "missing-fields", "wrong-field-type"],
+)
+def test_report_on_a_malformed_record_names_its_line(tmp_path, capsys, bad_line, reason):
+    good = _verdict("http://a.test/", PathConfusionTechnique.PATH_PARAMETER, False)
+    records = tmp_path / "verdicts.jsonl"
+    with open(records, "w", encoding="utf-8") as fh:
+        write_records([good], fh)
+        fh.write("\n" + bad_line + "\n")
+    assert main(["report", "--records", str(records)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {records}:3: ")
+    assert reason in err
 
 
 def test_scan_lab_site_end_to_end(tmp_path, capsys):

@@ -22,7 +22,7 @@ from wcdscan.lab import catalog
 from wcdscan.lab.origin import OriginSemantics
 from wcdscan.lab.sim import LabResource, SimSite
 from wcdscan.lab.server import LabServer
-from wcdscan.url_toolkit import group_key, select_representatives
+from wcdscan.url_toolkit import group_key, pick_per_group
 
 from conftest import fast_limiter, lab_connections_left_open
 
@@ -38,7 +38,7 @@ def _victim(host):
 
 
 class TestIngestDomains:
-    def test_liveness_filter(self, tmp_path):
+    def test_liveness_filter(self, tmp_path, transport_limits):
         alpha = SimSite(
             name="alpha", host="alpha.test", origin=OriginSemantics(),
             cache_profile=builtin_profile("akamai_default"),
@@ -53,7 +53,8 @@ class TestIngestDomains:
         try:
             overrides = server.resolve_overrides()
             overrides["dead.test"] = ("127.0.0.1", 1)
-            transport = Transport(resolve_overrides=overrides, retries=0, timeout=0.5)
+            transport_limits(retries=0, timeout=0.5)
+            transport = Transport(resolve_overrides=overrides)
             seeds = tmp_path / "seeds.txt"
             seeds.write_text(
                 "# comment line\n"
@@ -124,7 +125,7 @@ class TestIngestDomains:
         site = pool.sites[0]
         assert site.victim_login.url == "http://configured.test/login"
         assert site.victim_login.fields == {"username": "v", "password": "p"}
-        assert site.markers.labels() == ["email"]
+        assert [m.label for m in site.markers] == ["email"]
         assert site.budget == 25
 
 
@@ -216,7 +217,10 @@ class TestCrawlDomain:
         )
         assert len(grouped) == surface.pages_seen == 1200
         assert joined == []  # every sitemap href is plainly rooted
-        assert surface.pages == tuple(select_representatives(grouped, 5))
+        groups = {}
+        for page in grouped:
+            groups.setdefault(group_key(page), []).append(page)
+        assert surface.pages == tuple(pick_per_group(groups, 5).values())
 
     def test_recrawl_is_deterministic(self, support_lab, support_transport, limiter):
         def run():
@@ -319,7 +323,7 @@ class TestCrawlDomain:
         assert after.status == 200
         assert catalog.victim_markers("classic-pp")["email"].encode() in after.body
 
-    def test_fetch_errors_skipped(self, limiter):
+    def test_fetch_errors_skipped(self, limiter, transport_limits):
         site = SimSite(
             name="flaky", host="flaky.test", origin=OriginSemantics(),
             cache_profile=builtin_profile("akamai_default"),
@@ -336,7 +340,8 @@ class TestCrawlDomain:
         try:
             overrides = server.resolve_overrides()
             overrides["x.flaky.test"] = ("127.0.0.1", 1)
-            transport = Transport(resolve_overrides=overrides, retries=0, timeout=0.5)
+            transport_limits(retries=0, timeout=0.5)
+            transport = Transport(resolve_overrides=overrides)
             surface = crawl_domain(
                 SiteConfig(primary_domain="flaky.test"),
                 Identity(role=Role.VICTIM),

@@ -136,7 +136,7 @@ def test_stripper_matches_reference(words_used, junk):
 class TestMarkerSet:
     def test_valid(self):
         ms = MarkerSet([("email", "mk9f3kq7zx2w8v4n"), ("name", "mk1a5b8c2d9e4f7g")])
-        assert ms.labels() == ["email", "name"]
+        assert [m.label for m in ms] == ["email", "name"]
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
@@ -592,15 +592,10 @@ class TestRunWcdTest:
         ]
         assert [e.has_cookie for e in entries] == [True, True, False]
 
-    def test_network_failure_is_inconclusive(self):
+    def test_network_failure_is_inconclusive(self, transport_limits):
+        transport_limits(retries=0, timeout=0.5)
         config = WcdTestConfig(
-            fast_settings(
-                transport=Transport(
-                    resolve_overrides={"gone.test": ("127.0.0.1", 1)},
-                    retries=0,
-                    timeout=0.5,
-                ),
-            )
+            fast_settings(transport=Transport(resolve_overrides={"gone.test": ("127.0.0.1", 1)}))
         )
         victim = Identity(role=Role.VICTIM)
         attacker = Identity(role=Role.ATTACKER)

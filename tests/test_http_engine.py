@@ -299,12 +299,9 @@ class TestTransportFailures:
             transport.close()
             server.stop()
 
-    def test_dead_host_raises_network_error(self, limiter):
-        transport = Transport(
-            resolve_overrides={"dead.test": ("127.0.0.1", 1)},
-            retries=1,
-            timeout=0.5,
-        )
+    def test_dead_host_raises_network_error(self, limiter, transport_limits):
+        transport_limits(retries=1, timeout=0.5)
+        transport = Transport(resolve_overrides={"dead.test": ("127.0.0.1", 1)})
         unauth = Identity(role=Role.UNAUTHENTICATED)
         with pytest.raises(NetworkError):
             fetch(unauth, "http://dead.test/", limiter, transport)

@@ -2,10 +2,12 @@
 
 import copy
 import http.client
+import json
 import socket
 import struct
 import time
 from contextlib import closing
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from wcdscan.lab.sim import (
     CacheEvent,
     LabRequest,
     SimClock,
+    SimSite,
     advance_clock,
     origin_resolve,
     proxy_handle,
@@ -210,33 +213,6 @@ class TestProxyHandle:
         )
         assert replay is CacheEvent.HIT
 
-    def test_tiered_retry_across_regions(self):
-        site = _pp_site(tiered_retry=False)
-        clock = SimClock()
-        target = "/account.php/nonexistent.css"
-        proxy_handle(
-            site, LabRequest(target=target, cookies=_victim_cookie(site), region="boston"), clock
-        )
-        _, miss = proxy_handle(
-            site, LabRequest(target=target, cookies=_attacker_cookie(site), region="trento"), clock
-        )
-        assert miss is CacheEvent.MISS_STORED  # other region: plain miss
-
-        tiered = _pp_site(tiered_retry=True)
-        tiered.name = "unit-pp-tiered"
-        clock = SimClock()
-        proxy_handle(
-            tiered,
-            LabRequest(target=target, cookies=_victim_cookie(tiered), region="boston"),
-            clock,
-        )
-        _, hit = proxy_handle(
-            tiered,
-            LabRequest(target=target, cookies=_attacker_cookie(tiered), region="trento"),
-            clock,
-        )
-        assert hit is CacheEvent.HIT
-
     def test_post_is_never_cached(self):
         site = _pp_site()
         clock = SimClock()
@@ -386,6 +362,15 @@ class TestScenarioFiles:
         loaded = catalog.load_scenarios(str(path))[0]
         assert oracle_vulnerable(loaded, PathConfusionTechnique.PATH_PARAMETER) is True
         assert oracle_vulnerable(loaded, PathConfusionTechnique.ENCODED_POUND) is False
+
+    def test_readme_scenario_example_matches_the_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Scenario file", 1)[1]
+        example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])[0]
+        written = SimSite.from_dict(example).to_dict()
+        assert set(example) == set(written)
+        assert set(example["auth"]) == set(written["auth"])
+        assert set(example["resources"][0]) == set(written["resources"][0])
 
 
 class TestControlEndpoints:

@@ -84,8 +84,8 @@ class ScriptedServer:
                         break
             self.hung_up.set()
 
-    def transport(self, **kwargs) -> Transport:
-        return Transport(resolve_overrides={HOST: ("127.0.0.1", self.port)}, **kwargs)
+    def transport(self) -> Transport:
+        return Transport(resolve_overrides={HOST: ("127.0.0.1", self.port)})
 
     def stop(self) -> None:
         self._listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept()
@@ -405,13 +405,14 @@ class TestResponseShape:
         assert exchange.header("x-cache") == "HIT, MISS from edge"
         assert {(c.name, c.value) for c in victim.cookie_jar.values()} == {("a", "1"), ("b", "2")}
 
-    def test_no_body_status_that_announces_a_body_is_not_reused(self, scripted):
+    def test_no_body_status_that_announces_a_body_is_not_reused(self, scripted, transport_limits):
         # The chunk after the 204 must not be read as the next status line.
         no_content = (b"HTTP/1.1 204 No Content\r\nTransfer-Encoding: chunked\r\n\r\n"
                       b"2\r\nok\r\n0\r\n\r\n")
         server = scripted(lambda index, _head: (no_content if index == 0 else _response(b"ok"),
                                                 "keep"))
-        transport = server.transport(retries=0)
+        transport_limits(retries=0)
+        transport = server.transport()
         identity = Identity(role=Role.VICTIM)
         assert fetch(identity, f"http://{HOST}/", fast_limiter(), transport).status == 204
         assert fetch(identity, f"http://{HOST}/", fast_limiter(), transport).body == b"ok"
@@ -426,9 +427,10 @@ class TestHeaderInjection:
 
     EVIL = r'Set-Cookie: sid="a\015\012X-Evil: 1"; Path=/'  # SimpleCookie decodes to CRLF
 
-    def test_set_cookie_with_crlf_is_not_stored(self, scripted):
+    def test_set_cookie_with_crlf_is_not_stored(self, scripted, transport_limits):
         server = scripted(_always(_response(b"ok", self.EVIL, "Set-Cookie: good=1; Path=/")))
-        transport = server.transport(retries=0)
+        transport_limits(retries=0)
+        transport = server.transport()
         victim = Identity(role=Role.VICTIM)
         fetch(victim, f"http://{HOST}/", fast_limiter(), transport)
         fetch(victim, f"http://{HOST}/", fast_limiter(), transport)
@@ -438,9 +440,10 @@ class TestHeaderInjection:
         assert b"X-Evil" not in head and b"\r\nCookie: good=1\r\n" in head
         assert len(server.requests) == 2
 
-    def test_set_cookie_with_crlf_leaves_the_test_conclusive(self, scripted):
+    def test_set_cookie_with_crlf_leaves_the_test_conclusive(self, scripted, transport_limits):
         server = scripted(_always(_response(b"ok", self.EVIL)))
-        transport = server.transport(retries=0)
+        transport_limits(retries=0)
+        transport = server.transport()
         victim = Identity(role=Role.VICTIM)
         fetch(victim, f"http://{HOST}/", fast_limiter(), transport)  # the site sets the cookie
         verdict = run_wcd_test(
@@ -458,9 +461,10 @@ class TestHeaderInjection:
 
     @pytest.mark.parametrize("value", ["a\r\nX-Evil: 1", "a\nb", "a\rb", "a\x00b"],
                              ids=["crlf", "lf", "cr", "nul"])
-    def test_unsendable_cookie_in_the_jar_costs_one_test(self, scripted, value):
+    def test_unsendable_cookie_in_the_jar_costs_one_test(self, scripted, value, transport_limits):
         server = scripted(_always(_response(b"ok")))
-        transport = server.transport(retries=0)
+        transport_limits(retries=0)
+        transport = server.transport()
 
         def victim() -> Identity:
             identity = Identity(role=Role.VICTIM)
@@ -487,17 +491,19 @@ class TestFailures:
     TRUNCATED = _response(b"x" * 50)[:-45]
 
     @pytest.mark.parametrize("after", ["close", "reset"])
-    def test_body_cut_short_is_network_error(self, scripted, after):
+    def test_body_cut_short_is_network_error(self, scripted, after, transport_limits):
         server = scripted(_always(self.TRUNCATED, after))
-        transport = server.transport(retries=1)
+        transport_limits(retries=1)
+        transport = server.transport()
         with pytest.raises(NetworkError):
             fetch(Identity(role=Role.VICTIM), f"http://{HOST}/", fast_limiter(), transport)
         transport.close()
         assert server.connections == 2  # the first try and one retry
 
-    def test_body_cut_short_makes_the_test_inconclusive(self, scripted):
+    def test_body_cut_short_makes_the_test_inconclusive(self, scripted, transport_limits):
         server = scripted(_always(self.TRUNCATED, "close"))
-        transport = server.transport(retries=0)
+        transport_limits(retries=0)
+        transport = server.transport()
         verdict = run_wcd_test(
             parse_url(f"http://{HOST}/account.php"),
             PathConfusionTechnique.PATH_PARAMETER,
@@ -510,11 +516,14 @@ class TestFailures:
         assert verdict.inconclusive and not verdict.vulnerable
         assert "failed after retries" in verdict.error
 
-    def test_stale_socket_is_reconnected_without_spending_a_retry(self, scripted):
+    def test_stale_socket_is_reconnected_without_spending_a_retry(
+        self, scripted, transport_limits
+    ):
         server = scripted(
             lambda index, _head: (_response(b"ok"), "close" if index == 0 else "keep")
         )
-        transport = server.transport(retries=0)
+        transport_limits(retries=0)
+        transport = server.transport()
         identity = Identity(role=Role.VICTIM)
         fetch(identity, f"http://{HOST}/", fast_limiter(), transport)
         assert server.hung_up.wait(5)  # the kept-alive socket is now dead
@@ -522,13 +531,14 @@ class TestFailures:
         transport.close()
         assert server.connections == 2
 
-    def test_stale_socket_is_reconnected_only_once(self, scripted):
+    def test_stale_socket_is_reconnected_only_once(self, scripted, transport_limits):
         # The first connection answers and is then closed by the server;
         # every later one hangs up without answering.
         server = scripted(
             lambda index, _head: (_response(b"ok"), "close") if index == 0 else (b"", "close")
         )
-        transport = server.transport(retries=0)
+        transport_limits(retries=0)
+        transport = server.transport()
         identity = Identity(role=Role.VICTIM)
         fetch(identity, f"http://{HOST}/", fast_limiter(), transport)
         assert server.hung_up.wait(5)
@@ -538,10 +548,10 @@ class TestFailures:
         assert server.connections == 2
 
 
-def test_silent_server_times_out():
+def test_silent_server_times_out(transport_limits):
     listener = socket.create_server(("127.0.0.1", 0))  # the kernel accepts; nothing answers
-    transport = Transport(resolve_overrides={HOST: listener.getsockname()}, timeout=0.3,
-                          retries=0)
+    transport_limits(retries=0, timeout=0.3)
+    transport = Transport(resolve_overrides={HOST: listener.getsockname()})
     started = time.monotonic()
     try:
         with pytest.raises(NetworkError):
@@ -557,9 +567,10 @@ def test_silent_server_times_out():
     ["ftp://other.test/x", "http://other.test:99999/x", "http://[::1/x"],
     ids=["other-scheme", "port-out-of-range", "broken-ipv6"],
 )
-def test_unroutable_redirect_costs_one_test(scripted, location):
+def test_unroutable_redirect_costs_one_test(scripted, location, transport_limits):
     server = scripted(_always(_response(b"moved", f"Location: {location}", status="302 Found")))
-    transport = server.transport(retries=0)
+    transport_limits(retries=0)
+    transport = server.transport()
     with pytest.raises(NetworkError, match="cannot route"):
         fetch(Identity(role=Role.VICTIM), f"http://{HOST}/account.php", fast_limiter(),
               transport)
@@ -635,7 +646,7 @@ class _Hello(http.server.BaseHTTPRequestHandler):
         pass
 
 
-def test_https_certificates_are_verified(tmp_path, monkeypatch):
+def test_https_certificates_are_verified(tmp_path, monkeypatch, transport_limits):
     cert, key = _self_signed_cert(tmp_path)
     context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
     context.load_cert_chain(cert, key)
@@ -644,7 +655,8 @@ def test_https_certificates_are_verified(tmp_path, monkeypatch):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     url = f"https://127.0.0.1:{server.server_address[1]}/"
-    transport = Transport(retries=0, timeout=5)
+    transport_limits(retries=0, timeout=5)
+    transport = Transport()
     try:
         with pytest.raises(NetworkError, match="CERTIFICATE_VERIFY_FAILED"):
             fetch(Identity(role=Role.UNAUTHENTICATED), url, fast_limiter(), transport)

@@ -19,8 +19,8 @@ from wcdscan.url_toolkit import (
     group_key,
     make_attack_url,
     parse_url,
+    pick_per_group,
     registrable_domain,
-    select_representatives,
 )
 from wcdscan.lab.origin import OriginSemantics, OriginVariant, effective_path
 
@@ -311,13 +311,21 @@ def test_group_key_idempotent_under_abstraction(parts):
         assert group_key(parse_url(abstracted)) == key
 
 
+def _representatives(urls, seed):
+    """``pick_per_group``'s picks over the ``group_key`` groups of ``urls``."""
+    groups = {}
+    for url in urls:
+        groups.setdefault(group_key(url), []).append(url)
+    return list(pick_per_group(groups, seed).values())
+
+
 class TestSelectRepresentatives:
     def test_one_per_group(self):
         urls = [parse_url("http://e.com/?lang=en"), parse_url("http://e.com/?lang=fr")]
-        assert len(select_representatives(urls, seed=1)) == 1
+        assert len(_representatives(urls, seed=1)) == 1
 
     def test_empty(self):
-        assert select_representatives([], seed=1) == []
+        assert _representatives([], seed=1) == []
 
     def test_500_urls_3_groups_brute_force(self):
         # Independent enumeration: build the groups by construction, then
@@ -330,7 +338,7 @@ class TestSelectRepresentatives:
         for n in range(100):
             urls.append(parse_url(f"http://e.com/static/about?v={n}"))
         assert len(urls) == 500
-        reps = select_representatives(urls, seed=42)
+        reps = _representatives(urls, seed=42)
         assert len(reps) == 3
         buckets = {"/item/": 0, "/page": 0, "/static/about": 0}
         for rep in reps:
@@ -338,21 +346,25 @@ class TestSelectRepresentatives:
                 if rep.raw_path.startswith(prefix):
                     buckets[prefix] += 1
         assert all(v == 1 for v in buckets.values())
-        again = select_representatives(urls, seed=42)
+        again = _representatives(urls, seed=42)
         assert [r.text() for r in again] == [r.text() for r in reps]
 
     def test_insensitive_to_input_order(self):
         urls = [parse_url(f"http://e.com/item/{n}") for n in range(30)]
         shuffled = urls[:]
         random.Random(9).shuffle(shuffled)
-        assert select_representatives(urls, 5) == select_representatives(shuffled, 5)
+        assert _representatives(urls, 5) == _representatives(shuffled, 5)
 
     def test_pick_does_not_depend_on_hash_seed(self):
         # Three spellings of one URL share text(); the raw URL breaks the tie.
         code = (
-            "from wcdscan.url_toolkit import parse_url, select_representatives\n"
+            "from wcdscan.url_toolkit import group_key, parse_url, pick_per_group\n"
             "urls = [parse_url('http://' + h + '/a') for h in ('Example.com', 'example.com', 'EXAMPLE.com')]\n"
-            "print(select_representatives(urls, 0)[0].raw)\n"
+            "groups = {}\n"
+            "for u in urls:\n"
+            "    groups.setdefault(group_key(u), []).append(u)\n"
+            "assert len(groups) == 1\n"
+            "print(next(iter(pick_per_group(groups, 0).values())).raw)\n"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
         picks = {
@@ -367,7 +379,7 @@ class TestSelectRepresentatives:
 
     def test_seed_changes_choice(self):
         urls = [parse_url(f"http://e.com/item/{n}") for n in range(50)]
-        picks = {select_representatives(urls, seed)[0].text() for seed in range(20)}
+        picks = {_representatives(urls, seed)[0].text() for seed in range(20)}
         assert len(picks) > 1
 
 
@@ -376,10 +388,10 @@ class TestSelectRepresentatives:
 def test_representatives_partition_property(numbers, seed):
     urls = [parse_url(f"http://e.com/n/{n}") for n in numbers]
     urls += [parse_url(f"http://e.com/fixed{n % 3}") for n in numbers]
-    reps = select_representatives(urls, seed)
+    reps = _representatives(urls, seed)
     assert len(reps) == len({group_key(u) for u in urls})
     assert len({group_key(r) for r in reps}) == len(reps)
-    assert select_representatives(urls, seed) == reps
+    assert _representatives(urls, seed) == reps
 
 
 @pytest.mark.parametrize(
