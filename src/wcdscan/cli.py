@@ -12,6 +12,7 @@ import logging
 import sys
 import time
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 from .crawler import ConfigError, ingest_domains
 from .detector import ALL_TECHNIQUES, RandomnessConfig
@@ -308,13 +309,23 @@ def _cmd_oracle(args) -> int:
     return EXIT_CLEAN
 
 
+def _utf8_lines(fh: BinaryIO) -> Iterator[str]:
+    """The lines of ``fh`` decoded as UTF-8; a line that is not raises
+    MalformedRecord with its number."""
+    for number, line in enumerate(fh, 1):
+        try:
+            yield line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedRecord(f"{number}: not UTF-8: {exc}") from None
+
+
 def _cmd_report(args) -> int:
     try:
         if args.records == "-":
-            verdicts = read_records(sys.stdin)
+            verdicts = read_records(_utf8_lines(sys.stdin.buffer))
         else:
-            with open(args.records, "r", encoding="utf-8") as fh:
-                verdicts = read_records(fh)
+            with open(args.records, "rb") as fh:
+                verdicts = read_records(_utf8_lines(fh))
     except MalformedRecord as exc:
         print(f"error: {args.records}:{exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -53,6 +53,11 @@ _HTML_SPACE = " \t\n\f\r"
 # leading slash, and no backslash, dot segment, ";", "#", tab, newline or
 # empty trailing query for urljoin to rewrite.
 _PLAIN_ROOTED_HREF = re.compile(r"(?!.*/\.\.?(?:[/?]|$))/(?!/)[^\\;#\t\n\r]*(?<!\?)")
+# An absolute href that urljoin returns unchanged: a lowercase http(s)
+# scheme, a host, and then printable ASCII with no space, "#", ";", "@",
+# "[", "\" or "]", and no empty trailing query. urljoin resolves no dot
+# segment in a URL that names its host.
+_PLAIN_ABSOLUTE_HREF = re.compile(r"https?://(?![/?])[!\"$-:<-?A-Z^-~]+(?<!\?)")
 
 
 class ConfigError(Exception):
@@ -223,7 +228,8 @@ def ingest_domains(
 
 def extract_links(body: bytes, base_url: str) -> list[str]:
     """Absolute http(s) URLs from anchor hrefs, in document order; character
-    references such as ``&amp;`` are decoded before resolving."""
+    references such as ``&amp;`` are decoded before resolving, and an href
+    that urljoin cannot read is skipped."""
     base = urlsplit(base_url)
     root = f"{base.scheme}://{base.netloc}" if base.scheme in ("http", "https") else None
     out = []
@@ -232,7 +238,13 @@ def extract_links(body: bytes, base_url: str) -> list[str]:
         if root is not None and _PLAIN_ROOTED_HREF.fullmatch(href):
             out.append(root + href)
             continue
-        absolute = urljoin(base_url, href)
+        if _PLAIN_ABSOLUTE_HREF.fullmatch(href):
+            out.append(href)
+            continue
+        try:
+            absolute = urljoin(base_url, href)
+        except ValueError:  # an unbalanced IPv6 bracket, say
+            continue
         if absolute.startswith(("http://", "https://")):
             out.append(absolute)
     return out

@@ -16,6 +16,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import lru_cache
 from operator import attrgetter
 from typing import Callable, TextIO, get_type_hints
 from urllib.parse import parse_qsl, urlsplit
@@ -50,6 +51,14 @@ MIN_RESIDUAL_LENGTH = 8
 MIN_RESIDUAL_ENTROPY = 3.0
 
 DEFAULT_KEYWORDS = ("csrf", "xsrf", "token", "state", "client_id")
+
+# Printable ASCII less space, "[", "\" and "]". urlsplit neither strips,
+# drops nor checks any character of such a URL, so each of its parts is a
+# plain slice of the text; any other URL goes through urlsplit.
+_SLICEABLE_URL = re.compile(r"[!-Z^-~]*")
+# The path of a plain URL as urlsplit reads it: after an optional scheme and
+# authority, up to the query or fragment.
+_SLICEABLE_URL_PATH = re.compile(r"(?:[A-Za-z][A-Za-z0-9+.-]*:)?(?://[^/?#]*)?([^?#]*)")
 
 # Headers that hint at cache involvement. Recorded for reporting only: they
 # are an unreliable signal and never feed the vulnerable determination.
@@ -144,26 +153,43 @@ class RandomnessConfig:
     keywords: tuple[str, ...] = DEFAULT_KEYWORDS
 
     def __post_init__(self):
-        self._words = {w.lower() for w in self.dictionary if len(w) >= MIN_WORD_LENGTH}
-        self._max_word = max((len(w) for w in self._words), default=0)
+        self._words, self._lengths = _dictionary_index(tuple(self.dictionary))
+
+
+@lru_cache(maxsize=8)
+def _dictionary_index(
+    dictionary: tuple[str, ...],
+) -> tuple[frozenset[str], dict[str, tuple[int, ...]]]:
+    """The lowered words of at least MIN_WORD_LENGTH characters, and for each
+    word's first MIN_WORD_LENGTH characters the lengths of the words that
+    start with them, longest first. Built once per distinct dictionary and
+    shared by every config that uses it; never mutated."""
+    words = frozenset(w.lower() for w in dictionary if len(w) >= MIN_WORD_LENGTH)
+    lengths: dict[str, set[int]] = {}
+    for word in words:
+        lengths.setdefault(word[:MIN_WORD_LENGTH], set()).add(len(word))
+    return words, {
+        prefix: tuple(sorted(found, reverse=True)) for prefix, found in lengths.items()
+    }
 
 
 def strip_dictionary_words(value: str, config: RandomnessConfig) -> str:
     """Remove dictionary words greedily (longest match first, left to right,
-    case-insensitive); characters not starting a word are kept."""
+    case-insensitive); characters not starting a word are kept.
+
+    Positions index both ``value`` and its lowered form, so where lowering
+    lengthens a character (``"İ"`` lowers to two) the two drift apart; the
+    reference the tests keep reads them the same way."""
     lowered = value.lower()
+    words, by_prefix = config._words, config._lengths
     n = len(value)
     out: list[str] = []
     i = 0
     while i < n:
-        matched = 0
-        longest = min(config._max_word, n - i)
-        for length in range(longest, MIN_WORD_LENGTH - 1, -1):
-            if lowered[i : i + length] in config._words:
-                matched = length
+        for length in by_prefix.get(lowered[i : i + MIN_WORD_LENGTH], ()):
+            if lowered[i : i + length] in words:
+                i += length
                 break
-        if matched:
-            i += matched
         else:
             out.append(value[i])
             i += 1
@@ -272,6 +298,26 @@ def extract_markers(body: bytes, markers: MarkerSet) -> list[str]:
     return [m.label for m in markers if m.value.encode() in body]
 
 
+def _url_query(url: str) -> str | None:
+    """``urlsplit(url).query``, or None where urlsplit rejects the URL."""
+    if _SLICEABLE_URL.fullmatch(url):
+        return url.partition("#")[0].partition("?")[2]
+    try:
+        return urlsplit(url).query
+    except ValueError:
+        return None
+
+
+def _url_path(url: str) -> str | None:
+    """``urlsplit(url).path``, or None where urlsplit rejects the URL."""
+    if _SLICEABLE_URL.fullmatch(url):
+        return _SLICEABLE_URL_PATH.match(url)[1]
+    try:
+        return urlsplit(url).path
+    except ValueError:
+        return None
+
+
 def extract_secrets(body: bytes, config: RandomnessConfig) -> list[SecretCandidate]:
     """Candidate leaked tokens from hidden form fields, anchor query strings,
     inline script variables, and script file names.
@@ -281,45 +327,47 @@ def extract_secrets(body: bytes, config: RandomnessConfig) -> list[SecretCandida
     """
     scan = scan_html(body.decode("utf-8", errors="replace"))
 
-    pairs: list[tuple[str, str, SecretSource]] = []
-    for name, value in scan.hidden_inputs:
-        pairs.append((name, value, SecretSource.HIDDEN_FORM_FIELD))
-    for href in scan.anchor_hrefs:
-        try:
-            query = urlsplit(href).query
-        except ValueError:
-            continue
-        for name, value in parse_qsl(query, keep_blank_values=True):
-            pairs.append((name, value, SecretSource.ANCHOR_QUERY_STRING))
-    for block in scan.inline_scripts:
-        for name, value in _RE_JS_VAR.findall(block):
-            pairs.append((name, value, SecretSource.INLINE_SCRIPT_VARIABLE))
-    for src in scan.script_srcs:
-        try:
-            path = urlsplit(src).path
-        except ValueError:
-            continue
+    script_files = []
+    for path in filter(None, map(_url_path, scan.script_srcs)):
         basename = path.rsplit("/", 1)[-1]
         stem = basename.rsplit(".", 1)[0]
         if stem:
-            pairs.append((basename, stem, SecretSource.SCRIPT_FILE_NAME))
+            script_files.append((basename, stem))
 
+    by_source = (
+        (SecretSource.HIDDEN_FORM_FIELD, scan.hidden_inputs),
+        (
+            SecretSource.ANCHOR_QUERY_STRING,
+            [
+                pair
+                for query in map(_url_query, scan.anchor_hrefs)
+                if query
+                for pair in parse_qsl(query, keep_blank_values=True)
+            ],
+        ),
+        (
+            SecretSource.INLINE_SCRIPT_VARIABLE,
+            [pair for block in scan.inline_scripts for pair in _RE_JS_VAR.findall(block)],
+        ),
+        (SecretSource.SCRIPT_FILE_NAME, script_files),
+    )
     out: list[SecretCandidate] = []
-    seen: set[tuple[str, str, SecretSource]] = set()
-    for name, value, source in pairs:
-        if not value or (name, value, source) in seen:
-            continue
-        seen.add((name, value, source))
-        residual, entropy = randomness_score(value, config)
-        keyword_hit = any(k in name.lower() for k in config.keywords)
-        entropy_hit = residual >= MIN_RESIDUAL_LENGTH and entropy >= MIN_RESIDUAL_ENTROPY
-        if keyword_hit:
-            trigger = SecretTrigger.KEYWORD_MATCH
-        elif entropy_hit:
-            trigger = SecretTrigger.ENTROPY_MATCH
-        else:
-            continue
-        out.append(SecretCandidate(name, value, source, trigger, entropy, residual))
+    for source, pairs in by_source:
+        seen: set[tuple[str, str]] = set()
+        for pair in pairs:
+            name, value = pair
+            if not value or pair in seen:
+                continue
+            seen.add(pair)
+            residual, entropy = randomness_score(value, config)
+            lowered = name.lower()
+            if any(k in lowered for k in config.keywords):
+                trigger = SecretTrigger.KEYWORD_MATCH
+            elif residual >= MIN_RESIDUAL_LENGTH and entropy >= MIN_RESIDUAL_ENTROPY:
+                trigger = SecretTrigger.ENTROPY_MATCH
+            else:
+                continue
+            out.append(SecretCandidate(name, value, source, trigger, entropy, residual))
     return out
 
 
@@ -334,8 +382,9 @@ def responses_identical(
     a: HttpExchange, b: HttpExchange, strip: tuple[str, ...] = ()
 ) -> bool:
     """Byte-equality of the two bodies after nonce/date normalization;
-    headers are deliberately excluded."""
-    return normalize_body(a.body, strip) == normalize_body(b.body, strip)
+    headers are deliberately excluded. Equal bodies stay equal under the
+    normalization, so only differing ones are normalized."""
+    return a.body == b.body or normalize_body(a.body, strip) == normalize_body(b.body, strip)
 
 
 ALL_TECHNIQUES = tuple(PathConfusionTechnique)
@@ -532,7 +581,10 @@ def run_wcd_test(
         unauth_leak
         or (
             bool(secrets)
-            and normalize_body(uex.body, (nonce,)) == normalize_body(aex.body, (nonce,))
+            and (
+                uex.body == aex.body
+                or normalize_body(uex.body, (nonce,)) == normalize_body(aex.body, (nonce,))
+            )
         )
     )
 

@@ -189,7 +189,12 @@ class _Handler(socketserver.StreamRequestHandler):
         params = dict(parse_qsl(parts.query))
         with runtime.lock:
             if parts.path == "/_lab/advance":
-                advance_clock(runtime.clock, float(params.get("seconds", "0")))
+                try:
+                    advance_clock(runtime.clock, float(params.get("seconds", "0")))
+                except ValueError as exc:  # not a number, negative, NaN or infinite
+                    error = json.dumps({"error": str(exc)}).encode()
+                    self._send(400, [("Content-Type", "application/json")], error)
+                    return
                 payload = {"now": runtime.clock.now}
             elif parts.path == "/_lab/reset":
                 runtime.site.reset()

@@ -10,6 +10,7 @@ single-threaded by contract; independent sites may run concurrently.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from string import Template
@@ -53,8 +54,8 @@ class SimClock:
 
 
 def advance_clock(clock: SimClock, seconds: float) -> SimClock:
-    if seconds < 0:
-        raise ValueError("clock can only move forward")
+    if not 0 <= seconds < math.inf:  # NaN fails both comparisons
+        raise ValueError("clock can only move forward by a finite number of seconds")
     clock.now += seconds
     return clock
 

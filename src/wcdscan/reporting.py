@@ -368,7 +368,7 @@ class MalformedRecord(ValueError):
     its line number."""
 
 
-def read_records(fh: TextIO) -> list[ScanVerdict]:
+def read_records(fh: Iterable[str]) -> list[ScanVerdict]:
     out = []
     for number, line in enumerate(fh, 1):
         line = line.strip()

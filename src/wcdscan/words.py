@@ -13,9 +13,9 @@ him his how man new now old see two way who boy did its let put say she too
 use that with have this will your from they know want been good much some
 time very when come here just like long make many more only over such take
 than them well were what about above after again against almost alone along
-already also although always among animal answer around because become been
+already also although always among animal answer around because become
 before began behind being believe below between big black blue body book both
-bring brought build built call came can car care carry case catch cause
+bring brought build built call came car care carry case catch cause
 certain change check child children city class clear close cold college color
 common community company complete consider contain continue control cost
 could country course cover create cross current cut dark data daughter dead
@@ -58,7 +58,7 @@ specific spend sport spring staff stage stand standard star start state
 statement station stay step still stop store story street strong structure
 student study stuff style subject success successful suddenly suffer suggest
 summer support sure surface system table talk task tax teach teacher team
-technology television tell ten tend term test than thank their then theory
+technology television tell ten tend term test thank their then theory
 there these thing think third thought thousand three through throw thus today
 together told tonight took top total touch toward town trade training travel
 treat tree trial trip trouble true truth try turn type under understand unit
@@ -70,17 +70,17 @@ writer wrong yard yeah year yes yet young
 
 air arm art ask bad bag ball bank base bed bill bird bit box break bus buy
 chair coat code cook cool corner cup dance desk dinner dress drink duty ear
-egg face fan farm fit fix flower fun garden gas gift glad grand hat hate
-heard hello hide hole holiday hope ice ill jump kitchen lady lake lip lock
+egg fan farm fit fix flower fun garden gas gift glad grand hat hate
+hello hide hole holiday ice ill jump kitchen lady lake lip lock
 lunch mad map meal meat milk mine mix nose pair pan park pen pet plane plate
-pocket pool pop pot press print push rain rest ring roof salt sand sea seat
-shell ship shirt shoe shop sick sky sleep slow snow sock soft soup star stick
+pocket pool pop pot press print rain ring roof salt sand
+shell ship shirt shoe shop sick sky sleep slow snow sock soft soup stick
 stone storm suit sun sweet swim tail tall tea thick thin ticket tiny tire
 tooth train wake warm wash wave weather wet wheel wild winter wood yellow zoo
 
-cat cats dog dogs ton mat sat hat rat bat bed bee cow fox hen owl pig
-able acid aged also area army away baby back bank bare bell belt bend bent
-best bind bite blow bold bone born both bowl busy cake calm camp card cast
+cat cats dogs ton mat rat bat bee cow fox hen owl pig
+able acid aged area army away baby back bare bell belt bend bent
+best bind bite blow bold bone born bowl busy cake calm camp card cast
 cell chat chip clip club coal coin cope copy core corn crew crop dare dawn
 debt deck deny dial diet dirt dish disk dose dual dull dust earn ease edge
 evil exit fade fail fair fake fame fate feed file film firm flag flat flow
@@ -91,14 +91,14 @@ lawn lazy leaf lean leap lend lens lift limb link lion load loan logo loop
 lord loud luck mail male mall mask mass mate mild mill mode mood mud myth
 nail neat neck nest net nod norm oak odd odds onto oral oven pace pack pad
 pale palm path peak peer pile pill pine pink pipe pit plot plus pond port
-pose pour pray pump pure quit rail rank rare raw ray rear rely rent rid rival
+pose pour pray pump pure quit rail rank rare raw ray rear rely rent rid
 rob rope rose rub ruin rush sack safe sake sale seal seed seek self shed
 shift shine sigh silk sin sink slam slice slide slight slip slope snap sole
 solid solve sorry soul spare spark spin spite split spot spread squad stack
 stake stamp stare steal steel steep steer stem stir strain strip stretch
-sum swear sweep swing tale tank tap tape tear tale tide tie tight till tone
-tool toss tour trace track trail trap tray trend trick truck trunk trust tube
-tune twin twist undo urge vary vast vein verb vice void wage wagon waist wake
+sum swear sweep swing tale tank tap tape tear tide tie tight till tone
+tool toss tour trace trail trap tray trend trick truck trunk trust tube
+tune twin twist undo urge vary vast vein verb vice void wage wagon waist
 wander wipe wire wise wolf worm wrap wrist zero zone
 
 access account action active actor add address admin admit adopt adult
@@ -106,7 +106,7 @@ advance advice affect afford agency agent agree ahead aim alarm album alert
 alive allow amount angle angry annual apart apple apply argue arise array
 arrow aside asset assume attach attack attempt attend author auto avoid
 aware badge balance band bar basic basis batch battle beach bear beat beauty
-begin behalf bench bias bind birth blame blank blend blind block board boat
+begin behalf bench bias birth blame blank blend blind block board boat
 bonus boost border bottle bottom bound brain branch brand brave bread breath
 brick bridge brief bright broad brown brush budget buffer bunch burden burn
 burst button cabin cable cache camera campus cancel candle canvas capable
@@ -117,21 +117,21 @@ cite citizen civil claim clean clerk clever click client climate climb clock
 clone cloth cloud cluster coach coast coffee collect column combat combine
 comfort command comment commit compare compete complex concept concern
 concert conduct confirm connect consist constant consult consume contact
-content contest context contract convert cookie copper corner correct council
+content contest context contract convert cookie copper correct council
 count county couple courage court cousin crack craft crash crazy cream credit
 crime crisis criteria critic crowd crucial crude cruise crystal culture curve
 custom cycle daily damage danger deadline debate decade decline decrease
 deliver demand depend deploy deputy derive describe desert design desire
-detail detect device devote differ digital dignity dinner direct discuss
+detail detect device devote differ digital dignity direct discuss
 disease dismiss display distance district divide doctor document domain
 double doubt dozen draft drama drag drawer drift drill driver drug dry due
-dump eager earn east echo edit editor elect element elite email emerge
+dump eager echo edit editor elect element elite email emerge
 emotion employ empty enable engage engine enjoy enormous ensure entity entry
 equal equip error escape essay estate estimate ethnic evaluate event evidence
 exact examine exceed except exchange exist expand expect expert export expose
 extend extent extra fabric factor faculty fairly faith false fatal fault
 favor feature fence fiber fiction finger finish fiscal flash flavor flesh
-flight float flood fluid focus fond forest formal format formula forth
+flight float flood fluid focus forest formal format formula forth
 fortune forum foster frame fraud fresh fruit fuel fund gallery gap gather
 gender genre gentle genuine gesture giant glance global glove grace grade
 grain grant graph grasp grave gross guard guest guide habit handle harbor
@@ -151,16 +151,16 @@ monster moral mostly motion motor mount mouse multiple muscle museum mutual
 narrow native nature navy nerve neutral noble noise nominee normal notable
 notion novel nowhere nuclear nurse object observe obtain obvious occasion
 occupy ocean offense officer official onion online operate opinion oppose
-option orange organ origin ounce outcome output oppose overall owner oxygen
+option orange organ origin ounce outcome output overall owner oxygen
 packet palace panel panic parallel partner passage passion patch patent
 patient pattern pause payment penalty pencil pension pepper percent perfect
-perform permit person phase photo phrase physical piano pitch pixel planet
+perform permit phase photo phrase physical piano pitch pixel planet
 plastic platform pleasure plenty poem poet poll portion portrait possess
 potato pound powder praise predict prefer premise prepare presence preserve
-prevent previous pride priest primary prime prince print prior priority
+prevent previous pride priest primary prime prince prior priority
 prison privacy prize probe procedure proceed proclaim profile profit progress
 promise promote prompt proof proper property propose prospect protect protein
-protest proud prove provider province public publish purple pursue puzzle
+protest proud prove provider province publish purple pursue puzzle
 quarter queen query quote rabbit radar random rapid rarely ratio reaction
 reader realm rebel recall recipe recover refer reflect reform refuse regard
 regime register regret regular reject relate relax release relief remove
@@ -171,17 +171,17 @@ routine royal rural sacred sadly salad salary sample satisfy sauce scale
 scan scandal scene schedule scheme scholar scope score scratch screen script
 search secret sector secure segment seize select senate senior sensor
 sentence sequence server session settle severe shade shadow shallow shape
-sharp sheet shelf shelter shield shine shore shut sight signal silence
-silent silver simple sink skirt slave slice smart smooth snake soap soccer
-sodium solar somehow speaker species speech speed sphere spirit spite sponsor
-spoon spread square stable stadium stair stance status steady stock stomach
+sharp sheet shelf shelter shield shore shut sight signal silence
+silent silver skirt slave smart smooth snake soap soccer
+sodium solar somehow speaker species speech speed sphere spirit sponsor
+spoon square stable stadium stair stance status steady stock stomach
 storage strange strategy stream strength stress strict strike string stroke
 studio stupid submit subtle suburb succeed sudden sugar suite sunny super
 supply suppose supreme surely surgery survey survive suspect sustain swallow
-sweater symbol symptom syntax table tactic talent target taste teaspoon
+sweater symbol symptom syntax tactic talent target taste teaspoon
 technique temple tennis tension terror thanks theater theme thereby thirty
 threat throat tissue tobacco tomato tongue topic tough tower toxic track
-tragedy transfer transit trauma treaty tremendous tribe tropical trust
+tragedy transfer transit trauma treaty tremendous tribe tropical
 tunnel twelve twenty ugly ultimate unable uncle undergo underlying unfold
 uniform unique universe unknown unless unlike update upgrade upper upset
 urban useful user usual utility vacation valley vanish vehicle vendor venture
@@ -189,6 +189,6 @@ verdict verify version versus vessel veteran victim victory video village
 violate virtue virus visible vision visual vital vitamin volume voter wages
 wealth weekend welcome welfare whatever wheat whenever whereas whisper widely
 widow width winner wisdom witness wooden worried wound yield youth
-token state status session login logout user users name names site page web
-net app item items index query param value values test tests demo sample
+token login logout users names web
+app items param values tests demo
 """.split())

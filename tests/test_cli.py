@@ -367,3 +367,15 @@ def test_readme_cli_section_names_exactly_the_parser_flags():
     parser_flags = _parser_flags(build_parser())
     assert documented - parser_flags == set(), "README documents flags the CLI lacks"
     assert parser_flags - documented == set(), "CLI flags missing from README's CLI section"
+
+
+def test_report_on_a_file_that_is_not_utf8_names_its_line(tmp_path, capsys):
+    good = _verdict("http://a.test/", PathConfusionTechnique.PATH_PARAMETER, False)
+    records = tmp_path / "verdicts.jsonl"
+    with open(records, "w", encoding="utf-8") as fh:
+        write_records([good], fh)
+    with open(records, "ab") as fh:
+        fh.write(b"\xff\xfe\n")
+    assert main(["report", "--records", str(records)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {records}:2: not UTF-8")

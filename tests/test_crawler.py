@@ -4,7 +4,7 @@ import html
 from urllib.parse import urljoin
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from wcdscan import crawler
 from wcdscan.cache_policy import builtin_profile
@@ -143,6 +143,8 @@ class TestIngestDomains:
         ('<style>a[href="/s"] { }<a href="/s"></style><a href="/t">t</a>', ["http://h.test/t"]),
         # Only ASCII whitespace is stripped; a browser keeps U+00A0 as %C2%A0.
         ('<a href=" /x&nbsp;\n">x</a>', ["http://h.test/x\u00a0"]),
+        # urljoin raises on an unbalanced IPv6 bracket; only that href is lost.
+        ('<a href="http://[::1/x">v6</a><a href="/ok">ok</a>', ["http://h.test/ok"]),
     ],
 )
 def test_extract_links_follows_anchors_only(markup, links):
@@ -152,7 +154,7 @@ def test_extract_links_follows_anchors_only(markup, links):
 _HREF_PIECES = [
     "/", "//", "a", "B1", ".", "..", ";p", "\\", "\t", "\n", "?", "#", "%2e", "%41",
     "é", "\u00a0", "\u3000", " ", "javascript:", "mailto:x", "x=1&y", ":", "@",
-    "http://o.test", "HTTPS:", "~",
+    "http://o.test", "HTTPS:", "~", "[", "]", "http://[::1]",
 ]
 _hrefs = st.lists(st.sampled_from(_HREF_PIECES), max_size=8).map("".join)
 _bases = st.builds(
@@ -169,12 +171,46 @@ _bases = st.builds(
 )
 
 
+def _urljoin_or_none(base: str, href: str) -> str | None:
+    try:
+        return urljoin(base, href)
+    except ValueError:
+        return None
+
+
 @given(st.lists(st.one_of(_hrefs, _hrefs.map(lambda h: "/" + h)), max_size=6), _bases)
 def test_extract_links_matches_urljoin_reference(hrefs, base):
     markup = "".join(f'<a href="{html.escape(h)}">x</a>' for h in hrefs)
-    resolved = [urljoin(base, h.strip(" \t\n\f\r")) for h in hrefs if h]
-    expected = [url for url in resolved if url.startswith(("http://", "https://"))]
+    resolved = [_urljoin_or_none(base, h.strip(" \t\n\f\r")) for h in hrefs if h]
+    expected = [url for url in resolved if url and url.startswith(("http://", "https://"))]
     assert extract_links(markup.encode(), base) == expected
+
+
+_ABSOLUTE_PIECES = [
+    "a", "B", "0", ".", "..", "/", "//", "?", "=", "&", "%2F", ":", ":80", "-", "_", "~",
+    "!", "$", "'", "(", "*", "+", ",", '"', "@", ";", "#", "[", "]", "\\", " ", "é",
+]
+
+
+@given(
+    st.sampled_from(["http://", "https://", "HTTP://", "http:/"]),
+    st.lists(st.sampled_from(_ABSOLUTE_PIECES), max_size=10).map("".join),
+)
+@example("http://", "h.test/a;")  # urljoin drops an empty ";" parameter
+@example("http://", "h.test/p?")  # and an empty query
+@example("http://", "/p")  # and resolves a URL with no host
+@example("HTTP://", "h.test/p")  # and lowercases the scheme
+def test_plain_absolute_href_is_what_urljoin_returns(scheme, rest):
+    href = scheme + rest
+    markup = f'<a href="{html.escape(href)}">x</a>'.encode()
+    for base in ("http://h.test/dir/page", "https://h.test/dir/"):
+        expected = _urljoin_or_none(base, href.strip(" \t\n\f\r"))
+        if crawler._PLAIN_ABSOLUTE_HREF.fullmatch(href):
+            assert expected == href
+        if expected is None or not expected.startswith(("http://", "https://")):
+            assert extract_links(markup, base) == []
+        else:
+            assert extract_links(markup, base) == [expected]
 
 
 class TestCrawlDomain:

@@ -5,10 +5,11 @@ import random
 import time
 from dataclasses import replace
 from html.parser import HTMLParser
+from urllib.parse import urlsplit
 
 import pytest
 import requests
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wcdscan import detector
 from wcdscan.cache_policy import CdnProfile, DefaultCached, builtin_profile
@@ -39,6 +40,7 @@ from wcdscan.lab.origin import OriginSemantics, OriginVariant
 from wcdscan.lab.server import LabServer
 from wcdscan.lab.sim import LabResource, SimSite
 from wcdscan.url_toolkit import PathConfusionTechnique, RandomNameGenerator, parse_url
+from wcdscan.words import COMMON_WORDS
 
 from conftest import fast_settings
 
@@ -116,21 +118,67 @@ def test_entropy_matches_reference(value):
     assert shannon_entropy(value) == pytest.approx(reference_entropy(value), abs=1e-9)
 
 
-@settings(deadline=None)
-@given(
-    st.lists(
-        st.sampled_from(["token", "state", "cat", "house", "garden", "blue"]),
-        min_size=0,
-        max_size=4,
+def _mixed_case(word: str):
+    flips = st.lists(st.booleans(), min_size=len(word), max_size=len(word))
+    return flips.map(lambda up: "".join(c.upper() if u else c for c, u in zip(word, up)))
+
+
+# Dictionary words in any case, and junk that holds "İ", whose lower() is
+# two characters long, so positions in the value and its lowered form drift.
+_stripper_values = st.lists(
+    st.one_of(
+        st.sampled_from(COMMON_WORDS).flatmap(_mixed_case),
+        st.text(alphabet="xqzXQZ0123456789-_.İ", min_size=1, max_size=4),
     ),
-    st.text(alphabet="xyz0123456789", max_size=10),
-)
-def test_stripper_matches_reference(words_used, junk):
-    value = junk.join(words_used) if words_used else junk
+    max_size=8,
+).map("".join)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_stripper_values)
+@example("İthe")
+@example("xİİtoken")
+def test_stripper_matches_reference(value):
     config = RandomnessConfig()
-    assert strip_dictionary_words(value, config) == reference_strip(
-        value, config.dictionary
+    assert strip_dictionary_words(value, config) == reference_strip(value, COMMON_WORDS)
+
+
+def test_configs_share_one_dictionary_index():
+    first, second = RandomnessConfig(), RandomnessConfig()
+    assert first._words is second._words
+    assert first._lengths is second._lengths
+    assert RandomnessConfig(dictionary=("token",))._words is not first._words
+
+
+def _urlsplit_part(url: str, part: str) -> str | None:
+    try:
+        return getattr(urlsplit(url), part)
+    except ValueError:
+        return None
+
+
+_URL_PIECES = [
+    "http:", "HTTPS:", "a+b.c:", "1x:", "//", "/", "h.test", ":8080", "u@", "[::1]",
+    "[", "]", "?", "#", "&", "=", ";", "\\", " ", "\t", "\x00", "é", "\uff03", "x",
+    "app.js", ".", "%41",
+]
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(_URL_PIECES), max_size=10).map("".join),
+        st.from_regex(r"[!-Z^-~]*", fullmatch=True),
+        st.text(max_size=20),
     )
+)
+@example("//[::1/x?q=1")  # urlsplit rejects an unbalanced bracket in the host
+@example("http://h.test]/app.js")
+@example("/a#b?c=1")  # the fragment starts before the "?"
+@example("mailto:app.js")
+def test_plain_url_parts_match_urlsplit(url):
+    assert detector._url_query(url) == _urlsplit_part(url, "query")
+    assert detector._url_path(url) == _urlsplit_part(url, "path")
 
 
 class TestMarkerSet:
@@ -225,6 +273,21 @@ class TestExtractSecrets:
         found = extract_secrets(body, RandomnessConfig())
         names = {s.name for s in found}
         assert "xsrf" in names and "client_id" in names
+
+    def test_a_pair_is_kept_once_per_source(self):
+        token = "Zq8Xv2Km9Lp4Wr7T"
+        body = (
+            f'<input type="hidden" name="state" value="{token}">'
+            f'<input type="hidden" name="state" value="{token}">'
+            f'<a href="/a?state={token}">a</a><a href="/b?state={token}">b</a>'
+            f'<script>var state = "{token}";</script>'
+        ).encode()
+        found = extract_secrets(body, RandomnessConfig())
+        assert [(s.name, s.value, s.source) for s in found] == [
+            ("state", token, SecretSource.HIDDEN_FORM_FIELD),
+            ("state", token, SecretSource.ANCHOR_QUERY_STRING),
+            ("state", token, SecretSource.INLINE_SCRIPT_VARIABLE),
+        ]
 
     def test_unknown_marked_section_does_not_stop_the_scan(self):
         # html.parser raises on an unknown marked section; the scanner reads
@@ -415,6 +478,14 @@ class TestResponsesIdentical:
             timing=0,
         )
         assert responses_identical(a, b) is True
+
+    def test_equal_bodies_are_not_normalized(self, monkeypatch):
+        def no_normalize(*_args):
+            raise AssertionError("equal bodies were normalized")
+
+        monkeypatch.setattr(detector, "normalize_body", no_normalize)
+        body = b"<p>generated Mon, 13 Jan 2020 10:00:00 GMT</p>"
+        assert responses_identical(_Ex.make(body), _Ex.make(body), strip=("n0nc3",)) is True
 
 
 def test_normalize_body_strips_all_nonce_occurrences():

@@ -402,6 +402,29 @@ class TestControlEndpoints:
         finally:
             server.stop()
 
+    @pytest.mark.parametrize("seconds", ["abc", "-5", "nan", "inf"])
+    def test_advance_rejects_a_bad_seconds_value(self, seconds):
+        import requests as req
+
+        from wcdscan.lab.server import LabServer
+
+        site = catalog.classic_site()
+        server = LabServer([site]).start()
+        base = f"http://{server.address}:{server.port}"
+        headers = {"Host": site.host}
+        try:
+            req.get(f"{base}/_lab/advance", params={"seconds": 7}, headers=headers, timeout=5)
+            refused = req.get(
+                f"{base}/_lab/advance", params={"seconds": seconds}, headers=headers, timeout=5
+            )
+            assert refused.status_code == 400
+            assert refused.headers["Content-Type"] == "application/json"
+            assert "error" in refused.json()
+            state = req.get(f"{base}/_lab/state", headers=headers, timeout=5).json()
+            assert state["now"] == 7.0
+        finally:
+            server.stop()
+
     def test_unknown_host_rejected(self):
         import requests as req
 

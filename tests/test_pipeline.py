@@ -155,3 +155,22 @@ def test_no_pooled_connection_outlives_scan_pool(pipeline_lab):
     assert not run.errors and run.verdicts
     assert [u.exc_value for u in unraisable] == []
     assert lab_connections_left_open(pipeline_lab) == 0
+
+
+def test_a_malformed_anchor_costs_that_link_not_the_site():
+    site = catalog.classic_site()
+    home = site.resources["/"]
+    home.body_template = home.body_template.replace(
+        "</body>", '<a href="http://[::1/x">broken</a></body>'
+    )
+    assert 'href="http://[::1/x"' in home.body_template
+    server = LabServer([site]).start()
+    try:
+        run = scan_pool(pool_from_lab_sites([site]), _settings(server))
+    finally:
+        server.stop()
+    result = run.site_results[0]
+    assert result.error is None
+    assert {p.raw_path for p in result.surface.pages} == {"/", "/login", "/account.php"}
+    assert len(result.verdicts) == 15
+    assert any(v.vulnerable for v in result.verdicts)
