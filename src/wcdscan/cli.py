@@ -63,10 +63,13 @@ def _parse_resolve(entries: list[str]) -> dict[str, tuple[str, int]]:
     for entry in entries:
         try:
             host, addr = entry.split("=", 1)
-            ip, port = addr.rsplit(":", 1)
-            overrides[host.lower()] = (ip, int(port))
+            ip, port_text = addr.rsplit(":", 1)
+            port = int(port_text)
         except ValueError as exc:
             raise ConfigError(f"bad --resolve entry {entry!r} (want HOST=IP:PORT)") from exc
+        if not 1 <= port <= 65535:
+            raise ConfigError(f"bad --resolve entry {entry!r}: port not in 1-65535")
+        overrides[host.lower()] = (ip, port)
     return overrides
 
 
@@ -75,6 +78,13 @@ def _positive_rate(text: str) -> float:
     if not 0 < rate < float("inf"):  # also rejects nan
         raise argparse.ArgumentTypeError(f"rate must be a positive number, got {text!r}")
     return rate
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _delay(text: str) -> float:
@@ -114,13 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--seeds", required=True, help="seed file: one host per line, optional config ref")
     scan.add_argument("--techniques", type=_parse_techniques, default="all",
                       help="'all' or comma list of technique names")
-    scan.add_argument("--budget", type=int, default=500, help="unique page groups per domain")
+    scan.add_argument("--budget", type=_positive_int, default=500, help="unique page groups per domain")
     scan.add_argument("--rate", type=_positive_rate, default=2.0, help="max requests/second/host")
     scan.add_argument("--mode", choices=["full", "marker-gated"], default="full")
     scan.add_argument("--delay", type=_delay, default=0.0, help="seconds between victim and attacker steps")
     scan.add_argument("--extension", default="css", help="bogus static extension for attack URLs")
     scan.add_argument("--seed", type=int, default=None, help="deterministic grouping/nonce seed")
-    scan.add_argument("--workers", type=int, default=4, help="concurrent site workers")
+    scan.add_argument("--workers", type=_positive_int, default=4, help="concurrent site workers")
     scan.add_argument("--out", default=None, help="write verdict records (JSONL) to this file")
     scan.add_argument("--format", choices=["table", "records"], default="table")
     scan.add_argument("--redact", action="store_true", help="replace impacted hostnames in records")
@@ -160,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     selfcheck = sub.add_parser("selfcheck", help="scan the lab and diff against the oracle")
     selfcheck.add_argument("--techniques", type=_parse_techniques, default="all")
     selfcheck.add_argument("--rate", type=_positive_rate, default=500.0)
-    selfcheck.add_argument("--workers", type=int, default=8)
+    selfcheck.add_argument("--workers", type=_positive_int, default=8)
     selfcheck.add_argument("--extension", default="css")
     selfcheck.add_argument("--quick", action="store_true",
                            help="run a 16-site sample of the matrix instead of all 128")

@@ -1,11 +1,10 @@
 """Attack-surface discovery: seed pool ingestion and per-domain crawling.
 
 The crawl walks same-site anchors breadth-first as the victim identity,
-groups URLs structurally as it goes, and fetches only one page per group
-(plus the group's chosen representative) so that large parameterized
-sections cost a handful of requests. Logout-looking links are never
-requested. Per-domain crawls may run concurrently; within a domain fetches
-are sequential.
+groups URLs structurally as it goes, and fetches only one page per group so
+that large parameterized sections cost a handful of requests. Logout-looking
+links are never requested. Per-domain crawls may run concurrently; within a
+domain fetches are sequential.
 """
 
 from __future__ import annotations
@@ -92,7 +91,7 @@ class SeedPool:
 @dataclass
 class AttackSurface:
     """Representative pages selected for one domain, with the victim bodies
-    needed for marker gating."""
+    of the pages the crawl fetched (keyed by URL text) for marker gating."""
 
     domain: str
     pages: tuple[ParsedUrl, ...]
@@ -127,6 +126,9 @@ def site_config_from_dict(primary: str, subdomains: tuple[str, ...], data: dict)
     markers = None
     if data.get("markers"):
         markers = MarkerSet([(m["label"], m["value"]) for m in data["markers"]])
+    budget = data.get("budget")
+    if "budget" in data and (type(budget) is not int or budget < 1):
+        raise ConfigError(f"site budget must be a positive integer, got {budget!r}")
     return SiteConfig(
         primary_domain=primary,
         subdomains=subdomains,
@@ -134,7 +136,7 @@ def site_config_from_dict(primary: str, subdomains: tuple[str, ...], data: dict)
         victim_login=victim_login,
         attacker_login=attacker_login,
         markers=markers,
-        budget=int(data["budget"]) if "budget" in data else None,
+        budget=budget,
     )
 
 
@@ -290,12 +292,12 @@ def crawl_domain(
 ) -> AttackSurface:
     """Breadth-first crawl of one domain up to ``budget`` structural groups.
 
-    Only the first page of each group is fetched for link discovery; the
-    seeded representative of each group is fetched once more if it differs,
-    so the returned victim bodies correspond exactly to the pages that will
-    be attacked. When ``journal`` (a writable text stream) is given, one
-    JSON line is emitted per observed page plus a final surface record;
-    nothing reads the journal back yet.
+    Only the first page of each group is fetched, for link discovery: one
+    request per group, plus ``robots.txt`` when asked. The returned victim
+    bodies are those of the fetched pages, which need not be the groups'
+    seeded representatives. When ``journal`` (a writable text stream) is
+    given, one JSON line is emitted per observed page plus a final surface
+    record; nothing reads the journal back yet.
     """
     start = f"{site.scheme}://{site.primary_domain}/"
     site_scope = site.site
@@ -309,7 +311,7 @@ def crawl_domain(
     seen: set[str] = {start}  # every URL ever queued
     in_scope: dict[str, bool] = {}  # host -> same registrable domain as the site
     members: dict[UrlGroupKey, list[ParsedUrl]] = {}
-    first_fetched: dict[UrlGroupKey, tuple[str, bytes]] = {}
+    victim_bodies: dict[str, bytes] = {}
     pages_seen = 0
     truncated = False
 
@@ -370,28 +372,13 @@ def crawl_domain(
                 },
             )
             continue
-        first_fetched[key] = (raw_url, exchange.body)
+        victim_bodies[page.text()] = exchange.body
         for link in extract_links(exchange.body, exchange.url):
             if link not in seen:
                 seen.add(link)
                 queue.append(link)
 
-    chosen = pick_per_group(members, seed)
-    representatives = list(chosen.values())
-
-    victim_bodies: dict[str, bytes] = {}
-    for key, rep in chosen.items():
-        fetched = first_fetched.get(key)
-        if fetched is not None and fetched[0] == rep.raw:
-            victim_bodies[rep.text()] = fetched[1]
-            continue
-        try:
-            exchange = fetch(identity, rep.text(), rate_limiter, transport)
-            victim_bodies[rep.text()] = exchange.body
-        except (NetworkError, TooManyRedirects) as exc:
-            log.warning("representative fetch failed for %s: %s", rep.text(), exc)
-            victim_bodies[rep.text()] = b""
-
+    representatives = pick_per_group(members, seed)
     _journal_write(
         journal,
         {
@@ -411,13 +398,23 @@ def crawl_domain(
     )
 
 
-def filter_marked_pages(surface: AttackSurface, markers: MarkerSet) -> AttackSurface:
+def filter_marked_pages(
+    surface: AttackSurface, markers: MarkerSet, victim: Identity,
+    *, rate_limiter: RateLimiter, transport: Transport,
+) -> AttackSurface:
     """Keep only pages whose victim-rendered body embeds at least one marker
-    (the marker-gated scan mode)."""
+    (the marker-gated scan mode). A page whose body the crawl did not fetch
+    is fetched here as ``victim``; a failed fetch counts as an empty body."""
     values = [m.value.encode() for m in markers]
-    kept = tuple(
-        page
-        for page in surface.pages
-        if any(v in surface.victim_bodies.get(page.text(), b"") for v in values)
-    )
-    return replace(surface, pages=kept)
+    kept = []
+    for page in surface.pages:
+        body = surface.victim_bodies.get(page.text())
+        if body is None:
+            try:
+                body = fetch(victim, page.text(), rate_limiter, transport).body
+            except (NetworkError, TooManyRedirects) as exc:
+                log.warning("representative fetch failed for %s: %s", page.text(), exc)
+                body = b""
+        if any(v in body for v in values):
+            kept.append(page)
+    return replace(surface, pages=tuple(kept))

@@ -187,15 +187,14 @@ class _Handler(socketserver.StreamRequestHandler):
     def _control(self, runtime: SiteRuntime, target: str) -> None:
         parts = urlsplit(target)
         params = dict(parse_qsl(parts.query))
+        status = 200
         with runtime.lock:
             if parts.path == "/_lab/advance":
                 try:
                     advance_clock(runtime.clock, float(params.get("seconds", "0")))
+                    payload = {"now": runtime.clock.now}
                 except ValueError as exc:  # not a number, negative, NaN or infinite
-                    error = json.dumps({"error": str(exc)}).encode()
-                    self._send(400, [("Content-Type", "application/json")], error)
-                    return
-                payload = {"now": runtime.clock.now}
+                    status, payload = 400, {"error": str(exc)}
             elif parts.path == "/_lab/reset":
                 runtime.site.reset()
                 runtime.log.clear()
@@ -216,9 +215,8 @@ class _Handler(socketserver.StreamRequestHandler):
                     "origin_requests": runtime.site.origin_requests,
                 }
             else:
-                self._send(404, [], b'{"error": "unknown control endpoint"}')
-                return
-        self._send(200, [("Content-Type", "application/json")], json.dumps(payload).encode())
+                status, payload = 404, {"error": "unknown control endpoint"}
+        self._send(status, [("Content-Type", "application/json")], json.dumps(payload).encode())
 
     def _handle(
         self, method: str, target: str, headers: dict[str, str], raw: bytes, arrival: float

@@ -114,7 +114,10 @@ def scan_site(site: SiteConfig, settings: ScanSettings) -> SiteScanResult:
         )
         markers = site.markers or MarkerSet([])
         if settings.mode == "marker-gated":
-            surface = filter_marked_pages(surface, markers)
+            surface = filter_marked_pages(
+                surface, markers, victim,
+                rate_limiter=settings.rate_limiter, transport=settings.transport,
+            )
 
         config = WcdTestConfig(settings, names=_names_for(site, settings), label_fn=cdn_label)
         verdicts = []
@@ -141,7 +144,7 @@ def scan_pool(pool: SeedPool, settings: ScanSettings) -> ScanRunResult:
     results: list[SiteScanResult] = []
     if not pool.sites:
         return ScanRunResult(site_results=[])
-    with ThreadPoolExecutor(max_workers=max(1, settings.workers)) as pool_exec:
+    with ThreadPoolExecutor(max_workers=settings.workers) as pool_exec:
         futures = {
             pool_exec.submit(scan_site, site, settings): site for site in pool.sites
         }

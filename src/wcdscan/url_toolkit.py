@@ -213,19 +213,17 @@ def group_key(url: ParsedUrl) -> UrlGroupKey:
     return UrlGroupKey(host=url.host, abstract_path=abstract, param_names=names)
 
 
-def pick_per_group(
-    groups: dict[UrlGroupKey, list[ParsedUrl]], seed: int
-) -> dict[UrlGroupKey, ParsedUrl]:
-    """The seeded pick of one member per group, keyed and ordered by group key.
+def pick_per_group(groups: dict[UrlGroupKey, list[ParsedUrl]], seed: int) -> list[ParsedUrl]:
+    """The seeded pick of one member per group, ordered by group key.
 
     Members are deduplicated and sorted by their text, ties broken by the raw
     URL, before the draw, so neither input order nor the hash seed matters.
     """
     rng = random.Random(seed)
-    chosen = {}
+    chosen = []
     for key in sorted(groups, key=UrlGroupKey.sort_key):
         members = sorted(set(groups[key]), key=lambda u: (u.text(), u.raw))
-        chosen[key] = members[rng.randrange(len(members))]
+        chosen.append(members[rng.randrange(len(members))])
     return chosen
 
 

@@ -239,6 +239,43 @@ def test_bad_resolve_flag_is_config_error(tmp_path):
     assert main(["scan", "--seeds", str(seeds), "--resolve", "garbage"]) == EXIT_ERROR
 
 
+def _no_run(*_args, **_kwargs):
+    raise AssertionError("the run started")
+
+
+@pytest.mark.parametrize("port", ["0", "65536", "99999"])
+def test_resolve_port_out_of_range_is_config_error(capsys, monkeypatch, port):
+    monkeypatch.setattr(cli, "ingest_domains", _no_run)
+    argv = ["scan", "--seeds", "seeds.txt", "--no-probe", "--resolve", f"x.test=127.0.0.1:{port}"]
+    assert main(argv) == EXIT_ERROR
+    assert "port not in 1-65535" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["scan", "--budget", "0"], ["scan", "--budget", "-1"], ["scan", "--workers", "0"],
+     ["scan", "--workers", "-3"], ["selfcheck", "--workers", "0"]],
+    ids=" ".join,
+)
+def test_nonpositive_budget_or_workers_is_a_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "ingest_domains", _no_run)
+    monkeypatch.setattr(cli, "run_selfcheck", _no_run)
+    if argv[0] == "scan":
+        argv = argv + ["--seeds", "seeds.txt"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == EXIT_ERROR
+    assert f"argument {argv[1]}: must be a positive integer" in capsys.readouterr().err
+
+
+def test_scan_with_a_bad_site_budget_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "site.json").write_text('{"budget": "abc"}')
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("http://x.test site.json\n")
+    assert main(["scan", "--seeds", str(seeds), "--no-probe"]) == EXIT_ERROR
+    assert "site budget must be a positive integer" in capsys.readouterr().err
+
+
 def test_scan_exits_error_when_nothing_was_testable(tmp_path):
     site = catalog.classic_site()
     server = LabServer([site]).start()

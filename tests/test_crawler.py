@@ -22,7 +22,7 @@ from wcdscan.lab import catalog
 from wcdscan.lab.origin import OriginSemantics
 from wcdscan.lab.sim import LabResource, SimSite
 from wcdscan.lab.server import LabServer
-from wcdscan.url_toolkit import group_key, pick_per_group
+from wcdscan.url_toolkit import group_key, parse_url, pick_per_group
 
 from conftest import fast_limiter, lab_connections_left_open
 
@@ -109,6 +109,11 @@ class TestIngestDomains:
     def test_missing_file_aborts(self):
         with pytest.raises(ConfigError):
             ingest_domains("/nonexistent/seeds.txt", Transport(), fast_limiter(), probe=False)
+
+    @pytest.mark.parametrize("budget", [0, -1, "abc", "5", 2.5, True, None])
+    def test_site_budget_must_be_a_positive_integer(self, budget):
+        with pytest.raises(ConfigError, match="site budget must be a positive integer"):
+            crawler.site_config_from_dict("x.test", (), {"budget": budget})
 
     def test_site_config_reference(self, tmp_path):
         seeds = tmp_path / "seeds.txt"
@@ -256,7 +261,36 @@ class TestCrawlDomain:
         groups = {}
         for page in grouped:
             groups.setdefault(group_key(page), []).append(page)
-        assert surface.pages == tuple(pick_per_group(groups, 5).values())
+        assert surface.pages == tuple(pick_per_group(groups, 5))
+
+    def test_crawl_fetches_one_page_per_group(self, support_lab, support_transport, limiter):
+        host = "sitemap.test"
+        before = len(support_lab.request_log(host))
+        surface = crawl_domain(
+            SiteConfig(primary_domain=host),
+            Identity(role=Role.VICTIM),
+            budget=500,
+            rate_limiter=limiter,
+            transport=support_transport,
+            seed=5,
+        )
+        crawled = [e.target for e in support_lab.request_log(host)[before:]]
+        assert len(crawled) == 7
+        assert len({group_key(parse_url(f"http://{host}{t}")) for t in crawled}) == 7
+
+        # Marker gating fetches the representatives the crawl did not.
+        unfetched = [p for p in surface.pages if p.text() not in surface.victim_bodies]
+        assert len(unfetched) == 5
+        gated = filter_marked_pages(
+            surface,
+            MarkerSet([("email", "zz7q9x2w8v4n6mkp")]),
+            Identity(role=Role.VICTIM),
+            rate_limiter=limiter,
+            transport=support_transport,
+        )
+        gate_targets = [e.target for e in support_lab.request_log(host)[before + 7:]]
+        assert gate_targets == [p.text().removeprefix(f"http://{host}") for p in unfetched]
+        assert gated.pages == ()
 
     def test_recrawl_is_deterministic(self, support_lab, support_transport, limiter):
         def run():
@@ -449,6 +483,13 @@ class TestRobots:
         assert "/ok" in paths
 
 
+class _UnusedTransport(Transport):
+    """Fails the test when a request is sent through it."""
+
+    def _pool(self):
+        raise AssertionError("a request was sent")
+
+
 class TestFilterMarkedPages:
     def test_marker_gating(self, support_lab, support_transport, limiter):
         host = "classic-pp.test"
@@ -462,7 +503,9 @@ class TestFilterMarkedPages:
             transport=support_transport,
         )
         markers = MarkerSet(list(catalog.victim_markers("classic-pp").items()))
-        gated = filter_marked_pages(surface, markers)
+        gated = filter_marked_pages(
+            surface, markers, victim, rate_limiter=limiter, transport=support_transport
+        )
         assert [p.raw_path for p in gated.pages] == ["/account.php"]
 
     def test_all_unmarked_empties_the_surface(self, support_lab, support_transport, limiter):
@@ -474,12 +517,17 @@ class TestFilterMarkedPages:
             transport=support_transport,
         )
         markers = MarkerSet([("email", "zz7q9x2w8v4n6mkp")])
-        gated = filter_marked_pages(surface, markers)
+        gated = filter_marked_pages(
+            surface,
+            markers,
+            Identity(role=Role.VICTIM),
+            rate_limiter=limiter,
+            transport=support_transport,
+        )
         assert gated.pages == ()
 
-    def test_predicate_filter_on_synthetic_surface(self):
+    def test_predicate_filter_on_synthetic_surface(self, limiter):
         from wcdscan.crawler import AttackSurface
-        from wcdscan.url_toolkit import parse_url
 
         marked = parse_url("http://x.test/a")
         unmarked = parse_url("http://x.test/b")
@@ -494,4 +542,11 @@ class TestFilterMarkedPages:
             },
         )
         markers = MarkerSet([("email", "zz7q9x2w8v4n6mkp")])
-        assert filter_marked_pages(surface, markers).pages == (marked,)
+        gated = filter_marked_pages(
+            surface,
+            markers,
+            Identity(role=Role.VICTIM),
+            rate_limiter=limiter,
+            transport=_UnusedTransport(),
+        )
+        assert gated.pages == (marked,)

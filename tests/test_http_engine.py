@@ -81,6 +81,7 @@ class TestRateLimiter:
         crawler.ingest_domains,
         crawler._load_robots,
         crawler.crawl_domain,
+        crawler.filter_marked_pages,
     ],
     ids=lambda function: function.__name__,
 )

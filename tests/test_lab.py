@@ -399,6 +399,8 @@ class TestControlEndpoints:
             assert state == {"now": 0.0, "entries": 0, "origin_requests": 0}
             unknown = req.get(f"{base}/_lab/bogus", headers=headers, timeout=5)
             assert unknown.status_code == 404
+            assert unknown.headers["Content-Type"] == "application/json"
+            assert "error" in unknown.json()
         finally:
             server.stop()
 

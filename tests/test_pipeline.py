@@ -55,10 +55,15 @@ def test_full_mode_attacks_every_representative(pipeline_lab):
 
 
 def test_marker_gated_mode_attacks_only_marked_pages(pipeline_lab):
+    before = len(pipeline_lab.request_log("classic-pp.test"))
     run = scan_pool(_classic_pool(), _settings(pipeline_lab, mode="marker-gated"))
     result = run.site_results[0]
     assert len(result.verdicts) == 5
     assert all(v.page.endswith("/account.php") for v in result.verdicts)
+    # Two logins and their redirects (4), one crawl fetch per group (3) and
+    # 5 tests of 3 requests each. Every group here has one member, so the
+    # gate itself fetches nothing.
+    assert len(pipeline_lab.request_log("classic-pp.test")) - before == 22
 
 
 def test_per_site_budget_override(pipeline_lab):

@@ -316,7 +316,7 @@ def _representatives(urls, seed):
     groups = {}
     for url in urls:
         groups.setdefault(group_key(url), []).append(url)
-    return list(pick_per_group(groups, seed).values())
+    return pick_per_group(groups, seed)
 
 
 class TestSelectRepresentatives:
@@ -364,7 +364,7 @@ class TestSelectRepresentatives:
             "for u in urls:\n"
             "    groups.setdefault(group_key(u), []).append(u)\n"
             "assert len(groups) == 1\n"
-            "print(next(iter(pick_per_group(groups, 0).values())).raw)\n"
+            "print(pick_per_group(groups, 0)[0].raw)\n"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
         picks = {
