@@ -25,7 +25,6 @@ from .http_engine import (
     NetworkError,
     RateLimiter,
     Role,
-    TooManyRedirects,
     Transport,
     fetch,
     is_logout_link,
@@ -147,7 +146,7 @@ def probe_host(scheme: str, host: str, transport: Transport, rate_limiter: RateL
         try:
             fetch(probe_identity, f"{scheme}://{host}/", rate_limiter, transport, method=method)
             return True
-        except (NetworkError, TooManyRedirects):
+        except NetworkError:
             continue
     return False
 
@@ -192,17 +191,16 @@ def ingest_domains(
     for host, config_ref, scheme in entries:
         by_site.setdefault(registrable_domain(host), []).append((host, config_ref, scheme))
 
-    sites = []
-    for site_key in by_site:
-        rows = by_site[site_key]
+    # Every site's config is built, and so checked, before the first probe.
+    planned = []
+    for site_key, rows in by_site.items():
         hosts: list[str] = []
         for host, _, _ in rows:
             if host not in hosts:
                 hosts.append(host)
         primary = next((h for h in hosts if h == site_key), hosts[0])
         config_ref = next((ref for _, ref, _ in rows if ref), None)
-        scheme = next((s for _, _, s in rows if s), None) or "http"
-        data: dict = {"scheme": scheme}
+        data: dict = {"scheme": next((s for _, _, s in rows if s), None) or "http"}
         if config_ref:
             config_path = Path(config_ref)
             if not config_path.is_absolute():
@@ -211,17 +209,22 @@ def ingest_domains(
                 data.update(json.loads(config_path.read_text(encoding="utf-8")))
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"bad site config {config_ref!r}: {exc}") from exc
-        scheme = data.get("scheme", scheme)
+        site_config_from_dict(primary, (), data)
+        planned.append((site_key, hosts, primary, data))
+
+    sites = []
+    for site_key, hosts, primary, data in planned:
         try:
             live = [
                 h for h in hosts
-                if not probe or probe_host(scheme, h, transport, rate_limiter)
+                if not probe or probe_host(data["scheme"], h, transport, rate_limiter)
             ]
         finally:
             transport.close()  # what the probes opened
         if not live:
             log.info("seed site %s: no live hosts, skipping", site_key)
             continue
+        # Built again: the login URLs name the live primary host.
         primary = primary if primary in live else live[0]
         subdomains = tuple(h for h in live if h != primary)
         sites.append(site_config_from_dict(primary, subdomains, data))
@@ -261,7 +264,7 @@ def _load_robots(
     robots_url = urljoin(start_url, "/robots.txt")
     try:
         exchange = fetch(identity, robots_url, rate_limiter, transport)
-    except (NetworkError, TooManyRedirects):
+    except NetworkError:
         return None
     if exchange.status != 200:
         return None
@@ -360,7 +363,7 @@ def crawl_domain(
             continue
         try:
             exchange = fetch(identity, raw_url, rate_limiter, transport)
-        except (NetworkError, TooManyRedirects) as exc:
+        except NetworkError as exc:
             log.warning("crawl fetch failed for %s: %s", raw_url, exc)
             _journal_write(
                 journal,
@@ -404,15 +407,18 @@ def filter_marked_pages(
 ) -> AttackSurface:
     """Keep only pages whose victim-rendered body embeds at least one marker
     (the marker-gated scan mode). A page whose body the crawl did not fetch
-    is fetched here as ``victim``; a failed fetch counts as an empty body."""
+    is fetched here as ``victim``; a failed fetch counts as an empty body.
+    Without markers no page can qualify, so nothing is fetched."""
     values = [m.value.encode() for m in markers]
+    if not values:
+        return replace(surface, pages=())
     kept = []
     for page in surface.pages:
         body = surface.victim_bodies.get(page.text())
         if body is None:
             try:
                 body = fetch(victim, page.text(), rate_limiter, transport).body
-            except (NetworkError, TooManyRedirects) as exc:
+            except NetworkError as exc:
                 log.warning("representative fetch failed for %s: %s", page.text(), exc)
                 body = b""
         if any(v in body for v in values):

@@ -28,7 +28,6 @@ from .http_engine import (
     NetworkError,
     RateLimiter,
     Role,
-    TooManyRedirects,
     Transport,
     fetch,
 )
@@ -561,7 +560,7 @@ def run_wcd_test(
         statuses[1] = aex.status
         uex = fetch(unauth, attack_url, settings.rate_limiter, settings.transport)
         statuses[2] = uex.status
-    except (NetworkError, TooManyRedirects) as exc:
+    except NetworkError as exc:
         return inconclusive_verdict(
             page, technique, str(exc), attack_url, tuple(statuses)
         )
@@ -578,14 +577,7 @@ def run_wcd_test(
 
     unauth_leak = bool(extract_markers(uex.body, markers))
     unauth_exploitable = vulnerable and (
-        unauth_leak
-        or (
-            bool(secrets)
-            and (
-                uex.body == aex.body
-                or normalize_body(uex.body, (nonce,)) == normalize_body(aex.body, (nonce,))
-            )
-        )
+        unauth_leak or (bool(secrets) and responses_identical(uex, aex, strip=(nonce,)))
     )
 
     return ScanVerdict(

@@ -80,7 +80,7 @@ class NetworkError(Exception):
     """Transport-level failure after bounded retries; the page is skipped."""
 
 
-class TooManyRedirects(Exception):
+class TooManyRedirects(NetworkError):
     """Redirect chain exceeded the configured depth; the page is skipped."""
 
 
@@ -141,10 +141,10 @@ class Identity:
     credentials: LoginDescriptor | None = None
     user_agent: str = DEFAULT_USER_AGENT
 
-    def cookie_header(self, host: str, now: float | None = None) -> str | None:
+    def cookie_header(self, host: str) -> str | None:
         if self.role is Role.UNAUTHENTICATED:
             return None
-        now = time.time() if now is None else now
+        now = time.time()
         pairs = [
             f"{c.name}={c.value}"
             for c in self.cookie_jar.values()

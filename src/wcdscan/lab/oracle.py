@@ -4,16 +4,16 @@ The oracle brute-forces the attack by direct simulation: craft the payload
 URL for the site's protected marker page, push a victim request and then an
 attacker request through the caching proxy on a fresh cache, and report
 whether a victim marker came back to the attacker. It is a pure function of
-(site, technique): the simulation runs on a deep copy.
+(site, technique): the simulation runs on a fresh SiteRuntime, and the
+scenario itself is only read.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 
 from ..url_toolkit import PathConfusionTechnique, make_attack_url, parse_url
-from .sim import LabRequest, SimClock, SimSite, proxy_handle
+from .sim import LabRequest, SimSite, SiteRuntime, proxy_handle
 
 
 def _deterministic_nonce(site_name: str, technique: PathConfusionTechnique) -> str:
@@ -31,25 +31,21 @@ def oracle_vulnerable(
     pages = site.marker_pages()
     if not pages:
         raise ValueError(f"site {site.name!r} has no protected marker-bearing resource")
-    sim = copy.deepcopy(site)
-    sim.reset()
-    clock = SimClock()
+    runtime = SiteRuntime(site)
 
-    page = parse_url(f"http://{sim.host}{pages[0]}")
-    nonce = _deterministic_nonce(sim.name, technique)
+    page = parse_url(f"http://{site.host}{pages[0]}")
+    nonce = _deterministic_nonce(site.name, technique)
     attack_url = make_attack_url(page, technique, nonce, extension)
-    target = attack_url.split(sim.host, 1)[1]
+    target = attack_url.split(site.host, 1)[1]
 
-    auth = sim.auth
+    auth = site.auth
     victim = auth.victim()
     attacker = next(a for a in auth.accounts.values() if not a.is_victim)
-    victim_cookie = {auth.cookie_name: auth.issue(victim.username, sim.name)}
-    attacker_cookie = {auth.cookie_name: auth.issue(attacker.username, sim.name)}
+    victim_cookie = {auth.cookie_name: runtime.log_in(victim.username)}
+    attacker_cookie = {auth.cookie_name: runtime.log_in(attacker.username)}
 
-    proxy_handle(sim, LabRequest(target=target, cookies=victim_cookie), clock)
-    response, _event = proxy_handle(
-        sim, LabRequest(target=target, cookies=attacker_cookie), clock
-    )
+    proxy_handle(runtime, LabRequest(target=target, cookies=victim_cookie))
+    response, _event = proxy_handle(runtime, LabRequest(target=target, cookies=attacker_cookie))
     marker_values = [victim.values[label] for label in auth.marker_labels]
     return any(value.encode() in response.body for value in marker_values)
 

@@ -20,7 +20,6 @@ import socketserver
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
 from email.utils import formatdate
 from functools import lru_cache
 from http import HTTPStatus
@@ -28,23 +27,7 @@ from http.cookies import SimpleCookie
 from urllib.parse import parse_qsl, urlsplit
 
 from ..http1 import MAX_LINE, FramingError, read_fields
-from .sim import LabRequest, SimClock, SimSite, advance_clock, proxy_handle
-
-
-@dataclass
-class RequestLogEntry:
-    t: float  # time.monotonic() when the request line was read
-    method: str
-    target: str
-    has_cookie: bool
-
-
-@dataclass
-class SiteRuntime:
-    site: SimSite
-    clock: SimClock = field(default_factory=SimClock)
-    lock: threading.Lock = field(default_factory=threading.Lock)
-    log: list[RequestLogEntry] = field(default_factory=list)
+from .sim import LabRequest, RequestLogEntry, SimSite, SiteRuntime, proxy_handle
 
 
 class _VhostServer(socketserver.ThreadingTCPServer):
@@ -191,14 +174,11 @@ class _Handler(socketserver.StreamRequestHandler):
         with runtime.lock:
             if parts.path == "/_lab/advance":
                 try:
-                    advance_clock(runtime.clock, float(params.get("seconds", "0")))
-                    payload = {"now": runtime.clock.now}
+                    payload = {"now": runtime.advance(float(params.get("seconds", "0")))}
                 except ValueError as exc:  # not a number, negative, NaN or infinite
                     status, payload = 400, {"error": str(exc)}
             elif parts.path == "/_lab/reset":
-                runtime.site.reset()
-                runtime.log.clear()
-                runtime.clock.now = 0.0
+                runtime.reset()
                 payload = {"reset": True}
             elif parts.path == "/_lab/requests":
                 payload = {
@@ -210,9 +190,9 @@ class _Handler(socketserver.StreamRequestHandler):
                 }
             elif parts.path == "/_lab/state":
                 payload = {
-                    "now": runtime.clock.now,
-                    "entries": len(runtime.site.entries),
-                    "origin_requests": runtime.site.origin_requests,
+                    "now": runtime.now,
+                    "entries": len(runtime.entries),
+                    "origin_requests": runtime.origin_requests,
                 }
             else:
                 status, payload = 404, {"error": "unknown control endpoint"}
@@ -253,7 +233,7 @@ class _Handler(socketserver.StreamRequestHandler):
                     has_cookie=bool(cookie_header),
                 )
             )
-            response, event = proxy_handle(runtime.site, request, runtime.clock)
+            response, event = proxy_handle(runtime, request)
         self._send(
             response.status,
             [*response.headers, ("X-Lab-Event", event.value)],
@@ -266,7 +246,7 @@ class LabServer:
     """Serves a list of SimSites on one local port, dispatching by Host."""
 
     def __init__(self, sites: list[SimSite], address: str = "127.0.0.1", port: int = 0):
-        self.runtimes = {site.host: SiteRuntime(site=site) for site in sites}
+        self.runtimes = {site.host: SiteRuntime(site) for site in sites}
         self._httpd = _VhostServer((address, port), _Handler)
         self._httpd.runtimes = self.runtimes
         self._thread: threading.Thread | None = None

@@ -1,16 +1,21 @@
 """Deterministic origin server + caching proxy pair with a controllable clock.
 
-A SimSite bundles origin URL semantics, a cache rules profile, resources with
-per-account template slots, and login state. ``proxy_handle`` is the cache in
-front of ``origin_resolve``; entries live and die by the site's SimClock, so
-expiry scenarios replay identically every run. One SimSite instance is
-single-threaded by contract; independent sites may run concurrently.
+A SimSite is a scenario: origin URL semantics, a cache rules profile,
+resources with per-account template slots, and login accounts. Nothing in the
+lab modifies it. Everything that changes while a site serves (the simulated
+clock, the cache entries, the sessions, the counters and the request log)
+lives in its SiteRuntime. ``proxy_handle`` is the cache in front of
+``origin_resolve``; entries live and die by the runtime's clock, so expiry
+scenarios replay identically every run. One SiteRuntime is single-threaded by
+contract (its ``lock`` serializes callers); independent runtimes, of the same
+scenario or not, may run concurrently.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from string import Template
@@ -44,20 +49,6 @@ class CacheEvent(Enum):
     MISS_STORED = "miss_stored"
     MISS_NOT_STORED = "miss_not_stored"
     EXPIRED = "expired"
-
-
-@dataclass
-class SimClock:
-    """Simulated seconds; advances only via :func:`advance_clock`."""
-
-    now: float = 0.0
-
-
-def advance_clock(clock: SimClock, seconds: float) -> SimClock:
-    if not 0 <= seconds < math.inf:  # NaN fails both comparisons
-        raise ValueError("clock can only move forward by a finite number of seconds")
-    clock.now += seconds
-    return clock
 
 
 @dataclass
@@ -120,7 +111,7 @@ class LabAccount:
 
 @dataclass
 class LabAuth:
-    """Login configuration plus live session state for one site."""
+    """Login configuration for one site; its sessions live in the runtime."""
 
     accounts: dict[str, LabAccount]
     marker_labels: tuple[str, ...] = ()
@@ -128,26 +119,12 @@ class LabAuth:
     mode: str = "redirect"  # or "forbid"
     login_path: str = "/login"
     rotate: bool = False
-    sessions: dict[str, str] = field(default_factory=dict)
-    login_count: int = 0
 
     def victim(self) -> LabAccount:
         for account in self.accounts.values():
             if account.is_victim:
                 return account
         raise LookupError("site has no victim account")
-
-    def issue(self, username: str, site_name: str) -> str:
-        self.login_count += 1
-        basis = f"{site_name}|{username}"
-        if self.rotate:
-            basis += f"|{self.login_count}"
-        token = "s" + hashlib.sha1(basis.encode()).hexdigest()[:15]
-        self.sessions[token] = username
-        return token
-
-    def resolve(self, cookies: dict[str, str]) -> str | None:
-        return self.sessions.get(cookies.get(self.cookie_name, ""))
 
 
 @dataclass
@@ -162,22 +139,10 @@ class SimSite:
     proxy_decodes_percent: bool = False
     auth: LabAuth | None = None
     ttl_overrides: dict[str, int] = field(default_factory=dict)
-    entries: dict[str, CacheEntry] = field(default_factory=dict)
-    origin_requests: int = 0
 
     def __post_init__(self):
         if len({r.path for r in self.resources.values()}) != len(self.resources):
             raise ValueError("resource paths must be unique")
-
-    def reset(self) -> None:
-        self.entries.clear()
-        self.origin_requests = 0
-        if self.auth:
-            self.auth.sessions.clear()
-            self.auth.login_count = 0
-
-    def session_user(self, cookies: dict[str, str]) -> str | None:
-        return self.auth.resolve(cookies) if self.auth else None
 
     def marker_pages(self) -> list[str]:
         """Protected resource paths whose victim rendering embeds a marker."""
@@ -282,9 +247,55 @@ class SimSite:
         )
 
 
-def origin_resolve(
-    site: SimSite, raw_target: str, session_user: str | None = None
-) -> LabResponse:
+@dataclass
+class RequestLogEntry:
+    t: float  # time.monotonic() when the request line was read
+    method: str
+    target: str
+    has_cookie: bool
+
+
+class SiteRuntime:
+    """The state of one scenario while it serves: simulated clock, cache
+    entries, sessions, login and origin request counts, and the request log.
+    Only ``reset`` and the lab's own calls change it; ``site`` is read."""
+
+    def __init__(self, site: SimSite):
+        self.site = site
+        self.lock = threading.Lock()
+        self.reset()
+
+    def reset(self) -> None:
+        self.now = 0.0
+        self.entries: dict[str, CacheEntry] = {}
+        self.sessions: dict[str, str] = {}
+        self.logins = 0
+        self.origin_requests = 0
+        self.log: list[RequestLogEntry] = []
+
+    def advance(self, seconds: float) -> float:
+        if not 0 <= seconds < math.inf:  # NaN fails both comparisons
+            raise ValueError("clock can only move forward by a finite number of seconds")
+        self.now += seconds
+        return self.now
+
+    def log_in(self, username: str) -> str:
+        """A session token for ``username``: the same one on every login
+        unless the site rotates sessions."""
+        self.logins += 1
+        basis = f"{self.site.name}|{username}"
+        if self.site.auth.rotate:
+            basis += f"|{self.logins}"
+        token = "s" + hashlib.sha1(basis.encode()).hexdigest()[:15]
+        self.sessions[token] = username
+        return token
+
+    def user(self, cookies: dict[str, str]) -> str | None:
+        auth = self.site.auth
+        return self.sessions.get(cookies.get(auth.cookie_name, "")) if auth else None
+
+
+def origin_resolve(site: SimSite, raw_target: str, user: str | None = None) -> LabResponse:
     """Resolve a wire target through the site's URL semantics and render it.
 
     Unauthenticated access to a protected resource yields a login redirect or
@@ -299,7 +310,7 @@ def origin_resolve(
         )
     res = site.resources[resolved]
     if res.protected:
-        if site.auth is None or session_user is None:
+        if site.auth is None or user is None:
             if site.auth is not None and site.auth.mode == "redirect":
                 return LabResponse(
                     302,
@@ -312,25 +323,26 @@ def origin_resolve(
             return LabResponse(
                 403, [("Content-Type", "text/html; charset=utf-8")], FORBIDDEN_BODY.encode()
             )
-        values = site.auth.accounts[session_user].values
+        values = site.auth.accounts[user].values
     else:
         values = None
-        if site.auth and session_user in site.auth.accounts:
-            values = site.auth.accounts[session_user].values
+        if site.auth and user in site.auth.accounts:
+            values = site.auth.accounts[user].values
     headers = {"Content-Type": res.content_type}
     headers.update(res.headers)
     return LabResponse(res.status, list(headers.items()), res.render(values))
 
 
-def handle_login(site: SimSite, form: dict[str, str]) -> LabResponse:
+def handle_login(runtime: SiteRuntime, form: dict[str, str]) -> LabResponse:
     """POST login flow: valid credentials set the session cookie and redirect
     to the home page."""
+    site = runtime.site
     if site.auth is None:
         return LabResponse(404, [("Content-Type", "text/html")], GENERIC_404_BODY.encode())
     account = site.auth.accounts.get(form.get("username", ""))
     if account is None or account.password != form.get("password", ""):
         return LabResponse(403, [("Content-Type", "text/html")], BAD_LOGIN_BODY.encode())
-    token = site.auth.issue(account.username, site.name)
+    token = runtime.log_in(account.username)
     return LabResponse(
         303,
         [
@@ -382,9 +394,7 @@ def _proxy_headers(site: SimSite, hit: bool, key: str) -> list[tuple[str, str]]:
     return make(hit, tag)
 
 
-def proxy_handle(
-    site: SimSite, request: LabRequest, clock: SimClock
-) -> tuple[LabResponse, CacheEvent]:
+def proxy_handle(runtime: SiteRuntime, request: LabRequest) -> tuple[LabResponse, CacheEvent]:
     """Serve one request through the caching proxy.
 
     The cache key is the proxy-visible URL (decoded only when the proxy
@@ -392,31 +402,32 @@ def proxy_handle(
     the origin; otherwise the response is forwarded and stored or not per the
     profile decision.
     """
+    site = runtime.site
     if request.method == "POST":
         if site.auth and request.target.partition("?")[0] == site.auth.login_path:
-            response = handle_login(site, request.form or {})
+            response = handle_login(runtime, request.form or {})
         else:
-            site.origin_requests += 1
-            response = origin_resolve(site, request.target, site.session_user(request.cookies))
+            runtime.origin_requests += 1
+            response = origin_resolve(site, request.target, runtime.user(request.cookies))
         response.headers.extend(_proxy_headers(site, False, request.target))
         return response, CacheEvent.MISS_NOT_STORED
 
     key, rule_path = _proxy_view(site, request.target)
-    now = clock.now
+    now = runtime.now
     event: CacheEvent | None = None
 
-    entry = site.entries.get(key)
+    entry = runtime.entries.get(key)
     if entry is not None:
         if entry.fresh(now):
             headers = list(entry.headers)
             headers.append(("Age", str(int(now - entry.stored_at))))
             headers.extend(_proxy_headers(site, True, key))
             return LabResponse(entry.status, headers, entry.body), CacheEvent.HIT
-        del site.entries[key]
+        del runtime.entries[key]
         event = CacheEvent.EXPIRED
 
-    site.origin_requests += 1
-    response = origin_resolve(site, request.target, site.session_user(request.cookies))
+    runtime.origin_requests += 1
+    response = origin_resolve(site, request.target, runtime.user(request.cookies))
     directives = parse_cache_control(response.header("Cache-Control") or "")
     decision = decide(site.cache_profile, rule_path, response.status, directives)
     ttl = decision.ttl
@@ -425,7 +436,7 @@ def proxy_handle(
             if rule_path.endswith(suffix):
                 ttl = seconds
                 break
-        site.entries[key] = CacheEntry(
+        runtime.entries[key] = CacheEntry(
             body=response.body,
             status=response.status,
             headers=tuple(response.headers),

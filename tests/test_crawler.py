@@ -110,6 +110,20 @@ class TestIngestDomains:
         with pytest.raises(ConfigError):
             ingest_domains("/nonexistent/seeds.txt", Transport(), fast_limiter(), probe=False)
 
+    def test_every_site_config_is_checked_before_any_probe(self, tmp_path):
+        site = catalog.pacing_site()
+        server = LabServer([site]).start()
+        try:
+            (tmp_path / "bad.json").write_text('{"budget": 0}')
+            seeds = tmp_path / "seeds.txt"
+            seeds.write_text(f"http://{site.host}\nhttp://other.test bad.json\n")
+            transport = Transport(resolve_overrides=server.resolve_overrides())
+            with pytest.raises(ConfigError, match="site budget must be a positive integer"):
+                ingest_domains(str(seeds), transport, fast_limiter())
+            assert server.request_log(site.host) == []  # the first site was not probed
+        finally:
+            server.stop()
+
     @pytest.mark.parametrize("budget", [0, -1, "abc", "5", 2.5, True, None])
     def test_site_budget_must_be_a_positive_integer(self, budget):
         with pytest.raises(ConfigError, match="site budget must be a positive integer"):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wcdscan.cache_policy import CdnProfile, DefaultCached
+from wcdscan.http_engine import Transport
 from wcdscan.lab import catalog
 from wcdscan.lab.oracle import enumerate_oracle, oracle_vulnerable
 from wcdscan.lab.origin import OriginSemantics, OriginVariant, effective_path, route
@@ -20,12 +21,12 @@ from wcdscan.lab.server import LabServer
 from wcdscan.lab.sim import (
     CacheEvent,
     LabRequest,
-    SimClock,
     SimSite,
-    advance_clock,
+    SiteRuntime,
     origin_resolve,
     proxy_handle,
 )
+from wcdscan.pipeline import ScanSettings, pool_from_lab_sites, scan_pool
 from wcdscan.url_toolkit import PathConfusionTechnique
 
 from conftest import lab_connections_left_open
@@ -43,12 +44,12 @@ def _pp_site(profile_name="akamai_default", no_store=False, **kwargs):
     return site
 
 
-def _victim_cookie(site):
-    return {site.auth.cookie_name: site.auth.issue("victim", site.name)}
+def _victim_cookie(runtime):
+    return {runtime.site.auth.cookie_name: runtime.log_in("victim")}
 
 
-def _attacker_cookie(site):
-    return {site.auth.cookie_name: site.auth.issue("attacker", site.name)}
+def _attacker_cookie(runtime):
+    return {runtime.site.auth.cookie_name: runtime.log_in("attacker")}
 
 
 def _victim_account_page(site):
@@ -132,18 +133,18 @@ class TestEffectivePathAndRoute:
 class TestProxyHandle:
     def test_classic_replay_stores_then_hits(self):
         site = _pp_site()
-        clock = SimClock()
+        runtime = SiteRuntime(site)
         target = "/account.php/nonexistent.jpg"
 
         victim_response, victim_event = proxy_handle(
-            site, LabRequest(target=target, cookies=_victim_cookie(site)), clock
+            runtime, LabRequest(target=target, cookies=_victim_cookie(runtime))
         )
         assert victim_event is CacheEvent.MISS_STORED
         email = site.auth.accounts["victim"].values["email"].encode()
         assert email in victim_response.body
 
         attacker_response, attacker_event = proxy_handle(
-            site, LabRequest(target=target, cookies=_attacker_cookie(site)), clock
+            runtime, LabRequest(target=target, cookies=_attacker_cookie(runtime))
         )
         assert attacker_event is CacheEvent.HIT
         assert email in attacker_response.body
@@ -155,12 +156,12 @@ class TestProxyHandle:
             "cloudfront_default",
             no_store=True,
         )
-        clock = SimClock()
+        runtime = SiteRuntime(site)
         target = "/account.php/nonexistent.css"
-        _, first = proxy_handle(site, LabRequest(target=target, cookies=_victim_cookie(site)), clock)
+        _, first = proxy_handle(runtime, LabRequest(target=target, cookies=_victim_cookie(runtime)))
         assert first is CacheEvent.MISS_NOT_STORED
         attacker_response, second = proxy_handle(
-            site, LabRequest(target=target, cookies=_attacker_cookie(site)), clock
+            runtime, LabRequest(target=target, cookies=_attacker_cookie(runtime))
         )
         assert second is CacheEvent.MISS_NOT_STORED
         email = site.auth.accounts["victim"].values["email"].encode()
@@ -169,61 +170,60 @@ class TestProxyHandle:
 
     def test_ttl_expiry_and_refetch(self):
         site = _pp_site()
-        clock = SimClock()
+        runtime = SiteRuntime(site)
         target = "/account.php/nonexistent.css"
-        proxy_handle(site, LabRequest(target=target, cookies=_victim_cookie(site)), clock)
-        advance_clock(clock, 7200)
+        proxy_handle(runtime, LabRequest(target=target, cookies=_victim_cookie(runtime)))
+        runtime.advance(7200)
         response, event = proxy_handle(
-            site, LabRequest(target=target, cookies=_attacker_cookie(site)), clock
+            runtime, LabRequest(target=target, cookies=_attacker_cookie(runtime))
         )
         assert event is CacheEvent.EXPIRED
         assert site.auth.accounts["victim"].values["email"].encode() not in response.body
 
     def test_boundary_one_second_before_expiry_still_hits(self):
         site = _pp_site()
-        clock = SimClock()
+        runtime = SiteRuntime(site)
         target = "/account.php/nonexistent.css"
-        proxy_handle(site, LabRequest(target=target, cookies=_victim_cookie(site)), clock)
-        advance_clock(clock, 3599)
+        proxy_handle(runtime, LabRequest(target=target, cookies=_victim_cookie(runtime)))
+        runtime.advance(3599)
         _, event = proxy_handle(
-            site, LabRequest(target=target, cookies=_attacker_cookie(site)), clock
+            runtime, LabRequest(target=target, cookies=_attacker_cookie(runtime))
         )
         assert event is CacheEvent.HIT
 
     def test_no_origin_contact_on_hit(self):
         site = _pp_site()
-        clock = SimClock()
+        runtime = SiteRuntime(site)
         target = "/account.php/nonexistent.css"
-        proxy_handle(site, LabRequest(target=target, cookies=_victim_cookie(site)), clock)
-        count = site.origin_requests
-        proxy_handle(site, LabRequest(target=target, cookies=_attacker_cookie(site)), clock)
-        assert site.origin_requests == count
+        proxy_handle(runtime, LabRequest(target=target, cookies=_victim_cookie(runtime)))
+        count = runtime.origin_requests
+        proxy_handle(runtime, LabRequest(target=target, cookies=_attacker_cookie(runtime)))
+        assert runtime.origin_requests == count
 
     def test_cache_key_discipline(self):
         site = _pp_site()
-        clock = SimClock()
-        cookie = _victim_cookie(site)
-        proxy_handle(site, LabRequest(target="/account.php/aaaa.css", cookies=cookie), clock)
+        runtime = SiteRuntime(site)
+        cookie = _victim_cookie(runtime)
+        proxy_handle(runtime, LabRequest(target="/account.php/aaaa.css", cookies=cookie))
         _, event = proxy_handle(
-            site, LabRequest(target="/account.php/bbbb.css", cookies=cookie), clock
+            runtime, LabRequest(target="/account.php/bbbb.css", cookies=cookie)
         )
         assert event is CacheEvent.MISS_STORED  # different nonce, different entry
         _, replay = proxy_handle(
-            site, LabRequest(target="/account.php/aaaa.css", cookies=cookie), clock
+            runtime, LabRequest(target="/account.php/aaaa.css", cookies=cookie)
         )
         assert replay is CacheEvent.HIT
 
     def test_post_is_never_cached(self):
         site = _pp_site()
-        clock = SimClock()
+        runtime = SiteRuntime(site)
         response, event = proxy_handle(
-            site,
+            runtime,
             LabRequest(
                 method="POST",
                 target="/login",
                 form={"username": "victim", "password": catalog.VICTIM_PASSWORD},
             ),
-            clock,
         )
         assert event is CacheEvent.MISS_NOT_STORED
         assert response.status == 303
@@ -231,12 +231,12 @@ class TestProxyHandle:
 
     def test_ttl_override_applies(self):
         site = _pp_site(ttl_overrides={".css": 60})
-        clock = SimClock()
+        runtime = SiteRuntime(site)
         target = "/account.php/nonexistent.css"
-        proxy_handle(site, LabRequest(target=target, cookies=_victim_cookie(site)), clock)
-        advance_clock(clock, 61)
+        proxy_handle(runtime, LabRequest(target=target, cookies=_victim_cookie(runtime)))
+        runtime.advance(61)
         _, event = proxy_handle(
-            site, LabRequest(target=target, cookies=_attacker_cookie(site)), clock
+            runtime, LabRequest(target=target, cookies=_attacker_cookie(runtime))
         )
         assert event is CacheEvent.EXPIRED
 
@@ -246,32 +246,40 @@ class TestProxyHandle:
             variants=frozenset({OriginVariant.TRUNCATE_AT_QUESTION}),
             decode_before_route=True,
         )
-        clock = SimClock()
+        runtime = SiteRuntime(site)
         # Decoded view is /account.php?bogus.css: the extension no longer
         # matches, so the akamai-style profile refuses to store it.
         _, event = proxy_handle(
-            site,
-            LabRequest(target="/account.php%3Fbogus.css", cookies=_victim_cookie(site)),
-            clock,
+            runtime,
+            LabRequest(target="/account.php%3Fbogus.css", cookies=_victim_cookie(runtime)),
         )
         assert event is CacheEvent.MISS_NOT_STORED
 
 
 class TestAdvanceClock:
     def test_zero_is_noop(self):
-        clock = SimClock()
-        advance_clock(clock, 0)
-        assert clock.now == 0
+        runtime = SiteRuntime(_pp_site())
+        runtime.advance(0)
+        assert runtime.now == 0
 
     def test_accumulates(self):
-        clock = SimClock()
-        advance_clock(clock, 3600)
-        advance_clock(clock, 3600)
-        assert clock.now == 7200
+        runtime = SiteRuntime(_pp_site())
+        runtime.advance(3600)
+        runtime.advance(3600)
+        assert runtime.now == 7200
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            advance_clock(SimClock(), -1)
+            SiteRuntime(_pp_site()).advance(-1)
+
+    def test_reset_forgets_the_clock_cache_and_sessions(self):
+        runtime = SiteRuntime(_pp_site())
+        cookie = _victim_cookie(runtime)
+        proxy_handle(runtime, LabRequest(target="/account.php/x.css", cookies=cookie))
+        runtime.advance(5)
+        runtime.reset()
+        assert (runtime.now, runtime.entries, runtime.origin_requests) == (0.0, {}, 0)
+        assert runtime.user(cookie) is None
 
 
 class TestOracle:
@@ -309,7 +317,7 @@ class TestOracle:
         second = oracle_vulnerable(site, PathConfusionTechnique.PATH_PARAMETER)
         assert first == second
         assert site.to_dict() == snapshot
-        assert site.entries == {}
+        assert site == catalog.classic_site()
 
     def test_requires_marker_page(self):
         with pytest.raises(ValueError):
@@ -332,6 +340,28 @@ class TestOracle:
         site.origin = OriginSemantics(variants=site.origin.variants, decode_before_route=True)
         for technique in PathConfusionTechnique:
             assert oracle_vulnerable(site, technique) is False
+
+
+def _scenarios():
+    return [catalog.classic_site(), *catalog.matrix_sites()[:3]]
+
+
+def test_serving_scanning_and_the_oracle_leave_scenarios_unchanged():
+    sites = _scenarios()
+    server = LabServer(sites).start()
+    transport = Transport(resolve_overrides=server.resolve_overrides())
+    try:
+        run = scan_pool(
+            pool_from_lab_sites(sites),
+            ScanSettings(rate=10000.0, workers=2, seed=3, transport=transport),
+        )
+    finally:
+        transport.close()
+        server.stop()
+    assert all(result.error is None for result in run.site_results)
+    assert any(v.vulnerable for result in run.site_results for v in result.verdicts)
+    enumerate_oracle(sites)
+    assert sites == _scenarios()
 
 
 @settings(max_examples=20, deadline=None)

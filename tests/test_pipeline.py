@@ -66,6 +66,22 @@ def test_marker_gated_mode_attacks_only_marked_pages(pipeline_lab):
     assert len(pipeline_lab.request_log("classic-pp.test")) - before == 22
 
 
+def test_marker_gated_mode_fetches_nothing_for_a_site_without_markers():
+    site = catalog.sitemap_site()
+    server = LabServer([site]).start()
+    try:
+        run = scan_pool(pool_from_lab_sites([site]), _settings(server, mode="marker-gated"))
+        requests = len(server.request_log(site.host))
+    finally:
+        server.stop()
+    result = run.site_results[0]
+    assert result.error is None
+    assert result.verdicts == []
+    # One crawl fetch per structural group (7) and nothing more: with no
+    # marker to look for, the gate keeps no page and fetches no representative.
+    assert requests == 7
+
+
 def test_per_site_budget_override(pipeline_lab):
     pool = _classic_pool()
     entry = catalog.seed_entry(catalog.classic_site())
