@@ -373,6 +373,10 @@ def _cmd_selfcheck(args) -> int:
         expected = sum(report.oracle[key] for key in keys)
         agreed = sum(report.scanned[key] == report.oracle[key] for key in keys)
         print(f"  {technique.value:<22}{expected:>26}{agreed:>16}")
+    print(
+        f"  lab requests: {report.requests} ({report.requests_with_cookie} with a cookie, "
+        f"{report.requests_without_cookie} without)"
+    )
     print(f"  inconclusive verdicts: {report.inconclusive}")
     print(f"  disagreements with oracle: {len(report.disagreements)}")
     for name, technique, expected, got in report.disagreements:

@@ -103,6 +103,9 @@ def _login_descriptor(scheme: str, host: str, login: dict, role: str) -> LoginDe
     creds = login.get(role)
     if not creds:
         raise ConfigError(f"login config missing {role!r} credentials")
+    missing = [key for key in ("username", "password") if key not in creds]
+    if missing:
+        raise ConfigError(f"login config {role!r} credentials lack {', '.join(missing)}")
     fields = {
         login.get("username_field", "username"): creds["username"],
         login.get("password_field", "password"): creds["password"],
@@ -124,7 +127,12 @@ def site_config_from_dict(primary: str, subdomains: tuple[str, ...], data: dict)
         attacker_login = _login_descriptor(scheme, primary, data["login"], "attacker")
     markers = None
     if data.get("markers"):
-        markers = MarkerSet([(m["label"], m["value"]) for m in data["markers"]])
+        try:
+            markers = MarkerSet([(m["label"], m["value"]) for m in data["markers"]])
+        except KeyError as exc:
+            raise ConfigError(f"bad markers: an entry lacks {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"bad markers: {exc}") from exc
     budget = data.get("budget")
     if "budget" in data and (type(budget) is not int or budget < 1):
         raise ConfigError(f"site budget must be a positive integer, got {budget!r}")

@@ -3,7 +3,9 @@
 One test runs the three-step attack (victim, attacker, unauthenticated — in
 that order) against a freshly crafted URL, then decides a verdict from the
 attacker's response: an exact victim-marker hit is proof; otherwise identical
-victim/attacker bodies gate a secret-token sweep by keyword and entropy.
+victim/attacker bodies gate a secret-token sweep by keyword and entropy. The
+unauthenticated step runs only for a vulnerable test: it says whether the leak
+also reaches a client with no account, which no other verdict field reads.
 """
 
 from __future__ import annotations
@@ -442,8 +444,10 @@ class ScanVerdict(_Record):
     ``vulnerable`` is true iff markers leaked, or the victim/attacker bodies
     were identical and secret candidates were found. ``inconclusive`` flags a
     test that could not finish (network failure, failed re-login), with the
-    reason in ``error``; distinct from a clean negative. Cache-evidence
-    fields are recorded for reporting only.
+    reason in ``error``; distinct from a clean negative. ``unauth_status`` is
+    0 when the unauthenticated step was not sent, because the test was not
+    vulnerable or an earlier step failed. Cache-evidence fields are recorded
+    for reporting only.
     """
 
     page: str
@@ -537,18 +541,19 @@ def run_wcd_test(
 ) -> ScanVerdict:
     """Execute one attack against one page with a fresh nonce.
 
-    Order is fixed: victim fetch, attacker fetch, unauthenticated fetch.
-    Secret extraction runs only when the victim and attacker responses are
-    identical or a marker already leaked, and at most once per distinct
-    attacker body per config. Network failures yield an inconclusive verdict
-    instead of aborting the scan.
+    Order is fixed: victim fetch, attacker fetch, then the unauthenticated
+    fetch, which is sent only when the test is vulnerable; otherwise
+    ``unauth_status`` is 0 and ``unauth_exploitable`` false. Secret extraction
+    runs only when the victim and attacker responses are identical or a marker
+    already leaked, and at most once per distinct attacker body per config.
+    Network failures yield an inconclusive verdict instead of aborting the
+    scan.
     """
     settings = config.settings
     nonce = config.names.next()
     attack_url = make_attack_url(
         page, technique, nonce, settings.extension, embed_query=settings.embed_query
     )
-    unauth = Identity(role=Role.UNAUTHENTICATED, user_agent=victim.user_agent)
 
     statuses = [0, 0, 0]
     try:
@@ -558,27 +563,29 @@ def run_wcd_test(
             settings.delay_fn(settings.attacker_delay)
         aex = fetch(attacker, attack_url, settings.rate_limiter, settings.transport)
         statuses[1] = aex.status
-        uex = fetch(unauth, attack_url, settings.rate_limiter, settings.transport)
-        statuses[2] = uex.status
+
+        leaked = tuple(extract_markers(aex.body, markers))
+        identical = responses_identical(vex, aex, strip=(nonce,))
+        secrets: tuple[SecretCandidate, ...] = ()
+        if identical or leaked:
+            digest = hashlib.sha256(aex.body).digest()
+            if digest not in config.sweeps:
+                config.sweeps[digest] = tuple(extract_secrets(aex.body, settings.randomness))
+            secrets = config.sweeps[digest]
+        vulnerable = bool(leaked) or (identical and bool(secrets))
+
+        unauth_exploitable = False
+        if vulnerable:
+            unauth = Identity(role=Role.UNAUTHENTICATED, user_agent=victim.user_agent)
+            uex = fetch(unauth, attack_url, settings.rate_limiter, settings.transport)
+            statuses[2] = uex.status
+            unauth_exploitable = bool(extract_markers(uex.body, markers)) or (
+                bool(secrets) and responses_identical(uex, aex, strip=(nonce,))
+            )
     except NetworkError as exc:
         return inconclusive_verdict(
             page, technique, str(exc), attack_url, tuple(statuses)
         )
-
-    leaked = tuple(extract_markers(aex.body, markers))
-    identical = responses_identical(vex, aex, strip=(nonce,))
-    secrets: tuple[SecretCandidate, ...] = ()
-    if identical or leaked:
-        digest = hashlib.sha256(aex.body).digest()
-        if digest not in config.sweeps:
-            config.sweeps[digest] = tuple(extract_secrets(aex.body, settings.randomness))
-        secrets = config.sweeps[digest]
-    vulnerable = bool(leaked) or (identical and bool(secrets))
-
-    unauth_leak = bool(extract_markers(uex.body, markers))
-    unauth_exploitable = vulnerable and (
-        unauth_leak or (bool(secrets) and responses_identical(uex, aex, strip=(nonce,)))
-    )
 
     return ScanVerdict(
         page=page.text(),
@@ -586,7 +593,7 @@ def run_wcd_test(
         attack_url=attack_url,
         victim_status=vex.status,
         attacker_status=aex.status,
-        unauth_status=uex.status,
+        unauth_status=statuses[2],
         markers_leaked=leaked,
         secrets=secrets,
         responses_identical=identical,

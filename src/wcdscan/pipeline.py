@@ -177,6 +177,13 @@ class SelfcheckReport:
     verdicts: list[ScanVerdict]
     inconclusive: int
     elapsed_seconds: float
+    # Requests the lab logged during the run, with and without a Cookie header.
+    requests_with_cookie: int
+    requests_without_cookie: int
+
+    @property
+    def requests(self) -> int:
+        return self.requests_with_cookie + self.requests_without_cookie
 
     @property
     def ok(self) -> bool:
@@ -211,6 +218,7 @@ def run_selfcheck(
         )
         pool = pool_from_lab_sites(sites)
         run = scan_pool(pool, settings)
+        cookies = [e.has_cookie for site in sites for e in server.request_log(site.host)]
     finally:
         server.stop()
 
@@ -245,4 +253,6 @@ def run_selfcheck(
         verdicts=run.verdicts,
         inconclusive=inconclusive,
         elapsed_seconds=time.monotonic() - started,
+        requests_with_cookie=sum(cookies),
+        requests_without_cookie=len(cookies) - sum(cookies),
     )

@@ -276,6 +276,44 @@ def test_scan_with_a_bad_site_budget_is_a_config_error(tmp_path, capsys):
     assert "site budget must be a positive integer" in capsys.readouterr().err
 
 
+def _scan_one_site(tmp_path, config: dict) -> int:
+    (tmp_path / "site.json").write_text(json.dumps(config))
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("http://x.test site.json\n")
+    return main(["scan", "--seeds", str(seeds), "--no-probe"])
+
+
+@pytest.mark.parametrize(
+    "markers",
+    [
+        [{"label": "email", "value": "short"}],
+        [{"label": "email", "value": "aaaaaaaaaaaaaaaa"}],
+        [{"label": "email", "value": "zz7q9x2w8v4n6mkp"},
+         {"label": "name", "value": "zz7q9x2w8v4n6mkp"}],
+        [{"value": "zz7q9x2w8v4n6mkp"}],
+    ],
+    ids=["too-short", "low-entropy", "duplicate", "no-label"],
+)
+def test_scan_with_a_rejected_marker_is_a_config_error(tmp_path, capsys, markers):
+    assert _scan_one_site(tmp_path, {"markers": markers}) == EXIT_ERROR
+    assert "config error: bad markers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "role, creds",
+    [("victim", {"username": "v"}), ("attacker", {"password": "p"})],
+    ids=["victim-without-password", "attacker-without-username"],
+)
+def test_scan_with_incomplete_login_credentials_is_a_config_error(
+    tmp_path, capsys, role, creds
+):
+    login = {"victim": {"username": "v", "password": "p"},
+             "attacker": {"username": "a", "password": "p"}}
+    login[role] = creds
+    assert _scan_one_site(tmp_path, {"login": login}) == EXIT_ERROR
+    assert f"login config {role!r} credentials lack" in capsys.readouterr().err
+
+
 def test_scan_exits_error_when_nothing_was_testable(tmp_path):
     site = catalog.classic_site()
     server = LabServer([site]).start()

@@ -34,7 +34,14 @@ from wcdscan.detector import (
     strip_dictionary_words,
 )
 from wcdscan.http1 import index_fields
-from wcdscan.http_engine import HttpExchange, Identity, LoginDescriptor, Role, Transport
+from wcdscan.http_engine import (
+    HttpExchange,
+    Identity,
+    LoginDescriptor,
+    NetworkError,
+    Role,
+    Transport,
+)
 from wcdscan.lab import catalog
 from wcdscan.lab.origin import OriginSemantics, OriginVariant
 from wcdscan.lab.server import LabServer
@@ -662,6 +669,50 @@ class TestRunWcdTest:
             e for e in detector_lab.request_log(host) if nonce in e.target
         ]
         assert [e.has_cookie for e in entries] == [True, True, False]
+
+    def test_clean_test_sends_no_unauthenticated_step(self, detector_lab, make_config):
+        host = "det-cf-ns.test"
+        config = make_config(detector_lab, seed=15)
+        victim, attacker = _login_both(detector_lab, host, config)
+        page = parse_url(f"http://{host}/account.php")
+        verdict = run_wcd_test(
+            page, PathConfusionTechnique.PATH_PARAMETER, victim, attacker,
+            _marker_set("det-cf-ns"), config,
+        )
+        assert verdict.vulnerable is False
+        nonce = verdict.attack_url.rsplit("/", 1)[-1].split(".")[0]
+        entries = [
+            e for e in detector_lab.request_log(host) if nonce in e.target
+        ]
+        assert [e.has_cookie for e in entries] == [True, True]
+        assert verdict.unauth_status == 0
+        assert verdict.unauth_exploitable is False
+
+    def test_unauthenticated_network_failure_is_inconclusive(
+        self, detector_lab, make_config, monkeypatch
+    ):
+        real_fetch = detector.fetch
+
+        def fail_unauthenticated(identity, *args, **kwargs):
+            if identity.role is Role.UNAUTHENTICATED:
+                raise NetworkError("connection reset")
+            return real_fetch(identity, *args, **kwargs)
+
+        monkeypatch.setattr(detector, "fetch", fail_unauthenticated)
+        host = "classic-pp.test"
+        config = make_config(detector_lab, seed=16)
+        victim, attacker = _login_both(detector_lab, host, config)
+        page = parse_url(f"http://{host}/account.php")
+        verdict = run_wcd_test(
+            page, PathConfusionTechnique.PATH_PARAMETER, victim, attacker,
+            _marker_set("classic-pp"), config,
+        )
+        assert verdict.inconclusive is True
+        assert verdict.vulnerable is False
+        assert verdict.error == "connection reset"
+        assert (verdict.victim_status, verdict.attacker_status, verdict.unauth_status) == (
+            200, 200, 0
+        )
 
     def test_network_failure_is_inconclusive(self, transport_limits):
         transport_limits(retries=0, timeout=0.5)

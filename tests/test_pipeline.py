@@ -60,10 +60,11 @@ def test_marker_gated_mode_attacks_only_marked_pages(pipeline_lab):
     result = run.site_results[0]
     assert len(result.verdicts) == 5
     assert all(v.page.endswith("/account.php") for v in result.verdicts)
-    # Two logins and their redirects (4), one crawl fetch per group (3) and
-    # 5 tests of 3 requests each. Every group here has one member, so the
-    # gate itself fetches nothing.
-    assert len(pipeline_lab.request_log("classic-pp.test")) - before == 22
+    # Two logins and their redirects (4), one crawl fetch per group (3),
+    # 5 tests of 2 requests each, and the unauthenticated step of the one
+    # vulnerable test. Every group here has one member, so the gate itself
+    # fetches nothing.
+    assert len(pipeline_lab.request_log("classic-pp.test")) - before == 18
 
 
 def test_marker_gated_mode_fetches_nothing_for_a_site_without_markers():
@@ -80,6 +81,30 @@ def test_marker_gated_mode_fetches_nothing_for_a_site_without_markers():
     # One crawl fetch per structural group (7) and nothing more: with no
     # marker to look for, the gate keeps no page and fetches no representative.
     assert requests == 7
+
+
+def test_seeded_support_catalog_scan_request_count():
+    sites = catalog.support_sites()
+    server = LabServer(sites).start()
+    try:
+        run = scan_pool(pool_from_lab_sites(sites), _settings(server))
+        requests = sum(len(server.request_log(site.host)) for site in sites)
+    finally:
+        server.stop()
+    assert len(run.verdicts) == 100
+    assert sum(v.vulnerable for v in run.verdicts) == 4
+    # The unauthenticated step is sent for the 4 vulnerable tests only.
+    assert requests == 240
+
+
+def test_selfcheck_counts_its_lab_requests():
+    report = pipeline.run_selfcheck()
+    assert report.ok
+    assert (report.requests, report.requests_with_cookie, report.requests_without_cookie) == (
+        4924, 4515, 409
+    )
+    # Only a vulnerable test sends the unauthenticated step.
+    assert all((v.unauth_status != 0) == v.vulnerable for v in report.verdicts)
 
 
 def test_per_site_budget_override(pipeline_lab):

@@ -203,6 +203,24 @@ class TestAggregate:
         assert stats.cache_control_combos["max-age=, public"].pages == 1
         assert stats.cache_control_combos["(none)"].pages == 1
 
+    def test_skipped_unauthenticated_step_is_not_read(self):
+        """A clean test sends no unauthenticated step and records status 0;
+        the report reads only the victim and attacker statuses."""
+        verdicts = [
+            _verdict("http://y.test/a", status=404),
+            _verdict("http://y.test/b"),
+            _verdict("http://a.x.test/c", vulnerable=False),
+            _verdict("http://a.x.test/d", vulnerable=False, status=403),
+            _verdict("http://b.x.test/e", vulnerable=False,
+                     technique=PathConfusionTechnique.ENCODED_POUND),
+        ]
+        skipped = [v if v.vulnerable else replace(v, unauth_status=0) for v in verdicts]
+        sent = [v if v.vulnerable else replace(v, unauth_status=302) for v in verdicts]
+        assert aggregate(skipped, SITE_MAP) == aggregate(sent, SITE_MAP)
+        assert render_table(aggregate(skipped, SITE_MAP)) == render_table(
+            aggregate(sent, SITE_MAP)
+        )
+
     def test_cdn_dimension_counts_tested_and_vulnerable(self):
         verdicts = [
             _verdict("http://y.test/a", cdn=("Cloudflare", "Akamai")),
