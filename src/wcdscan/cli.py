@@ -31,13 +31,14 @@ from .reporting import (
     MalformedRecord,
     aggregate,
     build_site_map,
+    page_hosts,
     read_records,
     redact_verdicts,
     render_table,
     stats_to_records,
     write_records,
 )
-from .url_toolkit import PathConfusionTechnique, parse_url
+from .url_toolkit import PathConfusionTechnique
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -341,8 +342,7 @@ def _cmd_report(args) -> int:
         return EXIT_ERROR
     if args.redact:
         verdicts = redact_verdicts(verdicts)
-    hosts = {parse_url(verdict.page).host for verdict in verdicts}
-    stats = aggregate(verdicts, build_site_map(hosts))
+    stats = aggregate(verdicts, build_site_map(page_hosts(verdicts)))
     if args.format == "records":
         print(json.dumps(stats_to_records(stats), indent=2))
     else:

@@ -274,12 +274,15 @@ def scan_html(text: str) -> HtmlSurfaces:
     """
     out = HtmlSurfaces()
     for token in _HTML_TOKEN.finditer(text):
-        tag = (token["tag"] or "").lower()
+        tag, raw_attrs, body = token.group("tag", "attrs", "body")
+        if tag is None:  # end tag, comment, doctype or text the tag rule rejects
+            continue
+        tag = tag.lower()
         if tag not in ("a", "input", "script"):
             continue
         attrs = {
             name.lower(): html.unescape(single or double or bare)
-            for name, single, double, bare in _HTML_ATTR.findall(token["attrs"])
+            for name, single, double, bare in _HTML_ATTR.findall(raw_attrs)
         }
         if tag == "input":
             if attrs.get("type", "").lower() == "hidden" and attrs.get("name"):
@@ -289,8 +292,8 @@ def scan_html(text: str) -> HtmlSurfaces:
                 out.anchor_hrefs.append(attrs["href"])
         elif attrs.get("src"):
             out.script_srcs.append(attrs["src"])
-        elif token["body"]:
-            out.inline_scripts.append(token["body"])
+        elif body:
+            out.inline_scripts.append(body)
     return out
 
 

@@ -178,6 +178,18 @@ def canonical_cache_combo(cache_control: str) -> str:
     return ", ".join(sorted(names)) if names else "(none)"
 
 
+def _place_page(page: str, site_map: Mapping[str, str]) -> tuple[str, str] | str:
+    """The page's (domain, site), or why it cannot be placed."""
+    try:
+        domain = parse_url(page).host
+    except MalformedUrl:
+        return "unparseable page URL"
+    site = site_map.get(domain)
+    if site is None:
+        return f"domain {domain!r} not in site map"
+    return domain, site
+
+
 def aggregate(
     verdicts: Iterable[ScanVerdict], site_map: Mapping[str, str]
 ) -> AggregateStats:
@@ -202,18 +214,18 @@ def aggregate(
     cdn_tested: dict[str, _IdSets] = {}
     cdn_vulnerable: dict[str, _IdSets] = {}
     quarantined: list[tuple[str, str]] = []
+    # page -> (domain, site), or the reason its verdicts are quarantined
+    placed: dict[str, tuple[str, str] | str] = {}
 
     for verdict in verdicts:
-        try:
-            domain = parse_url(verdict.page).host
-        except MalformedUrl:
-            quarantined.append((verdict.page, "unparseable page URL"))
-            continue
-        site = site_map.get(domain)
-        if site is None:
-            quarantined.append((verdict.page, f"domain {domain!r} not in site map"))
-            continue
         page = verdict.page
+        place = placed.get(page)
+        if place is None:
+            place = placed[page] = _place_page(page, site_map)
+        if isinstance(place, str):
+            quarantined.append((page, place))
+            continue
+        domain, site = place
 
         if verdict.inconclusive:
             inconclusive_pages.add(page)
@@ -399,6 +411,18 @@ def _swap_host(url: str, mapping: Mapping[str, str]) -> str:
     return url[:start] + userinfo + at + alias + port + url[start + len(parts.netloc) :]
 
 
+def page_hosts(verdicts: Iterable[ScanVerdict]) -> set[str]:
+    """The hosts of the verdicts' pages. A page that is not an absolute
+    http(s) URL has no host; ``aggregate`` quarantines its verdicts."""
+    hosts = set()
+    for page in {verdict.page for verdict in verdicts}:
+        try:
+            hosts.add(parse_url(page).host)
+        except MalformedUrl:
+            pass
+    return hosts
+
+
 _PLACEHOLDER_HOST = re.compile(r"site-(\d+)\.redacted")
 
 
@@ -406,8 +430,9 @@ def redact_verdicts(verdicts: list[ScanVerdict]) -> list[ScanVerdict]:
     """Replace impacted hostnames with stable placeholder names. Only the
     host of each URL is replaced; a host name inside a path or query stays.
     Placeholder hosts are kept, and new hosts are numbered after the largest
-    placeholder present, so redacting a redacted stream changes nothing."""
-    hosts = {parse_url(v.page).host for v in verdicts}
+    placeholder present, so redacting a redacted stream changes nothing.
+    A page that is not an absolute http(s) URL adds no host to the mapping."""
+    hosts = page_hosts(verdicts)
     placeholders = {h: m for h in hosts if (m := _PLACEHOLDER_HOST.fullmatch(h))}
     start = max((int(m[1]) for m in placeholders.values()), default=0) + 1
     fresh = sorted(hosts - placeholders.keys())

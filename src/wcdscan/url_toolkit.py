@@ -9,8 +9,8 @@ from __future__ import annotations
 import random
 import re
 import string
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 from urllib.parse import parse_qsl, urlsplit
 
 NONCE_ALPHABET = string.ascii_lowercase + string.digits
@@ -29,6 +29,11 @@ _PLAIN_URL = re.compile(
 
 # Placeholder substituted for all-digit path segments when grouping.
 NUMERIC_PLACEHOLDER = "<num>"
+
+# A path segment of ASCII digits only, in a path that starts with "/";
+# mixed segments like "item28" are not grouped.
+_DIGIT_SEGMENT = re.compile(r"/[0-9]+(?=/|\Z)")
+_SLASH_PLACEHOLDER = "/" + NUMERIC_PLACEHOLDER
 
 # Country-code suffixes that take a third label for the registrable domain.
 # Not a full public-suffix list; see README for the limitation.
@@ -69,12 +74,12 @@ _TECHNIQUE_SEPARATORS = {
 }
 
 
-@dataclass(frozen=True)
-class ParsedUrl:
+class ParsedUrl(NamedTuple):
     """Structural view of an absolute http(s) URL.
 
     ``raw_path`` keeps the path portion byte-for-byte as received so that it
-    re-serializes exactly.
+    re-serializes exactly. A tuple, so building, hashing and comparing one
+    runs in C; its fields cannot be assigned.
     """
 
     scheme: str
@@ -101,17 +106,14 @@ class ParsedUrl:
         return out
 
 
-@dataclass(frozen=True)
-class UrlGroupKey:
+class UrlGroupKey(NamedTuple):
     """Structure-only identity of a URL: query values and all-digit path
-    segments are abstracted away."""
+    segments are abstracted away. Keys sort by host, then abstract path,
+    then parameter names."""
 
     host: str
     abstract_path: str
     param_names: tuple[str, ...]
-
-    def sort_key(self) -> tuple:
-        return (self.host, self.abstract_path, self.param_names)
 
 
 class RandomNameGenerator:
@@ -134,15 +136,7 @@ def parse_url(raw: str) -> ParsedUrl:
     plain = _PLAIN_URL.fullmatch(raw)
     if plain is not None:
         scheme, host, path, query = plain.groups()
-        return ParsedUrl(
-            scheme=scheme,
-            host=host,
-            port=DEFAULT_PORTS[scheme],
-            raw_path=path,
-            fragment=None,
-            raw=raw,
-            raw_query=query or "",
-        )
+        return ParsedUrl(scheme, host, DEFAULT_PORTS[scheme], path, None, raw, query or "")
     try:
         parts = urlsplit(raw)
     except ValueError as exc:
@@ -197,20 +191,18 @@ def make_attack_url(
 def group_key(url: ParsedUrl) -> UrlGroupKey:
     """Structural group key: all-digit path segments are replaced with a
     placeholder and query values are discarded (names kept, sorted)."""
-    raw_path = url.raw_path or "/"
-    if raw_path == "/":
-        abstract = "/"
-    else:
-        # ASCII digits only; mixed segments like "item28" are not grouped.
-        abstract = "/" + "/".join([
-            NUMERIC_PLACEHOLDER if seg.isascii() and seg.isdigit() else seg
-            for seg in raw_path.lstrip("/").split("/")
-        ])
-    names: tuple[str, ...] = ()
-    if url.raw_query:  # parse_qsl costs about a microsecond even on ""
-        pairs = parse_qsl(url.raw_query, keep_blank_values=True)
+    abstract = _DIGIT_SEGMENT.sub(_SLASH_PLACEHOLDER, "/" + url.raw_path.lstrip("/"))
+    query = url.raw_query
+    if not query:
+        names: tuple[str, ...] = ()
+    elif "%" in query or "+" in query:
+        pairs = parse_qsl(query, keep_blank_values=True)
         names = tuple(sorted({name for name, _ in pairs}))
-    return UrlGroupKey(host=url.host, abstract_path=abstract, param_names=names)
+    else:
+        # Without escapes parse_qsl's names are each non-empty pair's text
+        # before its first "=".
+        names = tuple(sorted({pair.partition("=")[0] for pair in query.split("&") if pair}))
+    return UrlGroupKey(url.host, abstract, names)
 
 
 def pick_per_group(groups: dict[UrlGroupKey, list[ParsedUrl]], seed: int) -> list[ParsedUrl]:
@@ -221,7 +213,7 @@ def pick_per_group(groups: dict[UrlGroupKey, list[ParsedUrl]], seed: int) -> lis
     """
     rng = random.Random(seed)
     chosen = []
-    for key in sorted(groups, key=UrlGroupKey.sort_key):
+    for key in sorted(groups):
         members = sorted(set(groups[key]), key=lambda u: (u.text(), u.raw))
         chosen.append(members[rng.randrange(len(members))])
     return chosen

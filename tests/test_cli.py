@@ -454,3 +454,24 @@ def test_report_on_a_file_that_is_not_utf8_names_its_line(tmp_path, capsys):
     assert main(["report", "--records", str(records)]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith(f"error: {records}:2: not UTF-8")
+
+
+@pytest.mark.parametrize("redact", [False, True], ids=["plain", "redact"])
+@pytest.mark.parametrize("fmt", ["table", "records"])
+def test_report_quarantines_a_page_that_is_not_a_url(tmp_path, capsys, fmt, redact):
+    T = PathConfusionTechnique
+    verdicts = [_verdict("notaurl", T.PATH_PARAMETER, True),
+                _verdict("http://a.test/account", T.PATH_PARAMETER, True)]
+    records = tmp_path / "verdicts.jsonl"
+    with open(records, "w", encoding="utf-8") as fh:
+        write_records(verdicts, fh)
+    argv = ["report", "--records", str(records), "--format", fmt]
+    assert main(argv + ["--redact"] * redact) == EXIT_CLEAN
+    out = capsys.readouterr().out
+    if fmt == "table":
+        assert "Quarantined verdicts: 1" in out
+        assert "Vulnerable:    1 / 1 / 1" in out
+    else:
+        stats = json.loads(out)
+        assert stats["quarantined"] == [["notaurl", "unparseable page URL"]]
+        assert stats["vulnerable"] == _counts(1, 1, 1)

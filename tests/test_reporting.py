@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from wcdscan.detector import ScanVerdict, SecretCandidate, SecretSource, SecretTrigger
 from wcdscan.http1 import index_fields
+from wcdscan import reporting
 from wcdscan.http_engine import HttpExchange
 from wcdscan.reporting import (
     CdnFingerprint,
@@ -25,7 +26,7 @@ from wcdscan.reporting import (
     render_table,
     write_records,
 )
-from wcdscan.url_toolkit import PathConfusionTechnique
+from wcdscan.url_toolkit import MalformedUrl, PathConfusionTechnique
 
 
 class TestChiSquare:
@@ -184,6 +185,43 @@ class TestAggregate:
         assert stats.vulnerable.pages == 0
         assert len(stats.quarantined) == 1
         assert "unknown.example" in stats.quarantined[0][1]
+
+    def test_each_distinct_page_is_parsed_once(self, monkeypatch):
+        pages = ["http://a.x.test/p1", "http://a.x.test/p2", "http://y.test/q",
+                 "http://unknown.example/p", "notaurl", "ftp://y.test/f"]
+        rng = random.Random(5)
+        techniques = list(PathConfusionTechnique)
+        verdicts = [
+            _verdict(rng.choice(pages), technique=rng.choice(techniques),
+                     vulnerable=rng.random() < 0.5, inconclusive=rng.random() < 0.1)
+            for _ in range(200)
+        ]
+        # The fold without the page memo: place every verdict on its own.
+        placeable, quarantined = [], []
+        for verdict in verdicts:
+            try:
+                domain = reporting.parse_url(verdict.page).host
+            except MalformedUrl:
+                quarantined.append((verdict.page, "unparseable page URL"))
+                continue
+            if domain in SITE_MAP:
+                placeable.append(verdict)
+            else:
+                quarantined.append((verdict.page, f"domain {domain!r} not in site map"))
+        expected = replace(aggregate(placeable, SITE_MAP), quarantined=quarantined)
+
+        parsed = []
+        real_parse = reporting.parse_url
+
+        def counting_parse(page):
+            parsed.append(page)
+            return real_parse(page)
+
+        monkeypatch.setattr(reporting, "parse_url", counting_parse)
+        stats = aggregate(verdicts, SITE_MAP)
+        assert sorted(parsed) == sorted({v.page for v in verdicts})
+        assert stats.quarantined == quarantined
+        assert stats == expected
 
     def test_inconclusive_not_counted_as_tested(self):
         stats = aggregate(
@@ -393,6 +431,14 @@ def test_redaction_numbers_new_hosts_after_existing_placeholders():
     assert [v.page for v in redact_verdicts(verdicts)] == [
         "http://site-7.redacted/account",
         "http://site-8.redacted/account",
+    ]
+
+
+def test_redaction_leaves_a_page_without_a_host():
+    verdicts = [_verdict("notaurl"), _verdict("http://shop.example/account")]
+    assert [v.page for v in redact_verdicts(verdicts)] == [
+        "notaurl",
+        "http://site-1.redacted/account",
     ]
 
 

@@ -8,14 +8,16 @@ from pathlib import Path
 from urllib.parse import parse_qsl, urlsplit
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from wcdscan.url_toolkit import (
     MalformedUrl,
     NONCE_ALPHABET,
+    NUMERIC_PLACEHOLDER,
     ParsedUrl,
     PathConfusionTechnique,
     RandomNameGenerator,
+    UrlGroupKey,
     group_key,
     make_attack_url,
     parse_url,
@@ -309,6 +311,69 @@ def test_group_key_idempotent_under_abstraction(parts):
         if key.param_names:
             abstracted += "?" + "&".join(f"{n}=v" for n in key.param_names)
         assert group_key(parse_url(abstracted)) == key
+
+
+def _segment_rule(raw_path: str) -> str:
+    """The abstract path by splitting into segments: the reference for
+    ``group_key``'s single substitution."""
+    raw_path = raw_path or "/"
+    if raw_path == "/":
+        return "/"
+    return "/" + "/".join([
+        NUMERIC_PLACEHOLDER if seg.isascii() and seg.isdigit() else seg
+        for seg in raw_path.lstrip("/").split("/")
+    ])
+
+
+def _key_of(raw_path: str, raw_query: str) -> UrlGroupKey:
+    return group_key(ParsedUrl("http", "h.test", 80, raw_path, None, "", raw_query))
+
+
+@given(st.lists(st.sampled_from(["/", "//", "0", "42", "٣", "²", "a", "x1", "é", "%31", "-"]),
+                max_size=8).map("".join))
+@example("")
+@example("/")
+@example("//12//a/")
+@example("/٣/²/12/007")
+@example("12/a")
+def test_group_key_path_matches_segment_rule(raw_path):
+    assert _key_of(raw_path, "").abstract_path == _segment_rule(raw_path)
+
+
+@given(st.lists(st.sampled_from(["a", "b", "=", "&", "&&", "=x", "a=b=c", ";", "%41", "%4",
+                                 "+", "é", "1"]), max_size=8).map("".join))
+@example("a=1&&b=2&")
+@example("=x&a=b=c")
+@example("a;b=1&c")
+@example("%61=1&a=2")
+@example("a+b=1&a b=2")
+def test_group_key_names_match_parse_qsl(raw_query):
+    expected = tuple(sorted({n for n, _ in parse_qsl(raw_query, keep_blank_values=True)}))
+    assert _key_of("/", raw_query).param_names == expected
+
+
+def test_url_values_are_immutable_and_hashable():
+    url = parse_url("http://e.com/a/1?x=2")
+    key = group_key(url)
+    for value, field in ((url, "raw_path"), (key, "abstract_path")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, "/b")
+    twins = {parse_url("http://e.com/a/1?x=2"), url}
+    assert twins == {url}
+    assert {group_key(parse_url("http://e.com/a/7?x=3")), key} == {key}
+
+
+def test_group_keys_sort_by_host_path_then_names():
+    keys = [
+        UrlGroupKey("b.test", "/", ()),
+        UrlGroupKey("a.test", "/z", ()),
+        UrlGroupKey("a.test", "/a", ("y",)),
+        UrlGroupKey("a.test", "/a", ("x", "y")),
+        UrlGroupKey("a.test", "/a", ()),
+    ]
+    by_fields = sorted(keys, key=lambda k: (k.host, k.abstract_path, k.param_names))
+    assert sorted(keys) == by_fields
+    assert sorted(reversed(keys)) == by_fields
 
 
 def _representatives(urls, seed):
