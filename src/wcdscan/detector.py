@@ -16,11 +16,12 @@ import math
 import re
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from itertools import product
 from operator import attrgetter
-from typing import Callable, TextIO, get_type_hints
+from typing import Callable, NamedTuple, TextIO, get_type_hints
 from urllib.parse import parse_qsl, urlsplit
 
 from .http_engine import (
@@ -217,38 +218,153 @@ class SecretTrigger(Enum):
     ENTROPY_MATCH = "entropy_match"
 
 
-class _Record:
-    """JSON records derived from the dataclass fields: one key per field, in
-    field order, holding the value as is unless its type is in
-    ``_record_codecs``. A missing key takes the field's default, and a key
-    that names no field is ignored."""
+class _Mistyped(TypeError):
+    """A JSON value of the wrong type where a record or an item belongs."""
 
-    _names: tuple[str, ...]
-    _codecs: dict[str, tuple[Callable, Callable]]
 
-    def to_record(self) -> dict:
-        record = {name: getattr(self, name) for name in self._names}
-        for name, (to_json, _) in self._codecs.items():
+class _FieldKind(NamedTuple):
+    """How one record field is written, read back and checked."""
+
+    json_types: tuple[type, ...]  # the types json.loads may give the field
+    label: str  # what the field must hold, for the error message
+    to_json: Callable | None = None  # None: JSON writes the value as it is
+    from_json: Callable | None = None  # None: the JSON value is the value
+
+
+def _strings(items: list) -> tuple[str, ...]:
+    if items and not all(type(item) is str for item in items):
+        raise _Mistyped
+    return tuple(items)
+
+
+def _string_pairs(mapping: dict) -> tuple[tuple[str, str], ...]:
+    pairs = tuple(mapping.items())
+    if pairs and not all(type(value) is str for _, value in pairs):
+        raise _Mistyped
+    return pairs
+
+
+def _enum_kind(kind: type[Enum]) -> _FieldKind:
+    """A member is written as its string value and read back through a
+    {value: member} table; a miss raises the ValueError ``kind(value)``
+    raises."""
+    members = {member.value: member for member in kind}
+
+    def from_json(value: str) -> Enum:
+        member = members.get(value)
+        if member is None:
+            raise ValueError(f"{value!r} is not a valid {kind.__qualname__}")
+        return member
+
+    return _FieldKind((str,), "a string", attrgetter("_value_"), from_json)
+
+
+class _RecordCodec:
+    """The JSON record of a NamedTuple class, built from its fields and type
+    hints: one key per field, in field order. Only enum, cache-evidence and
+    secret fields are converted; JSON writes every other value as it is, a
+    tuple as an array.
+
+    Reading checks each present key's JSON type against its field, and a
+    mistyped value raises TypeError naming the field. A missing key takes the
+    field's default, and a key that names no field is ignored.
+    """
+
+    def __init__(self, cls: type) -> None:
+        hints = get_type_hints(cls)
+        self.cls = cls
+        self.names: tuple[str, ...] = cls._fields
+        self.kinds = [
+            _enum_kind(hint)
+            if isinstance(hint, type) and issubclass(hint, Enum)
+            else _FIELD_KINDS[hint]
+            for hint in map(hints.__getitem__, self.names)
+        ]
+        self.encoders = [
+            (name, kind.to_json) for name, kind in zip(self.names, self.kinds) if kind.to_json
+        ]
+        self.decoders = [
+            (index, kind.from_json) for index, kind in enumerate(self.kinds) if kind.from_json
+        ]
+        # Every tuple of value types that a complete, well-typed record has.
+        self.shapes = frozenset(product(*(kind.json_types for kind in self.kinds)))
+
+    def encode(self, value: tuple) -> dict:
+        record = dict(zip(self.names, value))
+        for name, to_json in self.encoders:
             record[name] = to_json(record[name])
         return record
 
-    @classmethod
-    def from_record(cls, record: dict):
-        values = {name: record[name] for name in cls._names if name in record}
-        for name, (_, from_json) in cls._codecs.items():
-            if name in values:
-                values[name] = from_json(values[name])
-        return cls(**values)
+    def decode(self, record: dict):
+        if type(record) is not dict:
+            raise _Mistyped("a record must be a JSON object")
+        try:
+            values = list(map(record.__getitem__, self.names))
+        except KeyError:
+            pass
+        else:
+            if tuple(map(type, values)) in self.shapes:
+                try:
+                    for index, from_json in self.decoders:
+                        values[index] = from_json(values[index])
+                except _Mistyped:
+                    pass
+                else:
+                    return self.cls._make(values)
+        # A key is missing or a value is mistyped: read field by field.
+        return self.cls(
+            **{
+                name: self._read(index, record[name])
+                for index, name in enumerate(self.names)
+                if name in record
+            }
+        )
+
+    def _read(self, index: int, value):
+        kind = self.kinds[index]
+        if type(value) in kind.json_types:
+            try:
+                return kind.from_json(value) if kind.from_json else value
+            except _Mistyped:
+                pass
+        raise TypeError(f"field {self.names[index]!r} must be {kind.label}")
 
 
-@dataclass(frozen=True)
-class SecretCandidate(_Record):
+class SecretCandidate(NamedTuple):
     name: str
     value: str
     source: SecretSource
     trigger: SecretTrigger
     entropy_bits_per_char: float
     residual_length: int
+
+    def to_record(self) -> dict:
+        return _SECRET_RECORDS.encode(self)
+
+    @classmethod
+    def from_record(cls, record: dict) -> SecretCandidate:
+        return _SECRET_RECORDS.decode(record)
+
+
+_FIELD_KINDS = {
+    str: _FieldKind((str,), "a string"),
+    int: _FieldKind((int,), "an integer"),  # type(True) is bool, not int
+    float: _FieldKind((float, int), "a number"),
+    bool: _FieldKind((bool,), "true or false"),
+    str | None: _FieldKind((str, type(None)), "a string or null"),
+    # to_record leaves a tuple a tuple, so from_record takes one as an array.
+    tuple[str, ...]: _FieldKind((list, tuple), "an array of strings", None, _strings),
+    tuple[tuple[str, str], ...]: _FieldKind(
+        (dict,), "an object of strings", dict, _string_pairs
+    ),
+    tuple[SecretCandidate, ...]: _FieldKind(
+        (list, tuple),
+        "an array of secret objects",
+        lambda secrets: [secret.to_record() for secret in secrets],
+        lambda records: tuple(map(SecretCandidate.from_record, records)),
+    ),
+}
+_SECRET_RECORDS = _RecordCodec(SecretCandidate)
 
 
 @dataclass
@@ -440,8 +556,7 @@ class WcdTestConfig:
     )
 
 
-@dataclass(frozen=True)
-class ScanVerdict(_Record):
+class ScanVerdict(NamedTuple):
     """Outcome of one (page, technique) attack.
 
     ``vulnerable`` is true iff markers leaked, or the victim/attacker bodies
@@ -450,7 +565,8 @@ class ScanVerdict(_Record):
     reason in ``error``; distinct from a clean negative. ``unauth_status`` is
     0 when the unauthenticated step was not sent, because the test was not
     vulnerable or an earlier step failed. Cache-evidence fields are recorded
-    for reporting only.
+    for reporting only. A verdict is an immutable tuple: ``_replace`` gives a
+    changed copy.
     """
 
     page: str
@@ -473,30 +589,15 @@ class ScanVerdict(_Record):
     cdn_labels: tuple[str, ...] = ()
 
 
-def _record_codecs(cls: type) -> None:
-    """Give a ``_Record`` dataclass its field names and, for each field whose
-    type is not plain JSON, a (to JSON, from JSON) converter pair."""
-    by_type = {
-        tuple[str, ...]: (list, tuple),
-        tuple[tuple[str, str], ...]: (dict, lambda pairs: tuple(pairs.items())),
-        tuple[SecretCandidate, ...]: (
-            lambda secrets: [secret.to_record() for secret in secrets],
-            lambda records: tuple(map(SecretCandidate.from_record, records)),
-        ),
-    }
-    hints = get_type_hints(cls)
-    cls._names = tuple(f.name for f in fields(cls))
-    cls._codecs = {}
-    for name in cls._names:
-        kind = hints[name]
-        if isinstance(kind, type) and issubclass(kind, Enum):
-            cls._codecs[name] = (attrgetter("value"), kind)
-        elif kind in by_type:
-            cls._codecs[name] = by_type[kind]
+    def to_record(self) -> dict:
+        return _VERDICT_RECORDS.encode(self)
+
+    @classmethod
+    def from_record(cls, record: dict) -> ScanVerdict:
+        return _VERDICT_RECORDS.decode(record)
 
 
-_record_codecs(SecretCandidate)
-_record_codecs(ScanVerdict)
+_VERDICT_RECORDS = _RecordCodec(ScanVerdict)
 
 
 def inconclusive_verdict(

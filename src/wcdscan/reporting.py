@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, field, replace
+from collections import defaultdict
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, TextIO
 from urllib.parse import urlsplit
 
@@ -127,30 +128,6 @@ class Counts3:
 
 
 @dataclass
-class _IdSets:
-    """Page/domain/site identifier sets feeding one roll-up cell."""
-
-    pages: set[str] = field(default_factory=set)
-    domains: set[str] = field(default_factory=set)
-    sites: set[str] = field(default_factory=set)
-
-    def add(self, page: str, domain: str, site: str) -> None:
-        self.pages.add(page)
-        self.domains.add(domain)
-        self.sites.add(site)
-
-    def counts(self) -> Counts3:
-        return Counts3(len(self.pages), len(self.domains), len(self.sites))
-
-    def minus(self, other: "_IdSets") -> Counts3:
-        return Counts3(
-            len(self.pages - other.pages),
-            len(self.domains - other.domains),
-            len(self.sites - other.sites),
-        )
-
-
-@dataclass
 class AggregateStats:
     tested: Counts3
     vulnerable: Counts3
@@ -197,25 +174,29 @@ def aggregate(
 
     ``site_map`` resolves each page's host to its site; verdicts whose host
     is missing are quarantined with a diagnostic rather than dropped
-    silently. The fold is permutation-invariant.
+    silently. Each cell is the set of pages it counts. A page has one
+    (domain, site), so a cell's domains and sites, and the uniqueness
+    differences, are derived from its pages once the fold ends. The fold is
+    permutation-invariant.
     """
     techniques = [t.value for t in PathConfusionTechnique]
-    tested = _IdSets()
-    vulnerable = _IdSets()
+    tested: set[str] = set()
+    vulnerable: set[str] = set()
     inconclusive_pages: set[str] = set()
-    per_technique = {t: _IdSets() for t in techniques}
-    response_codes: dict[int, _IdSets] = {}
-    combos: dict[str, _IdSets] = {}
-    pragma_no_cache = _IdSets()
-    expires_present = _IdSets()
-    no_cache_headers = _IdSets()
-    leak_types: dict[str, _IdSets] = {}
-    unauth = _IdSets()
-    cdn_tested: dict[str, _IdSets] = {}
-    cdn_vulnerable: dict[str, _IdSets] = {}
+    per_technique: dict[str, set[str]] = {t: set() for t in techniques}
+    response_codes: defaultdict[int, set[str]] = defaultdict(set)
+    combos: defaultdict[str, set[str]] = defaultdict(set)
+    pragma_no_cache: set[str] = set()
+    expires_present: set[str] = set()
+    no_cache_headers: set[str] = set()
+    leak_types: defaultdict[str, set[str]] = defaultdict(set)
+    unauth: set[str] = set()
+    cdn_tested: defaultdict[str, set[str]] = defaultdict(set)
+    cdn_vulnerable: defaultdict[str, set[str]] = defaultdict(set)
     quarantined: list[tuple[str, str]] = []
     # page -> (domain, site), or the reason its verdicts are quarantined
     placed: dict[str, tuple[str, str] | str] = {}
+    combo_of: dict[str, str] = {}  # Cache-Control value -> its canonical combo
 
     for verdict in verdicts:
         page = verdict.page
@@ -225,68 +206,78 @@ def aggregate(
         if isinstance(place, str):
             quarantined.append((page, place))
             continue
-        domain, site = place
 
         if verdict.inconclusive:
             inconclusive_pages.add(page)
             continue
-        tested.add(page, domain, site)
+        tested.add(page)
         for label in verdict.cdn_labels:
-            cdn_tested.setdefault(label, _IdSets()).add(page, domain, site)
+            cdn_tested[label].add(page)
         if not verdict.vulnerable:
             continue
 
-        vulnerable.add(page, domain, site)
-        per_technique[verdict.technique.value].add(page, domain, site)
-        response_codes.setdefault(verdict.attacker_status, _IdSets()).add(page, domain, site)
+        vulnerable.add(page)
+        per_technique[verdict.technique.value].add(page)
+        response_codes[verdict.attacker_status].add(page)
 
-        combo = canonical_cache_combo(verdict.cache_control)
-        combos.setdefault(combo, _IdSets()).add(page, domain, site)
+        combo = combo_of.get(verdict.cache_control)
+        if combo is None:
+            combo = combo_of[verdict.cache_control] = canonical_cache_combo(
+                verdict.cache_control
+            )
+        combos[combo].add(page)
         if "no-cache" in verdict.pragma.lower():
-            pragma_no_cache.add(page, domain, site)
+            pragma_no_cache.add(page)
         if verdict.expires:
-            expires_present.add(page, domain, site)
+            expires_present.add(page)
         if combo == "(none)" and not verdict.pragma and not verdict.expires:
-            no_cache_headers.add(page, domain, site)
+            no_cache_headers.add(page)
 
         if verdict.markers_leaked:
-            leak_types.setdefault("markers", _IdSets()).add(page, domain, site)
+            leak_types["markers"].add(page)
             for label in verdict.markers_leaked:
-                leak_types.setdefault(f"marker:{label}", _IdSets()).add(page, domain, site)
+                leak_types[f"marker:{label}"].add(page)
         if verdict.secrets:
-            leak_types.setdefault("secrets", _IdSets()).add(page, domain, site)
+            leak_types["secrets"].add(page)
             for secret in verdict.secrets:
-                leak_types.setdefault(f"secret:{secret.source.value}", _IdSets()).add(
-                    page, domain, site
-                )
+                leak_types[f"secret:{secret.source.value}"].add(page)
         if verdict.markers_leaked and verdict.secrets:
-            leak_types.setdefault("both", _IdSets()).add(page, domain, site)
+            leak_types["both"].add(page)
         if verdict.unauth_exploitable:
-            unauth.add(page, domain, site)
+            unauth.add(page)
         for label in verdict.cdn_labels:
-            cdn_vulnerable.setdefault(label, _IdSets()).add(page, domain, site)
+            cdn_vulnerable[label].add(page)
 
+    def rolled_up(pages: set[str]) -> tuple[set[str], set[str], set[str]]:
+        """The pages, their domains and their sites."""
+        places = {placed[page] for page in pages}
+        return pages, {domain for domain, _ in places}, {site for _, site in places}
+
+    def counts(pages: set[str]) -> Counts3:
+        return Counts3(*map(len, rolled_up(pages)))
+
+    by_technique = {t: rolled_up(pages) for t, pages in per_technique.items()}
     uniqueness = {
-        (ti, tj): per_technique[ti].minus(per_technique[tj])
+        (ti, tj): Counts3(*(len(a - b) for a, b in zip(by_technique[ti], by_technique[tj])))
         for ti in techniques
         for tj in techniques
         if ti != tj
     }
     return AggregateStats(
-        tested=tested.counts(),
-        vulnerable=vulnerable.counts(),
+        tested=counts(tested),
+        vulnerable=counts(vulnerable),
         inconclusive_pages=len(inconclusive_pages),
-        per_technique={t: s.counts() for t, s in per_technique.items()},
+        per_technique={t: Counts3(*map(len, sets)) for t, sets in by_technique.items()},
         uniqueness=uniqueness,
-        response_codes={c: s.counts() for c, s in response_codes.items()},
-        cache_control_combos={c: s.counts() for c, s in combos.items()},
-        pragma_no_cache=pragma_no_cache.counts(),
-        expires_present=expires_present.counts(),
-        no_cache_headers=no_cache_headers.counts(),
-        leak_types={k: s.counts() for k, s in leak_types.items()},
-        unauth_exploitable=unauth.counts(),
-        cdn_tested={k: s.counts() for k, s in cdn_tested.items()},
-        cdn_vulnerable={k: s.counts() for k, s in cdn_vulnerable.items()},
+        response_codes={c: counts(pages) for c, pages in response_codes.items()},
+        cache_control_combos={c: counts(pages) for c, pages in combos.items()},
+        pragma_no_cache=counts(pragma_no_cache),
+        expires_present=counts(expires_present),
+        no_cache_headers=counts(no_cache_headers),
+        leak_types={k: counts(pages) for k, pages in leak_types.items()},
+        unauth_exploitable=counts(unauth),
+        cdn_tested={k: counts(pages) for k, pages in cdn_tested.items()},
+        cdn_vulnerable={k: counts(pages) for k, pages in cdn_vulnerable.items()},
         quarantined=quarantined,
     )
 
@@ -438,8 +429,7 @@ def redact_verdicts(verdicts: list[ScanVerdict]) -> list[ScanVerdict]:
     fresh = sorted(hosts - placeholders.keys())
     mapping = {host: f"site-{i}.redacted" for i, host in enumerate(fresh, start)}
     return [
-        replace(
-            verdict,
+        verdict._replace(
             page=_swap_host(verdict.page, mapping),
             attack_url=_swap_host(verdict.attack_url, mapping),
         )

@@ -76,8 +76,9 @@ def test_bad_delay_is_a_usage_error_before_any_request(capsys, monkeypatch, dela
     "bad_line,reason",
     [("{not json", "Expecting property name"),
      ('{"page": "http://a.test/"}', "missing 10 required positional arguments"),
-     ('{"cache_evidence": ["x"]}', "has no attribute 'items'")],
-    ids=["not-json", "missing-fields", "wrong-field-type"],
+     ('{"cache_evidence": ["x"]}', "field 'cache_evidence' must be an object of strings"),
+     ('["http://a.test/"]', "a record must be a JSON object")],
+    ids=["not-json", "missing-fields", "wrong-field-type", "not-an-object"],
 )
 def test_report_on_a_malformed_record_names_its_line(tmp_path, capsys, bad_line, reason):
     good = _verdict("http://a.test/", PathConfusionTechnique.PATH_PARAMETER, False)
@@ -89,6 +90,22 @@ def test_report_on_a_malformed_record_names_its_line(tmp_path, capsys, bad_line,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {records}:3: ")
     assert reason in err
+
+
+def test_report_refuses_a_mistyped_field(tmp_path, capsys):
+    """A string where a boolean, array or integer belongs is refused with
+    the line number, not counted as true or read letter by letter."""
+    good = _verdict("http://a.test/", PathConfusionTechnique.PATH_PARAMETER, False)
+    record = good.to_record()
+    record.update(vulnerable="false", markers_leaked="email", cdn_labels="Akamai",
+                  victim_status="200")
+    records = tmp_path / "verdicts.jsonl"
+    with open(records, "w", encoding="utf-8") as fh:
+        write_records([good], fh)
+        fh.write(json.dumps(record) + "\n")
+    assert main(["report", "--records", str(records)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == f"error: {records}:2: field 'victim_status' must be an integer\n"
 
 
 def test_scan_lab_site_end_to_end(tmp_path, capsys):

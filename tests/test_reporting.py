@@ -1,12 +1,14 @@
 """Aggregation roll-ups, CDN labeling, and the chi-square reference values."""
 
 import io
+import json
 import random
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 import scipy.stats
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wcdscan.detector import ScanVerdict, SecretCandidate, SecretSource, SecretTrigger
 from wcdscan.http1 import index_fields
@@ -252,8 +254,8 @@ class TestAggregate:
             _verdict("http://b.x.test/e", vulnerable=False,
                      technique=PathConfusionTechnique.ENCODED_POUND),
         ]
-        skipped = [v if v.vulnerable else replace(v, unauth_status=0) for v in verdicts]
-        sent = [v if v.vulnerable else replace(v, unauth_status=302) for v in verdicts]
+        skipped = [v if v.vulnerable else v._replace(unauth_status=0) for v in verdicts]
+        sent = [v if v.vulnerable else v._replace(unauth_status=302) for v in verdicts]
         assert aggregate(skipped, SITE_MAP) == aggregate(sent, SITE_MAP)
         assert render_table(aggregate(skipped, SITE_MAP)) == render_table(
             aggregate(sent, SITE_MAP)
@@ -378,8 +380,8 @@ def test_record_without_optional_keys_loads_with_defaults():
     for key in OPTIONAL_KEYS:
         del record[key]
     loaded = ScanVerdict.from_record(record)
-    assert loaded == replace(
-        GOLDEN_VERDICT, inconclusive=False, error=None, cache_control="", pragma="",
+    assert loaded == GOLDEN_VERDICT._replace(
+        inconclusive=False, error=None, cache_control="", pragma="",
         expires="", cache_evidence=(), cdn_labels=(),
     )
 
@@ -453,3 +455,360 @@ def test_render_table_smoke():
     assert "Encoded ?" in text
     assert "row exploits what column misses" in text
     assert "Vulnerable:    2 / 1 / 1" in text  # both vulnerable pages live on y.test
+
+
+# --- the JSONL format, pinned for a handful of verdicts ---
+
+FIELD_ORDER = (
+    "page", "technique", "attack_url", "victim_status", "attacker_status", "unauth_status",
+    "markers_leaked", "secrets", "responses_identical", "unauth_exploitable", "vulnerable",
+    "inconclusive", "error", "cache_control", "pragma", "expires", "cache_evidence",
+    "cdn_labels",
+)
+S, G = SecretSource, SecretTrigger
+HANDFUL = [
+    ScanVerdict(
+        page="https://café.example/compte?id=1",
+        technique=PathConfusionTechnique.PATH_PARAMETER,
+        attack_url="https://café.example/compte/n0nce.css?id=1",
+        victim_status=200, attacker_status=200, unauth_status=200,
+        markers_leaked=(), responses_identical=True, unauth_exploitable=True, vulnerable=True,
+        secrets=(
+            SecretCandidate("csrf", "k2Jf9QzX1pLw", S.HIDDEN_FORM_FIELD, G.KEYWORD_MATCH,
+                            3.584962500721156, 12),
+            SecretCandidate("sid", "Zq8Lm2Xw7Rt4", S.ANCHOR_QUERY_STRING, G.ENTROPY_MATCH,
+                            3.584962500721156, 12),
+            SecretCandidate("state", "b9Tq", S.INLINE_SCRIPT_VARIABLE, G.KEYWORD_MATCH, 2.0, 4),
+            SecretCandidate("app.7f3a9c2e1b5d.js", "app.7f3a9c2e1b5d", S.SCRIPT_FILE_NAME,
+                            G.ENTROPY_MATCH, 3.5, 16),
+        ),
+        cache_control="public, max-age=600", cache_evidence=(("age", "3"), ("x-cache", "HIT")),
+        cdn_labels=("Fastly",),
+    ),
+    ScanVerdict(
+        page="http://b.test/", technique=PathConfusionTechnique.ENCODED_NEWLINE,
+        attack_url="http://b.test/%0An0nce.css", victim_status=200, attacker_status=404,
+        unauth_status=0, markers_leaked=(), secrets=(), responses_identical=False,
+        unauth_exploitable=False, vulnerable=False,
+    ),
+    ScanVerdict(
+        page="http://b.test/x", technique=PathConfusionTechnique.ENCODED_QUESTION,
+        attack_url="", victim_status=0, attacker_status=0, unauth_status=0,
+        markers_leaked=(), secrets=(), responses_identical=False, unauth_exploitable=False,
+        vulnerable=False, inconclusive=True, error="NetworkError: reset",
+    ),
+    ScanVerdict(
+        page="http://a.test/account", technique=PathConfusionTechnique.ENCODED_POUND,
+        attack_url="http://a.test/account%23n0nce.css", victim_status=200,
+        attacker_status=200, unauth_status=302, markers_leaked=("email", "name"), secrets=(),
+        responses_identical=False, unauth_exploitable=False, vulnerable=True,
+        pragma="no-cache", expires="0", cdn_labels=("Akamai", "Other"),
+    ),
+]
+HANDFUL_TEXT = (
+    '{"page": "https://caf\\u00e9.example/compte?id=1", "technique": "path_parameter", '
+    '"attack_url": "https://caf\\u00e9.example/compte/n0nce.css?id=1", "victim_status": 200, '
+    '"attacker_status": 200, "unauth_status": 200, "markers_leaked": [], "secrets": ['
+    '{"name": "csrf", "value": "k2Jf9QzX1pLw", "source": "hidden_form_field", '
+    '"trigger": "keyword_match", "entropy_bits_per_char": 3.584962500721156, '
+    '"residual_length": 12}, '
+    '{"name": "sid", "value": "Zq8Lm2Xw7Rt4", "source": "anchor_query_string", '
+    '"trigger": "entropy_match", "entropy_bits_per_char": 3.584962500721156, '
+    '"residual_length": 12}, '
+    '{"name": "state", "value": "b9Tq", "source": "inline_script_variable", '
+    '"trigger": "keyword_match", "entropy_bits_per_char": 2.0, "residual_length": 4}, '
+    '{"name": "app.7f3a9c2e1b5d.js", "value": "app.7f3a9c2e1b5d", '
+    '"source": "script_file_name", "trigger": "entropy_match", '
+    '"entropy_bits_per_char": 3.5, "residual_length": 16}], '
+    '"responses_identical": true, "unauth_exploitable": true, "vulnerable": true, '
+    '"inconclusive": false, "error": null, "cache_control": "public, max-age=600", '
+    '"pragma": "", "expires": "", "cache_evidence": {"age": "3", "x-cache": "HIT"}, '
+    '"cdn_labels": ["Fastly"]}\n'
+    '{"page": "http://b.test/", "technique": "encoded_newline", '
+    '"attack_url": "http://b.test/%0An0nce.css", "victim_status": 200, '
+    '"attacker_status": 404, "unauth_status": 0, "markers_leaked": [], "secrets": [], '
+    '"responses_identical": false, "unauth_exploitable": false, "vulnerable": false, '
+    '"inconclusive": false, "error": null, "cache_control": "", "pragma": "", '
+    '"expires": "", "cache_evidence": {}, "cdn_labels": []}\n'
+    '{"page": "http://b.test/x", "technique": "encoded_question", "attack_url": "", '
+    '"victim_status": 0, "attacker_status": 0, "unauth_status": 0, "markers_leaked": [], '
+    '"secrets": [], "responses_identical": false, "unauth_exploitable": false, '
+    '"vulnerable": false, "inconclusive": true, "error": "NetworkError: reset", '
+    '"cache_control": "", "pragma": "", "expires": "", "cache_evidence": {}, '
+    '"cdn_labels": []}\n'
+    '{"page": "http://a.test/account", "technique": "encoded_pound", '
+    '"attack_url": "http://a.test/account%23n0nce.css", "victim_status": 200, '
+    '"attacker_status": 200, "unauth_status": 302, "markers_leaked": ["email", "name"], '
+    '"secrets": [], "responses_identical": false, "unauth_exploitable": false, '
+    '"vulnerable": true, "inconclusive": false, "error": null, "cache_control": "", '
+    '"pragma": "no-cache", "expires": "0", "cache_evidence": {}, '
+    '"cdn_labels": ["Akamai", "Other"]}\n'
+)
+
+
+def test_records_of_a_handful_are_pinned():
+    buffer = io.StringIO()
+    write_records(HANDFUL, buffer)
+    assert buffer.getvalue() == HANDFUL_TEXT
+    records = [json.loads(line) for line in HANDFUL_TEXT.splitlines()]
+    assert all(tuple(record) == FIELD_ORDER for record in records)
+    assert read_records(io.StringIO(HANDFUL_TEXT)) == HANDFUL
+
+    required = FIELD_ORDER[: FIELD_ORDER.index("inconclusive")]
+    bare = [{key: record[key] for key in required} for record in records]
+    defaults = [
+        ScanVerdict(**{name: getattr(verdict, name) for name in required})
+        for verdict in HANDFUL
+    ]
+    assert read_records(json.dumps(record) for record in bare) == defaults
+    assert all(v.error is None and v.cache_evidence == () and v.cdn_labels == () and
+               not v.inconclusive and v.cache_control == v.pragma == v.expires == ""
+               for v in defaults)
+
+
+# --- a record field of the wrong JSON type is refused ---
+
+def _line_with(**changes) -> str:
+    record = json.loads(HANDFUL_TEXT.splitlines()[0])
+    record.update(changes)
+    return json.dumps(record)
+
+
+def _line_with_secret(**changes) -> str:
+    record = json.loads(HANDFUL_TEXT.splitlines()[0])
+    record["secrets"][0].update(changes)
+    return json.dumps(record)
+
+
+MISTYPED = [
+    ("vulnerable", "false", "true or false"),
+    ("inconclusive", 0, "true or false"),
+    ("victim_status", "200", "an integer"),
+    ("unauth_status", True, "an integer"),
+    ("attacker_status", 200.0, "an integer"),
+    ("page", 7, "a string"),
+    ("pragma", None, "a string"),
+    ("technique", 1, "a string"),
+    ("error", 404, "a string or null"),
+    ("markers_leaked", "email", "an array of strings"),
+    ("markers_leaked", ["email", 1], "an array of strings"),
+    ("cdn_labels", "Akamai", "an array of strings"),
+    ("cache_evidence", ["age"], "an object of strings"),
+    ("cache_evidence", {"age": 3}, "an object of strings"),
+    ("secrets", "csrf", "an array of secret objects"),
+    ("secrets", [["csrf", "x"]], "an array of secret objects"),
+]
+MISTYPED_SECRET = [
+    ("entropy_bits_per_char", "3.5", "a number"),
+    ("entropy_bits_per_char", False, "a number"),
+    ("residual_length", 12.0, "an integer"),
+    ("value", None, "a string"),
+]
+
+
+def _case_id(case) -> str:
+    return f"{case[0]}={json.dumps(case[1])}"
+
+
+@pytest.mark.parametrize("field,value,label", MISTYPED, ids=map(_case_id, MISTYPED))
+def test_a_mistyped_field_is_refused(field, value, label):
+    """Without the type check these lines loaded: a string counted as a true
+    flag, a string read letter by letter as labels, a string status kept."""
+    good = HANDFUL_TEXT.splitlines()[1]
+    with pytest.raises(reporting.MalformedRecord) as refused:
+        read_records([good, _line_with(**{field: value})])
+    assert str(refused.value) == f"2: field {field!r} must be {label}"
+
+
+@pytest.mark.parametrize("field,value,label", MISTYPED_SECRET,
+                         ids=map(_case_id, MISTYPED_SECRET))
+def test_a_mistyped_secret_field_is_refused(field, value, label):
+    with pytest.raises(reporting.MalformedRecord) as refused:
+        read_records([_line_with_secret(**{field: value})])
+    assert str(refused.value) == f"1: field {field!r} must be {label}"
+
+
+def test_a_partial_record_is_checked_too():
+    with pytest.raises(reporting.MalformedRecord) as refused:
+        read_records(['{"page": "http://a.test/", "vulnerable": "false"}'])
+    assert str(refused.value) == "1: field 'vulnerable' must be true or false"
+
+
+def test_a_number_fills_a_float_field():
+    loaded = read_records([_line_with_secret(entropy_bits_per_char=4)])
+    assert loaded[0].secrets[0].entropy_bits_per_char == 4
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        (_line_with(technique="bogus"), "'bogus' is not a valid PathConfusionTechnique"),
+        (_line_with_secret(source="cookie"), "'cookie' is not a valid SecretSource"),
+        (_line_with_secret(trigger=""), "'' is not a valid SecretTrigger"),
+    ],
+)
+def test_an_unknown_enum_value_is_refused_as_enum_would(line, message):
+    with pytest.raises(reporting.MalformedRecord) as refused:
+        read_records([line])
+    assert str(refused.value) == f"1: {message}"
+
+
+# --- the page-set fold against the per-cell id-set fold it replaced ---
+
+class _IdSets:
+    """Page/domain/site identifier sets feeding one roll-up cell."""
+
+    def __init__(self):
+        self.pages, self.domains, self.sites = set(), set(), set()
+
+    def add(self, page, domain, site):
+        self.pages.add(page)
+        self.domains.add(domain)
+        self.sites.add(site)
+
+    def counts(self):
+        return Counts3(len(self.pages), len(self.domains), len(self.sites))
+
+    def minus(self, other):
+        return Counts3(len(self.pages - other.pages), len(self.domains - other.domains),
+                       len(self.sites - other.sites))
+
+
+def _reference_aggregate(verdicts, site_map):
+    """The fold that adds each verdict's page, domain and site to every cell."""
+    techniques = [t.value for t in PathConfusionTechnique]
+    tested, vulnerable, unauth = _IdSets(), _IdSets(), _IdSets()
+    pragma_no_cache, expires_present, no_cache_headers = _IdSets(), _IdSets(), _IdSets()
+    per_technique = {t: _IdSets() for t in techniques}
+    response_codes, combos, leak_types, cdn_tested, cdn_vulnerable = {}, {}, {}, {}, {}
+    inconclusive_pages, quarantined = set(), []
+    for verdict in verdicts:
+        page = verdict.page
+        place = reporting._place_page(page, site_map)
+        if isinstance(place, str):
+            quarantined.append((page, place))
+            continue
+        ids = (page, *place)
+        if verdict.inconclusive:
+            inconclusive_pages.add(page)
+            continue
+        tested.add(*ids)
+        for label in verdict.cdn_labels:
+            cdn_tested.setdefault(label, _IdSets()).add(*ids)
+        if not verdict.vulnerable:
+            continue
+        vulnerable.add(*ids)
+        per_technique[verdict.technique.value].add(*ids)
+        response_codes.setdefault(verdict.attacker_status, _IdSets()).add(*ids)
+        combo = canonical_cache_combo(verdict.cache_control)
+        combos.setdefault(combo, _IdSets()).add(*ids)
+        if "no-cache" in verdict.pragma.lower():
+            pragma_no_cache.add(*ids)
+        if verdict.expires:
+            expires_present.add(*ids)
+        if combo == "(none)" and not verdict.pragma and not verdict.expires:
+            no_cache_headers.add(*ids)
+        if verdict.markers_leaked:
+            leak_types.setdefault("markers", _IdSets()).add(*ids)
+            for label in verdict.markers_leaked:
+                leak_types.setdefault(f"marker:{label}", _IdSets()).add(*ids)
+        if verdict.secrets:
+            leak_types.setdefault("secrets", _IdSets()).add(*ids)
+            for secret in verdict.secrets:
+                leak_types.setdefault(f"secret:{secret.source.value}", _IdSets()).add(*ids)
+        if verdict.markers_leaked and verdict.secrets:
+            leak_types.setdefault("both", _IdSets()).add(*ids)
+        if verdict.unauth_exploitable:
+            unauth.add(*ids)
+        for label in verdict.cdn_labels:
+            cdn_vulnerable.setdefault(label, _IdSets()).add(*ids)
+
+    def counted(cells):
+        return {key: cell.counts() for key, cell in cells.items()}
+
+    return reporting.AggregateStats(
+        tested=tested.counts(),
+        vulnerable=vulnerable.counts(),
+        inconclusive_pages=len(inconclusive_pages),
+        per_technique=counted(per_technique),
+        uniqueness={(ti, tj): per_technique[ti].minus(per_technique[tj])
+                    for ti in techniques for tj in techniques if ti != tj},
+        response_codes=counted(response_codes),
+        cache_control_combos=counted(combos),
+        pragma_no_cache=pragma_no_cache.counts(),
+        expires_present=expires_present.counts(),
+        no_cache_headers=no_cache_headers.counts(),
+        leak_types=counted(leak_types),
+        unauth_exploitable=unauth.counts(),
+        cdn_tested=counted(cdn_tested),
+        cdn_vulnerable=counted(cdn_vulnerable),
+        quarantined=quarantined,
+    )
+
+
+# Several hosts per site, a host outside the site map, and pages that are not
+# http(s) URLs; few paths, so pages repeat.
+FOLD_HOSTS = ("a.x.test", "b.x.test", "www.x.test", "y.test", "m.y.test", "unknown.example")
+FOLD_SITE_MAP = build_site_map(FOLD_HOSTS[:-1])
+FOLD_PAGES = [f"http://{host}/p{i}" for host in FOLD_HOSTS for i in range(3)]
+FOLD_PAGES += ["notaurl", "ftp://y.test/f"]
+FOLD_SECRET = {
+    source: SecretCandidate("csrf", "k2Jf9QzX1pLw", source, SecretTrigger.KEYWORD_MATCH, 3.5, 12)
+    for source in SecretSource
+}
+
+
+@st.composite
+def fold_verdicts(draw):
+    vulnerable, unauth, inconclusive = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    sources = draw(st.lists(st.sampled_from(list(SecretSource)), max_size=2, unique=True))
+    verdict = _verdict(
+        draw(st.sampled_from(FOLD_PAGES)),
+        technique=draw(st.sampled_from(list(PathConfusionTechnique))),
+        vulnerable=vulnerable,
+        status=draw(st.sampled_from((200, 302, 404))),
+        markers=draw(st.lists(st.sampled_from(("email", "name", "phone")), max_size=2,
+                              unique=True)),
+        cache_control=draw(st.sampled_from(("", "no-store", "public, max-age=60",
+                                            "Max-Age=5, public"))),
+        unauth=unauth,
+        cdn=draw(st.lists(st.sampled_from(("Akamai", "Cloudflare", "Other")), max_size=2,
+                          unique=True)),
+        inconclusive=inconclusive,
+    )
+    return verdict._replace(
+        secrets=tuple(FOLD_SECRET[source] for source in sources) if vulnerable else (),
+        pragma=draw(st.sampled_from(("", "no-cache", "No-Cache"))),
+        expires=draw(st.sampled_from(("", "0"))),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(fold_verdicts(), max_size=40), st.randoms(use_true_random=False))
+def test_page_set_fold_matches_the_id_set_fold(verdicts, rng):
+    calls = []
+
+    def counting_combo(cache_control):
+        calls.append(cache_control)
+        return canonical_cache_combo(cache_control)
+
+    with mock.patch.object(reporting, "canonical_cache_combo", counting_combo):
+        stats = aggregate(verdicts, FOLD_SITE_MAP)
+    expected = _reference_aggregate(verdicts, FOLD_SITE_MAP)
+    assert stats == expected
+    # The same keys in the same order, so ``report --format records`` prints the same.
+    assert json.dumps(reporting.stats_to_records(stats)) == json.dumps(
+        reporting.stats_to_records(expected)
+    )
+    counted = {
+        v.cache_control for v in verdicts
+        if v.vulnerable and not v.inconclusive
+        and not isinstance(reporting._place_page(v.page, FOLD_SITE_MAP), str)
+    }
+    assert sorted(calls) == sorted(counted)  # once per distinct Cache-Control value
+
+    shuffled = verdicts[:]
+    rng.shuffle(shuffled)
+    reordered = aggregate(shuffled, FOLD_SITE_MAP)
+    assert sorted(reordered.quarantined) == sorted(stats.quarantined)
+    assert replace(reordered, quarantined=[]) == replace(stats, quarantined=[])
