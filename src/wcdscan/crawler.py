@@ -9,6 +9,7 @@ domain fetches are sequential.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import re
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from urllib.parse import urljoin, urlsplit
 
-from .detector import MarkerSet, scan_html
+from .detector import HtmlSurfaces, MarkerSet, scan_body
 from .http_engine import (
     Identity,
     LoginDescriptor,
@@ -239,14 +240,17 @@ def ingest_domains(
     return SeedPool(sites=tuple(sites))
 
 
-def extract_links(body: bytes, base_url: str) -> list[str]:
+def extract_links(body: bytes, base_url: str, scan: HtmlSurfaces | None = None) -> list[str]:
     """Absolute http(s) URLs from anchor hrefs, in document order; character
     references such as ``&amp;`` are decoded before resolving, and an href
-    that urljoin cannot read is skipped."""
+    that urljoin cannot read is skipped. ``scan`` is ``scan_body(body)``
+    when the caller already has it."""
+    if scan is None:
+        scan = scan_body(body)
     base = urlsplit(base_url)
     root = f"{base.scheme}://{base.netloc}" if base.scheme in ("http", "https") else None
     out = []
-    for href in scan_html(body.decode("utf-8", errors="replace")).anchor_hrefs:
+    for href in scan.anchor_hrefs:
         href = href.strip(_HTML_SPACE)
         if root is not None and _PLAIN_ROOTED_HREF.fullmatch(href):
             out.append(root + href)
@@ -300,6 +304,7 @@ def crawl_domain(
     seed: int = 0,
     respect_robots: bool = False,
     journal=None,
+    html_scans: dict[bytes, HtmlSurfaces] | None = None,
 ) -> AttackSurface:
     """Breadth-first crawl of one domain up to ``budget`` structural groups.
 
@@ -308,7 +313,10 @@ def crawl_domain(
     bodies are those of the fetched pages, which need not be the groups'
     seeded representatives. When ``journal`` (a writable text stream) is
     given, one JSON line is emitted per observed page plus a final surface
-    record; nothing reads the journal back yet.
+    record; nothing reads the journal back yet. Each distinct fetched body is
+    tokenized once, and its ``scan_body`` result kept in ``html_scans`` (when
+    given) under the body's SHA-256 digest, for the secret sweep of the same
+    site's tests to read.
     """
     start = f"{site.scheme}://{site.primary_domain}/"
     site_scope = site.site
@@ -323,6 +331,7 @@ def crawl_domain(
     in_scope: dict[str, bool] = {}  # host -> same registrable domain as the site
     members: dict[UrlGroupKey, list[ParsedUrl]] = {}
     victim_bodies: dict[str, bytes] = {}
+    html_scans = {} if html_scans is None else html_scans
     pages_seen = 0
     truncated = False
 
@@ -384,7 +393,11 @@ def crawl_domain(
             )
             continue
         victim_bodies[page.text()] = exchange.body
-        for link in extract_links(exchange.body, exchange.url):
+        digest = hashlib.sha256(exchange.body).digest()
+        scan = html_scans.get(digest)
+        if scan is None:
+            scan = html_scans[digest] = scan_body(exchange.body)
+        for link in extract_links(exchange.body, exchange.url, scan):
             if link not in seen:
                 seen.add(link)
                 queue.append(link)

@@ -156,6 +156,11 @@ class RandomnessConfig:
 
     def __post_init__(self):
         self._words, self._lengths = _dictionary_index(tuple(self.dictionary))
+        # Finds any keyword in a lowered name, case-sensitively as ``in``
+        # does; with no keywords, "(?!)" matches nothing.
+        self._keyword = re.compile(
+            "|".join(map(re.escape, self.keywords)) if self.keywords else "(?!)"
+        )
 
 
 @lru_cache(maxsize=8)
@@ -367,15 +372,15 @@ _FIELD_KINDS = {
 _SECRET_RECORDS = _RecordCodec(SecretCandidate)
 
 
-@dataclass
-class HtmlSurfaces:
+class HtmlSurfaces(NamedTuple):
     """The four secret-candidate surfaces of an HTML document, in document
-    order; the crawler follows the anchor hrefs."""
+    order; the crawler follows the anchor hrefs. Immutable, so one result
+    serves both the crawl and the secret sweep of a body."""
 
-    hidden_inputs: list[tuple[str, str]] = field(default_factory=list)
-    anchor_hrefs: list[str] = field(default_factory=list)
-    script_srcs: list[str] = field(default_factory=list)
-    inline_scripts: list[str] = field(default_factory=list)
+    hidden_inputs: tuple[tuple[str, str], ...]
+    anchor_hrefs: tuple[str, ...]
+    script_srcs: tuple[str, ...]
+    inline_scripts: tuple[str, ...]
 
 
 def scan_html(text: str) -> HtmlSurfaces:
@@ -388,7 +393,7 @@ def scan_html(text: str) -> HtmlSurfaces:
     is kept as written. A comment, tag, attribute value or body that never
     closes hides the rest of the text, as it does in a browser.
     """
-    out = HtmlSurfaces()
+    hidden_inputs, anchor_hrefs, script_srcs, inline_scripts = [], [], [], []
     for token in _HTML_TOKEN.finditer(text):
         tag, raw_attrs, body = token.group("tag", "attrs", "body")
         if tag is None:  # end tag, comment, doctype or text the tag rule rejects
@@ -402,15 +407,23 @@ def scan_html(text: str) -> HtmlSurfaces:
         }
         if tag == "input":
             if attrs.get("type", "").lower() == "hidden" and attrs.get("name"):
-                out.hidden_inputs.append((attrs["name"], attrs.get("value", "")))
+                hidden_inputs.append((attrs["name"], attrs.get("value", "")))
         elif tag == "a":
             if attrs.get("href"):
-                out.anchor_hrefs.append(attrs["href"])
+                anchor_hrefs.append(attrs["href"])
         elif attrs.get("src"):
-            out.script_srcs.append(attrs["src"])
+            script_srcs.append(attrs["src"])
         elif body:
-            out.inline_scripts.append(body)
-    return out
+            inline_scripts.append(body)
+    return HtmlSurfaces(
+        tuple(hidden_inputs), tuple(anchor_hrefs), tuple(script_srcs), tuple(inline_scripts)
+    )
+
+
+def scan_body(body: bytes) -> HtmlSurfaces:
+    """:func:`scan_html` over a response body read as UTF-8, each byte that
+    does not decode replaced."""
+    return scan_html(body.decode("utf-8", errors="replace"))
 
 
 def extract_markers(body: bytes, markers: MarkerSet) -> list[str]:
@@ -438,14 +451,44 @@ def _url_path(url: str) -> str | None:
         return None
 
 
-def extract_secrets(body: bytes, config: RandomnessConfig) -> list[SecretCandidate]:
+def _kept(
+    name: str, value: str, config: RandomnessConfig
+) -> tuple[SecretTrigger, float, int] | None:
+    """(trigger, residual entropy, residual length) of a candidate the sweep
+    keeps, or None: a name holding a keyword is kept whatever its value, any
+    other when the value's residual after dictionary stripping is at least
+    MIN_RESIDUAL_LENGTH characters at MIN_RESIDUAL_ENTROPY bits/char.
+
+    Entropy is computed only for a value that can still be kept, and a value
+    shorter than MIN_RESIDUAL_LENGTH under a name without a keyword is not
+    stripped at all: its residual is never longer than the value."""
+    if config._keyword.search(name.lower()):
+        residual, entropy = randomness_score(value, config)
+        return SecretTrigger.KEYWORD_MATCH, entropy, residual
+    if len(value) < MIN_RESIDUAL_LENGTH:
+        return None
+    residual = strip_dictionary_words(value, config)
+    if len(residual) < MIN_RESIDUAL_LENGTH:
+        return None
+    entropy = shannon_entropy(residual)
+    if entropy < MIN_RESIDUAL_ENTROPY:
+        return None
+    return SecretTrigger.ENTROPY_MATCH, entropy, len(residual)
+
+
+def extract_secrets(
+    body: bytes, config: RandomnessConfig, scan: HtmlSurfaces | None = None
+) -> list[SecretCandidate]:
     """Candidate leaked tokens from hidden form fields, anchor query strings,
     inline script variables, and script file names.
 
     A candidate is kept when its name contains a keyword, or its value still
-    looks random after dictionary words are stripped.
+    looks random after dictionary words are stripped. ``scan`` is
+    :func:`scan_body`'s result for ``body`` when the caller already has it;
+    without it the body is tokenized here.
     """
-    scan = scan_html(body.decode("utf-8", errors="replace"))
+    if scan is None:
+        scan = scan_body(body)
 
     script_files = []
     for path in filter(None, map(_url_path, scan.script_srcs)):
@@ -479,15 +522,10 @@ def extract_secrets(body: bytes, config: RandomnessConfig) -> list[SecretCandida
             if not value or pair in seen:
                 continue
             seen.add(pair)
-            residual, entropy = randomness_score(value, config)
-            lowered = name.lower()
-            if any(k in lowered for k in config.keywords):
-                trigger = SecretTrigger.KEYWORD_MATCH
-            elif residual >= MIN_RESIDUAL_LENGTH and entropy >= MIN_RESIDUAL_ENTROPY:
-                trigger = SecretTrigger.ENTROPY_MATCH
-            else:
-                continue
-            out.append(SecretCandidate(name, value, source, trigger, entropy, residual))
+            kept = _kept(name, value, config)
+            if kept is not None:
+                trigger, entropy, residual = kept
+                out.append(SecretCandidate(name, value, source, trigger, entropy, residual))
     return out
 
 
@@ -553,6 +591,11 @@ class WcdTestConfig:
     # Not an init field, so dataclasses.replace() starts with an empty memo.
     sweeps: dict[bytes, tuple[SecretCandidate, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
+    )
+    # scan_body results of the bodies this site's crawl fetched, under the
+    # same digests: a sweep of an equal body reads the result, not the body.
+    html_scans: dict[bytes, HtmlSurfaces] = field(
+        default_factory=dict, repr=False, compare=False
     )
 
 
@@ -649,9 +692,10 @@ def run_wcd_test(
     fetch, which is sent only when the test is vulnerable; otherwise
     ``unauth_status`` is 0 and ``unauth_exploitable`` false. Secret extraction
     runs only when the victim and attacker responses are identical or a marker
-    already leaked, and at most once per distinct attacker body per config.
-    Network failures yield an inconclusive verdict instead of aborting the
-    scan.
+    already leaked, and at most once per distinct attacker body per config;
+    a body the site's crawl already tokenized is not tokenized again (see
+    ``WcdTestConfig.html_scans``). Network failures yield an inconclusive
+    verdict instead of aborting the scan.
     """
     settings = config.settings
     nonce = config.names.next()
@@ -674,7 +718,9 @@ def run_wcd_test(
         if identical or leaked:
             digest = hashlib.sha256(aex.body).digest()
             if digest not in config.sweeps:
-                config.sweeps[digest] = tuple(extract_secrets(aex.body, settings.randomness))
+                config.sweeps[digest] = tuple(
+                    extract_secrets(aex.body, settings.randomness, config.html_scans.get(digest))
+                )
             secrets = config.sweeps[digest]
         vulnerable = bool(leaked) or (identical and bool(secrets))
 

@@ -16,17 +16,28 @@ RFC 9112, this module follows the RFC:
 - a 1xx, 204 or 304 response has no body even with ``Transfer-Encoding:
   chunked``; when it announces one (any ``Transfer-Encoding``, or a
   ``Content-Length`` other than 0) the connection is not kept, so bytes the
-  server may send after it never reach the next response.
+  server may send after it never reach the next response;
+- a chunk size must be ``1*HEXDIG``, optionally followed by spaces or tabs
+  and then extensions or the line end; ``int(..., 16)`` would also read
+  ``0x5``, ``1_0``, ``+5`` or a leading blank;
+- a ``Content-Length`` that is not ``1*DIGIT`` (``+5``, ``1_0``, ``12abc``,
+  blank) frames no body, which is then read to EOF and the connection not
+  kept, where ``int()`` would read the first two as numbers;
+- ``Content-Length`` lines whose values differ raise :class:`FramingError`,
+  whatever the method or status, where http.client uses the first.
 """
 
 from __future__ import annotations
 
+import re
 from typing import BinaryIO
 
 MAX_LINE = 65536
 MAX_HEADERS = 100
 
 _END_OF_FIELDS = (b"\r\n", b"\n", b"")
+_CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]+)[ \t]*(?:;.*)?\r?\n?", re.DOTALL)
+_DIGITS = re.compile(r"[0-9]+")
 
 Headers = dict[str, tuple[str, list[str]]]  # lowercase name -> (name, values)
 
@@ -89,12 +100,10 @@ def _read_chunked(fp: BinaryIO) -> bytes:
     chunks = []
     while True:
         line = _readline(fp, "chunk size line")
-        try:
-            size = int(line.split(b";", 1)[0], 16)  # extensions dropped
-        except ValueError:
-            raise FramingError(f"bad chunk size line {line!r}") from None
-        if size < 0:
+        match = _CHUNK_SIZE.fullmatch(line)  # extensions dropped
+        if match is None:
             raise FramingError(f"bad chunk size line {line!r}")
+        size = int(match[1], 16)
         if size == 0:
             break
         chunks.append(_read_exactly(fp, size))
@@ -118,6 +127,20 @@ def _first(headers: Headers, name: str, default: str = "") -> str:
     return entry[1][0] if entry else default
 
 
+def _content_length(headers: Headers) -> int | None:
+    """The body length ``Content-Length`` gives, or None when the field is
+    absent or not ``1*DIGIT``; lines whose values differ raise
+    :class:`FramingError`."""
+    entry = headers.get("content-length")
+    if entry is None:
+        return None
+    values = {value.strip(" \t") for value in entry[1]}
+    if len(values) > 1:
+        raise FramingError(f"differing Content-Length values {sorted(values)}")
+    (value,) = values
+    return int(value) if _DIGITS.fullmatch(value) else None
+
+
 def read_response(fp: BinaryIO, method: str) -> tuple[int, Headers, bytes, bool]:
     """Read one response to ``method``: (status, header index as
     :func:`index_fields` builds it, body, keep-alive).
@@ -137,6 +160,7 @@ def read_response(fp: BinaryIO, method: str) -> tuple[int, Headers, bytes, bool]
     else:
         raise FramingError(f"unsupported protocol {version!r}")
     headers = index_fields(read_fields(fp))
+    length = _content_length(headers)
 
     connection = _first(headers, "connection").lower()
     if http11:
@@ -158,10 +182,6 @@ def read_response(fp: BinaryIO, method: str) -> tuple[int, Headers, bytes, bool]
         return status, headers, b"", keep_alive and not announced
     if _first(headers, "transfer-encoding").lower() == "chunked":
         return status, headers, _read_chunked(fp), keep_alive
-    try:
-        length = int(_first(headers, "content-length"))
-    except ValueError:
-        length = -1
-    if length < 0:
+    if length is None:
         return status, headers, fp.read(), False
     return status, headers, _read_exactly(fp, length), keep_alive

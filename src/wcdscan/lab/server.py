@@ -69,6 +69,7 @@ _REASONS = {status.value: status.phrase for status in HTTPStatus}
 _SERVER = f"BaseHTTP/0.6 Python/{sys.version.split()[0]}"
 _METHODS = ("GET", "HEAD", "POST")
 _VERSION = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})", re.ASCII)
+_DIGITS = re.compile(r"[0-9]+")
 
 
 @lru_cache(maxsize=1)
@@ -143,8 +144,12 @@ class _Handler(socketserver.StreamRequestHandler):
         except FramingError:
             return self._refuse(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE)
         headers: dict[str, str] = {}
+        lengths: set[str] = set()
         for name, value in fields:
-            headers.setdefault(name.lower(), value)
+            key = name.lower()
+            headers.setdefault(key, value)
+            if key == "content-length":
+                lengths.add(value.strip(" \t"))
         keep_alive = version_number >= (1, 1)
         connection = headers.get("connection", "").lower()
         if connection == "close":
@@ -154,12 +159,13 @@ class _Handler(socketserver.StreamRequestHandler):
         if method not in _METHODS:
             return self._refuse(HTTPStatus.NOT_IMPLEMENTED)
         # Read the body before any early return: on a kept-alive connection
-        # unread body bytes would be parsed as the next request.
-        try:
-            length = int(headers.get("content-length", "0") or 0)
-        except ValueError:
+        # unread body bytes would be parsed as the next request. A length
+        # that is not 1*DIGIT, or lines that disagree, leave the end of the
+        # body unknown, so the connection ends (RFC 9112 section 6.3).
+        if len(lengths) > 1 or not all(map(_DIGITS.fullmatch, lengths)):
             return self._refuse(HTTPStatus.BAD_REQUEST)
-        raw = self.rfile.read(length) if length > 0 else b""
+        length = int(lengths.pop()) if lengths else 0
+        raw = self.rfile.read(length) if length else b""
         self._handle(method, target, headers, raw, arrival)
         return keep_alive
 

@@ -24,6 +24,7 @@ from .crawler import (
     site_config_from_dict,
 )
 from .detector import (
+    HtmlSurfaces,
     MarkerSet,
     ScanSettings,
     ScanVerdict,
@@ -102,6 +103,9 @@ def scan_site(site: SiteConfig, settings: ScanSettings) -> SiteScanResult:
         except AuthFailure as exc:
             return SiteScanResult(site=site, surface=None, verdicts=[], error=str(exc))
 
+        # One scan_body result per distinct body, shared by the crawl and
+        # the secret sweep, for this site's scan only.
+        html_scans: dict[bytes, HtmlSurfaces] = {}
         surface = crawl_domain(
             site,
             victim,
@@ -111,6 +115,7 @@ def scan_site(site: SiteConfig, settings: ScanSettings) -> SiteScanResult:
             seed=settings.seed or 0,
             respect_robots=settings.respect_robots,
             journal=settings.journal,
+            html_scans=html_scans,
         )
         markers = site.markers or MarkerSet([])
         if settings.mode == "marker-gated":
@@ -119,7 +124,12 @@ def scan_site(site: SiteConfig, settings: ScanSettings) -> SiteScanResult:
                 rate_limiter=settings.rate_limiter, transport=settings.transport,
             )
 
-        config = WcdTestConfig(settings, names=_names_for(site, settings), label_fn=cdn_label)
+        config = WcdTestConfig(
+            settings,
+            names=_names_for(site, settings),
+            label_fn=cdn_label,
+            html_scans=html_scans,
+        )
         verdicts = []
         for page in surface.pages:
             for technique in settings.techniques:

@@ -15,6 +15,7 @@ from wcdscan import detector
 from wcdscan.cache_policy import CdnProfile, DefaultCached, builtin_profile
 from wcdscan.crawler import extract_links
 from wcdscan.detector import (
+    DEFAULT_KEYWORDS,
     MIN_RESIDUAL_ENTROPY,
     MIN_RESIDUAL_LENGTH,
     Marker,
@@ -155,6 +156,49 @@ def test_configs_share_one_dictionary_index():
     assert first._words is second._words
     assert first._lengths is second._lengths
     assert RandomnessConfig(dictionary=("token",))._words is not first._words
+
+
+def _reference_kept(name: str, value: str, config: RandomnessConfig):
+    """The sweep's keep/skip decision from the full randomness score of the
+    value and each keyword tested in turn, the reference for detector._kept."""
+    residual, entropy = randomness_score(value, config)
+    if any(k in name.lower() for k in config.keywords):
+        return SecretTrigger.KEYWORD_MATCH, entropy, residual
+    if residual >= MIN_RESIDUAL_LENGTH and entropy >= MIN_RESIDUAL_ENTROPY:
+        return SecretTrigger.ENTROPY_MATCH, entropy, residual
+    return None
+
+
+# Keywords in and out of lower case, regex metacharacters, the empty string
+# (which every name contains), and "İ" with its two-character lower form.
+_KEYWORDS = ["csrf", "token", "state", "CSRF", "Token", "id", "_", "", "a.b", "x|y", "İ", "i̇"]
+
+
+@settings(deadline=None, max_examples=400)
+@given(
+    name=st.one_of(
+        st.sampled_from(["csrf_token", "CSRF", "xsrf", "State", "client_id", "İD", "q", ""]),
+        st.text(alphabet="csrfTOKENidİ_.|xyab", max_size=12),
+    ),
+    value=st.one_of(
+        _stripper_values,
+        st.text(max_size=MIN_RESIDUAL_LENGTH - 1),
+        st.text(alphabet="0123456789abcdefXYZİ-_", max_size=20),
+    ),
+    keywords=st.one_of(
+        st.just(()),
+        st.just(DEFAULT_KEYWORDS),
+        st.lists(st.sampled_from(_KEYWORDS), max_size=3).map(tuple),
+    ),
+)
+@example(name="csrf", value="x7", keywords=())
+@example(name="CSRF", value="abc", keywords=("CSRF",))
+@example(name="İd", value="q7w8e9r0", keywords=("i̇",))
+@example(name="name", value="İİİİİİİİ", keywords=("",))
+@example(name="blob", value="zq8x7w2v9k4j3h6f", keywords=DEFAULT_KEYWORDS)
+def test_keep_decision_matches_reference(name, value, keywords):
+    config = RandomnessConfig(keywords=keywords)
+    assert detector._kept(name, value, config) == _reference_kept(name, value, config)
 
 
 def _urlsplit_part(url: str, part: str) -> str | None:
@@ -355,10 +399,7 @@ class TestExtractSecrets:
     ],
 )
 def test_scan_html(markup, surfaces):
-    scan = scan_html(markup)
-    assert (
-        scan.hidden_inputs, scan.anchor_hrefs, scan.script_srcs, scan.inline_scripts
-    ) == surfaces
+    assert tuple(map(list, scan_html(markup))) == surfaces
 
 
 class _FedHtmlParser(HTMLParser):
@@ -414,10 +455,7 @@ _SOUP = [
 @settings(deadline=None, max_examples=400)
 @given(st.lists(st.sampled_from(_SOUP), max_size=30).map("".join))
 def test_scan_html_reads_tag_soup_as_html_parser_does(markup):
-    scan = scan_html(markup)
-    assert (
-        scan.hidden_inputs, scan.anchor_hrefs, scan.script_srcs, scan.inline_scripts
-    ) == _FedHtmlParser(markup).surfaces
+    assert tuple(map(list, scan_html(markup))) == _FedHtmlParser(markup).surfaces
 
 
 @pytest.mark.parametrize(
@@ -781,9 +819,9 @@ def _count_sweeps(monkeypatch) -> list[bytes]:
     calls: list[bytes] = []
     original = detector.extract_secrets
 
-    def counting(body, config):
+    def counting(body, config, *args, **kwargs):
         calls.append(body)
-        return original(body, config)
+        return original(body, config, *args, **kwargs)
 
     monkeypatch.setattr(detector, "extract_secrets", counting)
     return calls

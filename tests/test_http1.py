@@ -49,17 +49,30 @@ def _framed(raw: bytes, method: str):
 
 
 def _agree(raw: bytes, method: str = "GET"):
-    """Both readers agree on ``raw``, except that a 1xx, 204 or 304 response
-    that announces a body closes the connection where http.client keeps it
-    (pinned in TestPinnedDifferences)."""
+    """Both readers agree on ``raw``, except that differing Content-Length
+    values raise FramingError where http.client uses the first, and a 1xx,
+    204 or 304 response that announces a body closes the connection where
+    http.client keeps it (both pinned in TestPinnedDifferences)."""
     expected, got = _reference(raw, method), _framed(raw, method)
-    if not isinstance(expected, type) and _announces_a_body(expected, method):
-        expected = expected[:3] + (False,)
+    if not isinstance(expected, type):
+        if _lengths_differ(expected):
+            expected = FramingError
+        elif _announces_a_body(expected, method):
+            expected = expected[:3] + (False,)
     if isinstance(expected, type):
         assert got is FramingError, (raw, expected)
     else:
         assert got == expected, raw
     return got
+
+
+def _lengths_differ(result) -> bool:
+    """The Content-Length lines of a response hold differing values."""
+    _status, headers, _body, _keep_alive = result
+    for name, joined in headers:
+        if name.lower() == "content-length":
+            return len({value.strip(" \t") for value in joined.split(", ")}) > 1
+    return False
 
 
 def _announces_a_body(result, method: str) -> bool:
@@ -225,3 +238,34 @@ class TestPinnedDifferences:
     @pytest.mark.parametrize("status", [204, 304, 101])
     def test_no_body_status_with_length_0_is_kept(self, status):
         _agree(f"HTTP/1.1 {status} X\r\nContent-Length: 0\r\n\r\n".encode())
+
+    @pytest.mark.parametrize("size, length", [(b"0x5", 5), (b"1_0", 16), (b"+5", 5), (b" 5", 5)])
+    def test_chunk_size_must_be_hex_digits(self, size, length):
+        raw = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+               + size + b"\r\n" + b"x" * length + b"\r\n0\r\n\r\n")
+        assert _framed(raw, "GET") is FramingError
+        assert _reference(raw, "GET")[2:] == (b"x" * length, True)
+
+    @pytest.mark.parametrize("size", [b"5 ;ext", b"5\t;a=1", b"5  ", b"5;"])
+    def test_blanks_may_end_a_chunk_size(self, size):
+        raw = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+               + size + b"\r\nhello\r\n0\r\n\r\n")
+        assert _agree(raw)[2:] == (b"hello", True)
+
+    @pytest.mark.parametrize("length, read", [("+5", 5), ("1_0", 10)])
+    def test_a_length_that_is_not_digits_frames_no_body(self, length, read):
+        raw = f"HTTP/1.1 200 OK\r\nContent-Length: {length}\r\n\r\n".encode() + b"y" * 12
+        assert _framed(raw, "GET")[2:] == (b"y" * 12, False)  # read to EOF, not kept
+        assert _reference(raw, "GET")[2:] == (b"y" * read, True)
+
+    @pytest.mark.parametrize("method", ["GET", "HEAD"])
+    @pytest.mark.parametrize("status", [200, 204])
+    def test_differing_lengths_raise(self, method, status):
+        raw = (f"HTTP/1.1 {status} X\r\nContent-Length: 0\r\ncontent-length: 5\r\n\r\n"
+               .encode() + b"hello")
+        assert _framed(raw, method) is FramingError
+        assert not isinstance(_reference(raw, method), type)  # http.client reads the first
+
+    def test_repeated_equal_lengths_frame_the_body(self):
+        raw = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length:  2 \r\n\r\nok"
+        assert _agree(raw)[2:] == (b"ok", True)

@@ -562,6 +562,21 @@ class TestRequestFraming:
         assert received.startswith(b"HTTP/1.1 " + status + b" ")
         assert received.count(b"HTTP/1.1 ") == 1  # the request after it is not served
 
+    @pytest.mark.parametrize(
+        "lengths",
+        [["-5"], ["+3"], ["1_0"], ["3abc"], [""], ["3", "4"]],
+        ids=["negative", "plus", "underscore", "trailing-junk", "empty", "differing"],
+    )
+    def test_a_length_that_is_not_digits_is_refused(self, pacing_lab, lengths):
+        smuggled = b"GET /smuggled HTTP/1.1\r\nHost: pacing.test\r\n\r\n"
+        head = b"POST / HTTP/1.1\r\nHost: pacing.test\r\n" + b"".join(
+            b"Content-Length: %s\r\n" % length.encode() for length in lengths
+        )
+        received = _until_closed(pacing_lab, head + b"\r\n" + smuggled)
+        assert received.startswith(b"HTTP/1.1 400 ")
+        assert received.count(b"HTTP/1.1 ") == 1  # nothing after it is read
+        assert pacing_lab.request_log("pacing.test") == []
+
     def test_connection_close_gets_exactly_one_response(self, pacing_lab):
         closing_request = b"GET / HTTP/1.1\r\nHost: pacing.test\r\nConnection: close\r\n\r\n"
         received = _until_closed(pacing_lab, closing_request + self.NEXT)

@@ -4,10 +4,11 @@ import gc
 import json
 import sys
 import warnings
+from dataclasses import replace
 
 import pytest
 
-from wcdscan import pipeline
+from wcdscan import detector, pipeline
 from wcdscan.crawler import SeedPool, site_config_from_dict
 from wcdscan.lab import catalog
 from wcdscan.lab.server import LabServer
@@ -52,6 +53,54 @@ def test_full_mode_attacks_every_representative(pipeline_lab):
     assert vulnerable
     assert all(v.page.endswith("/account.php") for v in vulnerable)
     assert {v.technique.value for v in vulnerable} == {"path_parameter"}
+
+
+def _large_page_site():
+    """classic-pp with about 90 KB of anchors, hidden inputs and scripts on
+    its home and account pages."""
+    filler = "".join(
+        f'<p><a href="/news?item={i}&amp;ref=home">item {i}</a>'
+        f'<input type="hidden" name="field{i}" value="value{i}">'
+        f'<script>var note{i} = "entry{i}";</script><script src="/js/app{i}.js"></script></p>'
+        for i in range(400)
+    )
+    site = catalog.classic_site()
+    resources = dict(site.resources)
+    for path in ("/", "/account.php"):
+        template = resources[path].body_template.replace("</body>", filler + "</body>")
+        resources[path] = replace(resources[path], body_template=template)
+    return replace(site, resources=resources)
+
+
+class _CountingTokenizer:
+    """Stands in for the HTML tokenizer and records every text it reads."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.texts: list[str] = []
+
+    def finditer(self, text):
+        self.texts.append(text)
+        return self.pattern.finditer(text)
+
+
+def test_each_distinct_body_is_tokenized_once_per_site(monkeypatch):
+    tokenizer = _CountingTokenizer(detector._HTML_TOKEN)
+    monkeypatch.setattr(detector, "_HTML_TOKEN", tokenizer)
+    site = _large_page_site()
+    server = LabServer([site]).start()
+    try:
+        run = scan_pool(pool_from_lab_sites([site]), _settings(server))
+    finally:
+        server.stop()
+    result = run.site_results[0]
+    assert result.error is None
+    # The crawl fetched the account page as the victim, and a cached copy of
+    # it was swept for secrets: the same body, read once.
+    assert any(v.vulnerable and v.secrets for v in result.verdicts)
+    account = result.surface.victim_bodies[f"http://{site.host}/account.php"].decode()
+    assert tokenizer.texts.count(account) == 1
+    assert len(tokenizer.texts) == len(set(tokenizer.texts))
 
 
 def test_marker_gated_mode_attacks_only_marked_pages(pipeline_lab):
