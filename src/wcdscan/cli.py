@@ -19,14 +19,9 @@ from .detector import ALL_TECHNIQUES, RandomnessConfig
 from .http_engine import DEFAULT_USER_AGENT, Transport
 from .lab import catalog
 from .lab.oracle import enumerate_oracle
+from .lab.selfcheck import run_selfcheck, selfcheck_sites
 from .lab.server import LabServer
-from .pipeline import (
-    LockedJournal,
-    ScanSettings,
-    run_selfcheck,
-    scan_pool,
-    selfcheck_sites,
-)
+from .pipeline import ScanSettings, scan_pool
 from .reporting import (
     MalformedRecord,
     aggregate,
@@ -144,8 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--question-embed", default=None, metavar="NAME=VAL",
                       help="use the embedded-parameter encoded-? payload form")
     scan.add_argument("--no-probe", action="store_true", help="skip seed liveness probing")
-    scan.add_argument("--journal", default=None, metavar="FILE",
-                      help="append a JSONL record of the crawl (not read back to resume a run)")
 
     lab = sub.add_parser("lab", help="run the scenario catalog as local HTTP listeners")
     lab.add_argument("--port", type=int, default=0)
@@ -182,7 +175,6 @@ def _cmd_scan(args) -> int:
     randomness = RandomnessConfig()
     if args.wordlist:
         randomness = RandomnessConfig(dictionary=_load_wordlist(args.wordlist))
-    journal_fh = open(args.journal, "a", encoding="utf-8") if args.journal else None
     settings = ScanSettings(
         techniques=args.techniques,
         budget=args.budget,
@@ -197,16 +189,11 @@ def _cmd_scan(args) -> int:
         randomness=randomness,
         respect_robots=args.respect_robots,
         embed_query=args.question_embed,
-        journal=LockedJournal(journal_fh) if journal_fh else None,
     )
-    try:
-        pool = ingest_domains(
-            args.seeds, settings.transport, settings.rate_limiter, probe=not args.no_probe
-        )
-        run = scan_pool(pool, settings)
-    finally:
-        if journal_fh:
-            journal_fh.close()
+    pool = ingest_domains(
+        args.seeds, settings.transport, settings.rate_limiter, probe=not args.no_probe
+    )
+    run = scan_pool(pool, settings)
     for domain, error in run.errors:
         print(f"error: {domain}: {error}", file=sys.stderr)
 
@@ -218,9 +205,9 @@ def _cmd_scan(args) -> int:
             write_records(verdicts, fh)
     if args.format == "records" and not args.out:
         write_records(verdicts, sys.stdout)
-    if args.format == "table":
+    if args.format == "table":  # the table names no host, so it counts the real ones
         hosts = {h for site in pool.sites for h in site.hosts()}
-        stats = aggregate(verdicts, build_site_map(hosts))
+        stats = aggregate(run.verdicts, build_site_map(hosts))
         print(render_table(stats))
     if any(v.vulnerable for v in run.verdicts):
         return EXIT_FINDINGS

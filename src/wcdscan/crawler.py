@@ -285,15 +285,6 @@ def _load_robots(
     return parser
 
 
-def _group_tag(key: UrlGroupKey) -> str:
-    return f"{key.host}{key.abstract_path}?{','.join(key.param_names)}"
-
-
-def _journal_write(journal, record: dict) -> None:
-    if journal is not None:
-        journal.write(json.dumps(record) + "\n")
-
-
 def crawl_domain(
     site: SiteConfig,
     identity: Identity,
@@ -303,7 +294,6 @@ def crawl_domain(
     transport: Transport,
     seed: int = 0,
     respect_robots: bool = False,
-    journal=None,
     html_scans: dict[bytes, HtmlSurfaces] | None = None,
 ) -> AttackSurface:
     """Breadth-first crawl of one domain up to ``budget`` structural groups.
@@ -311,12 +301,10 @@ def crawl_domain(
     Only the first page of each group is fetched, for link discovery: one
     request per group, plus ``robots.txt`` when asked. The returned victim
     bodies are those of the fetched pages, which need not be the groups'
-    seeded representatives. When ``journal`` (a writable text stream) is
-    given, one JSON line is emitted per observed page plus a final surface
-    record; nothing reads the journal back yet. Each distinct fetched body is
-    tokenized once, and its ``scan_body`` result kept in ``html_scans`` (when
-    given) under the body's SHA-256 digest, for the secret sweep of the same
-    site's tests to read.
+    seeded representatives. Each distinct fetched body is tokenized once,
+    and its ``scan_body`` result kept in ``html_scans`` (when given) under
+    the body's SHA-256 digest, for the secret sweep of the same site's tests
+    to read.
     """
     start = f"{site.scheme}://{site.primary_domain}/"
     site_scope = site.site
@@ -365,32 +353,12 @@ def crawl_domain(
             members[key] = [page]
         else:
             group.append(page)
-        if journal is not None:
-            _journal_write(
-                journal,
-                {
-                    "event": "page",
-                    "domain": site.primary_domain,
-                    "url": raw_url,
-                    "group": _group_tag(key),
-                    "new_group": group is None,
-                },
-            )
         if group is not None:
             continue
         try:
             exchange = fetch(identity, raw_url, rate_limiter, transport)
         except NetworkError as exc:
             log.warning("crawl fetch failed for %s: %s", raw_url, exc)
-            _journal_write(
-                journal,
-                {
-                    "event": "fetch_error",
-                    "domain": site.primary_domain,
-                    "url": raw_url,
-                    "error": str(exc),
-                },
-            )
             continue
         victim_bodies[page.text()] = exchange.body
         digest = hashlib.sha256(exchange.body).digest()
@@ -403,16 +371,6 @@ def crawl_domain(
                 queue.append(link)
 
     representatives = pick_per_group(members, seed)
-    _journal_write(
-        journal,
-        {
-            "event": "surface",
-            "domain": site.primary_domain,
-            "pages": [rep.text() for rep in representatives],
-            "pages_seen": pages_seen,
-            "truncated": truncated,
-        },
-    )
     return AttackSurface(
         domain=site.primary_domain,
         pages=tuple(representatives),

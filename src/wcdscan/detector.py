@@ -21,7 +21,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import product
 from operator import attrgetter
-from typing import Callable, NamedTuple, TextIO, get_type_hints
+from typing import Callable, NamedTuple, get_type_hints
 from urllib.parse import parse_qsl, urlsplit
 
 from .http_engine import (
@@ -567,7 +567,6 @@ class ScanSettings:
     randomness: RandomnessConfig = field(default_factory=RandomnessConfig)
     respect_robots: bool = False
     embed_query: str | None = None
-    journal: TextIO | None = None  # crawl journal, see crawler.crawl_domain
     # The run's one pacing state: probes, logins, the crawl and the attacks
     # all wait on it, so no host sees more than ``rate`` requests in any
     # window. Built from ``rate``; dataclasses.replace() builds a fresh one.

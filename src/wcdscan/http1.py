@@ -1,14 +1,14 @@
 """HTTP/1.1 message framing (RFC 9112) for both ends of the wire.
 
 The scanner's transport reads responses with :func:`read_response` and the
-lab reads request headers with :func:`read_fields`, each straight from a
-buffered binary file over the socket. A response's header section is
-indexed once, by :func:`index_fields`, and every later lookup reads that
-index. Field values are kept as ``http.client`` keeps them: leading blanks
-and the line ending are removed, trailing blanks stay. Limits are
-``http.client``'s as well: 65,536 bytes a line and 100 lines in a header
-section. Where ``http.client`` follows its e-mail parser instead of
-RFC 9112, this module follows the RFC:
+lab reads request headers with :func:`read_fields` and chunked request
+bodies with :func:`read_chunked`, each straight from a buffered binary file
+over the socket. A response's header section is indexed once, by
+:func:`index_fields`, and every later lookup reads that index. Field values
+are kept as ``http.client`` keeps them: leading blanks and the line ending
+are removed, trailing blanks stay. Limits are ``http.client``'s as well:
+65,536 bytes a line and 100 lines in a header section. Where ``http.client``
+follows its e-mail parser instead of RFC 9112, this module follows the RFC:
 
 - an obs-fold line continues the previous value after one space;
 - a line with no colon, or whose name is not printable ASCII without
@@ -24,7 +24,12 @@ RFC 9112, this module follows the RFC:
   blank) frames no body, which is then read to EOF and the connection not
   kept, where ``int()`` would read the first two as numbers;
 - ``Content-Length`` lines whose values differ raise :class:`FramingError`,
-  whatever the method or status, where http.client uses the first.
+  whatever the method or status, where http.client uses the first;
+- a ``Transfer-Encoding`` overrides ``Content-Length``: the body is chunked
+  when the last coding across all its lines is ``chunked``, and is otherwise
+  read to EOF and the connection not kept, where http.client reads its
+  first line alone and frames by ``Content-Length`` unless that line is
+  exactly ``chunked``.
 """
 
 from __future__ import annotations
@@ -96,7 +101,9 @@ def _read_exactly(fp: BinaryIO, size: int) -> bytes:
     return data
 
 
-def _read_chunked(fp: BinaryIO) -> bytes:
+def read_chunked(fp: BinaryIO) -> bytes:
+    """Read a chunked body and its trailer section; return the body, with
+    chunk extensions and trailers dropped."""
     chunks = []
     while True:
         line = _readline(fp, "chunk size line")
@@ -120,6 +127,13 @@ def index_fields(fields: list[tuple[str, str]]) -> Headers:
     for name, value in fields:
         index.setdefault(name.lower(), (name, []))[1].append(value)
     return index
+
+
+def final_coding(values: list[str]) -> str:
+    """The last transfer coding that ``Transfer-Encoding`` lines with these
+    values list, lowercased; "" when they list none."""
+    codings = [c.strip(" \t") for value in values for c in value.split(",")]
+    return next((c.lower() for c in reversed(codings) if c), "")
 
 
 def _first(headers: Headers, name: str, default: str = "") -> str:
@@ -147,7 +161,9 @@ def read_response(fp: BinaryIO, method: str) -> tuple[int, Headers, bytes, bool]
 
     A ``100 Continue`` ahead of the response is skipped. The body is chunked,
     ``Content-Length`` bytes, or everything up to EOF (and then the
-    connection is not kept). Any framing fault raises :class:`FramingError`.
+    connection is not kept); a ``Transfer-Encoding`` overrides
+    ``Content-Length`` (RFC 9112 section 6.3). Any framing fault raises
+    :class:`FramingError`.
     """
     version, status = _status_line(fp)
     while status == 100:
@@ -180,8 +196,11 @@ def read_response(fp: BinaryIO, method: str) -> tuple[int, Headers, bytes, bool]
             or _first(headers, "content-length", "0").strip() != "0"
         )
         return status, headers, b"", keep_alive and not announced
-    if _first(headers, "transfer-encoding").lower() == "chunked":
-        return status, headers, _read_chunked(fp), keep_alive
+    codings = headers.get("transfer-encoding")
+    if codings is not None:
+        if final_coding(codings[1]) == "chunked":
+            return status, headers, read_chunked(fp), keep_alive
+        return status, headers, fp.read(), False
     if length is None:
         return status, headers, fp.read(), False
     return status, headers, _read_exactly(fp, length), keep_alive

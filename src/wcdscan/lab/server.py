@@ -26,7 +26,7 @@ from http import HTTPStatus
 from http.cookies import SimpleCookie
 from urllib.parse import parse_qsl, urlsplit
 
-from ..http1 import MAX_LINE, FramingError, read_fields
+from ..http1 import MAX_LINE, FramingError, final_coding, read_chunked, read_fields
 from .sim import LabRequest, RequestLogEntry, SimSite, SiteRuntime, proxy_handle
 
 
@@ -145,11 +145,14 @@ class _Handler(socketserver.StreamRequestHandler):
             return self._refuse(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE)
         headers: dict[str, str] = {}
         lengths: set[str] = set()
+        codings: list[str] = []
         for name, value in fields:
             key = name.lower()
             headers.setdefault(key, value)
             if key == "content-length":
                 lengths.add(value.strip(" \t"))
+            elif key == "transfer-encoding":
+                codings.append(value)
         keep_alive = version_number >= (1, 1)
         connection = headers.get("connection", "").lower()
         if connection == "close":
@@ -159,13 +162,25 @@ class _Handler(socketserver.StreamRequestHandler):
         if method not in _METHODS:
             return self._refuse(HTTPStatus.NOT_IMPLEMENTED)
         # Read the body before any early return: on a kept-alive connection
-        # unread body bytes would be parsed as the next request. A length
-        # that is not 1*DIGIT, or lines that disagree, leave the end of the
-        # body unknown, so the connection ends (RFC 9112 section 6.3).
-        if len(lengths) > 1 or not all(map(_DIGITS.fullmatch, lengths)):
+        # unread body bytes would be parsed as the next request. A
+        # Transfer-Encoding overrides Content-Length. A final coding other
+        # than chunked, a length that is not 1*DIGIT, or lengths that
+        # disagree leave the end of the body unknown, so the connection ends
+        # (RFC 9112 section 6.3). Both fields at once may be a smuggling
+        # attempt, so that connection ends after the response (section 6.1).
+        if codings:
+            if final_coding(codings) != "chunked":
+                return self._refuse(HTTPStatus.BAD_REQUEST)
+            try:
+                raw = read_chunked(self.rfile)
+            except FramingError:
+                return self._refuse(HTTPStatus.BAD_REQUEST)
+            keep_alive = keep_alive and not lengths
+        elif len(lengths) > 1 or not all(map(_DIGITS.fullmatch, lengths)):
             return self._refuse(HTTPStatus.BAD_REQUEST)
-        length = int(lengths.pop()) if lengths else 0
-        raw = self.rfile.read(length) if length else b""
+        else:
+            length = int(lengths.pop()) if lengths else 0
+            raw = self.rfile.read(length) if length else b""
         self._handle(method, target, headers, raw, arrival)
         return keep_alive
 

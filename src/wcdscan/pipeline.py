@@ -2,18 +2,16 @@
 
 Sites are scanned by a small worker pool (one worker per domain at a time);
 within a site everything is sequential, which keeps session state simple and
-pacing honest. ``selfcheck`` wires the scanner against the in-process lab
-and diffs every (site, technique) verdict against the ground-truth oracle.
+pacing honest. The scanner core imports nothing from ``wcdscan.lab``; the
+lab's selfcheck lives in :mod:`wcdscan.lab.selfcheck`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
-import threading
-import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .crawler import (
     AttackSurface,
@@ -21,7 +19,6 @@ from .crawler import (
     SiteConfig,
     crawl_domain,
     filter_marked_pages,
-    site_config_from_dict,
 )
 from .detector import (
     HtmlSurfaces,
@@ -32,28 +29,11 @@ from .detector import (
     inconclusive_verdict,
     run_wcd_test,
 )
-from .http_engine import AuthFailure, Identity, Role, Transport, maintain_session
-from .lab import catalog
-from .lab.oracle import enumerate_oracle
-from .lab.server import LabServer
-from .lab.sim import SimSite
+from .http_engine import AuthFailure, Identity, Role, maintain_session
 from .reporting import cdn_label
-from .url_toolkit import PathConfusionTechnique, RandomNameGenerator, parse_url
+from .url_toolkit import RandomNameGenerator
 
 log = logging.getLogger(__name__)
-
-
-class LockedJournal:
-    """Serializes crawl-journal writes from concurrent site workers."""
-
-    def __init__(self, fh):
-        self._fh = fh
-        self._lock = threading.Lock()
-
-    def write(self, text: str) -> None:
-        with self._lock:
-            self._fh.write(text)
-            self._fh.flush()
 
 
 @dataclass
@@ -114,7 +94,6 @@ def scan_site(site: SiteConfig, settings: ScanSettings) -> SiteScanResult:
             transport=settings.transport,
             seed=settings.seed or 0,
             respect_robots=settings.respect_robots,
-            journal=settings.journal,
             html_scans=html_scans,
         )
         markers = site.markers or MarkerSet([])
@@ -169,100 +148,3 @@ def scan_pool(pool: SeedPool, settings: ScanSettings) -> ScanRunResult:
                 )
     results.sort(key=lambda r: r.site.primary_domain)
     return ScanRunResult(site_results=results)
-
-
-def pool_from_lab_sites(sites: list[SimSite]) -> SeedPool:
-    configs = [
-        site_config_from_dict(site.host, (), catalog.seed_entry(site)) for site in sites
-    ]
-    return SeedPool(sites=tuple(configs))
-
-
-@dataclass
-class SelfcheckReport:
-    sites: list[str]
-    oracle: dict[tuple[str, PathConfusionTechnique], bool]
-    scanned: dict[tuple[str, PathConfusionTechnique], bool]
-    disagreements: list[tuple[str, PathConfusionTechnique, bool, bool]]
-    verdicts: list[ScanVerdict]
-    inconclusive: int
-    elapsed_seconds: float
-    # Requests the lab logged during the run, with and without a Cookie header.
-    requests_with_cookie: int
-    requests_without_cookie: int
-
-    @property
-    def requests(self) -> int:
-        return self.requests_with_cookie + self.requests_without_cookie
-
-    @property
-    def ok(self) -> bool:
-        return not self.disagreements and self.inconclusive == 0
-
-
-def selfcheck_sites() -> list[SimSite]:
-    """The sites selfcheck scans by default: the 128 matrix sites, then
-    ``classic-pp``."""
-    return catalog.matrix_sites() + [catalog.classic_site()]
-
-
-def run_selfcheck(
-    sites: list[SimSite] | None = None,
-    settings: ScanSettings | None = None,
-) -> SelfcheckReport:
-    """Scan the lab catalog over real sockets and diff against the oracle.
-
-    The scanner's verdict for (site, technique) is "any attacked page on the
-    site came back vulnerable with that technique"; the oracle's is direct
-    simulation of the site's protected marker page.
-    """
-    started = time.monotonic()
-    if sites is None:
-        sites = selfcheck_sites()
-    settings = settings or ScanSettings(rate=500.0, workers=8, seed=0)
-
-    server = LabServer(sites).start()
-    try:
-        settings = replace(
-            settings, transport=Transport(resolve_overrides=server.resolve_overrides())
-        )
-        pool = pool_from_lab_sites(sites)
-        run = scan_pool(pool, settings)
-        cookies = [e.has_cookie for site in sites for e in server.request_log(site.host)]
-    finally:
-        server.stop()
-
-    host_to_name = {site.host: site.name for site in sites}
-    scanned: dict[tuple[str, PathConfusionTechnique], bool] = {
-        (site.name, technique): False
-        for site in sites
-        for technique in settings.techniques
-    }
-    inconclusive = 0
-    for verdict in run.verdicts:
-        name = host_to_name.get(parse_url(verdict.page).host)
-        if name is None:
-            continue
-        if verdict.inconclusive:
-            inconclusive += 1
-            continue
-        if verdict.vulnerable:
-            scanned[(name, verdict.technique)] = True
-
-    oracle = enumerate_oracle(sites, settings.techniques, settings.extension)
-    disagreements = [
-        (name, technique, oracle[(name, technique)], scanned[(name, technique)])
-        for (name, technique) in sorted(scanned, key=lambda k: (k[0], k[1].value))
-        if oracle[(name, technique)] != scanned[(name, technique)]
-    ]
-    return SelfcheckReport(
-        sites=[site.name for site in sites],
-        oracle=oracle,
-        scanned=scanned,
-        disagreements=disagreements,
-        verdicts=run.verdicts,
-        inconclusive=inconclusive,
-        elapsed_seconds=time.monotonic() - started,
-        requests_with_cookie=sum(cookies),
-        requests_without_cookie=len(cookies) - sum(cookies),
-    )

@@ -34,8 +34,8 @@ from wcdscan.http_engine import (
 )
 from wcdscan.lab import catalog
 from wcdscan.lab.oracle import oracle_vulnerable
+from wcdscan.lab.selfcheck import run_selfcheck
 from wcdscan.lab.server import LabServer
-from wcdscan.pipeline import run_selfcheck
 from wcdscan.reporting import aggregate, build_site_map, chi_square_2x2
 from wcdscan.url_toolkit import PathConfusionTechnique, RandomNameGenerator, parse_url
 

@@ -203,6 +203,35 @@ def test_scan_redacts_hostnames(tmp_path):
         server.stop()
 
 
+def test_scan_redact_keeps_the_table(tmp_path, capsys):
+    """--redact rewrites the hosts of the records a scan writes; the table
+    names no host, so it counts the same verdicts with or without it."""
+    site = catalog.classic_site()
+    (tmp_path / "site.json").write_text(json.dumps(catalog.seed_entry(site)))
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text(f"http://{site.host} site.json\n")
+    tables = []
+    for redact in ([], ["--redact"]):
+        server = LabServer([site]).start()
+        try:
+            code = main([
+                "scan",
+                "--seeds", str(seeds),
+                "--resolve", f"{site.host}=127.0.0.1:{server.port}",
+                "--rate", "500",
+                "--seed", "1",
+                *redact,
+            ])
+        finally:
+            server.stop()
+        assert code == EXIT_FINDINGS
+        tables.append(capsys.readouterr().out)
+    assert tables[1] == tables[0]
+    assert "Tested:        3 / 1 / 1" in tables[1]
+    assert "Vulnerable:    1 / 1 / 1" in tables[1]
+    assert "Quarantined" not in tables[1]
+
+
 def test_oracle_records_output(capsys):
     code = main(["oracle", "--catalog", "support", "--format", "records"])
     assert code == EXIT_CLEAN

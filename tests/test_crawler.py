@@ -331,26 +331,6 @@ class TestCrawlDomain:
         assert len(surface.pages) == 1
         assert surface.truncated is True
 
-    def test_crawl_journal_records(self, support_lab, support_transport, limiter, tmp_path):
-        import io
-        import json as json_mod
-
-        journal = io.StringIO()
-        crawl_domain(
-            SiteConfig(primary_domain="pacing.test"),
-            Identity(role=Role.VICTIM),
-            budget=10,
-            rate_limiter=limiter,
-            transport=support_transport,
-            journal=journal,
-        )
-        records = [json_mod.loads(line) for line in journal.getvalue().splitlines()]
-        assert records[-1]["event"] == "surface"
-        assert records[-1]["pages_seen"] == 1
-        page_records = [r for r in records if r["event"] == "page"]
-        assert page_records and all(r["domain"] == "pacing.test" for r in page_records)
-        assert all("group" in r for r in page_records)
-
     def test_numeric_pages_collapse_to_one_representative(self, limiter):
         resources = {
             "/": LabResource(

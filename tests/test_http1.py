@@ -269,3 +269,15 @@ class TestPinnedDifferences:
     def test_repeated_equal_lengths_frame_the_body(self):
         raw = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length:  2 \r\n\r\nok"
         assert _agree(raw)[2:] == (b"ok", True)
+
+    def test_a_final_chunked_coding_overrides_the_length(self):
+        raw = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip, chunked\r\nContent-Length: 3\r\n\r\n"
+               b"5\r\nhello\r\n0\r\n\r\n")
+        assert _framed(raw, "GET")[2:] == (b"hello", True)
+        assert _reference(raw, "GET")[2:] == (b"5\r\n", True)  # framed by Content-Length
+
+    def test_a_final_coding_other_than_chunked_reads_to_eof(self):
+        raw = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nTransfer-Encoding: gzip\r\n\r\n"
+               b"5\r\nhello\r\n0\r\n\r\n")
+        assert _framed(raw, "GET")[2:] == (b"5\r\nhello\r\n0\r\n\r\n", False)
+        assert _reference(raw, "GET")[2:] == (b"hello", True)  # reads the first line alone

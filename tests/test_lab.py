@@ -17,6 +17,7 @@ from wcdscan.http_engine import Transport
 from wcdscan.lab import catalog
 from wcdscan.lab.oracle import enumerate_oracle, oracle_vulnerable
 from wcdscan.lab.origin import OriginSemantics, OriginVariant, effective_path, route
+from wcdscan.lab.selfcheck import pool_from_lab_sites
 from wcdscan.lab.server import LabServer
 from wcdscan.lab.sim import (
     CacheEvent,
@@ -26,7 +27,7 @@ from wcdscan.lab.sim import (
     origin_resolve,
     proxy_handle,
 )
-from wcdscan.pipeline import ScanSettings, pool_from_lab_sites, scan_pool
+from wcdscan.pipeline import ScanSettings, scan_pool
 from wcdscan.url_toolkit import PathConfusionTechnique
 
 from conftest import lab_connections_left_open
@@ -577,6 +578,13 @@ class TestRequestFraming:
         assert received.count(b"HTTP/1.1 ") == 1  # nothing after it is read
         assert pacing_lab.request_log("pacing.test") == []
 
+    def test_a_final_coding_other_than_chunked_is_refused(self, pacing_lab):
+        head = b"POST / HTTP/1.1\r\nHost: pacing.test\r\nTransfer-Encoding: chunked, gzip\r\n"
+        received = _until_closed(pacing_lab, head + b"\r\n3\r\nabc\r\n0\r\n\r\n" + self.NEXT)
+        assert received.startswith(b"HTTP/1.1 400 ")
+        assert received.count(b"HTTP/1.1 ") == 1  # nothing after it is read
+        assert pacing_lab.request_log("pacing.test") == []
+
     def test_connection_close_gets_exactly_one_response(self, pacing_lab):
         closing_request = b"GET / HTTP/1.1\r\nHost: pacing.test\r\nConnection: close\r\n\r\n"
         received = _until_closed(pacing_lab, closing_request + self.NEXT)
@@ -593,3 +601,30 @@ class TestRequestFraming:
         sock.close()  # with a zero linger time: sends RST
         assert lab_connections_left_open(pacing_lab) == 0  # the handler has finished
         assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "framing",
+    [b"Connection: close\r\n", b"Content-Length: 4\r\n"],
+    ids=["chunked", "chunked-and-length"],
+)
+def test_a_chunked_login_is_read(framing):
+    site = catalog.classic_site()
+    victim = site.auth.victim()
+    form = f"username={victim.username}&password={victim.password}".encode()
+    body = b"9\r\n" + form[:9] + b"\r\n%x\r\n" % len(form[9:]) + form[9:] + b"\r\n0\r\n\r\n"
+    head = (b"POST /login HTTP/1.1\r\nHost: classic-pp.test\r\n"
+            b"Transfer-Encoding: chunked\r\n" + framing + b"\r\n")
+    # A Content-Length beside the Transfer-Encoding ends the connection
+    # after the response, as Connection: close does: the GET is not served.
+    after = b"GET / HTTP/1.1\r\nHost: classic-pp.test\r\n\r\n"
+    server = LabServer([site]).start()
+    try:
+        received = _until_closed(server, head + body + after)
+        log = server.request_log(site.host)
+    finally:
+        server.stop()
+    assert received.startswith(b"HTTP/1.1 303 ")
+    assert received.count(b"HTTP/1.1 ") == 1
+    assert b"\r\nSet-Cookie: " in received.split(b"\r\n\r\n", 1)[0]
+    assert [(e.method, e.target) for e in log] == [("POST", "/login")]

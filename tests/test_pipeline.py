@@ -2,18 +2,22 @@
 
 import gc
 import json
+import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import wcdscan
 from wcdscan import detector, pipeline
 from wcdscan.crawler import SeedPool, site_config_from_dict
-from wcdscan.lab import catalog
+from wcdscan.lab import catalog, selfcheck
+from wcdscan.lab.selfcheck import pool_from_lab_sites
 from wcdscan.lab.server import LabServer
 from wcdscan.http_engine import AuthFailure, Transport
-from wcdscan.pipeline import ScanSettings, pool_from_lab_sites, scan_pool
+from wcdscan.pipeline import ScanSettings, scan_pool
 from wcdscan.url_toolkit import PathConfusionTechnique
 
 from conftest import lab_connections_left_open
@@ -147,7 +151,7 @@ def test_seeded_support_catalog_scan_request_count():
 
 
 def test_selfcheck_counts_its_lab_requests():
-    report = pipeline.run_selfcheck()
+    report = selfcheck.run_selfcheck()
     assert report.ok
     assert (report.requests, report.requests_with_cookie, report.requests_without_cookie) == (
         4924, 4515, 409
@@ -269,3 +273,17 @@ def test_a_malformed_anchor_costs_that_link_not_the_site():
     assert {p.raw_path for p in result.surface.pages} == {"/", "/login", "/account.php"}
     assert len(result.verdicts) == 15
     assert any(v.vulnerable for v in result.verdicts)
+
+
+def test_the_scanner_core_imports_no_lab_module():
+    package_root = str(Path(wcdscan.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {package_root!r})\n"
+        "import wcdscan.pipeline, wcdscan.crawler, wcdscan.detector, wcdscan.http_engine\n"
+        "import wcdscan.reporting\n"
+        "print(sorted(m for m in sys.modules if m.startswith('wcdscan.lab')))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert result.stdout == "[]\n"
