@@ -24,10 +24,11 @@ from .lab.server import LabServer
 from .pipeline import ScanSettings, scan_pool
 from .reporting import (
     MalformedRecord,
+    SiteMap,
     aggregate,
     build_site_map,
-    page_hosts,
-    read_records,
+    iter_records,
+    redact_stats,
     redact_verdicts,
     render_table,
     stats_to_records,
@@ -318,18 +319,20 @@ def _utf8_lines(fh: BinaryIO) -> Iterator[str]:
 
 
 def _cmd_report(args) -> int:
+    """One pass: each record is read, checked and folded in turn, so no
+    verdict list is held."""
+    site_map = SiteMap()
     try:
         if args.records == "-":
-            verdicts = read_records(_utf8_lines(sys.stdin.buffer))
+            stats = aggregate(iter_records(_utf8_lines(sys.stdin.buffer)), site_map)
         else:
             with open(args.records, "rb") as fh:
-                verdicts = read_records(_utf8_lines(fh))
+                stats = aggregate(iter_records(_utf8_lines(fh)), site_map)
     except MalformedRecord as exc:
         print(f"error: {args.records}:{exc}", file=sys.stderr)
         return EXIT_ERROR
     if args.redact:
-        verdicts = redact_verdicts(verdicts)
-    stats = aggregate(verdicts, build_site_map(page_hosts(verdicts)))
+        stats = redact_stats(stats, site_map)
     if args.format == "records":
         print(json.dumps(stats_to_records(stats), indent=2))
     else:

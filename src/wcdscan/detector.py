@@ -236,17 +236,19 @@ class _FieldKind(NamedTuple):
     from_json: Callable | None = None  # None: the JSON value is the value
 
 
+_ONLY_STR = frozenset((str,))
+
+
 def _strings(items: list) -> tuple[str, ...]:
-    if items and not all(type(item) is str for item in items):
+    if not _ONLY_STR.issuperset(map(type, items)):
         raise _Mistyped
     return tuple(items)
 
 
 def _string_pairs(mapping: dict) -> tuple[tuple[str, str], ...]:
-    pairs = tuple(mapping.items())
-    if pairs and not all(type(value) is str for _, value in pairs):
+    if not _ONLY_STR.issuperset(map(type, mapping.values())):
         raise _Mistyped
-    return pairs
+    return tuple(mapping.items())
 
 
 def _enum_kind(kind: type[Enum]) -> _FieldKind:
@@ -366,7 +368,7 @@ _FIELD_KINDS = {
         (list, tuple),
         "an array of secret objects",
         lambda secrets: [secret.to_record() for secret in secrets],
-        lambda records: tuple(map(SecretCandidate.from_record, records)),
+        lambda records: tuple(map(SecretCandidate.from_record, records)) if records else (),
     ),
 }
 _SECRET_RECORDS = _RecordCodec(SecretCandidate)

@@ -12,8 +12,10 @@ import json
 import math
 import re
 from collections import defaultdict
-from dataclasses import asdict, dataclass
-from typing import Iterable, Mapping, TextIO
+from dataclasses import asdict, dataclass, replace
+from itertools import count
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import Iterable, Iterator, Mapping, TextIO
 from urllib.parse import urlsplit
 
 from .cache_policy import parse_cache_control
@@ -161,10 +163,10 @@ def _place_page(page: str, site_map: Mapping[str, str]) -> tuple[str, str] | str
         domain = parse_url(page).host
     except MalformedUrl:
         return "unparseable page URL"
-    site = site_map.get(domain)
-    if site is None:
+    try:
+        return domain, site_map[domain]
+    except KeyError:  # indexing, not .get: a SiteMap fills itself on a miss
         return f"domain {domain!r} not in site map"
-    return domain, site
 
 
 def aggregate(
@@ -286,6 +288,16 @@ def build_site_map(hosts: Iterable[str]) -> dict[str, str]:
     return {host: registrable_domain(host) for host in hosts}
 
 
+class SiteMap(dict):
+    """A host -> site (registrable domain) map that fills itself on the first
+    lookup of a host, so ``aggregate`` can fold a stream whose hosts are not
+    known in advance. Its keys are then the hosts that ``aggregate`` placed."""
+
+    def __missing__(self, host: str) -> str:
+        site = self[host] = registrable_domain(host)
+        return site
+
+
 _TECH_TITLES = {
     "path_parameter": "Path Parameter",
     "encoded_newline": "Encoded \\n",
@@ -362,8 +374,18 @@ def stats_to_records(stats: AggregateStats) -> dict:
 
 
 def write_records(verdicts: Iterable[ScanVerdict], fh: TextIO) -> None:
+    """One line per verdict, ``json.dumps(verdict.to_record())`` and a
+    newline, each written as soon as it is encoded. ``json.dumps`` builds a
+    C encoder per call; this builds one, with the arguments its default
+    ``JSONEncoder`` passes, and reuses it."""
+    defaults = json.JSONEncoder()
+    encode = c_make_encoder(
+        {}, defaults.default, encode_basestring_ascii, None, defaults.key_separator,
+        defaults.item_separator, False, False, True,
+    )
+    write = fh.write
     for verdict in verdicts:
-        fh.write(json.dumps(verdict.to_record()) + "\n")
+        write("".join(encode(verdict.to_record(), 0)) + "\n")
 
 
 class MalformedRecord(ValueError):
@@ -371,16 +393,31 @@ class MalformedRecord(ValueError):
     its line number."""
 
 
-def read_records(fh: Iterable[str]) -> list[ScanVerdict]:
-    out = []
-    for number, line in enumerate(fh, 1):
+def iter_records(lines: Iterable[str]) -> Iterator[ScanVerdict]:
+    """The verdicts of JSON record lines, one at a time; blank lines are
+    skipped. A line that is not a verdict raises MalformedRecord with its
+    number once the verdicts before it have been yielded."""
+    scan = json.JSONDecoder().scan_once
+    for number, line in enumerate(lines, 1):
         line = line.strip()
-        if line:
+        if not line:
+            continue
+        try:
             try:
-                out.append(ScanVerdict.from_record(json.loads(line)))
-            except (ValueError, TypeError, AttributeError) as exc:
-                raise MalformedRecord(f"{number}: {exc}") from None
-    return out
+                record, end = scan(line, 0)
+            except StopIteration:
+                end = -1
+            if end != len(line):  # not one JSON value: json.loads raises its error
+                record = json.loads(line)
+            verdict = ScanVerdict.from_record(record)
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise MalformedRecord(f"{number}: {exc}") from None
+        yield verdict
+
+
+def read_records(fh: Iterable[str]) -> list[ScanVerdict]:
+    """Every verdict of ``fh``, read by ``iter_records``."""
+    return list(iter_records(fh))
 
 
 def _swap_host(url: str, mapping: Mapping[str, str]) -> str:
@@ -402,32 +439,53 @@ def _swap_host(url: str, mapping: Mapping[str, str]) -> str:
     return url[:start] + userinfo + at + alias + port + url[start + len(parts.netloc) :]
 
 
-def page_hosts(verdicts: Iterable[ScanVerdict]) -> set[str]:
-    """The hosts of the verdicts' pages. A page that is not an absolute
-    http(s) URL has no host; ``aggregate`` quarantines its verdicts."""
+_PLACEHOLDER_SITE = re.compile(r"site-(\d+)\.redacted")
+_PLACEHOLDER_HOST = re.compile(r"h(\d+)\.site-\d+\.redacted")
+
+
+def _redaction_map(hosts: Iterable[str]) -> dict[str, str]:
+    """Placeholder names for ``hosts`` that keep their site structure. The
+    hosts of one site (registrable domain) share ``site-N.redacted``: the
+    registrable domain itself is named that, and each other host of the
+    site ``hK.site-N.redacted``, whose registrable domain is again
+    ``site-N.redacted``. Sites are numbered in sorted order, and the hosts
+    of a site too. Placeholders already present are kept, and new sites and
+    hosts are numbered after the largest one present, so redacting a
+    redacted stream changes nothing."""
+    by_site: defaultdict[str, list[str]] = defaultdict(list)
+    for host in sorted(set(hosts)):
+        by_site[registrable_domain(host)].append(host)
+    numbers = [int(m[1]) for site in by_site if (m := _PLACEHOLDER_SITE.fullmatch(site))]
+    new_site = count(max(numbers, default=0) + 1)
+    mapping = {}
+    for site, members in sorted(by_site.items()):
+        if _PLACEHOLDER_SITE.fullmatch(site):
+            alias = site
+            taken = [int(m[1]) for host in members if (m := _PLACEHOLDER_HOST.fullmatch(host))]
+            members = [
+                host for host in members
+                if host != site and not _PLACEHOLDER_HOST.fullmatch(host)
+            ]
+        else:
+            alias, taken = f"site-{next(new_site)}.redacted", []
+        new_host = count(max(taken, default=0) + 1)
+        for host in members:
+            mapping[host] = alias if host == site else f"h{next(new_host)}.{alias}"
+    return mapping
+
+
+def redact_verdicts(verdicts: list[ScanVerdict]) -> list[ScanVerdict]:
+    """Replace the host of each page and attack URL with its placeholder
+    from ``_redaction_map``. Only the host of each URL is replaced; a host
+    name inside a path or query stays. A page that is not an absolute
+    http(s) URL adds no host to the mapping."""
     hosts = set()
     for page in {verdict.page for verdict in verdicts}:
         try:
             hosts.add(parse_url(page).host)
         except MalformedUrl:
             pass
-    return hosts
-
-
-_PLACEHOLDER_HOST = re.compile(r"site-(\d+)\.redacted")
-
-
-def redact_verdicts(verdicts: list[ScanVerdict]) -> list[ScanVerdict]:
-    """Replace impacted hostnames with stable placeholder names. Only the
-    host of each URL is replaced; a host name inside a path or query stays.
-    Placeholder hosts are kept, and new hosts are numbered after the largest
-    placeholder present, so redacting a redacted stream changes nothing.
-    A page that is not an absolute http(s) URL adds no host to the mapping."""
-    hosts = page_hosts(verdicts)
-    placeholders = {h: m for h in hosts if (m := _PLACEHOLDER_HOST.fullmatch(h))}
-    start = max((int(m[1]) for m in placeholders.values()), default=0) + 1
-    fresh = sorted(hosts - placeholders.keys())
-    mapping = {host: f"site-{i}.redacted" for i, host in enumerate(fresh, start)}
+    mapping = _redaction_map(hosts)
     return [
         verdict._replace(
             page=_swap_host(verdict.page, mapping),
@@ -435,3 +493,16 @@ def redact_verdicts(verdicts: list[ScanVerdict]) -> list[ScanVerdict]:
         )
         for verdict in verdicts
     ]
+
+
+def redact_stats(stats: AggregateStats, hosts: Iterable[str]) -> AggregateStats:
+    """What ``aggregate`` gives for the redacted verdicts, from ``stats`` of
+    the verdicts as they are and ``hosts``, the hosts ``aggregate`` placed
+    (the keys of a ``SiteMap`` that started empty). Redaction keeps each
+    host its own domain and each site its own site, so the counts stay; only
+    the quarantined pages name a host."""
+    mapping = _redaction_map(hosts)
+    return replace(
+        stats,
+        quarantined=[(_swap_host(page, mapping), why) for page, why in stats.quarantined],
+    )

@@ -1,7 +1,9 @@
 """End-to-end command-line behavior."""
 
 import argparse
+import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
@@ -230,6 +232,102 @@ def test_scan_redact_keeps_the_table(tmp_path, capsys):
     assert "Tested:        3 / 1 / 1" in tables[1]
     assert "Vulnerable:    1 / 1 / 1" in tables[1]
     assert "Quarantined" not in tables[1]
+
+
+TWO_HOSTS = ("www.example.test", "shop.example.test")  # two domains of one site
+
+
+def test_report_counts_two_hosts_of_one_site_once_with_or_without_redact(tmp_path, capsys):
+    records = tmp_path / "verdicts.jsonl"
+    with open(records, "w", encoding="utf-8") as fh:
+        write_records(
+            [_verdict(f"http://{host}/account", PathConfusionTechnique.PATH_PARAMETER, True)
+             for host in TWO_HOSTS],
+            fh,
+        )
+    for redact in ([], ["--redact"]):
+        assert main(["report", "--records", str(records), *redact]) == EXIT_CLEAN
+        out = capsys.readouterr().out
+        assert "Tested:        2 / 2 / 1" in out
+        assert "Vulnerable:    2 / 2 / 1" in out
+
+
+def test_scan_redact_records_keep_two_hosts_of_one_site(tmp_path, capsys):
+    """Both hosts seed one site; the crawl reaches the second through a link
+    on the first's home page."""
+    sites = [dataclasses.replace(catalog.classic_site(), name=host, host=host)
+             for host in TWO_HOSTS]
+    home = sites[0].resources["/"]
+    sites[0].resources["/"] = dataclasses.replace(
+        home, body_template=home.body_template.replace(
+            "</body>", f'<a href="http://{TWO_HOSTS[1]}/account.php">shop</a></body>'),
+    )
+    (tmp_path / "site.json").write_text(json.dumps(catalog.seed_entry(sites[0])))
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("".join(f"http://{host} site.json\n" for host in TWO_HOSTS))
+    out_file = tmp_path / "verdicts.jsonl"
+    server = LabServer(sites).start()
+    try:
+        code = main([
+            "scan",
+            "--seeds", str(seeds),
+            *(f"--resolve={host}=127.0.0.1:{server.port}" for host in TWO_HOSTS),
+            "--rate", "500",
+            "--seed", "1",
+            "--redact",
+            "--out", str(out_file),
+        ])
+    finally:
+        server.stop()
+    assert code == EXIT_FINDINGS
+    assert "Tested:        4 / 2 / 1" in capsys.readouterr().out
+    text = out_file.read_text()
+    assert not any(host in text for host in TWO_HOSTS)
+    assert "h1.site-1.redacted" in text and "h2.site-1.redacted" in text
+    assert main(["report", "--records", str(out_file)]) == EXIT_CLEAN
+    report = capsys.readouterr().out
+    assert "Tested:        4 / 2 / 1" in report
+    assert "Vulnerable:    1 / 1 / 1" in report
+
+
+# Runs ``wcdscan report`` on a records file and prints its max RSS in KiB;
+# a fresh process, so RUSAGE_CHILDREN sees that one child alone.
+_REPORT_MAX_RSS = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-m", "wcdscan", "report", "--records", sys.argv[1]],
+               stdout=subprocess.DEVNULL, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def _report_max_rss_mb(records: Path) -> float:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", _REPORT_MAX_RSS, str(records)],
+                            capture_output=True, text=True, env=env, timeout=120, check=True)
+    return int(result.stdout) / 1024
+
+
+def _page_verdicts(n: int):
+    """``n`` verdicts on ``n // 5`` pages, each tested with the five techniques."""
+    techniques = list(PathConfusionTechnique)
+    for i in range(n):
+        page = i // 5
+        yield _verdict(f"http://h{page % 97}.s{page % 13}.test/p{page}", techniques[i % 5],
+                       i % 3 == 0, markers_leaked=("email",), cdn_labels=("Akamai",),
+                       cache_control="private, max-age=60")
+
+
+def test_report_reads_records_in_bounded_memory(tmp_path):
+    """report folds each record as it reads it: 50k records cost about what
+    1k do, where a list of the verdicts would add about 40 MB."""
+    sizes = {}
+    for n in (1_000, 50_000):
+        records = tmp_path / f"{n}.jsonl"
+        with open(records, "w", encoding="utf-8") as fh:
+            write_records(_page_verdicts(n), fh)
+        sizes[n] = _report_max_rss_mb(records)
+    assert sizes[50_000] - sizes[1_000] < 15, sizes
 
 
 def test_oracle_records_output(capsys):

@@ -18,12 +18,16 @@ from wcdscan.reporting import (
     CdnFingerprint,
     Counts3,
     DegenerateTable,
+    MalformedRecord,
+    SiteMap,
     aggregate,
     build_site_map,
     canonical_cache_combo,
     cdn_label,
     chi_square_2x2,
+    iter_records,
     read_records,
+    redact_stats,
     redact_verdicts,
     render_table,
     write_records,
@@ -408,11 +412,11 @@ def test_redaction_replaces_only_the_url_host():
     ]
     redacted = redact_verdicts(verdicts)
     assert [v.page for v in redacted] == [
-        "http://site-2.redacted/go?next=shop.example",
+        "http://h1.site-1.redacted/go?next=shop.example",
         "http://site-1.redacted/www.shop.example/account",
     ]
     assert [v.attack_url for v in redacted] == [
-        "http://site-2.redacted/go?next=shop.example/x.css",
+        "http://h1.site-1.redacted/go?next=shop.example/x.css",
         "http://site-1.redacted/www.shop.example/account/x.css",
     ]
 
@@ -441,6 +445,36 @@ def test_redaction_leaves_a_page_without_a_host():
     assert [v.page for v in redact_verdicts(verdicts)] == [
         "notaurl",
         "http://site-1.redacted/account",
+    ]
+
+
+def test_redaction_keeps_the_hosts_of_one_site_in_one_site():
+    verdicts = [
+        _verdict("http://www.example.com/account"),
+        _verdict("http://shop.example.com/account"),
+    ]
+    redacted = redact_verdicts(verdicts)
+    assert [v.page for v in redacted] == [
+        "http://h2.site-1.redacted/account",
+        "http://h1.site-1.redacted/account",
+    ]
+    for stream in (verdicts, redacted):
+        stats = aggregate(stream, SiteMap())
+        assert (stats.tested, stats.vulnerable) == (Counts3(2, 2, 1), Counts3(2, 2, 1))
+
+
+def test_redaction_numbers_new_hosts_of_a_redacted_site_after_its_own():
+    verdicts = [
+        _verdict("http://h4.site-3.redacted/account"),
+        _verdict("http://site-3.redacted/account"),
+        _verdict("http://new.site-3.redacted/account"),
+        _verdict("http://shop.example/account"),
+    ]
+    assert [v.page for v in redact_verdicts(verdicts)] == [
+        "http://h4.site-3.redacted/account",
+        "http://site-3.redacted/account",
+        "http://h5.site-3.redacted/account",
+        "http://site-4.redacted/account",
     ]
 
 
@@ -653,6 +687,94 @@ def test_an_unknown_enum_value_is_refused_as_enum_would(line, message):
     assert str(refused.value) == f"1: {message}"
 
 
+# --- records are read one line at a time, with the errors they always had ---
+
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_iter_records_yields_the_verdicts_before_a_malformed_line(k):
+    good = HANDFUL_TEXT.splitlines()
+    lines = iter([good[i % len(good)] for i in range(k)] + ["{not json", good[0]])
+    records = iter_records(lines)
+    assert [next(records) for _ in range(k)] == [HANDFUL[i % len(good)] for i in range(k)]
+    with pytest.raises(MalformedRecord) as refused:
+        next(records)
+    assert str(refused.value).startswith(f"{k + 1}: Expecting property name")
+    assert next(lines) == good[0]  # the line after the malformed one was not read
+
+
+_GOOD_LINE = HANDFUL_TEXT.splitlines()[0]
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("{not json",
+         "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (_GOOD_LINE + " x",
+         f"Extra data: line 1 column {len(_GOOD_LINE) + 2} (char {len(_GOOD_LINE) + 1})"),
+        ("\ufeff" + _GOOD_LINE,
+         "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        ("[]", "a record must be a JSON object"),
+        ("null", "a record must be a JSON object"),
+    ],
+    ids=["not-json", "trailing-data", "bom", "array", "null"],
+)
+def test_a_line_that_is_not_one_record_keeps_its_message(line, message):
+    with pytest.raises(MalformedRecord) as refused:
+        read_records([_GOOD_LINE, "", line])
+    assert str(refused.value) == f"3: {message}"
+
+
+# --- write_records against the json.dumps line it replaced ---
+
+# Every JSON escape class: quotes, backslashes, control characters, DEL,
+# line separators, non-ASCII, astral and lone surrogate code points.
+_AWKWARD_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028é€\U0001f600\ud800'), st.characters()),
+    max_size=12,
+)
+_FLOATS = st.one_of(
+    st.sampled_from([1e-07, 1e16, -0.0, 5e-324, 3.321928094887362]), st.floats()
+)
+_SECRETS = st.builds(
+    SecretCandidate, _AWKWARD_TEXT, _AWKWARD_TEXT, st.sampled_from(list(SecretSource)),
+    st.sampled_from(list(SecretTrigger)), _FLOATS, st.integers(min_value=0),
+)
+
+
+def _texts():
+    return st.lists(_AWKWARD_TEXT, max_size=3).map(tuple)
+
+
+_VERDICTS = st.builds(
+    ScanVerdict,
+    page=_AWKWARD_TEXT,
+    technique=st.sampled_from(list(PathConfusionTechnique)),
+    attack_url=_AWKWARD_TEXT,
+    victim_status=st.integers(),
+    attacker_status=st.integers(),
+    unauth_status=st.integers(),
+    markers_leaked=_texts(),
+    secrets=st.lists(_SECRETS, max_size=3).map(tuple),
+    responses_identical=st.booleans(),
+    unauth_exploitable=st.booleans(),
+    vulnerable=st.booleans(),
+    inconclusive=st.booleans(),
+    error=st.none() | _AWKWARD_TEXT,
+    cache_control=_AWKWARD_TEXT,
+    pragma=_AWKWARD_TEXT,
+    expires=_AWKWARD_TEXT,
+    cache_evidence=st.lists(st.tuples(_AWKWARD_TEXT, _AWKWARD_TEXT), max_size=3).map(tuple),
+    cdn_labels=_texts(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_VERDICTS, max_size=4))
+def test_write_records_writes_the_json_dumps_bytes(verdicts):
+    buffer = io.StringIO()
+    write_records(verdicts, buffer)
+    assert buffer.getvalue() == "".join(json.dumps(v.to_record()) + "\n" for v in verdicts)
+
 # --- the page-set fold against the per-cell id-set fold it replaced ---
 
 class _IdSets:
@@ -812,3 +934,27 @@ def test_page_set_fold_matches_the_id_set_fold(verdicts, rng):
     reordered = aggregate(shuffled, FOLD_SITE_MAP)
     assert sorted(reordered.quarantined) == sorted(stats.quarantined)
     assert replace(reordered, quarantined=[]) == replace(stats, quarantined=[])
+
+
+# --- redaction against the counts of the unredacted stream ---
+
+# Hosts of one site, a multi-part suffix, an IP address, a single label, and
+# placeholders already present, among them a site's new host.
+REDACT_HOSTS = (
+    "example.com", "www.example.com", "shop.example.com", "a.example.co.uk",
+    "b.example.co.uk", "10.0.0.1", "localhost", "site-2.redacted", "h3.site-2.redacted",
+    "x.site-2.redacted", "h1.site-9.redacted", "site-10.redacted",
+)
+REDACT_PAGES = [f"http://{host}/p" for host in REDACT_HOSTS]
+REDACT_PAGES += ["notaurl", "ftp://example.com/f", "ftp://localhost/f"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(fold_verdicts(), st.sampled_from(REDACT_PAGES)), max_size=30))
+def test_redaction_keeps_every_count_and_maps_a_redacted_stream_to_itself(drawn):
+    verdicts = [verdict._replace(page=page, attack_url=page + "/x.css") for verdict, page in drawn]
+    redacted = redact_verdicts(verdicts)
+    assert redact_verdicts(redacted) == redacted
+    site_map = SiteMap()
+    stats = aggregate(verdicts, site_map)
+    assert redact_stats(stats, site_map) == aggregate(redacted, SiteMap())
