@@ -261,7 +261,7 @@ def builtin_profile(name: str) -> CdnProfile:
     for profile in builtin_profiles():
         if profile.name == name:
             return profile
-    raise KeyError(f"no builtin profile named {name!r}")
+    raise ValueError(f"no builtin profile named {name!r}")
 
 
 def profile_from_dict(data: dict) -> CdnProfile:

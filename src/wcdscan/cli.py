@@ -2,6 +2,9 @@
 
 Exit codes: 0 clean / all checks passed, 1 vulnerabilities found (scan) or
 oracle disagreements (selfcheck), 2 configuration or runtime error.
+
+Each handler imports the modules it runs when it runs, so `wcdscan lab`
+loads the lab and wire modules and none of the scanner's.
 """
 
 from __future__ import annotations
@@ -12,29 +15,12 @@ import logging
 import sys
 import time
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import TYPE_CHECKING, BinaryIO, Iterator
 
-from .crawler import ConfigError, ingest_domains
-from .detector import ALL_TECHNIQUES, RandomnessConfig
-from .http_engine import DEFAULT_USER_AGENT, Transport
-from .lab import catalog
-from .lab.oracle import enumerate_oracle
-from .lab.selfcheck import run_selfcheck, selfcheck_sites
-from .lab.server import LabServer
-from .pipeline import ScanSettings, scan_pool
-from .reporting import (
-    MalformedRecord,
-    SiteMap,
-    aggregate,
-    build_site_map,
-    iter_records,
-    redact_stats,
-    redact_verdicts,
-    render_table,
-    stats_to_records,
-    write_records,
-)
-from .url_toolkit import PathConfusionTechnique
+from .errors import ConfigError, ScenarioError
+
+if TYPE_CHECKING:
+    from .url_toolkit import PathConfusionTechnique
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -44,8 +30,10 @@ log = logging.getLogger(__name__)
 
 
 def _parse_techniques(spec: str) -> tuple[PathConfusionTechnique, ...]:
+    from .url_toolkit import PathConfusionTechnique
+
     if spec.strip().lower() == "all":
-        return ALL_TECHNIQUES
+        return tuple(PathConfusionTechnique)
     try:
         return tuple(PathConfusionTechnique(t.strip()) for t in spec.split(","))
     except ValueError:
@@ -84,6 +72,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _port(text: str) -> int:
+    port = int(text)
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"port must be in 0-65535, got {text!r}")
+    return port
+
+
 def _delay(text: str) -> float:
     delay = float(text)
     if not 0 <= delay < float("inf"):  # also rejects nan
@@ -95,18 +90,17 @@ def _load_wordlist(path: str) -> tuple[str, ...]:
     return tuple(Path(path).read_text(encoding="utf-8").split())
 
 
-def _catalog_sites(which: str):
+def _scenario_sites(args):
+    from .lab import catalog
+
+    if getattr(args, "scenarios", None):
+        return catalog.load_scenarios(args.scenarios)
+    which = getattr(args, "catalog", "all")
     if which == "matrix":
         return catalog.matrix_sites()
     if which == "support":
         return catalog.support_sites()
     return catalog.all_sites()
-
-
-def _scenario_sites(args):
-    if getattr(args, "scenarios", None):
-        return catalog.load_scenarios(args.scenarios)
-    return _catalog_sites(getattr(args, "catalog", "all"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--redact", action="store_true", help="replace impacted hostnames in records")
     scan.add_argument("--resolve", action="append", default=[], metavar="HOST=IP:PORT",
                       help="connect to IP:PORT for HOST (repeatable; lab routing)")
-    scan.add_argument("--user-agent", default=DEFAULT_USER_AGENT)
+    scan.add_argument("--user-agent", default=None)
     scan.add_argument("--respect-robots", action="store_true",
                       help="honor robots.txt (ignored by default; see README)")
     scan.add_argument("--wordlist", default=None, help="dictionary file for the entropy stripper")
@@ -142,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--no-probe", action="store_true", help="skip seed liveness probing")
 
     lab = sub.add_parser("lab", help="run the scenario catalog as local HTTP listeners")
-    lab.add_argument("--port", type=int, default=0)
+    lab.add_argument("--port", type=_port, default=0)
     lab.add_argument("--scenarios", default=None, help="scenario JSON file (default: built-in catalog)")
     lab.add_argument("--catalog", choices=["matrix", "support", "all"], default="all")
     lab.add_argument("--export", default=None, metavar="FILE",
@@ -173,6 +167,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_scan(args) -> int:
+    from .crawler import ingest_domains
+    from .detector import RandomnessConfig
+    from .http_engine import Transport
+    from .pipeline import ScanSettings, scan_pool
+    from .reporting import aggregate, build_site_map, redact_verdicts, render_table, write_records
+
     randomness = RandomnessConfig()
     if args.wordlist:
         randomness = RandomnessConfig(dictionary=_load_wordlist(args.wordlist))
@@ -185,12 +185,13 @@ def _cmd_scan(args) -> int:
         seed=args.seed,
         attacker_delay=args.delay,
         workers=args.workers,
-        user_agent=args.user_agent,
         transport=Transport(resolve_overrides=_parse_resolve(args.resolve)),
         randomness=randomness,
         respect_robots=args.respect_robots,
         embed_query=args.question_embed,
     )
+    if args.user_agent is not None:  # unset, the settings keep their default
+        settings.user_agent = args.user_agent
     pool = ingest_domains(
         args.seeds, settings.transport, settings.rate_limiter, probe=not args.no_probe
     )
@@ -218,6 +219,8 @@ def _cmd_scan(args) -> int:
 
 
 def _write_seed_files(sites, directory: str) -> Path:
+    from .lab import catalog
+
     target = Path(directory)
     target.mkdir(parents=True, exist_ok=True)
     lines = []
@@ -232,6 +235,9 @@ def _write_seed_files(sites, directory: str) -> Path:
 
 
 def _cmd_lab(args) -> int:
+    from .lab import catalog
+    from .lab.server import LabServer
+
     sites = _scenario_sites(args)
     if not sites:
         print("no scenarios to serve", file=sys.stderr)
@@ -264,6 +270,9 @@ def _cmd_lab(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .lab.oracle import enumerate_oracle
+    from .url_toolkit import PathConfusionTechnique
+
     sites = _scenario_sites(args)
     sites = [s for s in sites if s.marker_pages()]
     if not sites:
@@ -311,6 +320,8 @@ def _cmd_oracle(args) -> int:
 def _utf8_lines(fh: BinaryIO) -> Iterator[str]:
     """The lines of ``fh`` decoded as UTF-8; a line that is not raises
     MalformedRecord with its number."""
+    from .reporting import MalformedRecord
+
     for number, line in enumerate(fh, 1):
         try:
             yield line.decode("utf-8")
@@ -321,6 +332,16 @@ def _utf8_lines(fh: BinaryIO) -> Iterator[str]:
 def _cmd_report(args) -> int:
     """One pass: each record is read, checked and folded in turn, so no
     verdict list is held."""
+    from .reporting import (
+        MalformedRecord,
+        SiteMap,
+        aggregate,
+        iter_records,
+        redact_stats,
+        render_table,
+        stats_to_records,
+    )
+
     site_map = SiteMap()
     try:
         if args.records == "-":
@@ -341,6 +362,9 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
+    from .lab.selfcheck import run_selfcheck, selfcheck_sites
+    from .pipeline import ScanSettings
+
     sites = selfcheck_sites()
     if args.quick:  # every 8th site: 16 of the matrix, and classic-pp, the last
         sites = sites[:: len(sites) // 16]
@@ -395,7 +419,7 @@ def cli_run(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except OSError as exc:
+    except (OSError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

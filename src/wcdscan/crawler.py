@@ -20,6 +20,7 @@ from pathlib import Path
 from urllib.parse import urljoin, urlsplit
 
 from .detector import HtmlSurfaces, MarkerSet, scan_body
+from .errors import ConfigError
 from .http_engine import (
     Identity,
     LoginDescriptor,
@@ -57,10 +58,6 @@ _PLAIN_ROOTED_HREF = re.compile(r"(?!.*/\.\.?(?:[/?]|$))/(?!/)[^\\;#\t\n\r]*(?<!
 # "[", "\" or "]", and no empty trailing query. urljoin resolves no dot
 # segment in a URL that names its host.
 _PLAIN_ABSOLUTE_HREF = re.compile(r"https?://(?![/?])[!\"$-:<-?A-Z^-~]+(?<!\?)")
-
-
-class ConfigError(Exception):
-    """Malformed seed file or site config; scanning aborts before it starts."""
 
 
 @dataclass

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import html
-import math
 import re
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -24,6 +22,7 @@ from operator import attrgetter
 from typing import Callable, NamedTuple, get_type_hints
 from urllib.parse import parse_qsl, urlsplit
 
+from .entropy import shannon_entropy
 from .http_engine import (
     DEFAULT_USER_AGENT,
     HttpExchange,
@@ -101,15 +100,6 @@ _HTML_TOKEN = re.compile(
     r"|<(?:[a-zA-Z][^\t\n\r\f />\x00]*(?=\x00)|[!/?][^>]*>|(?=[a-zA-Z!/?]).*)",
     re.DOTALL,
 )
-
-
-def shannon_entropy(text: str) -> float:
-    """Shannon entropy in bits per character of the string's distribution."""
-    if not text:
-        return 0.0
-    counts = Counter(text)
-    total = len(text)
-    return max(0.0, -sum((n / total) * math.log2(n / total) for n in counts.values()))
 
 
 @dataclass(frozen=True)

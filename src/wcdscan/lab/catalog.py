@@ -16,7 +16,8 @@ import itertools
 import json
 
 from ..cache_policy import builtin_profile
-from ..detector import shannon_entropy
+from ..entropy import shannon_entropy
+from ..errors import ScenarioError
 from .origin import OriginSemantics, OriginVariant
 from .sim import LabAccount, LabAuth, LabResource, SimSite
 
@@ -298,11 +299,34 @@ def seed_entry(site: SimSite) -> dict:
 
 
 def load_scenarios(path: str) -> list[SimSite]:
+    """The sites of a scenario file: a JSON array of ``SimSite.to_dict()``
+    objects. A file that is not one raises ScenarioError, naming the entry
+    that cannot be read."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return [SimSite.from_dict(item) for item in data]
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ScenarioError(f"{path}: not a JSON file: {exc}") from None
+    if not isinstance(data, list):
+        raise ScenarioError(f"{path}: want a JSON array of sites, got {type(data).__name__}")
+    sites = []
+    for index, item in enumerate(data):
+        try:
+            sites.append(SimSite.from_dict(item))
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            name = item.get("name") if isinstance(item, dict) else None
+            entry = f"entry {index}" + (f" ({name!r})" if isinstance(name, str) else "")
+            reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise ScenarioError(f"{path}: {entry}: {reason}") from None
+    return sites
 
 
 def dump_scenarios(sites: list[SimSite], path: str) -> None:
+    """Writes the sites as a JSON array with one compact site object per
+    line, encoding and writing one site at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump([site.to_dict() for site in sites], fh, indent=2)
+        fh.write("[")
+        for index, site in enumerate(sites):
+            fh.write(",\n" if index else "\n")
+            fh.write(json.dumps(site.to_dict(), separators=(",", ":")))
+        fh.write("\n]\n")

@@ -36,9 +36,11 @@ class _VhostServer(socketserver.ThreadingTCPServer):
     runtimes: dict[str, SiteRuntime]
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        # Set before the base class binds: when binding fails, it calls
+        # server_close, which reads them.
         self.connections: set[socket.socket] = set()
         self.connections_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
 
     def process_request(self, request, client_address):
         with self.connections_lock:

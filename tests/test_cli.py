@@ -1,20 +1,22 @@
 """End-to-end command-line behavior."""
 
 import argparse
+import ast
 import dataclasses
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from wcdscan import cli
+from wcdscan import crawler
 from wcdscan.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS, build_parser, main
 from wcdscan.detector import ScanVerdict, SecretCandidate, SecretSource, SecretTrigger
-from wcdscan.lab import catalog
+from wcdscan.lab import catalog, selfcheck
 from wcdscan.lab.server import LabServer
 from wcdscan.reporting import write_records
 from wcdscan.url_toolkit import PathConfusionTechnique
@@ -67,7 +69,7 @@ def test_bad_delay_is_a_usage_error_before_any_request(capsys, monkeypatch, dela
     def no_ingest(*_args, **_kwargs):
         raise AssertionError("the seed pool was read")
 
-    monkeypatch.setattr(cli, "ingest_domains", no_ingest)
+    monkeypatch.setattr(crawler, "ingest_domains", no_ingest)
     with pytest.raises(SystemExit) as exit_info:
         main(["scan", "--seeds", "seeds.txt", "--delay", delay])
     assert exit_info.value.code == EXIT_ERROR
@@ -377,6 +379,95 @@ def test_lab_export_round_trips(tmp_path):
     assert {s.name for s in loaded} >= {"classic-pp", "sitemap", "pacing"}
 
 
+def test_lab_on_a_taken_port_is_an_error(capsys):
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        assert main(["lab", "--catalog", "support", "--port", str(port)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Address already in use" in err
+
+
+@pytest.mark.parametrize("port", ["-1", "65536"])
+def test_lab_port_out_of_range_is_a_usage_error(capsys, port):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["lab", "--port", port])
+    assert exit_info.value.code == EXIT_ERROR
+    assert f"argument --port: port must be in 0-65535, got '{port}'" in capsys.readouterr().err
+
+
+_MALFORMED_SCENARIOS = [
+    ("{not json", "not a JSON file: Expecting property name"),
+    ('{"name": "x"}', "want a JSON array of sites, got dict"),
+    ('[{"name": "x"}]', "entry 0 ('x'): missing key 'cache_profile'"),
+    ('["x"]', "entry 0: string indices must be integers"),
+]
+
+
+@pytest.mark.parametrize("command", ["lab", "oracle"])
+@pytest.mark.parametrize("text,reason", _MALFORMED_SCENARIOS, ids=["json", "dict", "key", "str"])
+def test_malformed_scenario_file_is_one_error_line(tmp_path, capsys, command, text, reason):
+    path = tmp_path / "scenarios.json"
+    path.write_text(text, encoding="utf-8")
+    assert main([command, "--scenarios", str(path)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {reason}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["lab", "oracle"])
+@pytest.mark.parametrize(
+    "field,value,reason",
+    [("cache_profile", "nope", "no builtin profile named 'nope'"),
+     ("origin", {"variants": ["bogus"]}, "'bogus' is not a valid OriginVariant"),
+     ("resources", [{"path": "/", "body": "", "status": "ok"}], "invalid literal for int()")],
+    ids=["profile", "variant", "status"],
+)
+def test_scenario_entry_with_a_bad_value_is_named(tmp_path, capsys, command, field, value, reason):
+    entries = [site.to_dict() for site in (catalog.classic_site(), catalog.pacing_site())]
+    entries[1][field] = value
+    path = tmp_path / "scenarios.json"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    assert main([command, "--scenarios", str(path)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: entry 1 ('pacing'): {reason}")
+    assert err.count("\n") == 1
+
+
+# Serves the lab through the command line in a fresh interpreter, stops it
+# at its first sleep (as Ctrl-C would) and prints the package's loaded modules.
+_SERVE_AND_LIST_MODULES = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+def interrupt(_seconds):
+    raise KeyboardInterrupt
+time.sleep = interrupt
+from wcdscan.cli import main
+code = main(["lab", "--catalog", "support", "--port", "0"])
+print(code, sorted(m for m in sys.modules if m.startswith("wcdscan")))
+"""
+
+
+def test_serving_the_lab_loads_no_scanner_module():
+    package_root = str(Path(catalog.__file__).resolve().parents[2])
+    result = subprocess.run(
+        [sys.executable, "-c", _SERVE_AND_LIST_MODULES, package_root],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert "lab listening on 127.0.0.1:" in result.stdout
+    assert "stopping lab" in result.stdout
+    code, loaded = result.stdout.splitlines()[-1].split(" ", 1)
+    assert code == str(EXIT_CLEAN)
+    loaded = set(ast.literal_eval(loaded))
+    assert "wcdscan.lab.server" in loaded
+    scanner = {f"wcdscan.{name}" for name in (
+        "crawler", "detector", "http_engine", "url_toolkit", "words", "pipeline", "reporting",
+        "lab.oracle", "lab.selfcheck",
+    )}
+    assert loaded & scanner == set()
+
+
 def test_bad_resolve_flag_is_config_error(tmp_path):
     seeds = tmp_path / "seeds.txt"
     seeds.write_text("http://x.test\n")
@@ -389,7 +480,7 @@ def _no_run(*_args, **_kwargs):
 
 @pytest.mark.parametrize("port", ["0", "65536", "99999"])
 def test_resolve_port_out_of_range_is_config_error(capsys, monkeypatch, port):
-    monkeypatch.setattr(cli, "ingest_domains", _no_run)
+    monkeypatch.setattr(crawler, "ingest_domains", _no_run)
     argv = ["scan", "--seeds", "seeds.txt", "--no-probe", "--resolve", f"x.test=127.0.0.1:{port}"]
     assert main(argv) == EXIT_ERROR
     assert "port not in 1-65535" in capsys.readouterr().err
@@ -402,8 +493,8 @@ def test_resolve_port_out_of_range_is_config_error(capsys, monkeypatch, port):
     ids=" ".join,
 )
 def test_nonpositive_budget_or_workers_is_a_usage_error(capsys, monkeypatch, argv):
-    monkeypatch.setattr(cli, "ingest_domains", _no_run)
-    monkeypatch.setattr(cli, "run_selfcheck", _no_run)
+    monkeypatch.setattr(crawler, "ingest_domains", _no_run)
+    monkeypatch.setattr(selfcheck, "run_selfcheck", _no_run)
     if argv[0] == "scan":
         argv = argv + ["--seeds", "seeds.txt"]
     with pytest.raises(SystemExit) as exit_info:

@@ -387,6 +387,23 @@ class TestScenarioFiles:
         loaded = catalog.load_scenarios(str(path))
         assert [s.to_dict() for s in loaded] == [s.to_dict() for s in sites]
 
+    def test_dump_writes_one_site_per_line(self, tmp_path):
+        sites = catalog.all_sites()
+        path = tmp_path / "scenarios.json"
+        catalog.dump_scenarios(sites, str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "[" and lines[-1] == "]"
+        assert len(lines) == len(sites) + 2
+        for line, site in zip(lines[1:-1], sites):
+            assert SimSite.from_dict(json.loads(line.removesuffix(","))).to_dict() == site.to_dict()
+        loaded = catalog.load_scenarios(str(path))
+        assert [s.to_dict() for s in loaded] == [s.to_dict() for s in sites]
+
+    def test_dump_of_no_sites_is_an_empty_array(self, tmp_path):
+        path = tmp_path / "scenarios.json"
+        catalog.dump_scenarios([], str(path))
+        assert json.loads(path.read_text(encoding="utf-8")) == []
+
     def test_loaded_scenario_behaves_like_the_original(self, tmp_path):
         path = tmp_path / "scenarios.json"
         catalog.dump_scenarios([catalog.classic_site()], str(path))
