@@ -8,33 +8,20 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from wcdscan.detector import (  # noqa: E402
-    MarkerSet,
-    ScanSettings,
-    WcdTestConfig,
-    run_wcd_test,
-)
-from wcdscan.http_engine import (  # noqa: E402
-    Identity,
-    LoginDescriptor,
-    Role,
-    Transport,
-    fetch,
-    maintain_session,
-)
+from wcdscan.crawler import site_config_from_dict  # noqa: E402
+from wcdscan.http_engine import Identity, Role, Transport, fetch  # noqa: E402
 from wcdscan.lab import catalog  # noqa: E402
 from wcdscan.lab.server import LabServer  # noqa: E402
-from wcdscan.url_toolkit import (  # noqa: E402
-    PathConfusionTechnique,
-    RandomNameGenerator,
-    parse_url,
-)
+from wcdscan.pipeline import ScanSettings, scan_site  # noqa: E402
+from wcdscan.url_toolkit import PathConfusionTechnique  # noqa: E402
 
 DELAYS = [0, 1800, 3600, 7200, 86400]
 
 
 def main() -> int:
     site = catalog.classic_site()
+    config = site_config_from_dict(site.host, (), catalog.seed_entry(site))
+    account = f"http://{site.host}/account.php"
     server = LabServer([site]).start()
     transport = Transport(resolve_overrides=server.resolve_overrides())
     controller = Identity(role=Role.UNAUTHENTICATED)
@@ -45,40 +32,24 @@ def main() -> int:
     def advance(seconds: float) -> None:
         control(f"/_lab/advance?seconds={seconds}")
 
-    # One limiter paces the control calls, the logins and the attacks alike.
-    settings = ScanSettings(rate=1000, transport=transport, delay_fn=advance)
+    # One limiter paces the control calls, the logins, the crawl and the
+    # attacks alike, so the delay is set on this object, not on a copy.
+    settings = ScanSettings(
+        techniques=(PathConfusionTechnique.PATH_PARAMETER,),
+        rate=1000,
+        seed=0,
+        transport=transport,
+        delay_fn=advance,
+    )
 
     print(f"default TTL: {site.cache_profile.default_ttl}s")
     print(f"{'attacker delay (s)':>20}{'exploitable':>14}")
     try:
         for delay in DELAYS:
             control("/_lab/reset")
-            victim = Identity(
-                role=Role.VICTIM,
-                credentials=LoginDescriptor(
-                    url=f"http://{site.host}/login",
-                    fields={"username": "victim", "password": catalog.VICTIM_PASSWORD},
-                ),
-            )
-            attacker = Identity(
-                role=Role.ATTACKER,
-                credentials=LoginDescriptor(
-                    url=f"http://{site.host}/login",
-                    fields={"username": "attacker", "password": catalog.ATTACKER_PASSWORD},
-                ),
-            )
             settings.attacker_delay = delay
-            maintain_session(victim, settings.rate_limiter, transport)
-            maintain_session(attacker, settings.rate_limiter, transport)
-            config = WcdTestConfig(settings, names=RandomNameGenerator(seed=delay))
-            verdict = run_wcd_test(
-                parse_url(f"http://{site.host}/account.php"),
-                PathConfusionTechnique.PATH_PARAMETER,
-                victim,
-                attacker,
-                MarkerSet(list(catalog.victim_markers(site.name).items())),
-                config,
-            )
+            result = scan_site(config, settings)
+            verdict = next(v for v in result.verdicts if v.page == account)
             print(f"{delay:>20}{str(verdict.vulnerable):>14}")
     finally:
         transport.close()

@@ -171,7 +171,7 @@ def _cmd_scan(args) -> int:
     from .detector import RandomnessConfig
     from .http_engine import Transport
     from .pipeline import ScanSettings, scan_pool
-    from .reporting import aggregate, build_site_map, redact_verdicts, render_table, write_records
+    from .reporting import SiteMap, aggregate, redact_verdicts, render_table, write_records
 
     randomness = RandomnessConfig()
     if args.wordlist:
@@ -208,9 +208,9 @@ def _cmd_scan(args) -> int:
     if args.format == "records" and not args.out:
         write_records(verdicts, sys.stdout)
     if args.format == "table":  # the table names no host, so it counts the real ones
-        hosts = {h for site in pool.sites for h in site.hosts()}
-        stats = aggregate(run.verdicts, build_site_map(hosts))
-        print(render_table(stats))
+        # Hosts are mapped as `report` maps them, so a host of a seeded
+        # site's domain that only the crawl reached is counted too.
+        print(render_table(aggregate(run.verdicts, SiteMap())))
     if any(v.vulnerable for v in run.verdicts):
         return EXIT_FINDINGS
     if run.errors and not run.verdicts and pool.sites:

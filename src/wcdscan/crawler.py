@@ -9,7 +9,6 @@ domain fetches are sequential.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import re
@@ -300,8 +299,7 @@ def crawl_domain(
     bodies are those of the fetched pages, which need not be the groups'
     seeded representatives. Each distinct fetched body is tokenized once,
     and its ``scan_body`` result kept in ``html_scans`` (when given) under
-    the body's SHA-256 digest, for the secret sweep of the same site's tests
-    to read.
+    the body itself, for the secret sweep of the same site's tests to read.
     """
     start = f"{site.scheme}://{site.primary_domain}/"
     site_scope = site.site
@@ -358,10 +356,9 @@ def crawl_domain(
             log.warning("crawl fetch failed for %s: %s", raw_url, exc)
             continue
         victim_bodies[page.text()] = exchange.body
-        digest = hashlib.sha256(exchange.body).digest()
-        scan = html_scans.get(digest)
+        scan = html_scans.get(exchange.body)
         if scan is None:
-            scan = html_scans[digest] = scan_body(exchange.body)
+            scan = html_scans[exchange.body] = scan_body(exchange.body)
         for link in extract_links(exchange.body, exchange.url, scan):
             if link not in seen:
                 seen.add(link)

@@ -10,7 +10,6 @@ also reaches a client with no account, which no other verdict field reads.
 
 from __future__ import annotations
 
-import hashlib
 import html
 import re
 import time
@@ -577,16 +576,17 @@ class WcdTestConfig:
     names: RandomNameGenerator = field(default_factory=RandomNameGenerator)
     # Optional HttpExchange -> vendor labels hook (reporting owns the tables).
     label_fn: Callable[[HttpExchange], list[str]] | None = None
-    # Secret sweeps already run with this config, keyed by the SHA-256 digest
-    # of the attacker body (extract_secrets is pure in body and randomness).
-    # Not an init field, so dataclasses.replace() starts with an empty memo.
+    # Secret sweeps already run with this config, keyed by the attacker body
+    # (extract_secrets is pure in body and randomness), and the scan_body
+    # results of the bodies this site's crawl fetched: a sweep of an equal
+    # body reads that result instead of tokenizing the body again. Both live
+    # as long as the config, one site's scan. Not init fields, so
+    # dataclasses.replace() starts with empty memos.
     sweeps: dict[bytes, tuple[SecretCandidate, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # scan_body results of the bodies this site's crawl fetched, under the
-    # same digests: a sweep of an equal body reads the result, not the body.
     html_scans: dict[bytes, HtmlSurfaces] = field(
-        default_factory=dict, repr=False, compare=False
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
 
@@ -707,12 +707,11 @@ def run_wcd_test(
         identical = responses_identical(vex, aex, strip=(nonce,))
         secrets: tuple[SecretCandidate, ...] = ()
         if identical or leaked:
-            digest = hashlib.sha256(aex.body).digest()
-            if digest not in config.sweeps:
-                config.sweeps[digest] = tuple(
-                    extract_secrets(aex.body, settings.randomness, config.html_scans.get(digest))
+            secrets = config.sweeps.get(aex.body)
+            if secrets is None:
+                secrets = config.sweeps[aex.body] = tuple(
+                    extract_secrets(aex.body, settings.randomness, config.html_scans.get(aex.body))
                 )
-            secrets = config.sweeps[digest]
         vulnerable = bool(leaked) or (identical and bool(secrets))
 
         unauth_exploitable = False

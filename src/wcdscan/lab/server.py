@@ -26,6 +26,7 @@ from http import HTTPStatus
 from http.cookies import SimpleCookie
 from urllib.parse import parse_qsl, urlsplit
 
+from ..errors import ScenarioError
 from ..http1 import MAX_LINE, FramingError, final_coding, read_chunked, read_fields
 from .sim import LabRequest, RequestLogEntry, SimSite, SiteRuntime, proxy_handle
 
@@ -266,10 +267,15 @@ class _Handler(socketserver.StreamRequestHandler):
 
 
 class LabServer:
-    """Serves a list of SimSites on one local port, dispatching by Host."""
+    """Serves a list of SimSites on one local port, dispatching by Host; two
+    sites with one host raise ScenarioError before the port is bound."""
 
     def __init__(self, sites: list[SimSite], address: str = "127.0.0.1", port: int = 0):
-        self.runtimes = {site.host: SiteRuntime(site) for site in sites}
+        self.runtimes: dict[str, SiteRuntime] = {}
+        for site in sites:
+            if site.host in self.runtimes:
+                raise ScenarioError(f"two scenarios serve host {site.host!r}")
+            self.runtimes[site.host] = SiteRuntime(site)
         self._httpd = _VhostServer((address, port), _Handler)
         self._httpd.runtimes = self.runtimes
         self._thread: threading.Thread | None = None

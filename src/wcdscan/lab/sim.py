@@ -127,6 +127,13 @@ class LabAuth:
         raise LookupError("site has no victim account")
 
 
+def _string(value, what: str) -> str:
+    """A scenario value that the lab renders or encodes: a JSON string."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {type(value).__name__}")
+    return value
+
+
 @dataclass
 class SimSite:
     """One simulated site: origin semantics + cache profile + resources."""
@@ -209,38 +216,45 @@ class SimSite:
         auth = None
         if "auth" in data:
             ad = data["auth"]
+            accounts = [
+                LabAccount(
+                    username=_string(a["username"], "account username"),
+                    password=_string(a["password"], "account password"),
+                    values={
+                        label: _string(value, f"account value {label!r}")
+                        for label, value in dict(a.get("values", {})).items()
+                    },
+                    is_victim=bool(a.get("is_victim", False)),
+                )
+                for a in ad["accounts"]
+            ]
             auth = LabAuth(
-                accounts={
-                    a["username"]: LabAccount(
-                        username=a["username"],
-                        password=a["password"],
-                        values=dict(a.get("values", {})),
-                        is_victim=bool(a.get("is_victim", False)),
-                    )
-                    for a in ad["accounts"]
-                },
+                accounts={account.username: account for account in accounts},
                 marker_labels=tuple(ad.get("marker_labels", ())),
                 cookie_name=ad.get("cookie_name", "sid"),
                 mode=ad.get("mode", "redirect"),
                 login_path=ad.get("login_path", "/login"),
                 rotate=bool(ad.get("rotate", False)),
             )
+        resources = [
+            LabResource(
+                path=_string(r["path"], "resource path"),
+                body_template=_string(r["body"], "resource body"),
+                status=int(r.get("status", 200)),
+                headers=dict(r.get("headers", {})),
+                protected=bool(r.get("protected", False)),
+                content_type=_string(
+                    r.get("content_type", "text/html; charset=utf-8"), "resource content_type"
+                ),
+            )
+            for r in data["resources"]
+        ]
         return cls(
             name=data["name"],
             host=data["host"],
             origin=OriginSemantics.from_dict(data["origin"]),
             cache_profile=profile,
-            resources={
-                r["path"]: LabResource(
-                    path=r["path"],
-                    body_template=r["body"],
-                    status=int(r.get("status", 200)),
-                    headers=dict(r.get("headers", {})),
-                    protected=bool(r.get("protected", False)),
-                    content_type=r.get("content_type", "text/html; charset=utf-8"),
-                )
-                for r in data["resources"]
-            },
+            resources={resource.path: resource for resource in resources},
             proxy_decodes_percent=bool(data.get("proxy_decodes_percent", False)),
             auth=auth,
             ttl_overrides=dict(data.get("ttl_overrides", {})),

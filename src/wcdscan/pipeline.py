@@ -11,17 +11,15 @@ from __future__ import annotations
 import hashlib
 import logging
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .crawler import (
-    AttackSurface,
     SeedPool,
     SiteConfig,
     crawl_domain,
     filter_marked_pages,
 )
 from .detector import (
-    HtmlSurfaces,
     MarkerSet,
     ScanSettings,
     ScanVerdict,
@@ -38,10 +36,11 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class SiteScanResult:
+    """One site's outcome: its verdicts, or the error that stopped it."""
+
     site: SiteConfig
-    surface: AttackSurface | None
-    verdicts: list[ScanVerdict]
     error: str | None = None
+    verdicts: list[ScanVerdict] = field(default_factory=list)
 
 
 @dataclass
@@ -71,6 +70,9 @@ def _log_in(identities: tuple[Identity, ...], settings: ScanSettings) -> None:
 
 
 def scan_site(site: SiteConfig, settings: ScanSettings) -> SiteScanResult:
+    """Crawl and attack one site. The site's WcdTestConfig holds its scan
+    state, the crawl's bodies with their tokenizations and the secret
+    sweeps, and is dropped on return: the result keeps only the verdicts."""
     try:
         victim = Identity(
             role=Role.VICTIM, credentials=site.victim_login, user_agent=settings.user_agent
@@ -81,11 +83,9 @@ def scan_site(site: SiteConfig, settings: ScanSettings) -> SiteScanResult:
         try:
             _log_in((victim, attacker), settings)
         except AuthFailure as exc:
-            return SiteScanResult(site=site, surface=None, verdicts=[], error=str(exc))
+            return SiteScanResult(site=site, error=str(exc))
 
-        # One scan_body result per distinct body, shared by the crawl and
-        # the secret sweep, for this site's scan only.
-        html_scans: dict[bytes, HtmlSurfaces] = {}
+        config = WcdTestConfig(settings, names=_names_for(site, settings), label_fn=cdn_label)
         surface = crawl_domain(
             site,
             victim,
@@ -94,7 +94,7 @@ def scan_site(site: SiteConfig, settings: ScanSettings) -> SiteScanResult:
             transport=settings.transport,
             seed=settings.seed or 0,
             respect_robots=settings.respect_robots,
-            html_scans=html_scans,
+            html_scans=config.html_scans,
         )
         markers = site.markers or MarkerSet([])
         if settings.mode == "marker-gated":
@@ -103,12 +103,6 @@ def scan_site(site: SiteConfig, settings: ScanSettings) -> SiteScanResult:
                 rate_limiter=settings.rate_limiter, transport=settings.transport,
             )
 
-        config = WcdTestConfig(
-            settings,
-            names=_names_for(site, settings),
-            label_fn=cdn_label,
-            html_scans=html_scans,
-        )
         verdicts = []
         for page in surface.pages:
             for technique in settings.techniques:
@@ -122,7 +116,7 @@ def scan_site(site: SiteConfig, settings: ScanSettings) -> SiteScanResult:
                 verdicts.append(
                     run_wcd_test(page, technique, victim, attacker, markers, config)
                 )
-        return SiteScanResult(site=site, surface=surface, verdicts=verdicts)
+        return SiteScanResult(site=site, verdicts=verdicts)
     finally:
         settings.transport.close()  # this worker's pooled connections
 
@@ -143,8 +137,6 @@ def scan_pool(pool: SeedPool, settings: ScanSettings) -> ScanRunResult:
             except Exception as exc:  # defensive: a site crash must not kill the run
                 site = futures[future]
                 log.exception("site %s scan failed", site.primary_domain)
-                results.append(
-                    SiteScanResult(site=site, surface=None, verdicts=[], error=str(exc))
-                )
+                results.append(SiteScanResult(site=site, error=str(exc)))
     results.sort(key=lambda r: r.site.primary_domain)
     return ScanRunResult(site_results=results)

@@ -13,9 +13,15 @@ from pathlib import Path
 
 import pytest
 
-from wcdscan import crawler
+from wcdscan import crawler, pipeline
 from wcdscan.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS, build_parser, main
-from wcdscan.detector import ScanVerdict, SecretCandidate, SecretSource, SecretTrigger
+from wcdscan.detector import (
+    ScanVerdict,
+    SecretCandidate,
+    SecretSource,
+    SecretTrigger,
+    strip_dictionary_words,
+)
 from wcdscan.lab import catalog, selfcheck
 from wcdscan.lab.server import LabServer
 from wcdscan.reporting import write_records
@@ -292,6 +298,40 @@ def test_scan_redact_records_keep_two_hosts_of_one_site(tmp_path, capsys):
     assert "Vulnerable:    1 / 1 / 1" in report
 
 
+def test_scan_table_counts_a_crawled_subdomain_as_report_does(tmp_path, capsys):
+    """Only shop.test is seeded; its home page links to www.shop.test, which
+    the crawl reaches as a host of the same site."""
+    hosts = ("shop.test", "www.shop.test")
+    sites = [dataclasses.replace(catalog.classic_site(), name=host, host=host) for host in hosts]
+    home = sites[0].resources["/"]
+    sites[0].resources["/"] = dataclasses.replace(
+        home, body_template=home.body_template.replace(
+            "</body>", f'<a href="http://{hosts[1]}/account.php">www</a></body>'),
+    )
+    (tmp_path / "site.json").write_text(json.dumps(catalog.seed_entry(sites[0])))
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text(f"http://{hosts[0]} site.json\n")
+    out_file = tmp_path / "verdicts.jsonl"
+    server = LabServer(sites).start()
+    try:
+        main([
+            "scan",
+            "--seeds", str(seeds),
+            *(f"--resolve={host}=127.0.0.1:{server.port}" for host in hosts),
+            "--rate", "500",
+            "--seed", "1",
+            "--techniques", "path_parameter",
+            "--out", str(out_file),
+        ])
+    finally:
+        server.stop()
+    scan_table = capsys.readouterr().out
+    assert main(["report", "--records", str(out_file)]) == EXIT_CLEAN
+    assert scan_table == capsys.readouterr().out
+    assert "Tested:        4 / 2 / 1" in scan_table
+    assert "Quarantined" not in scan_table
+
+
 # Runs ``wcdscan report`` on a records file and prints its max RSS in KiB;
 # a fresh process, so RUSAGE_CHILDREN sees that one child alone.
 _REPORT_MAX_RSS = """
@@ -416,15 +456,27 @@ def test_malformed_scenario_file_is_one_error_line(tmp_path, capsys, command, te
     assert err.startswith(f"error: {path}: {reason}") and err.count("\n") == 1
 
 
+def _interrupt(_seconds):
+    raise KeyboardInterrupt
+
+
 @pytest.mark.parametrize("command", ["lab", "oracle"])
 @pytest.mark.parametrize(
     "field,value,reason",
     [("cache_profile", "nope", "no builtin profile named 'nope'"),
      ("origin", {"variants": ["bogus"]}, "'bogus' is not a valid OriginVariant"),
-     ("resources", [{"path": "/", "body": "", "status": "ok"}], "invalid literal for int()")],
-    ids=["profile", "variant", "status"],
+     ("resources", [{"path": "/", "body": "", "status": "ok"}], "invalid literal for int()"),
+     ("resources", [{"path": "/", "body": 5}], "resource body must be a string, got int"),
+     ("resources", [{"path": ["/"], "body": ""}], "resource path must be a string, got list"),
+     ("auth", {"accounts": [{"username": "victim", "password": "pw",
+                             "values": {"email": 12345678901234}}]},
+      "account value 'email' must be a string, got int")],
+    ids=["profile", "variant", "status", "body", "path", "account-value"],
 )
-def test_scenario_entry_with_a_bad_value_is_named(tmp_path, capsys, command, field, value, reason):
+def test_scenario_entry_with_a_bad_value_is_named(
+    tmp_path, capsys, monkeypatch, command, field, value, reason
+):
+    monkeypatch.setattr("time.sleep", _interrupt)  # a lab that starts stops at once
     entries = [site.to_dict() for site in (catalog.classic_site(), catalog.pacing_site())]
     entries[1][field] = value
     path = tmp_path / "scenarios.json"
@@ -433,6 +485,18 @@ def test_scenario_entry_with_a_bad_value_is_named(tmp_path, capsys, command, fie
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: entry 1 ('pacing'): {reason}")
     assert err.count("\n") == 1
+
+
+def test_lab_with_two_scenarios_for_one_host_is_an_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("time.sleep", _interrupt)
+    entries = [site.to_dict() for site in (catalog.classic_site(), catalog.pacing_site())]
+    entries[1]["host"] = entries[0]["host"]
+    path = tmp_path / "scenarios.json"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    assert main(["lab", "--scenarios", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == "error: two scenarios serve host 'classic-pp.test'\n"
+    assert captured.out == ""
 
 
 # Serves the lab through the command line in a fresh interpreter, stops it
@@ -484,6 +548,24 @@ def test_resolve_port_out_of_range_is_config_error(capsys, monkeypatch, port):
     argv = ["scan", "--seeds", "seeds.txt", "--no-probe", "--resolve", f"x.test=127.0.0.1:{port}"]
     assert main(argv) == EXIT_ERROR
     assert "port not in 1-65535" in capsys.readouterr().err
+
+
+def test_scan_wordlist_reaches_the_dictionary_stripper(tmp_path, monkeypatch):
+    wordlist = tmp_path / "words.txt"
+    wordlist.write_text("zebra\nquokka\n", encoding="utf-8")
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("")
+    used = []
+
+    def recording_scan_pool(pool, settings):
+        used.append(settings)
+        return pipeline.ScanRunResult(site_results=[])
+
+    monkeypatch.setattr(pipeline, "scan_pool", recording_scan_pool)
+    assert main(["scan", "--seeds", str(seeds), "--wordlist", str(wordlist)]) == EXIT_CLEAN
+    randomness = used[0].randomness
+    assert randomness.dictionary == ("zebra", "quokka")
+    assert strip_dictionary_words("x9zebraQuokkay", randomness) == "x9y"
 
 
 @pytest.mark.parametrize(

@@ -331,6 +331,19 @@ class TestCrawlDomain:
         assert len(surface.pages) == 1
         assert surface.truncated is True
 
+    def test_raw_page_cap_truncates(self, support_lab, support_transport, limiter):
+        # All 7 groups of the 1,200-page sitemap fit a budget of 7, so only
+        # the raw page cap, 7 * RAW_PAGE_CAP_FACTOR pages, can end the crawl.
+        surface = crawl_domain(
+            SiteConfig(primary_domain="sitemap.test"),
+            Identity(role=Role.VICTIM),
+            budget=7,
+            rate_limiter=limiter,
+            transport=support_transport,
+        )
+        assert surface.truncated is True
+        assert 7 * crawler.RAW_PAGE_CAP_FACTOR <= surface.pages_seen < 1200
+
     def test_numeric_pages_collapse_to_one_representative(self, limiter):
         resources = {
             "/": LabResource(
@@ -421,6 +434,37 @@ class TestCrawlDomain:
         from wcdscan.url_toolkit import registrable_domain
 
         assert all(registrable_domain(p.host) == "flaky.test" for p in surface.pages)
+
+    def test_off_site_links_are_not_fetched(self, limiter):
+        def page(host, body):
+            return SimSite(
+                name=host, host=host, origin=OriginSemantics(),
+                cache_profile=builtin_profile("akamai_default"),
+                resources={"/": LabResource(path="/", body_template=body)},
+            )
+
+        sites = [
+            page("home.test", '<a href="http://other.test/">o</a><a href="http://www.home.test/">w</a>'),
+            page("other.test", "other"),
+            page("www.home.test", "www"),
+        ]
+        server = LabServer(sites).start()
+        transport = Transport(resolve_overrides=server.resolve_overrides())
+        try:
+            surface = crawl_domain(
+                SiteConfig(primary_domain="home.test"),
+                Identity(role=Role.VICTIM),
+                budget=500,
+                rate_limiter=limiter,
+                transport=transport,
+            )
+            other_requests = server.request_log("other.test")
+        finally:
+            transport.close()
+            server.stop()
+        # A host of the site's registrable domain is crawled; another is not.
+        assert {p.text() for p in surface.pages} == {"http://home.test/", "http://www.home.test/"}
+        assert other_requests == []
 
 
 @pytest.fixture(scope="module")

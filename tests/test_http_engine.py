@@ -1,8 +1,10 @@
 """Identities, cookies, pacing, and fetch behavior against the lab."""
 
+import dataclasses
 import inspect
 import threading
 import time
+from datetime import datetime, timezone
 
 import pytest
 import requests
@@ -170,6 +172,14 @@ def test_cookie_domain_matching(set_by, set_cookie, sent_to):
     assert {h for h in _COOKIE_HOSTS if victim.cookie_header(h) == "sid=1"} == sent_to
 
 
+def test_set_cookie_expires_sets_the_expiry():
+    victim = Identity(role=Role.VICTIM)
+    victim.store_set_cookie("shop.example", "sid=1; Expires=Wed, 21 Oct 2037 07:28:00 GMT")
+    cookie = victim.cookie_jar[("shop.example", "sid")]
+    assert cookie.expiry == datetime(2037, 10, 21, 7, 28, tzinfo=timezone.utc).timestamp()
+    assert not cookie.expired(time.time())
+
+
 class TestFetchAgainstLab:
     HOST = "classic-pp.test"
 
@@ -268,6 +278,18 @@ class TestMaintainSession:
         victim = Identity(role=Role.VICTIM, credentials=login)
         with pytest.raises(AuthFailure):
             maintain_session(victim, limiter, support_transport)
+
+    @pytest.mark.parametrize("marker,logged_in", [("Your account", True), ("Welcome back", False)])
+    def test_success_marker_must_be_in_the_login_response(
+        self, support_lab, support_transport, limiter, marker, logged_in
+    ):
+        login = dataclasses.replace(_victim_login(self.HOST), success_marker=marker)
+        victim = Identity(role=Role.VICTIM, credentials=login)
+        if logged_in:
+            maintain_session(victim, limiter, support_transport)
+        else:
+            with pytest.raises(AuthFailure, match="status 200"):
+                maintain_session(victim, limiter, support_transport)
 
     def test_no_credentials_raise(self, limiter):
         with pytest.raises(AuthFailure):

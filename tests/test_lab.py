@@ -13,11 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wcdscan.cache_policy import CdnProfile, DefaultCached
+from wcdscan.errors import ScenarioError
+from wcdscan.http1 import MAX_LINE
 from wcdscan.http_engine import Transport
 from wcdscan.lab import catalog
 from wcdscan.lab.oracle import enumerate_oracle, oracle_vulnerable
 from wcdscan.lab.origin import OriginSemantics, OriginVariant, effective_path, route
 from wcdscan.lab.selfcheck import pool_from_lab_sites
+from wcdscan.lab import server as server_module
 from wcdscan.lab.server import LabServer
 from wcdscan.lab.sim import (
     CacheEvent,
@@ -421,6 +424,15 @@ class TestScenarioFiles:
         assert set(example["resources"][0]) == set(written["resources"][0])
 
 
+def test_two_scenarios_with_one_host_are_refused_before_binding(monkeypatch):
+    classic = catalog.classic_site()
+    pacing = catalog.pacing_site()
+    pacing.host = classic.host
+    monkeypatch.setattr(server_module, "_VhostServer", None)  # binding would call it
+    with pytest.raises(ScenarioError, match="two scenarios serve host 'classic-pp.test'"):
+        LabServer([classic, pacing])
+
+
 class TestControlEndpoints:
     def test_advance_reset_state_over_http(self):
         import requests as req
@@ -570,8 +582,9 @@ class TestRequestFraming:
 
     @pytest.mark.parametrize(
         "request_line,status",
-        [(b"GET /a b HTTP/1.1", b"400"), (b"PUT / HTTP/1.1", b"501"), (b"get / HTTP/1.1", b"501")],
-        ids=["malformed", "unknown-method", "lowercase-method"],
+        [(b"GET /a b HTTP/1.1", b"400"), (b"PUT / HTTP/1.1", b"501"), (b"get / HTTP/1.1", b"501"),
+         (b"GET / HTTP/1.x", b"400"), (b"GET / HTTP/2.0", b"505")],
+        ids=["malformed", "unknown-method", "lowercase-method", "bad-version", "version-2"],
     )
     def test_refusal_closes_the_connection(self, pacing_lab, request_line, status):
         received = _until_closed(
@@ -579,6 +592,21 @@ class TestRequestFraming:
         )
         assert received.startswith(b"HTTP/1.1 " + status + b" ")
         assert received.count(b"HTTP/1.1 ") == 1  # the request after it is not served
+
+    @pytest.mark.parametrize(
+        "head,tail,status",
+        [(b"GET /", b" HTTP/1.1\r\n", b"414"),
+         (b"GET / HTTP/1.1\r\nHost: pacing.test\r\nX-Long: ", b"\r\n", b"431")],
+        ids=["long-request-line", "long-header-line"],
+    )
+    def test_a_line_longer_than_the_limit_is_refused(self, pacing_lab, head, tail, status):
+        # The last line is MAX_LINE + 1 bytes and nothing follows it, so the
+        # lab has read all that was sent when it closes the connection.
+        last_line = len(head) - (head.rfind(b"\n") + 1) + len(tail)
+        received = _until_closed(pacing_lab, head + b"a" * (MAX_LINE + 1 - last_line) + tail)
+        assert received.startswith(b"HTTP/1.1 " + status + b" ")
+        assert received.count(b"HTTP/1.1 ") == 1
+        assert pacing_lab.request_log("pacing.test") == []
 
     @pytest.mark.parametrize(
         "lengths",

@@ -4,6 +4,7 @@ import gc
 import json
 import subprocess
 import sys
+import types
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -18,7 +19,7 @@ from wcdscan.lab.selfcheck import pool_from_lab_sites
 from wcdscan.lab.server import LabServer
 from wcdscan.http_engine import AuthFailure, Transport
 from wcdscan.pipeline import ScanSettings, scan_pool
-from wcdscan.url_toolkit import PathConfusionTechnique
+from wcdscan.url_toolkit import PathConfusionTechnique, parse_url
 
 from conftest import lab_connections_left_open
 
@@ -51,7 +52,7 @@ def test_full_mode_attacks_every_representative(pipeline_lab):
     result = run.site_results[0]
     assert result.error is None
     # home, login page, and the account page, five techniques each
-    assert {p.raw_path for p in result.surface.pages} == {"/", "/login", "/account.php"}
+    assert {parse_url(v.page).raw_path for v in result.verdicts} == {"/", "/login", "/account.php"}
     assert len(result.verdicts) == 15
     vulnerable = [v for v in result.verdicts if v.vulnerable]
     assert vulnerable
@@ -102,9 +103,48 @@ def test_each_distinct_body_is_tokenized_once_per_site(monkeypatch):
     # The crawl fetched the account page as the victim, and a cached copy of
     # it was swept for secrets: the same body, read once.
     assert any(v.vulnerable and v.secrets for v in result.verdicts)
-    account = result.surface.victim_bodies[f"http://{site.host}/account.php"].decode()
+    account = site.resources["/account.php"].render(site.auth.victim().values).decode()
     assert tokenizer.texts.count(account) == 1
     assert len(tokenizer.texts) == len(set(tokenizer.texts))
+
+
+_NOT_FOLLOWED = (
+    type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType, types.MethodType
+)
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` through instance attributes and
+    the items of tuples, lists, dicts and sets; types, modules and functions
+    are not followed."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, _NOT_FOLLOWED):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        if isinstance(obj, dict):
+            stack += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (tuple, list, set, frozenset)):
+            stack += obj
+        elif not isinstance(obj, (str, bytes, int, float)):
+            stack += getattr(obj, "__dict__", {}).values()
+            stack += [getattr(obj, name) for name in getattr(obj, "__slots__", ())
+                      if hasattr(obj, name)]
+    return found
+
+
+def test_a_finished_site_keeps_no_page_body():
+    site = _large_page_site()
+    server = LabServer([site]).start()
+    try:
+        run = scan_pool(pool_from_lab_sites([site]), _settings(server))
+    finally:
+        server.stop()
+    assert not run.errors and any(v.vulnerable and v.secrets for v in run.verdicts)
+    large = [obj for obj in _reachable(run) if isinstance(obj, bytes) and len(obj) >= 1024]
+    assert large == []
 
 
 def test_marker_gated_mode_attacks_only_marked_pages(pipeline_lab):
@@ -169,8 +209,9 @@ def test_per_site_budget_override(pipeline_lab):
     )
     run = scan_pool(pool, _settings(pipeline_lab))
     result = run.site_results[0]
-    assert result.surface.truncated is True
-    assert len(result.surface.pages) == 1
+    # One page group, so one attacked page with every technique.
+    assert len({v.page for v in result.verdicts}) == 1
+    assert len(result.verdicts) == 5
 
 
 def test_auth_failure_isolated_per_site(pipeline_lab):
@@ -270,7 +311,7 @@ def test_a_malformed_anchor_costs_that_link_not_the_site():
         server.stop()
     result = run.site_results[0]
     assert result.error is None
-    assert {p.raw_path for p in result.surface.pages} == {"/", "/login", "/account.php"}
+    assert {parse_url(v.page).raw_path for v in result.verdicts} == {"/", "/login", "/account.php"}
     assert len(result.verdicts) == 15
     assert any(v.vulnerable for v in result.verdicts)
 
