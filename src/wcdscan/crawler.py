@@ -294,6 +294,10 @@ def crawl_domain(
 ) -> AttackSurface:
     """Breadth-first crawl of one domain up to ``budget`` structural groups.
 
+    The crawl ends, ``truncated``, at the first page of a group past the
+    budget or at the page past ``budget * RAW_PAGE_CAP_FACTOR`` pages; that
+    page is not counted in ``pages_seen``.
+
     Only the first page of each group is fetched, for link discovery: one
     request per group, plus ``robots.txt`` when asked. The returned victim
     bodies are those of the fetched pages, which need not be the groups'
@@ -340,10 +344,10 @@ def crawl_domain(
         if group is None and len(members) >= budget:
             truncated = True
             break
-        pages_seen += 1
-        if pages_seen > raw_cap:
+        if pages_seen == raw_cap:
             truncated = True
             break
+        pages_seen += 1
         if group is None:
             members[key] = [page]
         else:

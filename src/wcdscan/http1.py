@@ -1,14 +1,15 @@
 """HTTP/1.1 message framing (RFC 9112) for both ends of the wire.
 
 The scanner's transport reads responses with :func:`read_response` and the
-lab reads request headers with :func:`read_fields` and chunked request
-bodies with :func:`read_chunked`, each straight from a buffered binary file
-over the socket. A response's header section is indexed once, by
-:func:`index_fields`, and every later lookup reads that index. Field values
-are kept as ``http.client`` keeps them: leading blanks and the line ending
-are removed, trailing blanks stay. Limits are ``http.client``'s as well:
-65,536 bytes a line and 100 lines in a header section. Where ``http.client``
-follows its e-mail parser instead of RFC 9112, this module follows the RFC:
+lab reads requests with :func:`read_request`, each straight from a buffered
+binary file over the socket (or over bytes in memory). A response's header
+section is indexed once, by :func:`index_fields`, and every later lookup
+reads that index; a request's headers are kept as a plain dict of each
+name's first value. Field values are kept as ``http.client`` keeps them:
+leading blanks and the line ending are removed, trailing blanks stay. Limits
+are ``http.client``'s as well: 65,536 bytes a line and 100 lines in a header
+section. Where ``http.client`` follows its e-mail parser instead of RFC 9112,
+this module follows the RFC:
 
 - an obs-fold line continues the previous value after one space;
 - a line with no colon, or whose name is not printable ASCII without
@@ -30,12 +31,22 @@ follows its e-mail parser instead of RFC 9112, this module follows the RFC:
   read to EOF and the connection not kept, where http.client reads its
   first line alone and frames by ``Content-Length`` unless that line is
   exactly ``chunked``.
+
+A request whose end cannot be found is refused instead (section 6.3), by
+:class:`RequestRefused` and the status a server answers it with: a request
+line over the limit (414), not three words or not ``HTTP/x.y`` (400), a
+version from 2 up (505), a header section over the limits (431), a method
+the server does not serve (501), and a ``Content-Length`` that is not
+``1*DIGIT`` or lines that differ, a final coding other than ``chunked`` or a
+malformed chunked body (400). A request with both ``Transfer-Encoding`` and
+``Content-Length`` is framed by the former and its connection not kept
+(section 6.1).
 """
 
 from __future__ import annotations
 
 import re
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 
 MAX_LINE = 65536
 MAX_HEADERS = 100
@@ -43,12 +54,31 @@ MAX_HEADERS = 100
 _END_OF_FIELDS = (b"\r\n", b"\n", b"")
 _CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]+)[ \t]*(?:;.*)?\r?\n?", re.DOTALL)
 _DIGITS = re.compile(r"[0-9]+")
+_VERSION = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})", re.ASCII)
 
 Headers = dict[str, tuple[str, list[str]]]  # lowercase name -> (name, values)
 
 
 class FramingError(Exception):
     """A message that does not frame as HTTP/1.1 or breaks a size limit."""
+
+
+class RequestRefused(FramingError):
+    """A request that cannot be served; ``status`` is the answer to it."""
+
+    def __init__(self, status: int, reason: str):
+        super().__init__(reason)
+        self.status = status
+
+
+class Request(NamedTuple):
+    """One request as :func:`read_request` frames it."""
+
+    method: str
+    target: str
+    headers: dict[str, str]  # lowercase name -> its first value
+    body: bytes
+    keep_alive: bool
 
 
 def _readline(fp: BinaryIO, what: str) -> bytes:
@@ -204,3 +234,55 @@ def read_response(fp: BinaryIO, method: str) -> tuple[int, Headers, bytes, bool]
     if length is None:
         return status, headers, fp.read(), False
     return status, headers, _read_exactly(fp, length), keep_alive
+
+
+def read_request(fp: BinaryIO, methods: tuple[str, ...]) -> Request | None:
+    """Read one request whose method is one of ``methods``; None at EOF or
+    at an empty request line. A request that cannot be served raises
+    :class:`RequestRefused`, after which the bytes left on the connection
+    do not frame and it must end."""
+    line = fp.readline(MAX_LINE + 1)
+    if len(line) > MAX_LINE:
+        raise RequestRefused(414, f"request line longer than {MAX_LINE} bytes")
+    words = line.decode("latin-1").split()
+    if not words:
+        return None
+    match = _VERSION.fullmatch(words[2]) if len(words) == 3 else None
+    if match is None:
+        raise RequestRefused(400, f"bad request line {line!r}")
+    method, target, _ = words
+    version = int(match[1]), int(match[2])
+    if version >= (2, 0):
+        raise RequestRefused(505, f"unsupported protocol {words[2]!r}")
+    try:
+        fields = read_fields(fp)
+    except FramingError as exc:
+        raise RequestRefused(431, str(exc)) from None
+    headers: dict[str, str] = {}
+    lengths: set[str] = set()
+    codings: list[str] = []
+    for name, value in fields:
+        key = name.lower()
+        headers.setdefault(key, value)
+        if key == "content-length":
+            lengths.add(value.strip(" \t"))
+        elif key == "transfer-encoding":
+            codings.append(value)
+    connection = headers.get("connection", "").lower()
+    keep_alive = connection == "keep-alive" or (connection != "close" and version >= (1, 1))
+    if method not in methods:
+        raise RequestRefused(501, f"method {method!r} not served")
+    # A Transfer-Encoding overrides Content-Length; both at once may be a
+    # smuggling attempt, so that connection is not kept (section 6.1).
+    if codings:
+        if final_coding(codings) != "chunked":
+            raise RequestRefused(400, f"final transfer coding of {codings} is not chunked")
+        try:
+            body = read_chunked(fp)
+        except FramingError as exc:
+            raise RequestRefused(400, str(exc)) from None
+        return Request(method, target, headers, body, keep_alive and not lengths)
+    if len(lengths) > 1 or not all(map(_DIGITS.fullmatch, lengths)):
+        raise RequestRefused(400, f"bad Content-Length values {sorted(lengths)}")
+    length = int(lengths.pop()) if lengths else 0
+    return Request(method, target, headers, fp.read(length) if length else b"", keep_alive)

@@ -294,6 +294,51 @@ class Transport:
         if conn is not None:
             conn.close()
 
+    def issue(
+        self, method: str, endpoint: Endpoint, target: str, message: bytes
+    ) -> tuple[int, Headers, bytes]:
+        """Send one request message in one write and read the response:
+        (status, header index, decoded body).
+
+        Any failure up to the end of the body (refused or reset connection,
+        timeout, framing fault, truncated or undecodable body) is retried
+        ``RETRIES`` times and then raised as :class:`NetworkError`. A
+        reused socket that turns out to be closed before any response
+        arrives is replaced once without spending a retry.
+        """
+        pool = self._pool()
+        last_exc: Exception | None = None
+        may_reconnect = True
+        attempt = 0
+        while attempt <= RETRIES:
+            conn = pool.get(endpoint)
+            reused = conn is not None
+            answered = False
+            try:
+                if conn is None:
+                    conn = pool[endpoint] = _Connection(endpoint)
+                conn.sock.sendall(message)
+                answered = bool(conn.reader.peek(1))  # waits for the reply's first byte
+                status, headers, body, keep_alive = read_response(conn.reader, method)
+                if not keep_alive:
+                    self._discard(endpoint)
+                coding = headers.get("content-encoding")
+                return status, headers, _decode(body, coding and ", ".join(coding[1]))
+            except (OSError, FramingError, zlib.error, EOFError) as exc:
+                self._discard(endpoint)
+                last_exc = exc
+                stale = reused and not answered and isinstance(exc, _STALE_SOCKET_ERRORS)
+                if stale and may_reconnect:
+                    may_reconnect = False
+                    continue
+            attempt += 1
+            if attempt <= RETRIES:
+                time.sleep(RETRY_BACKOFF)
+        scheme, host, port = endpoint
+        raise NetworkError(
+            f"{method} {scheme}://{host}:{port}{target} failed after retries: {last_exc}"
+        )
+
     def close(self) -> None:
         """Close every connection the calling thread holds."""
         pool = self._pool()
@@ -355,52 +400,6 @@ def _decode(body: bytes, content_encoding: str | None) -> bytes:
     return body
 
 
-def _issue(
-    method: str, endpoint: Endpoint, target: str, message: bytes, transport: Transport
-) -> tuple[int, Headers, bytes]:
-    """Send one request message in one write and read the response:
-    (status, header index, decoded body).
-
-    Any failure up to the end of the body (refused or reset connection,
-    timeout, framing fault, truncated or undecodable body) is retried
-    ``RETRIES`` times and then raised as :class:`NetworkError`. A
-    reused socket that turns out to be closed before any response arrives is
-    replaced once without spending a retry.
-    """
-    pool = transport._pool()
-    last_exc: Exception | None = None
-    may_reconnect = True
-    attempt = 0
-    while attempt <= RETRIES:
-        conn = pool.get(endpoint)
-        reused = conn is not None
-        answered = False
-        try:
-            if conn is None:
-                conn = pool[endpoint] = _Connection(endpoint)
-            conn.sock.sendall(message)
-            answered = bool(conn.reader.peek(1))  # waits for the reply's first byte
-            status, headers, body, keep_alive = read_response(conn.reader, method)
-            if not keep_alive:
-                transport._discard(endpoint)
-            coding = headers.get("content-encoding")
-            return status, headers, _decode(body, coding and ", ".join(coding[1]))
-        except (OSError, FramingError, zlib.error, EOFError) as exc:
-            transport._discard(endpoint)
-            last_exc = exc
-            stale = reused and not answered and isinstance(exc, _STALE_SOCKET_ERRORS)
-            if stale and may_reconnect:
-                may_reconnect = False
-                continue
-        attempt += 1
-        if attempt <= RETRIES:
-            time.sleep(RETRY_BACKOFF)
-    scheme, host, port = endpoint
-    raise NetworkError(
-        f"{method} {scheme}://{host}:{port}{target} failed after retries: {last_exc}"
-    )
-
-
 def fetch(
     identity: Identity,
     url: str,
@@ -449,7 +448,7 @@ def fetch(
             lines.append("Content-Type: application/x-www-form-urlencoded")
         lines.append("\r\n")
         message = "\r\n".join(lines).encode("latin-1") + payload
-        status, headers, body = _issue(method, endpoint, target, message, transport)
+        status, headers, body = transport.issue(method, endpoint, target, message)
         for value in headers.get("set-cookie", ("", []))[1]:
             identity.store_set_cookie(host, value)
         redirect = status in _REDIRECT_STATUSES

@@ -148,8 +148,9 @@ class SimSite:
     ttl_overrides: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if len({r.path for r in self.resources.values()}) != len(self.resources):
-            raise ValueError("resource paths must be unique")
+        for path, resource in self.resources.items():
+            if path != resource.path:
+                raise ValueError(f"resource {resource.path!r} is filed under {path!r}")
 
     def marker_pages(self) -> list[str]:
         """Protected resource paths whose victim rendering embeds a marker."""
@@ -236,9 +237,13 @@ class SimSite:
                 login_path=ad.get("login_path", "/login"),
                 rotate=bool(ad.get("rotate", False)),
             )
-        resources = [
-            LabResource(
-                path=_string(r["path"], "resource path"),
+        resources: dict[str, LabResource] = {}
+        for r in data["resources"]:
+            path = _string(r["path"], "resource path")
+            if path in resources:
+                raise ValueError(f"resource path {path!r} appears twice")
+            resources[path] = LabResource(
+                path=path,
                 body_template=_string(r["body"], "resource body"),
                 status=int(r.get("status", 200)),
                 headers=dict(r.get("headers", {})),
@@ -247,14 +252,12 @@ class SimSite:
                     r.get("content_type", "text/html; charset=utf-8"), "resource content_type"
                 ),
             )
-            for r in data["resources"]
-        ]
         return cls(
             name=data["name"],
             host=data["host"],
             origin=OriginSemantics.from_dict(data["origin"]),
             cache_profile=profile,
-            resources={resource.path: resource for resource in resources},
+            resources=resources,
             proxy_decodes_percent=bool(data.get("proxy_decodes_percent", False)),
             auth=auth,
             ttl_overrides=dict(data.get("ttl_overrides", {})),
@@ -263,7 +266,7 @@ class SimSite:
 
 @dataclass
 class RequestLogEntry:
-    t: float  # time.monotonic() when the request line was read
+    t: float  # time.monotonic() when the request line arrived
     method: str
     target: str
     has_cookie: bool

@@ -499,6 +499,22 @@ def test_lab_with_two_scenarios_for_one_host_is_an_error(tmp_path, capsys, monke
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["lab", "oracle"])
+def test_a_resource_path_given_twice_is_named(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr("time.sleep", _interrupt)
+    entries = [site.to_dict() for site in (catalog.classic_site(), catalog.pacing_site())]
+    first = entries[1]["resources"][0]
+    entries[1]["resources"].append({**first, "body": "<html>second copy</html>"})
+    path = tmp_path / "scenarios.json"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    assert main([command, "--scenarios", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {path}: entry 1 ('pacing'): resource path {first['path']!r} appears twice\n"
+    )
+    assert captured.out == ""
+
+
 # Serves the lab through the command line in a fresh interpreter, stops it
 # at its first sleep (as Ctrl-C would) and prints the package's loaded modules.
 _SERVE_AND_LIST_MODULES = """

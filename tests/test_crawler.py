@@ -344,6 +344,19 @@ class TestCrawlDomain:
         assert surface.truncated is True
         assert 7 * crawler.RAW_PAGE_CAP_FACTOR <= surface.pages_seen < 1200
 
+    def test_the_page_that_trips_the_raw_cap_is_not_counted(
+        self, support_lab, support_transport, limiter
+    ):
+        surface = crawl_domain(
+            SiteConfig(primary_domain="sitemap.test"),
+            Identity(role=Role.VICTIM),
+            budget=7,
+            rate_limiter=limiter,
+            transport=support_transport,
+        )
+        assert surface.truncated is True
+        assert surface.pages_seen == 7 * crawler.RAW_PAGE_CAP_FACTOR == 70
+
     def test_numeric_pages_collapse_to_one_representative(self, limiter):
         resources = {
             "/": LabResource(

@@ -8,7 +8,15 @@ import io
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wcdscan.http1 import FramingError, index_fields, read_response
+from wcdscan.http1 import (
+    MAX_LINE,
+    FramingError,
+    Request,
+    RequestRefused,
+    index_fields,
+    read_request,
+    read_response,
+)
 
 
 class _FakeSocket:
@@ -281,3 +289,109 @@ class TestPinnedDifferences:
                b"5\r\nhello\r\n0\r\n\r\n")
         assert _framed(raw, "GET")[2:] == (b"5\r\nhello\r\n0\r\n\r\n", False)
         assert _reference(raw, "GET")[2:] == (b"hello", True)  # reads the first line alone
+
+
+# Request framing, as the lab reads it. The refusals are those that
+# tests/test_lab.py::TestRequestFraming sends to the lab over a socket.
+
+_METHODS = ("GET", "HEAD", "POST")
+
+
+def _request(raw: bytes) -> Request | None:
+    return read_request(io.BufferedReader(io.BytesIO(raw)), _METHODS)
+
+
+def _refusal(raw: bytes) -> int:
+    with pytest.raises(RequestRefused) as caught:
+        _request(raw)
+    assert isinstance(caught.value, FramingError)
+    return caught.value.status
+
+
+class TestReadRequest:
+    @pytest.mark.parametrize(
+        "request_line,status",
+        [(b"GET /a b HTTP/1.1", 400), (b"PUT / HTTP/1.1", 501), (b"get / HTTP/1.1", 501),
+         (b"GET / HTTP/1.x", 400), (b"GET / HTTP/2.0", 505), (b"GET /", 400),
+         (b"GET / HTTP/1.1 x", 400)],
+        ids=["malformed", "unknown-method", "lowercase-method", "bad-version", "version-2",
+             "two-words", "four-words"],
+    )
+    def test_a_bad_request_line_is_refused(self, request_line, status):
+        assert _refusal(request_line + b"\r\nHost: pacing.test\r\n\r\n") == status
+
+    @pytest.mark.parametrize(
+        "head,tail,status",
+        [(b"GET /", b" HTTP/1.1\r\n", 414),
+         (b"GET / HTTP/1.1\r\nHost: pacing.test\r\nX-Long: ", b"\r\n", 431)],
+        ids=["long-request-line", "long-header-line"],
+    )
+    def test_a_line_longer_than_the_limit_is_refused(self, head, tail, status):
+        last_line = len(head) - (head.rfind(b"\n") + 1) + len(tail)
+        assert _refusal(head + b"a" * (MAX_LINE + 1 - last_line) + tail) == status
+
+    def test_too_many_header_lines_are_refused(self):
+        fields = b"".join(b"X-%d: 1\r\n" % i for i in range(100))
+        assert _refusal(b"GET / HTTP/1.1\r\n" + fields + b"\r\n") == 431
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [["-5"], ["+3"], ["1_0"], ["3abc"], [""], ["3", "4"]],
+        ids=["negative", "plus", "underscore", "trailing-junk", "empty", "differing"],
+    )
+    def test_a_length_that_is_not_digits_is_refused(self, lengths):
+        head = b"POST / HTTP/1.1\r\nHost: pacing.test\r\n" + b"".join(
+            b"Content-Length: %s\r\n" % length.encode() for length in lengths
+        )
+        assert _refusal(head + b"\r\nGET /smuggled HTTP/1.1\r\n\r\n") == 400
+
+    @pytest.mark.parametrize(
+        "codings",
+        [[b"chunked, gzip"], [b"chunked", b"gzip"], [b"gzip"], [b" , "]],
+        ids=["gzip-last", "gzip-on-a-later-line", "gzip-alone", "none-listed"],
+    )
+    def test_a_final_coding_other_than_chunked_is_refused(self, codings):
+        head = b"POST / HTTP/1.1\r\nHost: pacing.test\r\n" + b"".join(
+            b"Transfer-Encoding: %s\r\n" % coding for coding in codings
+        )
+        assert _refusal(head + b"\r\n3\r\nabc\r\n0\r\n\r\n") == 400
+
+    @pytest.mark.parametrize(
+        "body", [b"0x3\r\nabc\r\n0\r\n\r\n", b"5\r\nabc"], ids=["hex-prefix", "short"]
+    )
+    def test_a_malformed_chunked_body_is_refused(self, body):
+        head = b"POST / HTTP/1.1\r\nHost: pacing.test\r\nTransfer-Encoding: chunked\r\n\r\n"
+        assert _refusal(head + body) == 400
+
+    @pytest.mark.parametrize("raw", [b"", b"\r\n", b" \t\r\n"], ids=["eof", "crlf", "blanks"])
+    def test_eof_or_an_empty_line_reads_no_request(self, raw):
+        assert _request(raw) is None
+
+    def test_one_request_of_a_pipeline_is_read(self):
+        fp = io.BufferedReader(io.BytesIO(
+            b"POST /login HTTP/1.1\r\nHost: a.test\r\nHOST: b.test\r\nContent-Length: 3\r\n"
+            b"\r\nabcGET / HTTP/1.1\r\n\r\n"
+        ))
+        assert read_request(fp, _METHODS) == Request(
+            "POST", "/login", {"host": "a.test", "content-length": "3"}, b"abc", True
+        )
+        assert read_request(fp, _METHODS) == Request("GET", "/", {}, b"", True)
+        assert read_request(fp, _METHODS) is None
+
+    @pytest.mark.parametrize(
+        "version,connection,keep_alive",
+        [(b"HTTP/1.1", b"", True), (b"HTTP/1.1", b"close", False),
+         (b"HTTP/1.1", b"Close", False), (b"HTTP/1.0", b"", False),
+         (b"HTTP/1.0", b"keep-alive", True), (b"HTTP/1.0", b"Keep-Alive", True)],
+    )
+    def test_keep_alive(self, version, connection, keep_alive):
+        head = b"GET / " + version + b"\r\n"
+        if connection:
+            head += b"Connection: " + connection + b"\r\n"
+        assert _request(head + b"\r\n").keep_alive is keep_alive
+
+    def test_a_chunked_body_is_read_and_a_length_beside_it_ends_the_connection(self):
+        head = (b"POST / HTTP/1.1\r\nTransfer-Encoding: gzip, chunked\r\n"
+                b"Content-Length: 40\r\n\r\n")
+        request = _request(head + b"3;ext\r\nabc\r\n2\r\nde\r\n0\r\nTrailer: x\r\n\r\n")
+        assert (request.body, request.keep_alive) == (b"abcde", False)

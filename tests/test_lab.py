@@ -2,7 +2,9 @@
 
 import copy
 import http.client
+import io
 import json
+import re
 import socket
 import struct
 import time
@@ -14,17 +16,18 @@ from hypothesis import given, settings, strategies as st
 
 from wcdscan.cache_policy import CdnProfile, DefaultCached
 from wcdscan.errors import ScenarioError
-from wcdscan.http1 import MAX_LINE
+from wcdscan.http1 import MAX_LINE, read_request
 from wcdscan.http_engine import Transport
 from wcdscan.lab import catalog
 from wcdscan.lab.oracle import enumerate_oracle, oracle_vulnerable
 from wcdscan.lab.origin import OriginSemantics, OriginVariant, effective_path, route
 from wcdscan.lab.selfcheck import pool_from_lab_sites
 from wcdscan.lab import server as server_module
-from wcdscan.lab.server import LabServer
+from wcdscan.lab.server import LabServer, serve
 from wcdscan.lab.sim import (
     CacheEvent,
     LabRequest,
+    LabResource,
     SimSite,
     SiteRuntime,
     origin_resolve,
@@ -423,6 +426,19 @@ class TestScenarioFiles:
         assert set(example["auth"]) == set(written["auth"])
         assert set(example["resources"][0]) == set(written["resources"][0])
 
+    def test_a_resource_path_given_twice_is_refused(self):
+        data = catalog.pacing_site().to_dict()
+        data["resources"].append({"path": data["resources"][0]["path"], "body": "again"})
+        with pytest.raises(ValueError, match="resource path '/' appears twice"):
+            SimSite.from_dict(data)
+
+    def test_a_resource_under_another_path_is_refused(self):
+        site = catalog.pacing_site()
+        resources = {"/a": LabResource(path="/b", body_template="b")}
+        with pytest.raises(ValueError, match="resource '/b' is filed under '/a'"):
+            SimSite(name=site.name, host=site.host, origin=site.origin,
+                    cache_profile=site.cache_profile, resources=resources)
+
 
 def test_two_scenarios_with_one_host_are_refused_before_binding(monkeypatch):
     classic = catalog.classic_site()
@@ -673,3 +689,75 @@ def test_a_chunked_login_is_read(framing):
     assert received.count(b"HTTP/1.1 ") == 1
     assert b"\r\nSet-Cookie: " in received.split(b"\r\n\r\n", 1)[0]
     assert [(e.method, e.target) for e in log] == [("POST", "/login")]
+
+
+def _masked(response: bytes) -> bytes:
+    return re.sub(rb"\r\nDate: [^\r]*\r\n", b"\r\nDate: -\r\n", response, count=1)
+
+
+def _read_lab_response(reader) -> bytes:
+    """One whole lab response, which always carries a Content-Length."""
+    head = b""
+    while not head.endswith(b"\r\n\r\n"):
+        line = reader.readline()
+        assert line, "the lab closed the connection mid-response"
+        head += line
+    length = int(re.search(rb"\r\nContent-Length: (\d+)\r\n", head)[1])
+    return head + reader.read(length)
+
+
+def test_serve_gives_the_bytes_the_listener_sends():
+    site = catalog.classic_site()
+    victim, attacker = site.auth.victim(), site.auth.accounts["attacker"]
+    host = b"Host: classic-pp.test\r\n"
+    form = f"username={victim.username}&password={victim.password}".encode()
+    attacker_form = f"username={attacker.username}&password={attacker.password}".encode()
+    logins = [
+        b"POST /login HTTP/1.1\r\n" + host + b"Content-Length: %d\r\n" % len(form)
+        + b"Content-Type: application/x-www-form-urlencoded\r\n\r\n" + form,
+        b"POST /login HTTP/1.1\r\n" + host + b"Transfer-Encoding: chunked\r\n\r\n"
+        + b"%x\r\n" % len(attacker_form) + attacker_form + b"\r\n0\r\n\r\n",
+    ]
+
+    def attack(login_response: bytes) -> bytes:
+        cookie = re.search(rb"\r\nSet-Cookie: ([^;]*);", login_response)[1]
+        return (b"GET /account.php%3Bwcd7q2.css HTTP/1.1\r\n" + host
+                + b"Cookie: " + cookie + b"\r\n\r\n")
+
+    server = LabServer([site]).start()
+    try:
+        with socket.create_connection((server.address, server.port), timeout=5) as sock:
+            reader = sock.makefile("rb")
+            sent, received = [], []
+
+            def exchange(request: bytes) -> bytes:
+                sock.sendall(request)
+                sent.append(request)
+                received.append(_read_lab_response(reader))
+                return received[-1]
+
+            victim_login, attacker_login = exchange(logins[0]), exchange(logins[1])
+            exchange(attack(victim_login))
+            exchange(attack(attacker_login))
+            exchange(b"GET /_lab/requests HTTP/1.1\r\n" + host + b"\r\n")
+            reader.close()
+        arrivals = [entry.t for entry in server.request_log(site.host)]
+    finally:
+        server.stop()
+    assert len(arrivals) == 4  # control requests are not logged
+
+    runtimes = {site.host: SiteRuntime(site)}
+    stream = io.BufferedReader(io.BytesIO(b"".join(sent)))
+    served = []
+    for arrival in [*arrivals, 0.0]:
+        request = read_request(stream, ("GET", "HEAD", "POST"))
+        served.append(serve(runtimes, request, arrival))
+    assert read_request(stream, ("GET", "HEAD", "POST")) is None
+    assert [_masked(r) for r in served] == [_masked(r) for r in received]
+    assert [r.split(b"\r\n", 1)[0] for r in received] == [
+        b"HTTP/1.1 303 See Other", b"HTTP/1.1 303 See Other", *[b"HTTP/1.1 200 OK"] * 3
+    ]
+    # The attacker is served the copy that the victim's request stored.
+    assert b"X-Lab-Event: miss_stored\r\n" in received[2]
+    assert b"X-Lab-Event: hit\r\n" in received[3]
+    assert received[3].split(b"\r\n\r\n", 1)[1] == received[2].split(b"\r\n\r\n", 1)[1]
