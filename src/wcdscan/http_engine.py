@@ -29,7 +29,7 @@ from email.utils import parsedate_to_datetime
 from http.cookies import SimpleCookie
 from urllib.parse import quote, urlencode, urljoin
 
-from .http1 import FramingError, Headers, read_response
+from .http1 import FramingError, Headers, read_response, render_request
 from .url_toolkit import DEFAULT_PORTS, parse_url
 
 log = logging.getLogger(__name__)
@@ -54,9 +54,6 @@ MAX_REDIRECTS = 10  # hops a fetch follows before TooManyRedirects
 # Every identity advertises the same codings, so all three land on the same
 # cache variant; bodies are decoded before marker search.
 ACCEPT_ENCODING = "gzip, deflate"
-
-# http.client sends Content-Length: 0 for these methods when there is no body.
-_METHODS_WITH_BODY = ("PATCH", "POST", "PUT")
 
 # Characters http.client refuses in a host name.
 _UNSENDABLE_HOST = re.compile(r"[\x00-\x20\x7f]")
@@ -423,31 +420,21 @@ def fetch(
     for _hop in range(MAX_REDIRECTS + 1):
         host, endpoint, target, host_value, overridden = _route(current, transport)
         rate_limiter.acquire(host)
-        # Header order and bytes as http.client sends them: its own Host
-        # first, then Content-Length, then the request's headers in order.
-        lines = [f"{method} {target} HTTP/1.1"]
-        if not overridden:
-            lines.append(f"Host: {host_value}")
-        payload = urlencode(data).encode() if data else b""
-        if payload or method in _METHODS_WITH_BODY:
-            lines.append(f"Content-Length: {len(payload)}")
-        lines += [
-            f"User-Agent: {identity.user_agent}",
-            "Accept: */*",
-            f"Accept-Encoding: {ACCEPT_ENCODING}",
-        ]
-        if overridden:
-            lines.append(f"Host: {host_value}")
         cookie = identity.cookie_header(host)
-        if cookie:
-            lines.append(f"Cookie: {cookie}")
         for value in (identity.user_agent, cookie or ""):
             if _UNSENDABLE_VALUE.search(value):
                 raise NetworkError(f"header value for {host} holds CR, LF or NUL: {value!r}")
+        payload = urlencode(data).encode() if data else b""
+        fields = [("User-Agent", identity.user_agent), ("Accept", "*/*"),
+                  ("Accept-Encoding", ACCEPT_ENCODING)]
+        if overridden:  # then sent among the fields, as http.client sends a given Host
+            fields.append(("Host", host_value))
+        if cookie:
+            fields.append(("Cookie", cookie))
         if payload:
-            lines.append("Content-Type: application/x-www-form-urlencoded")
-        lines.append("\r\n")
-        message = "\r\n".join(lines).encode("latin-1") + payload
+            fields.append(("Content-Type", "application/x-www-form-urlencoded"))
+        host_line = None if overridden else host_value
+        message = render_request(method, target, host_line, fields, payload)
         status, headers, body = transport.issue(method, endpoint, target, message)
         for value in headers.get("set-cookie", ("", []))[1]:
             identity.store_set_cookie(host, value)

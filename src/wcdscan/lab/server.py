@@ -4,7 +4,8 @@ The scanner talks to the lab over real sockets: it connects to the listener
 address while sending the site's logical Host header (see
 ``Transport.resolve_overrides``). The listener speaks HTTP/1.1 with
 keep-alive, so a worker sends all of its requests over one connection.
-:func:`serve` answers one parsed request without a socket; the listener's
+:func:`serve` answers one parsed request without a socket, and
+:func:`wcdscan.http1.render_response` writes its bytes; the listener's
 handler only moves bytes: it reads each request with
 :func:`wcdscan.http1.read_request` and writes the response in one
 ``sendall``. Requests are serialized per site, arrival times are logged per
@@ -27,7 +28,7 @@ from http.cookies import SimpleCookie
 from urllib.parse import parse_qsl, urlsplit
 
 from ..errors import ScenarioError
-from ..http1 import Request, RequestRefused, read_request
+from ..http1 import Request, RequestRefused, read_request, render_response
 from .sim import LabRequest, RequestLogEntry, SimSite, SiteRuntime, proxy_handle
 
 
@@ -67,8 +68,7 @@ class _VhostServer(socketserver.ThreadingTCPServer):
         super().server_close()
 
 
-# The status line and the Server header as http.server writes them.
-_REASONS = {status.value: status.phrase for status in HTTPStatus}
+# The Server header as http.server writes it.
 _SERVER = f"BaseHTTP/0.6 Python/{sys.version.split()[0]}"
 _METHODS = ("GET", "HEAD", "POST")
 
@@ -78,21 +78,13 @@ def _http_date(second: int) -> str:
     return formatdate(second, usegmt=True)
 
 
-def _render(
-    status: int, headers: list[tuple[str, str]], body: bytes, head_only: bool = False
-) -> bytes:
-    lines = [
-        f"HTTP/1.1 {status} {_REASONS.get(status, '')}",
-        f"Server: {_SERVER}",
-        f"Date: {_http_date(int(time.time()))}",
-    ]
+def _render(status: int, headers: list[tuple[str, str]], body: bytes, method: str) -> bytes:
+    """The response with the lab's own fields ahead of ``headers``: Server,
+    Date, and a Content-Type unless ``headers`` give one."""
+    fields = [("Server", _SERVER), ("Date", _http_date(int(time.time())))]
     if not any(k.lower() == "content-type" for k, _ in headers):
-        lines.append("Content-Type: text/html; charset=utf-8")
-    lines += [f"{key}: {value}" for key, value in headers]
-    lines.append(f"Content-Length: {len(body)}")
-    lines.append("\r\n")
-    head = "\r\n".join(lines).encode("latin-1")
-    return head if head_only else head + body
+        fields.append(("Content-Type", "text/html; charset=utf-8"))
+    return render_response(status, [*fields, *headers], body, method)
 
 
 def _control(runtime: SiteRuntime, target: str) -> tuple[int, dict]:
@@ -128,11 +120,11 @@ def serve(runtimes: dict[str, SiteRuntime], request: Request, arrival: float) ->
         target = "/" + target.lstrip("/")
     runtime = runtimes.get(headers.get("host", "").split(":", 1)[0].lower())
     if runtime is None:
-        return _render(404, [], b"<html><body>unknown lab host</body></html>")
+        return _render(404, [], b"<html><body>unknown lab host</body></html>", method)
     if target.startswith("/_lab/"):
         status, payload = _control(runtime, target)
         payload_bytes = json.dumps(payload).encode()
-        return _render(status, [("Content-Type", "application/json")], payload_bytes)
+        return _render(status, [("Content-Type", "application/json")], payload_bytes, method)
 
     cookie_header = headers.get("cookie", "")
     cookies: dict[str, str] = {}
@@ -163,7 +155,7 @@ def serve(runtimes: dict[str, SiteRuntime], request: Request, arrival: float) ->
         response.status,
         [*response.headers, ("X-Lab-Event", event.value)],
         response.body,
-        head_only=(method == "HEAD"),
+        method,
     )
 
 
@@ -188,9 +180,12 @@ class _Handler(socketserver.StreamRequestHandler):
                 try:
                     request = read_request(rfile, _METHODS)
                 except RequestRefused as exc:
-                    body = f"<html><body>{exc.status} {_REASONS[exc.status]}</body></html>"
+                    # The request's method is not known here; the body goes
+                    # whatever it was, since the connection ends after it.
+                    status = f"{exc.status} {HTTPStatus(exc.status).phrase}"
+                    body = f"<html><body>{status}</body></html>".encode()
                     self.connection.sendall(
-                        _render(exc.status, [("Connection", "close")], body.encode())
+                        _render(exc.status, [("Connection", "close")], body, "GET")
                     )
                     return
                 if request is None:

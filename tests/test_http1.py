@@ -1,9 +1,13 @@
-"""HTTP/1.1 response framing, against ``http.client.HTTPResponse`` as the
-reference: both read the same raw bytes and must agree on what ``fetch``
-keeps. The differences chosen on purpose are pinned one by one below."""
+"""HTTP/1.1 framing and writing. Responses are framed against
+``http.client.HTTPResponse`` as the reference: both read the same raw bytes
+and must agree on what ``fetch`` keeps. The differences chosen on purpose
+are pinned one by one below. Requests are framed as the lab reads them, and
+each writer's output is read back by the matching reader."""
 
 import http.client
 import io
+import string
+from http import HTTPStatus
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,15 +20,31 @@ from wcdscan.http1 import (
     index_fields,
     read_request,
     read_response,
+    render_request,
+    render_response,
 )
+from wcdscan.url_toolkit import PathConfusionTechnique, make_attack_url, parse_url
+
+
+class _EofRecorder(io.BufferedReader):
+    """Notes whether a line read ever met EOF. http.client reads each line
+    of a header or trailer section this way and ends the section at EOF;
+    where it reads a status or chunk size line, EOF is already an error."""
+
+    eof_in_a_line = False
+
+    def readline(self, size=-1):
+        line = super().readline(size)
+        self.eof_in_a_line |= not line
+        return line
 
 
 class _FakeSocket:
     def __init__(self, data: bytes):
-        self._data = data
+        self.reader = _EofRecorder(io.BytesIO(data))
 
     def makefile(self, *_args, **_kwargs):
-        return io.BufferedReader(io.BytesIO(self._data))
+        return self.reader
 
 
 def _stored(headers) -> tuple[tuple[str, str], ...]:
@@ -33,17 +53,23 @@ def _stored(headers) -> tuple[tuple[str, str], ...]:
     return tuple((name, ", ".join(values)) for name, values in headers.values())
 
 
-def _reference(raw: bytes, method: str):
+def _http_client(raw: bytes, method: str):
     """(status, merged headers, body, keep-alive) as http.client reads them,
-    or the exception class it raises."""
-    response = http.client.HTTPResponse(_FakeSocket(raw), method=method)
+    or the exception class it raises; and whether it read a header or
+    trailer section up to EOF."""
+    sock = _FakeSocket(raw)
+    response = http.client.HTTPResponse(sock, method=method)
     try:
         response.begin()
         body = response.read()
     except Exception as exc:  # every failure ends as NetworkError in fetch
-        return type(exc)
+        return type(exc), sock.reader.eof_in_a_line
     headers = _stored(index_fields(response.getheaders()))
-    return response.status, headers, body, not response.will_close
+    return (response.status, headers, body, not response.will_close), sock.reader.eof_in_a_line
+
+
+def _reference(raw: bytes, method: str):
+    return _http_client(raw, method)[0]
 
 
 def _framed(raw: bytes, method: str):
@@ -58,12 +84,14 @@ def _framed(raw: bytes, method: str):
 
 def _agree(raw: bytes, method: str = "GET"):
     """Both readers agree on ``raw``, except that differing Content-Length
-    values raise FramingError where http.client uses the first, and a 1xx,
-    204 or 304 response that announces a body closes the connection where
-    http.client keeps it (both pinned in TestPinnedDifferences)."""
-    expected, got = _reference(raw, method), _framed(raw, method)
+    values raise FramingError where http.client uses the first, a 1xx, 204
+    or 304 response that announces a body closes the connection where
+    http.client keeps it, and a header or trailer section cut off by EOF
+    raises FramingError where http.client reads the message as whole (all
+    three pinned in TestPinnedDifferences)."""
+    (expected, cut_off), got = _http_client(raw, method), _framed(raw, method)
     if not isinstance(expected, type):
-        if _lengths_differ(expected):
+        if _lengths_differ(expected) or cut_off:
             expected = FramingError
         elif _announces_a_body(expected, method):
             expected = expected[:3] + (False,)
@@ -210,7 +238,7 @@ def test_edge_cases_agree_with_http_client(raw):
 
 class TestPinnedDifferences:
     """Where http.client follows its e-mail parser and this module follows
-    RFC 9112 (section 5.2 and 6.3)."""
+    RFC 9112 (sections 5.2, 6.3 and 8) and RFC 9110 (section 7.6.1)."""
 
     def test_obs_fold_continues_the_value_after_one_space(self):
         raw = b"HTTP/1.1 200 OK\r\nX-A: one\r\n  two\r\nContent-Length: 0\r\n\r\n"
@@ -265,6 +293,22 @@ class TestPinnedDifferences:
         raw = f"HTTP/1.1 200 OK\r\nContent-Length: {length}\r\n\r\n".encode() + b"y" * 12
         assert _framed(raw, "GET")[2:] == (b"y" * 12, False)  # read to EOF, not kept
         assert _reference(raw, "GET")[2:] == (b"y" * read, True)
+
+    def test_connection_is_a_list_of_options(self):
+        raw = b"HTTP/1.1 200 OK\r\nConnection: foo-close\r\nContent-Length: 2\r\n\r\nok"
+        assert _framed(raw, "GET")[2:] == (b"ok", True)
+        assert _reference(raw, "GET")[2:] == (b"ok", False)  # a substring match on "close"
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"HTTP/1.1 200 OK", b"HTTP/1.1 204 X\r\nContent-Length: 0\r\n",
+         b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r",
+         b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\nA: 1\r\n"],
+        ids=["status-line-only", "no-empty-line", "half-an-empty-line", "trailers"],
+    )
+    def test_a_section_cut_off_by_eof_raises(self, raw):
+        assert _framed(raw, "GET") is FramingError
+        assert not isinstance(_reference(raw, "GET"), type)  # http.client reads it as whole
 
     @pytest.mark.parametrize("method", ["GET", "HEAD"])
     @pytest.mark.parametrize("status", [200, 204])
@@ -357,11 +401,30 @@ class TestReadRequest:
         assert _refusal(head + b"\r\n3\r\nabc\r\n0\r\n\r\n") == 400
 
     @pytest.mark.parametrize(
-        "body", [b"0x3\r\nabc\r\n0\r\n\r\n", b"5\r\nabc"], ids=["hex-prefix", "short"]
+        "body",
+        [b"0x3\r\nabc\r\n0\r\n\r\n", b"5\r\nabc", b"3\r\nabc\r\n0\r\n",
+         b"3\r\nabc\r\n0\r\nA: 1\r\n"],
+        ids=["hex-prefix", "short", "no-trailer-end", "trailer-cut-at-eof"],
     )
     def test_a_malformed_chunked_body_is_refused(self, body):
         head = b"POST / HTTP/1.1\r\nHost: pacing.test\r\nTransfer-Encoding: chunked\r\n\r\n"
         assert _refusal(head + body) == 400
+
+    def test_too_many_trailer_lines_are_refused(self):
+        trailers = b"".join(b"X-%d: 1\r\n" % i for i in range(100))
+        head = b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+        assert _refusal(head + b"0\r\n" + trailers + b"\r\n") == 431
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"GET / HTTP/1.1\r\n", b"GET / HTTP/1.1\r\nHost: a", b"GET / HTTP/1.1\r\nHost: a\r\n"],
+        ids=["no-fields", "line-cut", "no-empty-line"],
+    )
+    def test_a_header_section_cut_off_by_eof_is_refused(self, raw):
+        assert _refusal(raw) == 400
+
+    def test_a_body_cut_off_by_eof_is_refused(self):
+        assert _refusal(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc") == 400
 
     @pytest.mark.parametrize("raw", [b"", b"\r\n", b" \t\r\n"], ids=["eof", "crlf", "blanks"])
     def test_eof_or_an_empty_line_reads_no_request(self, raw):
@@ -382,7 +445,11 @@ class TestReadRequest:
         "version,connection,keep_alive",
         [(b"HTTP/1.1", b"", True), (b"HTTP/1.1", b"close", False),
          (b"HTTP/1.1", b"Close", False), (b"HTTP/1.0", b"", False),
-         (b"HTTP/1.0", b"keep-alive", True), (b"HTTP/1.0", b"Keep-Alive", True)],
+         (b"HTTP/1.0", b"keep-alive", True), (b"HTTP/1.0", b"Keep-Alive", True),
+         (b"HTTP/1.1", b"keep-alive, close", False), (b"HTTP/1.1", b"te,\tCLOSE ", False),
+         (b"HTTP/1.1", b"keep-alive\r\nConnection: close", False),
+         (b"HTTP/1.1", b"foo-close", True), (b"HTTP/1.0", b"close, keep-alive", False),
+         (b"HTTP/1.0", b"te, keep-alive", True)],
     )
     def test_keep_alive(self, version, connection, keep_alive):
         head = b"GET / " + version + b"\r\n"
@@ -395,3 +462,114 @@ class TestReadRequest:
                 b"Content-Length: 40\r\n\r\n")
         request = _request(head + b"3;ext\r\nabc\r\n2\r\nde\r\n0\r\nTrailer: x\r\n\r\n")
         assert (request.body, request.keep_alive) == (b"abcde", False)
+
+
+# The writers, read back by the readers: each message round-trips, and no
+# strict prefix of one reads as a message.
+
+_TOKEN = string.ascii_letters + string.digits + "!#$%&'*+-.^_`|~"
+_FRAMING_FIELDS = ("content-length", "transfer-encoding", "connection", "host")
+_FIELD_NAMES = st.text(_TOKEN, min_size=1, max_size=12).filter(
+    lambda name: name.lower() not in _FRAMING_FIELDS
+)
+# Values as the readers keep them: no leading blank, no line ending.
+_FIELD_VALUES = st.text(
+    st.characters(min_codepoint=0x20, max_codepoint=0xFF, blacklist_characters="\x7f"),
+    max_size=20,
+).map(lambda value: value.lstrip(" \t"))
+_FIELDS = st.lists(st.tuples(_FIELD_NAMES, _FIELD_VALUES), max_size=5)
+_TARGET_TEXT = st.text(string.ascii_letters + string.digits + "-._~!$&'()*+,;=:@", max_size=8)
+_ESCAPES = st.integers(0, 255).map(lambda byte: f"%{byte:02X}")
+
+
+@st.composite
+def _targets(draw) -> str:
+    """A request target as ``fetch`` sends an attack URL: a path with one
+    technique's separator before a bogus file name, and percent escapes."""
+    base = parse_url("http://lab.test/" + draw(_TARGET_TEXT) + draw(_ESCAPES))
+    technique = draw(st.sampled_from(list(PathConfusionTechnique)))
+    path = parse_url(make_attack_url(base, technique, "n0nce" + draw(_TARGET_TEXT))).raw_path
+    query = draw(st.lists(st.one_of(_TARGET_TEXT, _ESCAPES), max_size=3))
+    return path + ("?" + "".join(query) if query else "")
+
+
+@st.composite
+def _rendered_requests(draw):
+    """(request bytes, the Request that ``read_request`` must give back)."""
+    method = draw(st.sampled_from(["GET", "HEAD", "POST"]))
+    target = draw(_targets())
+    host = draw(st.sampled_from([None, "lab.test", "lab.test:8080"]))
+    fields = draw(_FIELDS)
+    connection = draw(st.sampled_from([None, "close", "keep-alive", "te, Close"]))
+    if connection:
+        fields.insert(draw(st.integers(0, len(fields))), ("Connection", connection))
+    body = draw(_BODIES) if method == "POST" or draw(st.booleans()) else b""
+    chunked = draw(st.booleans())
+    if chunked:
+        fields.append(("Transfer-Encoding", "chunked"))
+    sent = [("Host", host)] if host else []
+    if not chunked and (body or method == "POST"):
+        sent.append(("Content-Length", str(len(body))))
+    first: dict[str, str] = {}
+    for name, value in sent + fields:
+        first.setdefault(name.lower(), value)
+    keep_alive = not connection or "close" not in connection.lower()
+    raw = render_request(method, target, host, fields, body)
+    return raw, Request(method, target, first, body, keep_alive)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rendered_requests())
+def test_a_rendered_request_reads_back(case):
+    raw, request = case
+    fp = io.BufferedReader(io.BytesIO(raw))
+    assert read_request(fp, _METHODS) == request
+    assert fp.read() == b""
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rendered_requests())
+def test_no_strict_prefix_of_a_request_reads_as_one(case):
+    raw, _read_back = case
+    assert _request(b"") is None
+    for end in range(1, len(raw)):
+        _refusal(raw[:end])
+
+
+@st.composite
+def _rendered_responses(draw):
+    """(response bytes, request method, what ``read_response`` must give
+    back as _framed gives it)."""
+    method = draw(st.sampled_from(["GET", "HEAD"]))
+    status = draw(st.sampled_from([200, 201, 301, 404, 500, 101, 103, 199, 204, 304]))
+    fields, body = draw(_FIELDS), draw(_BODIES)
+    raw = render_response(status, fields, body, method)
+    bodiless = status < 200 or status in (204, 304)
+    if not bodiless:
+        fields = fields + [("Content-Length", str(len(body)))]
+    sent = b"" if bodiless or method == "HEAD" else body
+    return raw, method, (status, _stored(index_fields(fields)), sent, True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rendered_responses())
+def test_a_rendered_response_reads_back(case):
+    raw, method, expected = case
+    fp = io.BufferedReader(io.BytesIO(raw))
+    status, headers, body, keep_alive = read_response(fp, method)
+    assert (status, _stored(headers), body, keep_alive) == expected
+    assert fp.read() == b""
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rendered_responses())
+def test_no_strict_prefix_of_a_response_reads_as_one(case):
+    raw, method, _expected = case
+    for end in range(len(raw)):
+        assert _framed(raw[:end], method) is FramingError, raw[:end]
+
+
+@pytest.mark.parametrize("status", [101, 204])
+def test_no_length_on_a_1xx_or_204_response(status):
+    raw = render_response(status, [("X-A", "1")], b"body", "GET")
+    assert raw == f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\nX-A: 1\r\n\r\n".encode()

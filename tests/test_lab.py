@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from wcdscan.cache_policy import CdnProfile, DefaultCached
 from wcdscan.errors import ScenarioError
-from wcdscan.http1 import MAX_LINE, read_request
+from wcdscan.http1 import MAX_LINE, Request, read_request
 from wcdscan.http_engine import Transport
 from wcdscan.lab import catalog
 from wcdscan.lab.oracle import enumerate_oracle, oracle_vulnerable
@@ -761,3 +761,29 @@ def test_serve_gives_the_bytes_the_listener_sends():
     assert b"X-Lab-Event: miss_stored\r\n" in received[2]
     assert b"X-Lab-Event: hit\r\n" in received[3]
     assert received[3].split(b"\r\n\r\n", 1)[1] == received[2].split(b"\r\n\r\n", 1)[1]
+
+
+@pytest.mark.parametrize(
+    "host,target,length",
+    [("pacing.test", "/_lab/state", 48), ("stranger.test", "/", 42)],
+    ids=["control", "unknown-host"],
+)
+def test_a_head_response_is_the_get_response_without_its_body(host, target, length):
+    runtimes = {"pacing.test": SiteRuntime(catalog.pacing_site())}
+    get, head = (serve(runtimes, Request(method, target, {"host": host}, b"", True), 0.0)
+                 for method in ("GET", "HEAD"))
+    head_section, body = get.split(b"\r\n\r\n", 1)
+    assert len(body) == length
+    assert _masked(head) == _masked(head_section + b"\r\n\r\n")
+
+
+@pytest.mark.parametrize("status", [204, 304])
+def test_a_no_body_status_sends_no_body(status):
+    site = catalog.pacing_site()
+    site.resources["/"].status = status
+    runtimes = {site.host: SiteRuntime(site)}
+    response = serve(runtimes, Request("GET", "/", {"host": site.host}, b"", True), 0.0)
+    head, body = response.split(b"\r\n\r\n", 1)
+    assert head.startswith(b"HTTP/1.1 %d " % status)
+    assert b"\r\nX-Lab-Event: " in head and b"\r\nContent-Length:" not in head
+    assert body == b""

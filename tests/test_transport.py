@@ -548,6 +548,23 @@ class TestFailures:
         assert server.connections == 2
 
 
+def test_a_head_response_leaves_a_kept_alive_connection_in_step(pacing_lab, transport_limits):
+    transport_limits(0)  # a retry on a new connection would hide a misread
+    transport = Transport(resolve_overrides=pacing_lab.resolve_overrides())
+    identity = Identity(role=Role.UNAUTHENTICATED)
+    try:
+        head = fetch(identity, "http://pacing.test/_lab/state", fast_limiter(), transport,
+                     method="HEAD")
+        (conn,) = transport._pool().values()
+        get = fetch(identity, "http://pacing.test/", fast_limiter(), transport)
+        assert transport._pool() == {("http", pacing_lab.address, pacing_lab.port): conn}
+    finally:
+        transport.close()
+    assert (head.status, head.body) == (200, b"")
+    assert head.header("Content-Type") == "application/json"
+    assert get.status == 200 and b"pacing target" in get.body
+
+
 def test_silent_server_times_out(transport_limits):
     listener = socket.create_server(("127.0.0.1", 0))  # the kernel accepts; nothing answers
     transport_limits(retries=0, timeout=0.3)
