@@ -4,8 +4,11 @@ One test runs the three-step attack (victim, attacker, unauthenticated — in
 that order) against a freshly crafted URL, then decides a verdict from the
 attacker's response: an exact victim-marker hit is proof; otherwise identical
 victim/attacker bodies gate a secret-token sweep by keyword and entropy. The
-unauthenticated step runs only for a vulnerable test: it says whether the leak
-also reaches a client with no account, which no other verdict field reads.
+attacker step runs only after a victim body that holds a marker or a kept
+candidate: the attacker fetches the victim's own URL, so its body can leak
+nothing the victim's does not hold. The unauthenticated step runs only for a
+vulnerable test: it says whether the leak also reaches a client with no
+account, which no other verdict field reads.
 """
 
 from __future__ import annotations
@@ -576,12 +579,12 @@ class WcdTestConfig:
     names: RandomNameGenerator = field(default_factory=RandomNameGenerator)
     # Optional HttpExchange -> vendor labels hook (reporting owns the tables).
     label_fn: Callable[[HttpExchange], list[str]] | None = None
-    # Secret sweeps already run with this config, keyed by the attacker body
-    # (extract_secrets is pure in body and randomness), and the scan_body
-    # results of the bodies this site's crawl fetched: a sweep of an equal
-    # body reads that result instead of tokenizing the body again. Both live
-    # as long as the config, one site's scan. Not init fields, so
-    # dataclasses.replace() starts with empty memos.
+    # Secret sweeps already run with this config, keyed by body, victim and
+    # attacker bodies alike (extract_secrets is pure in body and randomness),
+    # and the scan_body results of the bodies this site's crawl fetched: a
+    # sweep of an equal body reads that result instead of tokenizing the body
+    # again. Both live as long as the config, one site's scan. Not init
+    # fields, so dataclasses.replace() starts with empty memos.
     sweeps: dict[bytes, tuple[SecretCandidate, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -596,11 +599,13 @@ class ScanVerdict(NamedTuple):
     ``vulnerable`` is true iff markers leaked, or the victim/attacker bodies
     were identical and secret candidates were found. ``inconclusive`` flags a
     test that could not finish (network failure, failed re-login), with the
-    reason in ``error``; distinct from a clean negative. ``unauth_status`` is
-    0 when the unauthenticated step was not sent, because the test was not
-    vulnerable or an earlier step failed. Cache-evidence fields are recorded
-    for reporting only. A verdict is an immutable tuple: ``_replace`` gives a
-    changed copy.
+    reason in ``error``; distinct from a clean negative. ``attacker_status``
+    is 0 when the attacker step was not sent, because the victim body held no
+    marker and no kept candidate; the cache fields and ``cdn_labels`` then
+    come from the victim response. ``unauth_status`` is 0 when the
+    unauthenticated step was not sent, because the test was not vulnerable or
+    an earlier step failed. Cache-evidence fields are recorded for reporting
+    only. A verdict is an immutable tuple: ``_replace`` gives a changed copy.
     """
 
     page: str
@@ -669,6 +674,17 @@ def _evidence(exchange: HttpExchange) -> tuple[tuple[str, str], ...]:
     return tuple(out)
 
 
+def _sweep(body: bytes, config: WcdTestConfig) -> tuple[SecretCandidate, ...]:
+    """:func:`extract_secrets` of ``body``, run at most once per distinct body
+    per config and on the crawl's tokenization of the body when it has one."""
+    secrets = config.sweeps.get(body)
+    if secrets is None:
+        secrets = config.sweeps[body] = tuple(
+            extract_secrets(body, config.settings.randomness, config.html_scans.get(body))
+        )
+    return secrets
+
+
 def run_wcd_test(
     page: ParsedUrl,
     technique: PathConfusionTechnique,
@@ -680,10 +696,14 @@ def run_wcd_test(
     """Execute one attack against one page with a fresh nonce.
 
     Order is fixed: victim fetch, attacker fetch, then the unauthenticated
-    fetch, which is sent only when the test is vulnerable; otherwise
-    ``unauth_status`` is 0 and ``unauth_exploitable`` false. Secret extraction
-    runs only when the victim and attacker responses are identical or a marker
-    already leaked, and at most once per distinct attacker body per config;
+    fetch. The attacker fetch, and the ``attacker_delay`` before it, is sent
+    only when the victim body holds a marker or a candidate the secret sweep
+    keeps; otherwise the test is a clean negative with ``attacker_status`` 0
+    and cache fields read from the victim response. The unauthenticated fetch
+    is sent only when the test is vulnerable; otherwise ``unauth_status`` is 0
+    and ``unauth_exploitable`` false. The attacker body is swept for secrets
+    only when the victim and attacker responses are identical or a marker
+    already leaked. Each distinct body is swept at most once per config, and
     a body the site's crawl already tokenized is not tokenized again (see
     ``WcdTestConfig.html_scans``). Network failures yield an inconclusive
     verdict instead of aborting the scan.
@@ -695,26 +715,27 @@ def run_wcd_test(
     )
 
     statuses = [0, 0, 0]
+    leaked: tuple[str, ...] = ()
+    secrets: tuple[SecretCandidate, ...] = ()
+    identical = vulnerable = unauth_exploitable = False
     try:
-        vex = fetch(victim, attack_url, settings.rate_limiter, settings.transport)
+        # ``last`` is the exchange the cache fields are read from.
+        vex = last = fetch(victim, attack_url, settings.rate_limiter, settings.transport)
         statuses[0] = vex.status
-        if settings.attacker_delay:
-            settings.delay_fn(settings.attacker_delay)
-        aex = fetch(attacker, attack_url, settings.rate_limiter, settings.transport)
-        statuses[1] = aex.status
+        # The attacker fetches the victim's own URL, so it can leak only what
+        # the victim body holds: with nothing there, the test ends here.
+        if extract_markers(vex.body, markers) or _sweep(vex.body, config):
+            if settings.attacker_delay:
+                settings.delay_fn(settings.attacker_delay)
+            aex = last = fetch(attacker, attack_url, settings.rate_limiter, settings.transport)
+            statuses[1] = aex.status
 
-        leaked = tuple(extract_markers(aex.body, markers))
-        identical = responses_identical(vex, aex, strip=(nonce,))
-        secrets: tuple[SecretCandidate, ...] = ()
-        if identical or leaked:
-            secrets = config.sweeps.get(aex.body)
-            if secrets is None:
-                secrets = config.sweeps[aex.body] = tuple(
-                    extract_secrets(aex.body, settings.randomness, config.html_scans.get(aex.body))
-                )
-        vulnerable = bool(leaked) or (identical and bool(secrets))
+            leaked = tuple(extract_markers(aex.body, markers))
+            identical = responses_identical(vex, aex, strip=(nonce,))
+            if identical or leaked:
+                secrets = _sweep(aex.body, config)
+            vulnerable = bool(leaked) or (identical and bool(secrets))
 
-        unauth_exploitable = False
         if vulnerable:
             unauth = Identity(role=Role.UNAUTHENTICATED, user_agent=victim.user_agent)
             uex = fetch(unauth, attack_url, settings.rate_limiter, settings.transport)
@@ -732,16 +753,16 @@ def run_wcd_test(
         technique=technique,
         attack_url=attack_url,
         victim_status=vex.status,
-        attacker_status=aex.status,
+        attacker_status=statuses[1],
         unauth_status=statuses[2],
         markers_leaked=leaked,
         secrets=secrets,
         responses_identical=identical,
         unauth_exploitable=unauth_exploitable,
         vulnerable=vulnerable,
-        cache_control=aex.header("Cache-Control") or vex.header("Cache-Control") or "",
-        pragma=aex.header("Pragma") or "",
-        expires=aex.header("Expires") or "",
-        cache_evidence=_evidence(aex),
-        cdn_labels=tuple(config.label_fn(aex)) if config.label_fn else (),
+        cache_control=last.header("Cache-Control") or vex.header("Cache-Control") or "",
+        pragma=last.header("Pragma") or "",
+        expires=last.header("Expires") or "",
+        cache_evidence=_evidence(last),
+        cdn_labels=tuple(config.label_fn(last)) if config.label_fn else (),
     )

@@ -419,11 +419,11 @@ def fetch(
     started = time.monotonic()
     for _hop in range(MAX_REDIRECTS + 1):
         host, endpoint, target, host_value, overridden = _route(current, transport)
-        rate_limiter.acquire(host)
         cookie = identity.cookie_header(host)
         for value in (identity.user_agent, cookie or ""):
             if _UNSENDABLE_VALUE.search(value):
                 raise NetworkError(f"header value for {host} holds CR, LF or NUL: {value!r}")
+        rate_limiter.acquire(host)
         payload = urlencode(data).encode() if data else b""
         fields = [("User-Agent", identity.user_agent), ("Accept", "*/*"),
                   ("Accept-Encoding", ACCEPT_ENCODING)]

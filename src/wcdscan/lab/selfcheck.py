@@ -42,6 +42,12 @@ class SelfcheckReport:
         return self.requests_with_cookie + self.requests_without_cookie
 
     @property
+    def attacker_steps_skipped(self) -> int:
+        """Finished tests that sent no attacker step: the victim body held
+        nothing to leak."""
+        return sum(not v.inconclusive and v.attacker_status == 0 for v in self.verdicts)
+
+    @property
     def ok(self) -> bool:
         return not self.disagreements and self.inconclusive == 0
 

@@ -782,7 +782,105 @@ class TestRunWcdTest:
         assert ScanVerdict.from_record(verdict.to_record()) == verdict
 
 
-# --- the secret sweep runs once per distinct attacker body per config ---
+# --- the attacker step follows only a victim body with something to leak ---
+
+GATE_HOST = "det-gate.test"
+GATE_MARKER = Marker("email", "zz7q9x2w8v4n6mkp")
+
+
+@pytest.fixture()
+def gate_lab():
+    """A page with nothing to leak and a page holding a marker value; every
+    technique routes back to them, and the cache stores each attack URL."""
+    site = SimSite(
+        name="det-gate",
+        host=GATE_HOST,
+        origin=OriginSemantics(variants=frozenset(OriginVariant), decode_before_route=True),
+        cache_profile=builtin_profile("akamai_default"),
+        resources={
+            "/about": LabResource(
+                path="/about", body_template="<html><body><h1>About us</h1></body></html>"
+            ),
+            "/profile": LabResource(
+                path="/profile",
+                body_template=f"<html><body><p>{GATE_MARKER.value}</p></body></html>",
+            ),
+        },
+    )
+    server = LabServer([site]).start()
+    yield server
+    server.stop()
+
+
+class TestAttackerGate:
+    TECHNIQUE = PathConfusionTechnique.PATH_PARAMETER
+
+    def _run(self, path, config):
+        return run_wcd_test(
+            parse_url(f"http://{GATE_HOST}{path}"),
+            self.TECHNIQUE,
+            Identity(role=Role.VICTIM),
+            Identity(role=Role.ATTACKER),
+            MarkerSet([GATE_MARKER]),
+            config,
+        )
+
+    @staticmethod
+    def _sent(server, verdict) -> int:
+        """Requests the lab logged for the test's attack URL."""
+        target = urlsplit(verdict.attack_url).path
+        return sum(e.target == target for e in server.request_log(GATE_HOST))
+
+    def test_only_a_victim_body_with_something_to_leak_is_attacked(self, gate_lab, make_config):
+        config = make_config(gate_lab)
+        gated = self._run("/about", config)
+        assert self._sent(gate_lab, gated) == 1
+        assert (gated.victim_status, gated.attacker_status, gated.unauth_status) == (200, 0, 0)
+        assert gated.markers_leaked == () and gated.secrets == ()
+        assert gated.responses_identical is False
+        assert gated.vulnerable is False and gated.inconclusive is False
+        # The victim body was swept once, through the memo.
+        assert list(config.sweeps.values()) == [()]
+
+        marked = self._run("/profile", config)
+        assert self._sent(gate_lab, marked) == 3  # victim, attacker, unauthenticated
+        assert marked.attacker_status == 200
+        assert marked.markers_leaked == ("email",) and marked.vulnerable
+
+    def test_attacker_delay_waits_only_before_a_sent_attacker_step(self, gate_lab, make_config):
+        waits = []
+        config = make_config(gate_lab)
+        config = replace(
+            config,
+            settings=replace(config.settings, attacker_delay=0.25, delay_fn=waits.append),
+        )
+        self._run("/about", config)
+        assert waits == []
+        self._run("/profile", config)
+        assert waits == [0.25]
+
+    def test_gated_verdict_reads_cache_fields_from_the_victim_response(
+        self, gate_lab, make_config, monkeypatch
+    ):
+        from wcdscan.reporting import cdn_label
+
+        exchanges = []
+        real_fetch = detector.fetch
+
+        def recording_fetch(*args, **kwargs):
+            exchanges.append(real_fetch(*args, **kwargs))
+            return exchanges[-1]
+
+        monkeypatch.setattr(detector, "fetch", recording_fetch)
+        config = replace(make_config(gate_lab), label_fn=cdn_label)
+        verdict = self._run("/about", config)
+        [victim_exchange] = exchanges
+        assert verdict.cdn_labels == tuple(cdn_label(victim_exchange)) == ("Akamai",)
+        assert verdict.cache_evidence == detector._evidence(victim_exchange)
+        assert ("x-cache", "TCP_MISS from cache-lab (AkamaiGHost)") in verdict.cache_evidence
+
+
+# --- the secret sweep runs once per distinct body per config ---
 
 PUBLIC_HOST = "det-public.test"
 PUBLIC_BODY = (
@@ -885,7 +983,9 @@ class TestSweepMemo:
         )
         assert strict.sweeps == {}
         second = run_wcd_test(self.PAGE, technique, victim, attacker, MarkerSet([]), strict)
-        assert second.responses_identical
+        # Under the strict config the victim body holds no kept candidate, so
+        # its sweep, a fresh one, ends the test before the attacker step.
+        assert second.attacker_status == 0
         assert second.secrets == ()
         assert second.vulnerable is False
         assert len(strict.sweeps) == 1

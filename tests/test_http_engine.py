@@ -329,6 +329,22 @@ class TestTransportFailures:
         with pytest.raises(NetworkError):
             fetch(unauth, "http://dead.test/", limiter, transport)
 
+    @pytest.mark.parametrize("role", [Role.UNAUTHENTICATED, Role.VICTIM])
+    def test_unsendable_user_agent_takes_no_pacing_token(self, role):
+        limiter = RecordingLimiter()
+        identity = Identity(role=role, user_agent="bad\r\nX: y")
+        with pytest.raises(NetworkError, match="CR, LF or NUL"):
+            fetch(identity, "http://e.test/", limiter, Transport())
+        assert limiter.hosts == []
+
+    def test_unsendable_cookie_takes_no_pacing_token(self):
+        limiter = RecordingLimiter()
+        victim = Identity(role=Role.VICTIM)
+        victim.cookie_jar[("e.test", "sid")] = Cookie("e.test", "sid", "a\nb")
+        with pytest.raises(NetworkError, match="CR, LF or NUL"):
+            fetch(victim, "http://e.test/", limiter, Transport())
+        assert limiter.hosts == []
+
 
 def test_concurrent_workers_share_window(support_lab, support_transport):
     """Several workers hammering one host stay inside the configured

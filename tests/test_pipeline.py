@@ -154,10 +154,11 @@ def test_marker_gated_mode_attacks_only_marked_pages(pipeline_lab):
     assert len(result.verdicts) == 5
     assert all(v.page.endswith("/account.php") for v in result.verdicts)
     # Two logins and their redirects (4), one crawl fetch per group (3),
-    # 5 tests of 2 requests each, and the unauthenticated step of the one
+    # 5 victim steps, the attacker step of the one test whose victim body
+    # held something to leak, and the unauthenticated step of the one
     # vulnerable test. Every group here has one member, so the gate itself
     # fetches nothing.
-    assert len(pipeline_lab.request_log("classic-pp.test")) - before == 18
+    assert len(pipeline_lab.request_log("classic-pp.test")) - before == 14
 
 
 def test_marker_gated_mode_fetches_nothing_for_a_site_without_markers():
@@ -186,17 +187,20 @@ def test_seeded_support_catalog_scan_request_count():
         server.stop()
     assert len(run.verdicts) == 100
     assert sum(v.vulnerable for v in run.verdicts) == 4
-    # The unauthenticated step is sent for the 4 vulnerable tests only.
-    assert requests == 240
+    # The attacker step follows only a victim body with something to leak,
+    # and the unauthenticated step is sent for the 4 vulnerable tests only.
+    assert requests == 144
 
 
 def test_selfcheck_counts_its_lab_requests():
     report = selfcheck.run_selfcheck()
     assert report.ok
     assert (report.requests, report.requests_with_cookie, report.requests_without_cookie) == (
-        4924, 4515, 409
+        3190, 2781, 409
     )
-    # Only a vulnerable test sends the unauthenticated step.
+    # Only a victim body with something to leak is followed by the attacker
+    # step, and only a vulnerable test sends the unauthenticated step.
+    assert report.attacker_steps_skipped == 1734
     assert all((v.unauth_status != 0) == v.vulnerable for v in report.verdicts)
 
 

@@ -441,7 +441,9 @@ class TestHeaderInjection:
         assert len(server.requests) == 2
 
     def test_set_cookie_with_crlf_leaves_the_test_conclusive(self, scripted, transport_limits):
-        server = scripted(_always(_response(b"ok", self.EVIL)))
+        # A body with a token to leak, so the test goes on to the attacker step.
+        body = b'<input type="hidden" name="csrf_token" value="x">'
+        server = scripted(_always(_response(body, self.EVIL)))
         transport_limits(retries=0)
         transport = server.transport()
         victim = Identity(role=Role.VICTIM)
