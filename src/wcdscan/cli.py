@@ -396,6 +396,9 @@ def _cmd_selfcheck(args) -> int:
     print(f"  disagreements with oracle: {len(report.disagreements)}")
     for name, technique, expected, got in report.disagreements:
         print(f"    {name} / {technique.value}: oracle={expected} scanner={got}")
+    print(f"  site errors: {len(report.site_errors)}")
+    for name, error in report.site_errors:
+        print(f"    {name}: {error}")
     if report.ok:
         print("selfcheck PASS: scanner verdicts match the ground-truth oracle")
         return EXIT_CLEAN

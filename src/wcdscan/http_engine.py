@@ -26,7 +26,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from email.utils import parsedate_to_datetime
-from http.cookies import SimpleCookie
 from urllib.parse import quote, urlencode, urljoin
 
 from .http1 import FramingError, Headers, read_response, render_request
@@ -62,6 +61,11 @@ _UNSENDABLE_HOST = re.compile(r"[\x00-\x20\x7f]")
 # rest pass as further headers or another request (http.client refuses CR
 # and LF).
 _UNSENDABLE_VALUE = re.compile(r"[\x00\r\n]")
+
+# What RFC 6265 §5.2 trims from a cookie's name, value and attributes, and
+# the one form of Max-Age it reads.
+_WSP = " \t"
+_DELTA_SECONDS = re.compile(r"-?[0-9]+")
 
 # A kept-alive socket the server already closed fails like this before any
 # response arrives; such a request is sent again once on a new connection.
@@ -150,37 +154,51 @@ class Identity:
         return "; ".join(pairs) if pairs else None
 
     def store_set_cookie(self, host: str, header_value: str) -> None:
+        """Store one Set-Cookie value from ``host`` as RFC 6265 §5.2 reads it.
+
+        The name and value are the text before the first ``;``, split at the
+        first ``=`` and trimmed of spaces and tabs; quotes stay part of the
+        value. A pair without ``=`` or with an empty name is ignored.
+        Attributes are split the same way, and of each name the last valid
+        one counts. Only ``Domain``, ``Max-Age`` (as ``-?DIGIT+``; it wins
+        over ``Expires``) and ``Expires`` are read; every other attribute is
+        ignored. A cookie whose ``Domain`` does not cover ``host``, or whose
+        name or value holds CR, LF or NUL, is not stored. One that arrives
+        already expired is not stored either: it removes the stored cookie
+        of its domain and name (§5.3). Never raises.
+        """
         if self.role is Role.UNAUTHENTICATED:
             return
-        jar = SimpleCookie()
-        try:
-            jar.load(header_value)
-        except Exception:  # malformed cookie: ignore, never abort a fetch
-            log.debug("unparseable Set-Cookie from %s: %r", host, header_value)
+        pair, *attributes = header_value.split(";")
+        name, eq, value = pair.partition("=")
+        name, value = name.strip(_WSP), value.strip(_WSP)
+        if not eq or not name or _UNSENDABLE_VALUE.search(name + value):
+            log.debug("Set-Cookie from %s not stored: %r", host, header_value)
             return
-        for name, morsel in jar.items():
-            if _UNSENDABLE_VALUE.search(morsel.value):  # "\015\012" decodes to CRLF
-                log.debug("unsendable cookie %s from %s: %r", name, host, morsel.value)
-                continue
-            domain = morsel["domain"].lstrip(".").lower()
-            expiry: float | None = None
-            if morsel["max-age"]:
+        domain = ""
+        max_age: str | None = None
+        expires: float | None = None
+        for attribute in attributes:
+            key, _, arg = attribute.partition("=")
+            key, arg = key.strip(_WSP).lower(), arg.strip(_WSP)
+            if key == "domain" and arg:
+                domain = arg.removeprefix(".").lower()
+            elif key == "max-age" and _DELTA_SECONDS.fullmatch(arg):
+                max_age = arg
+            elif key == "expires":
                 try:
-                    expiry = time.time() + int(morsel["max-age"])
-                except ValueError:
+                    expires = parsedate_to_datetime(arg).timestamp()
+                except (TypeError, ValueError, OverflowError):
                     pass
-            elif morsel["expires"]:
-                try:
-                    expiry = parsedate_to_datetime(morsel["expires"]).timestamp()
-                except (TypeError, ValueError):
-                    pass
-            cookie = Cookie(f".{domain}" if domain else host, name, morsel.value, expiry)
-            if cookie.sent_to(host):  # else its Domain does not cover the setting host
-                self.cookie_jar[(domain or host, name)] = cookie
-
-    def has_expired_cookies(self, now: float | None = None) -> bool:
-        now = time.time() if now is None else now
-        return any(c.expired(now) for c in self.cookie_jar.values())
+        now = time.time()
+        expiry = expires if max_age is None else now + float(max_age)
+        cookie = Cookie(f".{domain}" if domain else host, name, value, expiry)
+        if not cookie.sent_to(host):  # its Domain does not cover the setting host
+            return
+        if cookie.expired(now):
+            self.cookie_jar.pop((domain or host, name), None)
+        else:
+            self.cookie_jar[(domain or host, name)] = cookie
 
 
 @dataclass(frozen=True)
@@ -469,9 +487,10 @@ def maintain_session(
     if identity.credentials is None:
         raise AuthFailure("identity has no login descriptor")
     now = time.time()
-    if identity.cookie_jar and not identity.has_expired_cookies(now):
+    expired = [key for key, cookie in identity.cookie_jar.items() if cookie.expired(now)]
+    if identity.cookie_jar and not expired:
         return identity
-    for key in [k for k, c in identity.cookie_jar.items() if c.expired(now)]:
+    for key in expired:
         del identity.cookie_jar[key]
     login = identity.credentials
     exchange = fetch(

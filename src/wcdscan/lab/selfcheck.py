@@ -10,7 +10,7 @@ from ..crawler import SeedPool, site_config_from_dict
 from ..detector import ScanSettings, ScanVerdict
 from ..http_engine import Transport
 from ..pipeline import scan_pool
-from ..url_toolkit import PathConfusionTechnique, parse_url
+from ..url_toolkit import PathConfusionTechnique
 from . import catalog
 from .oracle import enumerate_oracle
 from .server import LabServer
@@ -32,6 +32,7 @@ class SelfcheckReport:
     disagreements: list[tuple[str, PathConfusionTechnique, bool, bool]]
     verdicts: list[ScanVerdict]
     inconclusive: int
+    site_errors: list[tuple[str, str]]  # (site name, the error that stopped its scan)
     elapsed_seconds: float
     # Requests the lab logged during the run, with and without a Cookie header.
     requests_with_cookie: int
@@ -49,7 +50,7 @@ class SelfcheckReport:
 
     @property
     def ok(self) -> bool:
-        return not self.disagreements and self.inconclusive == 0
+        return not self.disagreements and self.inconclusive == 0 and not self.site_errors
 
 
 def selfcheck_sites() -> list[SimSite]:
@@ -66,7 +67,9 @@ def run_selfcheck(
 
     The scanner's verdict for (site, technique) is "any attacked page on the
     site came back vulnerable with that technique"; the oracle's is direct
-    simulation of the site's protected marker page.
+    simulation of the site's protected marker page. A site whose scan
+    stopped with an error (a failed login, say) is named in ``site_errors``
+    and fails the check, as a disagreement does.
     """
     started = time.monotonic()
     if sites is None:
@@ -91,15 +94,16 @@ def run_selfcheck(
         for technique in settings.techniques
     }
     inconclusive = 0
-    for verdict in run.verdicts:
-        name = host_to_name.get(parse_url(verdict.page).host)
-        if name is None:
-            continue
-        if verdict.inconclusive:
-            inconclusive += 1
-            continue
-        if verdict.vulnerable:
-            scanned[(name, verdict.technique)] = True
+    site_errors: list[tuple[str, str]] = []
+    for result in run.site_results:
+        name = host_to_name[result.site.primary_domain]
+        if result.error:
+            site_errors.append((name, result.error))
+        for verdict in result.verdicts:
+            if verdict.inconclusive:
+                inconclusive += 1
+            elif verdict.vulnerable:
+                scanned[(name, verdict.technique)] = True
 
     oracle = enumerate_oracle(sites, settings.techniques, settings.extension)
     disagreements = [
@@ -114,6 +118,7 @@ def run_selfcheck(
         disagreements=disagreements,
         verdicts=run.verdicts,
         inconclusive=inconclusive,
+        site_errors=site_errors,
         elapsed_seconds=time.monotonic() - started,
         requests_with_cookie=sum(cookies),
         requests_without_cookie=len(cookies) - sum(cookies),

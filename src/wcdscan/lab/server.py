@@ -24,7 +24,6 @@ import time
 from email.utils import formatdate
 from functools import lru_cache
 from http import HTTPStatus
-from http.cookies import SimpleCookie
 from urllib.parse import parse_qsl, urlsplit
 
 from ..errors import ScenarioError
@@ -128,13 +127,11 @@ def serve(runtimes: dict[str, SiteRuntime], request: Request, arrival: float) ->
 
     cookie_header = headers.get("cookie", "")
     cookies: dict[str, str] = {}
-    if cookie_header:
-        jar = SimpleCookie()
-        try:
-            jar.load(cookie_header)
-            cookies = {name: morsel.value for name, morsel in jar.items()}
-        except Exception:
-            cookies = {}
+    for pair in cookie_header.split(";"):  # name=value pairs; the first of a name wins
+        name, eq, value = pair.partition("=")
+        name = name.strip(" \t")
+        if eq and name:
+            cookies.setdefault(name, value.strip(" \t"))
 
     form: dict[str, str] | None = None
     if method == "POST":

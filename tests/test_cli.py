@@ -683,6 +683,26 @@ def test_selfcheck_quick_passes(capsys):
         assert f"  {technique:<22}{vulnerable:>26}{17:>16}" in out.splitlines()
 
 
+def test_selfcheck_fails_when_a_site_fails_to_scan(capsys, monkeypatch):
+    """An all-negative site that cannot be scanned costs no verdict the
+    oracle would miss, so only its error can fail the check."""
+    real_seed_entry = catalog.seed_entry
+
+    def seed_entry(site):
+        entry = real_seed_entry(site)
+        if site.name == "none-akamai-std":
+            entry["login"]["victim"]["password"] = "wrong"
+        return entry
+
+    monkeypatch.setattr(catalog, "seed_entry", seed_entry)
+    code = main(["selfcheck", "--quick", "--rate", "500", "--workers", "8"])
+    out = capsys.readouterr().out
+    assert "disagreements with oracle: 0" in out and "inconclusive verdicts: 0" in out
+    assert "  site errors: 1\n    none-akamai-std: login to http://none-akamai-std.test/" in out
+    assert "selfcheck FAIL" in out
+    assert code == EXIT_FINDINGS
+
+
 def _verdict(page, technique, vulnerable, **fields):
     values = dict(
         page=page, technique=technique, attack_url=page + "/x.css", victim_status=200,

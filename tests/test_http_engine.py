@@ -1,13 +1,16 @@
 """Identities, cookies, pacing, and fetch behavior against the lab."""
 
 import dataclasses
+import http.cookiejar
 import inspect
+import string
 import threading
 import time
 from datetime import datetime, timezone
 
 import pytest
 import requests
+from hypothesis import given, settings, strategies as st
 
 from wcdscan import crawler
 from wcdscan.cache_policy import builtin_profile
@@ -178,6 +181,140 @@ def test_set_cookie_expires_sets_the_expiry():
     cookie = victim.cookie_jar[("shop.example", "sid")]
     assert cookie.expiry == datetime(2037, 10, 21, 7, 28, tzinfo=timezone.utc).timestamp()
     assert not cookie.expired(time.time())
+
+
+# A cookie name (an RFC 9110 token) and a value that both readers trim alike.
+_TOKEN = string.ascii_letters + string.digits + "!#$%&'*+-.^_`|~"
+_COOKIE_TEXT = "".join(c for c in string.printable[:95] if c != ";")
+
+
+def _jar(*set_cookies: str) -> dict[str, str]:
+    """name -> value of what a victim stores from ``set_cookies``, in order."""
+    victim = Identity(role=Role.VICTIM)
+    for value in set_cookies:
+        victim.store_set_cookie("shop.example", value)
+    return {c.name: c.value for c in victim.cookie_jar.values()}
+
+
+class TestSetCookieParsing:
+    """Set-Cookie values as RFC 6265 §5.2 reads them."""
+
+    @pytest.mark.parametrize(
+        "set_cookie, stored",
+        [
+            # Attributes this client does not know are ignored, not stored.
+            ("sid=1; Path=/; Secure; HttpOnly; Partitioned", {"sid": "1"}),
+            ("sid=1; Priority=High", {"sid": "1"}),
+            # The value is the text up to the first ";", trimmed of spaces.
+            ("sid=a b", {"sid": "a b"}),
+            ("sid=a;b", {"sid": "a"}),
+            (" sid = a=b \t; Path=/", {"sid": "a=b"}),
+            # Quotes stay part of the value; nothing inside them is decoded.
+            ('sid="a b"', {"sid": '"a b"'}),
+            (r'sid="\012"', {"sid": r'"\012"'}),
+            ("sid=", {"sid": ""}),
+            # No "=" or an empty name: the value is ignored.
+            ("sid", {}),
+            ("=1", {}),
+            ("; sid=1", {}),
+        ],
+        ids=["partitioned", "priority", "space", "stray-token", "trimmed",
+             "quoted", "quoted-octal", "empty-value", "no-equals", "no-name", "empty-pair"],
+    )
+    def test_name_and_value(self, set_cookie, stored):
+        assert _jar(set_cookie) == stored
+
+    @pytest.mark.parametrize(
+        "clearing",
+        ["sid=; Max-Age=0", "sid=x; max-age=-1",
+         "sid=; Expires=Thu, 01 Jan 1970 00:00:00 GMT",
+         "sid=; Max-Age=0; Expires=Wed, 21 Oct 2037 07:28:00 GMT",
+         "sid=x; Max-Age=3600; Max-Age=0"],
+        ids=["max-age-0", "negative", "expires-past", "max-age-wins", "last-wins"],
+    )
+    def test_an_expired_cookie_evicts_the_stored_one(self, clearing):
+        assert _jar("sid=1", "other=2", clearing) == {"other": "2"}
+        assert _jar(clearing) == {}
+
+    def test_an_expired_cookie_evicts_only_its_own_domain(self):
+        victim = Identity(role=Role.VICTIM)
+        victim.store_set_cookie("www.shop.example", "sid=1")
+        victim.store_set_cookie("www.shop.example", "sid=2; Domain=shop.example")
+        victim.store_set_cookie("www.shop.example", "sid=; Domain=shop.example; Max-Age=0")
+        assert [(c.domain, c.value) for c in victim.cookie_jar.values()] == [
+            ("www.shop.example", "1")
+        ]
+
+    @pytest.mark.parametrize(
+        "attributes, lifetime",
+        [
+            ("Max-Age=60; Expires=Thu, 01 Jan 1970 00:00:00 GMT", 60),
+            ("Expires=Thu, 01 Jan 1970 00:00:00 GMT; Max-Age=60", 60),
+            ("Max-Age=60; Max-Age=120", 120),
+            ("Max-Age=60; Max-Age=2m; Max-Age=+5; Max-Age=", 60),
+            ("Max-Age=1.5", None),
+            ("Expires=soon", None),
+        ],
+        ids=["max-age-first", "max-age-last", "last-valid", "invalid-ignored",
+             "not-an-integer", "bad-date"],
+    )
+    def test_max_age(self, attributes, lifetime):
+        victim = Identity(role=Role.VICTIM)
+        before = time.time()
+        victim.store_set_cookie("shop.example", f"sid=1; {attributes}")
+        expiry = victim.cookie_jar[("shop.example", "sid")].expiry
+        if lifetime is None:
+            assert expiry is None
+        else:
+            assert before + lifetime <= expiry <= time.time() + lifetime
+
+    @pytest.mark.parametrize("set_cookie", ["s\nid=1", "sid=a\rb", "sid=a\x00", "sid=a\nb; Path=/"])
+    def test_a_control_character_keeps_the_cookie_out(self, set_cookie):
+        assert _jar("sid=1", set_cookie) == {"sid": "1"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=st.characters(max_codepoint=0x17F)))
+    def test_any_value_is_read_without_raising(self, set_cookie):
+        victim = Identity(role=Role.VICTIM)
+        for value in (set_cookie, f"sid=1;{set_cookie}", f"sid=1; Expires={set_cookie}"):
+            victim.store_set_cookie("shop.example", value)
+        for cookie in victim.cookie_jar.values():
+            assert not set("\r\n\x00") & set(cookie.name + cookie.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        name=st.text(alphabet=_TOKEN, min_size=1),
+        value=st.text(alphabet=_COOKIE_TEXT),
+        attributes=st.lists(st.one_of(
+            st.tuples(st.sampled_from(["Domain", "domain", "DOMAIN"]),
+                      st.sampled_from([".shop.example", "Shop.Example", "www.shop.example",
+                                       "other.example"])),
+            st.tuples(st.sampled_from(["Max-Age", "max-age"]),
+                      st.integers(1, 10**9).map(str)),
+            st.just(("Path", "/")),
+        )),
+    )
+    def test_agrees_with_the_stdlib_netscape_reader(self, name, value, attributes):
+        """Name, value, Domain and Max-Age as ``http.cookiejar`` reads them,
+        on values well-formed enough for both."""
+        set_cookie = "; ".join([f"{name}={value}", *(f"{k}={v}" for k, v in attributes)])
+        (pairs,) = http.cookiejar.parse_ns_headers([set_cookie])
+        reference = dict(pairs[1:])  # the last of each attribute counts
+        victim = Identity(role=Role.VICTIM)
+        before = time.time()
+        victim.store_set_cookie("www.shop.example", set_cookie)
+        domain = reference.get("domain", "").removeprefix(".").lower()
+        if domain == "other.example":  # a Domain that does not cover the host
+            assert victim.cookie_jar == {}
+            return
+        (cookie,) = victim.cookie_jar.values()
+        assert (cookie.name, cookie.value) == pairs[0]
+        assert cookie.domain == (f".{domain}" if domain else "www.shop.example")
+        max_age = reference.get("max-age")
+        if max_age is None:
+            assert cookie.expiry is None
+        else:
+            assert before + int(max_age) <= cookie.expiry <= time.time() + int(max_age)
 
 
 class TestFetchAgainstLab:

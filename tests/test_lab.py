@@ -777,6 +777,30 @@ def test_a_head_response_is_the_get_response_without_its_body(host, target, leng
     assert _masked(head) == _masked(head_section + b"\r\n\r\n")
 
 
+@pytest.mark.parametrize(
+    "cookie, logged_in",
+    [
+        ("x=a b; sid={}", True),
+        ('x="a;b"; sid={}', True),
+        ("x;sid={}", True),
+        ("sid={}; sid=other", True),
+        ("sid=other; sid={}", False),
+        ("sid = {} ", True),
+    ],
+    ids=["space-in-value", "quoted-semicolon", "no-equals", "first-wins", "first-loses",
+         "trimmed"],
+)
+def test_the_lab_reads_each_cookie_pair(cookie, logged_in):
+    """A Cookie header is ``;``-separated name=value pairs; the first pair
+    with a name counts."""
+    site = catalog.classic_site()
+    runtime = SiteRuntime(site)
+    token = runtime.log_in("victim")
+    headers = {"host": site.host, "cookie": cookie.format(token)}
+    response = serve({site.host: runtime}, Request("GET", "/account.php", headers, b"", True), 0.0)
+    assert response.startswith(b"HTTP/1.1 200 " if logged_in else b"HTTP/1.1 302 ")
+
+
 @pytest.mark.parametrize("status", [204, 304])
 def test_a_no_body_status_sends_no_body(status):
     site = catalog.pacing_site()

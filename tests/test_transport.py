@@ -22,7 +22,17 @@ import requests
 from hypothesis import assume, given, settings, strategies as st
 
 from wcdscan.detector import MarkerSet, WcdTestConfig, run_wcd_test
-from wcdscan.http_engine import Cookie, Identity, NetworkError, Role, Transport, _route, fetch
+from wcdscan.http_engine import (
+    Cookie,
+    Identity,
+    LoginDescriptor,
+    NetworkError,
+    Role,
+    Transport,
+    _route,
+    fetch,
+    maintain_session,
+)
 from wcdscan.lab import catalog
 from wcdscan.lab.server import LabServer
 from wcdscan.url_toolkit import PathConfusionTechnique, RandomNameGenerator, parse_url
@@ -425,7 +435,7 @@ class TestHeaderInjection:
     would reach the server as headers or as another request on the shared
     socket."""
 
-    EVIL = r'Set-Cookie: sid="a\015\012X-Evil: 1"; Path=/'  # SimpleCookie decodes to CRLF
+    EVIL = "Set-Cookie: sid=a\rX-Evil: 1; Path=/"  # a bare CR stays in the field value
 
     def test_set_cookie_with_crlf_is_not_stored(self, scripted, transport_limits):
         server = scripted(_always(_response(b"ok", self.EVIL, "Set-Cookie: good=1; Path=/")))
@@ -461,6 +471,20 @@ class TestHeaderInjection:
         assert len(server.requests) > 2
         assert all(b"X-Evil" not in head for _, head, _ in server.requests)
 
+    def test_an_escaped_crlf_goes_back_literally(self, scripted, transport_limits):
+        # Quotes and backslashes are part of a cookie's value: nothing decodes
+        # "\015\012" into CRLF, so the value stays inside the one Cookie line.
+        server = scripted(_always(_response(b"ok", r'Set-Cookie: sid="a\015\012X-Evil: 1"')))
+        transport_limits(retries=0)
+        transport = server.transport()
+        victim = Identity(role=Role.VICTIM)
+        fetch(victim, f"http://{HOST}/", fast_limiter(), transport)
+        fetch(victim, f"http://{HOST}/", fast_limiter(), transport)
+        transport.close()
+        lines = server.requests[1][1].split(b"\r\n")
+        assert rb'Cookie: sid="a\015\012X-Evil: 1"' in lines
+        assert not any(line.startswith(b"X-Evil") for line in lines)
+
     @pytest.mark.parametrize("value", ["a\r\nX-Evil: 1", "a\nb", "a\rb", "a\x00b"],
                              ids=["crlf", "lf", "cr", "nul"])
     def test_unsendable_cookie_in_the_jar_costs_one_test(self, scripted, value, transport_limits):
@@ -487,6 +511,23 @@ class TestHeaderInjection:
         assert verdict.inconclusive and not verdict.vulnerable
         assert "CR, LF or NUL" in verdict.error
         assert server.requests == []  # nothing was sent
+
+
+def test_a_login_that_clears_a_cookie_logs_in_once(scripted):
+    """A login response may also clear a cookie (Max-Age=0). The cleared
+    cookie is not stored, so the session stays fresh and later checks send
+    nothing."""
+    server = scripted(_always(_response(
+        b"ok", "Set-Cookie: sid=s1; Path=/", "Set-Cookie: old=; Max-Age=0; Path=/"
+    )))
+    login = LoginDescriptor(url=f"http://{HOST}/login", fields={"username": "victim"})
+    victim = Identity(role=Role.VICTIM, credentials=login)
+    transport = server.transport()
+    for _ in range(5):
+        maintain_session(victim, fast_limiter(), transport)
+    transport.close()
+    assert len(server.requests) == 1
+    assert [c.name for c in victim.cookie_jar.values()] == ["sid"]
 
 
 class TestFailures:
