@@ -152,12 +152,9 @@ class CdnProfile:
     name: str
     default_cached: DefaultCached
     static_extensions: frozenset[str] = DEFAULT_STATIC_EXTENSIONS
-    honored: tuple[tuple[str, bool], ...] = ()
+    honored: frozenset[str] = frozenset()  # of HONORABLE_DIRECTIVES
     default_ttl: int = DEFAULT_TTL_SECONDS
     rules: tuple[CacheRule, ...] = ()
-
-    def honors(self, directive: str) -> bool:
-        return dict(self.honored).get(directive, False)
 
 
 @dataclass(frozen=True)
@@ -191,7 +188,7 @@ def decide(
         return _no_store_decision(DecisionReason.NO_MATCH)
 
     for directive in HONORABLE_DIRECTIVES:
-        if profile.honors(directive) and directives.flag(directive):
+        if directive in profile.honored and directives.flag(directive):
             return _no_store_decision(DecisionReason.HEADER_FORBIDS)
 
     for rule in profile.rules:
@@ -237,22 +234,21 @@ def builtin_profiles() -> list[CdnProfile]:
         CdnProfile(
             name="akamai_default",
             default_cached=DefaultCached.EXTENSION_LIST,
-            honored=(("no-store", False), ("no-cache", False), ("private", False)),
         ),
         CdnProfile(
             name="cloudflare_default",
             default_cached=DefaultCached.EXTENSION_LIST_OR_HEADER_OPT_IN,
-            honored=(("no-store", True), ("no-cache", True), ("private", True)),
+            honored=frozenset(HONORABLE_DIRECTIVES),
         ),
         CdnProfile(
             name="cloudfront_default",
             default_cached=DefaultCached.ALL_OBJECTS,
-            honored=(("no-store", True), ("no-cache", True), ("private", True)),
+            honored=frozenset(HONORABLE_DIRECTIVES),
         ),
         CdnProfile(
             name="fastly_default",
             default_cached=DefaultCached.ALL_OBJECTS,
-            honored=(("no-store", False), ("no-cache", False), ("private", True)),
+            honored=frozenset({"private"}),
         ),
     ]
 
@@ -284,7 +280,7 @@ def profile_from_dict(data: dict) -> CdnProfile:
         static_extensions=frozenset(
             data.get("static_extensions", DEFAULT_STATIC_EXTENSIONS)
         ),
-        honored=tuple((d, bool(honored.get(d, False))) for d in HONORABLE_DIRECTIVES),
+        honored=frozenset(d for d in HONORABLE_DIRECTIVES if honored.get(d, False)),
         default_ttl=int(data.get("default_ttl", DEFAULT_TTL_SECONDS)),
         rules=tuple(rules),
     )
@@ -295,7 +291,7 @@ def profile_to_dict(profile: CdnProfile) -> dict:
         "name": profile.name,
         "default_cached": profile.default_cached.value,
         "static_extensions": sorted(profile.static_extensions),
-        "honored": {d: profile.honors(d) for d in HONORABLE_DIRECTIVES},
+        "honored": {d: d in profile.honored for d in HONORABLE_DIRECTIVES},
         "default_ttl": profile.default_ttl,
     }
     if profile.rules:

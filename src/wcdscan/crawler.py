@@ -75,9 +75,6 @@ class SiteConfig:
     def site(self) -> str:
         return registrable_domain(self.primary_domain)
 
-    def hosts(self) -> tuple[str, ...]:
-        return (self.primary_domain, *self.subdomains)
-
 
 @dataclass
 class SeedPool:
@@ -237,10 +234,11 @@ def ingest_domains(
 
 
 def extract_links(body: bytes, base_url: str, scan: HtmlSurfaces | None = None) -> list[str]:
-    """Absolute http(s) URLs from anchor hrefs, in document order; character
-    references such as ``&amp;`` are decoded before resolving, and an href
-    that urljoin cannot read is skipped. ``scan`` is ``scan_body(body)``
-    when the caller already has it."""
+    """Absolute http(s) URLs from anchor hrefs, in document order, without
+    their fragments (a fragment names a part of the same page, RFC 3986
+    section 3.5); character references such as ``&amp;`` are decoded before
+    resolving, and an href that urljoin cannot read is skipped. ``scan`` is
+    ``scan_body(body)`` when the caller already has it."""
     if scan is None:
         scan = scan_body(body)
     base = urlsplit(base_url)
@@ -259,7 +257,7 @@ def extract_links(body: bytes, base_url: str, scan: HtmlSurfaces | None = None) 
         except ValueError:  # an unbalanced IPv6 bracket, say
             continue
         if absolute.startswith(("http://", "https://")):
-            out.append(absolute)
+            out.append(absolute.partition("#")[0])
     return out
 
 

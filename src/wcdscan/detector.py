@@ -54,6 +54,8 @@ MIN_RESIDUAL_LENGTH = 8
 MIN_RESIDUAL_ENTROPY = 3.0
 
 DEFAULT_KEYWORDS = ("csrf", "xsrf", "token", "state", "client_id")
+# Finds any keyword in a lowered name, case-sensitively as ``in`` does.
+_KEYWORD = re.compile("|".join(map(re.escape, DEFAULT_KEYWORDS)))
 
 # Printable ASCII less space, "[", "\" and "]". urlsplit neither strips,
 # drops nor checks any character of such a URL, so each of its parts is a
@@ -119,8 +121,8 @@ class MarkerSet:
     least 3 bits/char of entropy so a byte-exact hit is conclusive.
     """
 
-    def __init__(self, markers: list[Marker] | list[tuple[str, str]]):
-        normalized = [m if isinstance(m, Marker) else Marker(*m) for m in markers]
+    def __init__(self, markers: list[tuple[str, str]]):
+        normalized = [Marker(label, value) for label, value in markers]
         values = [m.value for m in normalized]
         if len(set(values)) != len(values):
             raise ValueError("marker values must be pairwise distinct")
@@ -140,19 +142,12 @@ class MarkerSet:
 
 @dataclass
 class RandomnessConfig:
-    """The word lists of the secret sweep: the dictionary the randomness test
-    strips and the keywords that flag a candidate by name."""
+    """The dictionary that the randomness test of the secret sweep strips."""
 
     dictionary: tuple[str, ...] = COMMON_WORDS
-    keywords: tuple[str, ...] = DEFAULT_KEYWORDS
 
     def __post_init__(self):
         self._words, self._lengths = _dictionary_index(tuple(self.dictionary))
-        # Finds any keyword in a lowered name, case-sensitively as ``in``
-        # does; with no keywords, "(?!)" matches nothing.
-        self._keyword = re.compile(
-            "|".join(map(re.escape, self.keywords)) if self.keywords else "(?!)"
-        )
 
 
 @lru_cache(maxsize=8)
@@ -456,7 +451,7 @@ def _kept(
     Entropy is computed only for a value that can still be kept, and a value
     shorter than MIN_RESIDUAL_LENGTH under a name without a keyword is not
     stripped at all: its residual is never longer than the value."""
-    if config._keyword.search(name.lower()):
+    if _KEYWORD.search(name.lower()):
         residual, entropy = randomness_score(value, config)
         return SecretTrigger.KEYWORD_MATCH, entropy, residual
     if len(value) < MIN_RESIDUAL_LENGTH:

@@ -8,9 +8,9 @@ The readers read straight from a buffered binary file over the socket (or
 over bytes in memory), and both take their header section from
 :func:`read_fields`, their ``Content-Length`` from one parser and their
 keep-alive decision from one reading of ``Connection``. A header section is
-indexed once, by :func:`index_fields`, and every later lookup reads that
-index; a request's headers are handed on as a plain dict of each name's
-first value.
+indexed once, by :func:`index_fields`, as each lowercase name's values in
+wire order, and every later lookup reads that index; a request's headers
+are handed on as a plain dict of each name's first value.
 
 :func:`render_request` writes the bytes ``http.client`` sends: the request
 line, ``Host`` first unless the caller gives it among the fields, then a
@@ -83,7 +83,7 @@ _REASONS = {status.value: status.phrase for status in HTTPStatus}
 # http.client sends Content-Length: 0 for these methods when there is no body.
 _METHODS_WITH_BODY = ("PATCH", "POST", "PUT")
 
-Headers = dict[str, tuple[str, list[str]]]  # lowercase name -> (name, values)
+Headers = dict[str, list[str]]  # lowercase name -> values in wire order
 
 
 class FramingError(Exception):
@@ -224,11 +224,11 @@ def read_chunked(fp: BinaryIO) -> bytes:
 
 
 def index_fields(fields: list[tuple[str, str]]) -> Headers:
-    """The fields by lowercase name, in first-seen order: each name as first
-    seen and its values in wire order."""
+    """The fields by lowercase name, in first-seen order, with each name's
+    values in wire order."""
     index: Headers = {}
     for name, value in fields:
-        index.setdefault(name.lower(), (name, []))[1].append(value)
+        index.setdefault(name.lower(), []).append(value)
     return index
 
 
@@ -240,18 +240,18 @@ def final_coding(values: list[str]) -> str:
 
 
 def _first(headers: Headers, name: str, default: str = "") -> str:
-    entry = headers.get(name)
-    return entry[1][0] if entry else default
+    values = headers.get(name)
+    return values[0] if values else default
 
 
 def _content_length(headers: Headers) -> int | None:
     """The body length ``Content-Length`` gives, or None when the field is
     absent or not ``1*DIGIT``; lines whose values differ raise
     :class:`FramingError`."""
-    entry = headers.get("content-length")
-    if entry is None:
+    lines = headers.get("content-length")
+    if lines is None:
         return None
-    values = {value.strip(" \t") for value in entry[1]}
+    values = {value.strip(" \t") for value in lines}
     if len(values) > 1:
         raise FramingError(f"differing Content-Length values {sorted(values)}")
     (value,) = values
@@ -262,10 +262,10 @@ def _persistent(headers: Headers, http11: bool) -> bool:
     """Whether the ``Connection`` options let the connection outlive this
     message (RFC 9112 section 9.3): never with ``close`` among them, and
     otherwise from HTTP/1.1 on or with ``keep-alive`` among them."""
-    entry = headers.get("connection")
-    if entry is None:
+    values = headers.get("connection")
+    if values is None:
         return http11
-    options = {o.strip(" \t").lower() for value in entry[1] for o in value.split(",")}
+    options = {o.strip(" \t").lower() for value in values for o in value.split(",")}
     return "close" not in options and (http11 or "keep-alive" in options)
 
 
@@ -307,7 +307,7 @@ def read_response(fp: BinaryIO, method: str) -> tuple[int, Headers, bytes, bool]
         return status, headers, b"", keep_alive and not announced
     codings = headers.get("transfer-encoding")
     if codings is not None:
-        if final_coding(codings[1]) == "chunked":
+        if final_coding(codings) == "chunked":
             return status, headers, read_chunked(fp), keep_alive
         return status, headers, fp.read(), False
     if length is None:
@@ -338,11 +338,11 @@ def read_request(fp: BinaryIO, methods: tuple[str, ...]) -> Request | None:
         length = _content_length(headers)
         codings = headers.get("transfer-encoding")
         if codings is not None:
-            if final_coding(codings[1]) != "chunked":
-                raise FramingError(f"final transfer coding of {codings[1]} is not chunked")
+            if final_coding(codings) != "chunked":
+                raise FramingError(f"final transfer coding of {codings} is not chunked")
             body = read_chunked(fp)
         elif length is None and "content-length" in headers:
-            raise FramingError(f"bad Content-Length {headers['content-length'][1]}")
+            raise FramingError(f"bad Content-Length {headers['content-length']}")
         else:
             body = _read_exactly(fp, length) if length else b""
     except FramingError as exc:
@@ -352,5 +352,5 @@ def read_request(fp: BinaryIO, methods: tuple[str, ...]) -> Request | None:
     keep_alive = _persistent(headers, version >= (1, 1)) and not (
         codings and "content-length" in headers
     )
-    first = {key: values[0] for key, (_, values) in headers.items()}
+    first = {key: values[0] for key, values in headers.items()}
     return Request(method, target, first, body, keep_alive)

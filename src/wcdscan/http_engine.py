@@ -24,6 +24,7 @@ import time
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
+from datetime import timezone
 from enum import Enum
 from email.utils import parsedate_to_datetime
 from urllib.parse import quote, urlencode, urljoin
@@ -161,11 +162,12 @@ class Identity:
         value. A pair without ``=`` or with an empty name is ignored.
         Attributes are split the same way, and of each name the last valid
         one counts. Only ``Domain``, ``Max-Age`` (as ``-?DIGIT+``; it wins
-        over ``Expires``) and ``Expires`` are read; every other attribute is
-        ignored. A cookie whose ``Domain`` does not cover ``host``, or whose
-        name or value holds CR, LF or NUL, is not stored. One that arrives
-        already expired is not stored either: it removes the stored cookie
-        of its domain and name (§5.3). Never raises.
+        over ``Expires``) and ``Expires`` (as a UTC date, whatever zone it
+        names) are read; every other attribute is ignored. A cookie whose
+        ``Domain`` does not cover ``host``, or whose name or value holds CR,
+        LF or NUL, is not stored. One that arrives already expired is not
+        stored either: it removes the stored cookie of its domain and name
+        (§5.3). Never raises.
         """
         if self.role is Role.UNAUTHENTICATED:
             return
@@ -187,7 +189,11 @@ class Identity:
                 max_age = arg
             elif key == "expires":
                 try:
-                    expires = parsedate_to_datetime(arg).timestamp()
+                    # Every cookie date is UTC (§5.1.1), whatever zone it
+                    # names; timestamp() would read a date that parses
+                    # without one ("-0000", asctime) as local time.
+                    date = parsedate_to_datetime(arg).replace(tzinfo=timezone.utc)
+                    expires = date.timestamp()
                 except (TypeError, ValueError, OverflowError):
                     pass
         now = time.time()
@@ -211,13 +217,12 @@ class HttpExchange:
     status: int
     headers: Headers
     body: bytes
-    timing: float  # milliseconds
     history: tuple[tuple[str, int], ...] = ()
 
     def header(self, name: str) -> str | None:
         """The field's values joined with ", ", or None when it is absent."""
-        entry = self.headers.get(name.lower())
-        return None if entry is None else ", ".join(entry[1])
+        values = self.headers.get(name.lower())
+        return None if values is None else ", ".join(values)
 
 
 # Added to the pacing window so that network jitter downstream of the limiter
@@ -232,7 +237,6 @@ class RateLimiter:
     def __init__(self, rate: float = 2.0, time_fn=time.monotonic, sleep_fn=time.sleep):
         if rate <= 0:
             raise ValueError("rate must be positive")
-        self.rate = rate
         self._max_in_window = max(1, int(rate))
         self.window = (1.0 if rate >= 1 else 1.0 / rate) + WINDOW_SLACK
         self._time = time_fn
@@ -338,7 +342,7 @@ class Transport:
                 if not keep_alive:
                     self._discard(endpoint)
                 coding = headers.get("content-encoding")
-                return status, headers, _decode(body, coding and ", ".join(coding[1]))
+                return status, headers, _decode(body, coding and ", ".join(coding))
             except (OSError, FramingError, zlib.error, EOFError) as exc:
                 self._discard(endpoint)
                 last_exc = exc
@@ -434,7 +438,6 @@ def fetch(
     """
     history: list[tuple[str, int]] = []
     current = url
-    started = time.monotonic()
     for _hop in range(MAX_REDIRECTS + 1):
         host, endpoint, target, host_value, overridden = _route(current, transport)
         cookie = identity.cookie_header(host)
@@ -454,10 +457,10 @@ def fetch(
         host_line = None if overridden else host_value
         message = render_request(method, target, host_line, fields, payload)
         status, headers, body = transport.issue(method, endpoint, target, message)
-        for value in headers.get("set-cookie", ("", []))[1]:
+        for value in headers.get("set-cookie", ()):
             identity.store_set_cookie(host, value)
         redirect = status in _REDIRECT_STATUSES
-        location = ", ".join(headers.get("location", ("", []))[1]) if redirect else ""
+        location = ", ".join(headers.get("location", ())) if redirect else ""
         if location:
             history.append((current, status))
             try:
@@ -467,15 +470,7 @@ def fetch(
             if status in (301, 302, 303):
                 method, data = "GET", None
             continue
-        elapsed_ms = (time.monotonic() - started) * 1000.0
-        return HttpExchange(
-            url=current,
-            status=status,
-            headers=headers,
-            body=body,
-            timing=elapsed_ms,
-            history=tuple(history),
-        )
+        return HttpExchange(current, status, headers, body, tuple(history))
     raise TooManyRedirects(f"more than {MAX_REDIRECTS} redirects from {url}")
 
 

@@ -134,6 +134,15 @@ def _string(value, what: str) -> str:
     return value
 
 
+def _strings(mapping, what: str) -> dict[str, str]:
+    """A scenario mapping of strings to strings, such as a resource's headers."""
+    mapping = dict(mapping)
+    for k, v in mapping.items():
+        _string(k, f"{what} name")
+        _string(v, f"{what} {k!r}")
+    return mapping
+
+
 @dataclass
 class SimSite:
     """One simulated site: origin semantics + cache profile + resources."""
@@ -221,20 +230,25 @@ class SimSite:
                 LabAccount(
                     username=_string(a["username"], "account username"),
                     password=_string(a["password"], "account password"),
-                    values={
-                        label: _string(value, f"account value {label!r}")
-                        for label, value in dict(a.get("values", {})).items()
-                    },
+                    values=_strings(a.get("values", {}), "account value"),
                     is_victim=bool(a.get("is_victim", False)),
                 )
                 for a in ad["accounts"]
             ]
+            victim_values = next((a.values for a in accounts if a.is_victim), {})
+            marker_labels = tuple(ad.get("marker_labels", ()))
+            for label in marker_labels:
+                if label not in victim_values:
+                    raise ValueError(f"marker label {label!r} names no victim value")
+            mode = ad.get("mode", "redirect")
+            if mode not in ("redirect", "forbid"):
+                raise ValueError(f"auth mode must be 'redirect' or 'forbid', got {mode!r}")
             auth = LabAuth(
                 accounts={account.username: account for account in accounts},
-                marker_labels=tuple(ad.get("marker_labels", ())),
-                cookie_name=ad.get("cookie_name", "sid"),
-                mode=ad.get("mode", "redirect"),
-                login_path=ad.get("login_path", "/login"),
+                marker_labels=marker_labels,
+                cookie_name=_string(ad.get("cookie_name", "sid"), "auth cookie_name"),
+                mode=mode,
+                login_path=_string(ad.get("login_path", "/login"), "auth login_path"),
                 rotate=bool(ad.get("rotate", False)),
             )
         resources: dict[str, LabResource] = {}
@@ -246,15 +260,15 @@ class SimSite:
                 path=path,
                 body_template=_string(r["body"], "resource body"),
                 status=int(r.get("status", 200)),
-                headers=dict(r.get("headers", {})),
+                headers=_strings(r.get("headers", {}), "resource header"),
                 protected=bool(r.get("protected", False)),
                 content_type=_string(
                     r.get("content_type", "text/html; charset=utf-8"), "resource content_type"
                 ),
             )
         return cls(
-            name=data["name"],
-            host=data["host"],
+            name=_string(data["name"], "name"),
+            host=_string(data["host"], "host").lower(),
             origin=OriginSemantics.from_dict(data["origin"]),
             cache_profile=profile,
             resources=resources,

@@ -45,77 +45,38 @@ def chi_square_2x2(a: int, b: int, c: int, d: int) -> tuple[float, float]:
     return statistic, p_value
 
 
-@dataclass(frozen=True)
-class CdnFingerprint:
-    """Vendor label plus the header substrings that give it away."""
-
-    vendor: str
-    header_patterns: tuple[tuple[str, str], ...]
-
-    def __post_init__(self):
-        if not self.header_patterns:
-            raise ValueError("fingerprint needs at least one header pattern")
-
-    def matches(self, exchange: HttpExchange) -> bool:
-        for header, substring in self.header_patterns:
-            value = exchange.header(header)
-            if value is not None and (not substring or substring.lower() in value.lower()):
-                return True
-        return False
-
-
-DEFAULT_FINGERPRINTS: tuple[CdnFingerprint, ...] = (
-    CdnFingerprint(
-        "Cloudflare",
-        (("cf-ray", ""), ("cf-cache-status", ""), ("server", "cloudflare")),
-    ),
-    CdnFingerprint(
-        "Akamai",
-        (
-            ("server", "akamaighost"),
-            ("x-akamai-transformed", ""),
-            ("x-akamai-request-id", ""),
-            ("x-cache", "akamai"),
-        ),
-    ),
-    CdnFingerprint(
-        "CloudFront",
-        (
-            ("x-amz-cf-id", ""),
-            ("x-amz-cf-pop", ""),
-            ("via", "cloudfront"),
-            ("x-cache", "cloudfront"),
-        ),
-    ),
-    CdnFingerprint(
-        "Fastly",
-        (
-            ("x-fastly-request-id", ""),
-            ("fastly-debug-digest", ""),
-            ("x-served-by", "cache-"),
-        ),
-    ),
-)
+# Each vendor with the (header, substring) pairs that give it away. A
+# substring is lowercase and is looked for in the lowered header value; an
+# empty one matches any value.
+CDN_FINGERPRINTS: dict[str, tuple[tuple[str, str], ...]] = {
+    "Cloudflare": (("cf-ray", ""), ("cf-cache-status", ""), ("server", "cloudflare")),
+    "Akamai": (("server", "akamaighost"), ("x-akamai-transformed", ""),
+               ("x-akamai-request-id", ""), ("x-cache", "akamai")),
+    "CloudFront": (("x-amz-cf-id", ""), ("x-amz-cf-pop", ""), ("via", "cloudfront"),
+                   ("x-cache", "cloudfront")),
+    "Fastly": (("x-fastly-request-id", ""), ("fastly-debug-digest", ""), ("x-served-by", "cache-")),
+}
 
 # Applied only when no named vendor matched: generic cache evidence.
-OTHER_CDN_FINGERPRINT = CdnFingerprint(
-    "Other",
-    (
-        ("x-cache", ""),
-        ("x-cache-status", ""),
-        ("via", ""),
-        ("x-varnish", ""),
-        ("x-proxy-cache", ""),
-    ),
-)
+OTHER_CDN_PATTERNS = (("x-cache", ""), ("x-cache-status", ""), ("via", ""), ("x-varnish", ""),
+                      ("x-proxy-cache", ""))
+
+
+def _matches(exchange: HttpExchange, patterns: tuple[tuple[str, str], ...]) -> bool:
+    for header, substring in patterns:
+        value = exchange.header(header)
+        if value is not None and substring in value.lower():
+            return True
+    return False
 
 
 def cdn_label(exchange: HttpExchange) -> list[str]:
     """All vendors whose fingerprint matches; multi-CDN setups return several
     labels, and an empty list means unlabeled."""
-    labels = [fp.vendor for fp in DEFAULT_FINGERPRINTS if fp.matches(exchange)]
-    if not labels and OTHER_CDN_FINGERPRINT.matches(exchange):
-        labels = [OTHER_CDN_FINGERPRINT.vendor]
+    labels = [vendor for vendor, patterns in CDN_FINGERPRINTS.items()
+              if _matches(exchange, patterns)]
+    if not labels and _matches(exchange, OTHER_CDN_PATTERNS):
+        labels = ["Other"]
     return labels
 
 

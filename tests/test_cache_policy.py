@@ -97,22 +97,22 @@ class TestBuiltinProfiles:
     def test_akamai_honors_nothing(self):
         p = builtin_profile("akamai_default")
         assert p.default_cached is DefaultCached.EXTENSION_LIST
-        assert not p.honors("no-store") and not p.honors("no-cache") and not p.honors("private")
+        assert p.honored == frozenset()
 
     def test_cloudflare_honors_all_and_opts_in(self):
         p = builtin_profile("cloudflare_default")
         assert p.default_cached is DefaultCached.EXTENSION_LIST_OR_HEADER_OPT_IN
-        assert p.honors("no-store") and p.honors("no-cache") and p.honors("private")
+        assert p.honored == {"no-store", "no-cache", "private"}
 
     def test_cloudfront_caches_everything_honors_all(self):
         p = builtin_profile("cloudfront_default")
         assert p.default_cached is DefaultCached.ALL_OBJECTS
-        assert p.honors("no-store") and p.honors("no-cache") and p.honors("private")
+        assert p.honored == {"no-store", "no-cache", "private"}
 
     def test_fastly_honors_only_private(self):
         p = builtin_profile("fastly_default")
         assert p.default_cached is DefaultCached.ALL_OBJECTS
-        assert not p.honors("no-store") and not p.honors("no-cache") and p.honors("private")
+        assert p.honored == {"private"}
 
 
 class TestDecide:
@@ -172,7 +172,6 @@ class TestDecide:
         profile = CdnProfile(
             name="custom",
             default_cached=DefaultCached.EXTENSION_LIST,
-            honored=(("no-store", False), ("no-cache", False), ("private", False)),
             rules=(
                 CacheRule(glob="/static/*", honor_headers=frozenset({"no-store"}), ttl=60),
                 CacheRule(extensions=frozenset({"pdf"}), override_headers=True, ttl=120),
@@ -204,7 +203,7 @@ def test_honored_no_store_always_wins(path, status, header):
     profile = CdnProfile(
         name="strict",
         default_cached=DefaultCached.ALL_OBJECTS,
-        honored=(("no-store", True), ("no-cache", False), ("private", False)),
+        honored=frozenset({"no-store"}),
     )
     directives = parse_cache_control(header)
     decision = decide(profile, path, status, directives)
@@ -247,11 +246,12 @@ def test_profile_config_round_trip(tmp_path):
         name="custom",
         default_cached=DefaultCached.EXTENSION_LIST_OR_HEADER_OPT_IN,
         static_extensions=frozenset({"css", "js"}),
-        honored=(("no-store", True), ("no-cache", False), ("private", True)),
+        honored=frozenset({"no-store", "private"}),
         default_ttl=120,
         rules=(CacheRule(glob="/media/*", ttl=30),),
     )
     data = profile_to_dict(original)
+    assert data["honored"] == {"no-store": True, "no-cache": False, "private": True}
     rebuilt = profile_from_dict(data)
     assert rebuilt == original
     assert rebuilt.static_extensions == frozenset({"css", "js"})

@@ -460,6 +460,13 @@ def _interrupt(_seconds):
     raise KeyboardInterrupt
 
 
+def _auth(**fields) -> dict:
+    """A scenario ``auth`` object with one victim account, and ``fields``."""
+    victim = {"username": "victim", "password": "pw", "values": {"email": "zz7q9x2w8v4n6mkp"},
+              "is_victim": True}
+    return {"accounts": [victim], **fields}
+
+
 @pytest.mark.parametrize("command", ["lab", "oracle"])
 @pytest.mark.parametrize(
     "field,value,reason",
@@ -470,8 +477,19 @@ def _interrupt(_seconds):
      ("resources", [{"path": ["/"], "body": ""}], "resource path must be a string, got list"),
      ("auth", {"accounts": [{"username": "victim", "password": "pw",
                              "values": {"email": 12345678901234}}]},
-      "account value 'email' must be a string, got int")],
-    ids=["profile", "variant", "status", "body", "path", "account-value"],
+      "account value 'email' must be a string, got int"),
+     ("host", ["pacing.test"], "host must be a string, got list"),
+     ("resources", [{"path": "/", "body": "", "headers": {"X-A": 5}}],
+      "resource header 'X-A' must be a string, got int"),
+     ("resources", [{"path": "/", "body": "", "headers": [[5, "x"]]}],
+      "resource header name must be a string, got int"),
+     ("auth", _auth(cookie_name=5), "auth cookie_name must be a string, got int"),
+     ("auth", _auth(login_path=["/login"]), "auth login_path must be a string, got list"),
+     ("auth", _auth(mode="open"), "auth mode must be 'redirect' or 'forbid', got 'open'"),
+     ("auth", _auth(marker_labels=["email", "phone"]),
+      "marker label 'phone' names no victim value")],
+    ids=["profile", "variant", "status", "body", "path", "account-value", "host",
+         "header-value", "header-name", "cookie-name", "login-path", "mode", "marker-label"],
 )
 def test_scenario_entry_with_a_bad_value_is_named(
     tmp_path, capsys, monkeypatch, command, field, value, reason
@@ -485,6 +503,32 @@ def test_scenario_entry_with_a_bad_value_is_named(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: entry 1 ('pacing'): {reason}")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["lab", "oracle"])
+def test_a_scenario_name_that_is_not_a_string_is_named(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr("time.sleep", _interrupt)
+    entries = [site.to_dict() for site in (catalog.classic_site(), catalog.pacing_site())]
+    entries[1]["name"] = 5
+    path = tmp_path / "scenarios.json"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    assert main([command, "--scenarios", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: entry 1: name must be a string, got int\n"
+
+
+def test_a_scenario_host_is_read_lowercased(tmp_path, capsys, monkeypatch):
+    # The lab looks each request's Host up lowercased, so a host with
+    # capitals would never be matched if it were kept as written.
+    monkeypatch.setattr("time.sleep", _interrupt)
+    entry = catalog.pacing_site().to_dict()
+    entry["host"] = "Pacing.TEST"
+    path = tmp_path / "scenarios.json"
+    path.write_text(json.dumps([entry]), encoding="utf-8")
+    assert main(["lab", "--scenarios", str(path)]) == EXIT_CLEAN
+    out = capsys.readouterr().out
+    assert "  pacing.test -> 127.0.0.1:" in out
+    assert "Pacing" not in out
 
 
 def test_lab_with_two_scenarios_for_one_host_is_an_error(tmp_path, capsys, monkeypatch):

@@ -191,8 +191,10 @@ _bases = st.builds(
 
 
 def _urljoin_or_none(base: str, href: str) -> str | None:
+    """urljoin's URL without its fragment (what follows the first "#"), or
+    None where urljoin raises."""
     try:
-        return urljoin(base, href)
+        return urljoin(base, href).partition("#")[0]
     except ValueError:
         return None
 
@@ -390,6 +392,36 @@ class TestCrawlDomain:
         item_reps = [p for p in surface.pages if p.raw_path.startswith("/item/")]
         assert len(item_reps) == 1
         assert surface.pages_seen == 6
+
+    def test_a_link_that_differs_only_by_its_fragment_is_the_same_page(self, limiter):
+        site = SimSite(
+            name="fragments", host="f.test", origin=OriginSemantics(),
+            cache_profile=builtin_profile("akamai_default"),
+            resources={
+                "/": LabResource(
+                    path="/",
+                    body_template='<a href="/a">a</a><a href="/a#x">x</a><a href="/a#y">y</a>',
+                ),
+                "/a": LabResource(path="/a", body_template="<html>a</html>"),
+            },
+        )
+        server = LabServer([site]).start()
+        transport = Transport(resolve_overrides=server.resolve_overrides())
+        try:
+            surface = crawl_domain(
+                SiteConfig(primary_domain="f.test"),
+                Identity(role=Role.VICTIM),
+                budget=500,
+                rate_limiter=limiter,
+                transport=transport,
+            )
+            targets = [e.target for e in server.request_log("f.test")]
+        finally:
+            transport.close()
+            server.stop()
+        assert surface.pages_seen == 2
+        assert sorted(p.text() for p in surface.pages) == ["http://f.test/", "http://f.test/a"]
+        assert targets == ["/", "/a"]
 
     def test_logout_links_never_requested(self, support_lab, support_transport, limiter):
         host = "classic-pp.test"

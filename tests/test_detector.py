@@ -18,7 +18,6 @@ from wcdscan.detector import (
     DEFAULT_KEYWORDS,
     MIN_RESIDUAL_ENTROPY,
     MIN_RESIDUAL_LENGTH,
-    Marker,
     MarkerSet,
     RandomnessConfig,
     SecretSource,
@@ -162,16 +161,11 @@ def _reference_kept(name: str, value: str, config: RandomnessConfig):
     """The sweep's keep/skip decision from the full randomness score of the
     value and each keyword tested in turn, the reference for detector._kept."""
     residual, entropy = randomness_score(value, config)
-    if any(k in name.lower() for k in config.keywords):
+    if any(k in name.lower() for k in DEFAULT_KEYWORDS):
         return SecretTrigger.KEYWORD_MATCH, entropy, residual
     if residual >= MIN_RESIDUAL_LENGTH and entropy >= MIN_RESIDUAL_ENTROPY:
         return SecretTrigger.ENTROPY_MATCH, entropy, residual
     return None
-
-
-# Keywords in and out of lower case, regex metacharacters, the empty string
-# (which every name contains), and "İ" with its two-character lower form.
-_KEYWORDS = ["csrf", "token", "state", "CSRF", "Token", "id", "_", "", "a.b", "x|y", "İ", "i̇"]
 
 
 @settings(deadline=None, max_examples=400)
@@ -185,19 +179,14 @@ _KEYWORDS = ["csrf", "token", "state", "CSRF", "Token", "id", "_", "", "a.b", "x
         st.text(max_size=MIN_RESIDUAL_LENGTH - 1),
         st.text(alphabet="0123456789abcdefXYZİ-_", max_size=20),
     ),
-    keywords=st.one_of(
-        st.just(()),
-        st.just(DEFAULT_KEYWORDS),
-        st.lists(st.sampled_from(_KEYWORDS), max_size=3).map(tuple),
-    ),
 )
-@example(name="csrf", value="x7", keywords=())
-@example(name="CSRF", value="abc", keywords=("CSRF",))
-@example(name="İd", value="q7w8e9r0", keywords=("i̇",))
-@example(name="name", value="İİİİİİİİ", keywords=("",))
-@example(name="blob", value="zq8x7w2v9k4j3h6f", keywords=DEFAULT_KEYWORDS)
-def test_keep_decision_matches_reference(name, value, keywords):
-    config = RandomnessConfig(keywords=keywords)
+@example(name="csrf", value="x7")
+@example(name="CSRF", value="abc")
+@example(name="client_İd", value="q7w8e9r0")
+@example(name="name", value="İİİİİİİİ")
+@example(name="blob", value="zq8x7w2v9k4j3h6f")
+def test_keep_decision_matches_reference(name, value):
+    config = RandomnessConfig()
     assert detector._kept(name, value, config) == _reference_kept(name, value, config)
 
 
@@ -491,7 +480,6 @@ class _Ex:
             status=status,
             headers={},
             body=body,
-            timing=1.0,
         )
 
 
@@ -516,11 +504,9 @@ class TestResponsesIdentical:
     def test_headers_do_not_matter(self):
         a = HttpExchange(
             url="u", status=200, headers=index_fields([("X-Cache", "HIT")]), body=b"x",
-            timing=0,
         )
         b = HttpExchange(
             url="u", status=200, headers=index_fields([("X-Cache", "MISS")]), body=b"x",
-            timing=0,
         )
         assert responses_identical(a, b) is True
 
@@ -563,7 +549,6 @@ def detector_lab():
         name="no_extensions",
         default_cached=DefaultCached.EXTENSION_LIST,
         static_extensions=frozenset(),
-        honored=(("no-store", False), ("no-cache", False), ("private", False)),
     )
     sites.append(nomatch)
     server = LabServer(sites).start()
@@ -785,7 +770,7 @@ class TestRunWcdTest:
 # --- the attacker step follows only a victim body with something to leak ---
 
 GATE_HOST = "det-gate.test"
-GATE_MARKER = Marker("email", "zz7q9x2w8v4n6mkp")
+GATE_MARKER = ("email", "zz7q9x2w8v4n6mkp")
 
 
 @pytest.fixture()
@@ -803,7 +788,7 @@ def gate_lab():
             ),
             "/profile": LabResource(
                 path="/profile",
-                body_template=f"<html><body><p>{GATE_MARKER.value}</p></body></html>",
+                body_template=f"<html><body><p>{GATE_MARKER[1]}</p></body></html>",
             ),
         },
     )
@@ -956,9 +941,7 @@ class TestSweepMemo:
 
         def reflecting_fetch(identity, url, *args, **kwargs):
             body = f'<html><body><a href="{url}?csrf=1">again</a></body></html>'
-            return HttpExchange(
-                url=url, status=200, headers={}, body=body.encode(), timing=1.0,
-            )
+            return HttpExchange(url=url, status=200, headers={}, body=body.encode())
 
         monkeypatch.setattr(detector, "fetch", reflecting_fetch)
         config = WcdTestConfig(fast_settings(), names=RandomNameGenerator(seed=5))
@@ -974,19 +957,19 @@ class TestSweepMemo:
         victim, attacker = Identity(role=Role.VICTIM), Identity(role=Role.ATTACKER)
         technique = PathConfusionTechnique.PATH_PARAMETER
         first = run_wcd_test(self.PAGE, technique, victim, attacker, MarkerSet([]), config)
-        assert [s.name for s in first.secrets] == ["csrf_token"]
+        assert [(s.name, s.residual_length) for s in first.secrets] == [("csrf_token", 6)]
         assert len(config.sweeps) == 1
 
         strict = replace(
             config,
-            settings=replace(config.settings, randomness=RandomnessConfig(keywords=("zzz",))),
+            settings=replace(
+                config.settings, randomness=RandomnessConfig(dictionary=("static",))
+            ),
         )
         assert strict.sweeps == {}
         second = run_wcd_test(self.PAGE, technique, victim, attacker, MarkerSet([]), strict)
-        # Under the strict config the victim body holds no kept candidate, so
-        # its sweep, a fresh one, ends the test before the attacker step.
-        assert second.attacker_status == 0
-        assert second.secrets == ()
-        assert second.vulnerable is False
+        # The fresh sweep strips the value "static" as a dictionary word; a
+        # memo carried over from the first config would keep its 6 characters.
+        assert [(s.name, s.residual_length) for s in second.secrets] == [("csrf_token", 0)]
         assert len(strict.sweeps) == 1
         assert len(config.sweeps) == 1

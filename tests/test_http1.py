@@ -48,9 +48,9 @@ class _FakeSocket:
 
 
 def _stored(headers) -> tuple[tuple[str, str], ...]:
-    """A header index as ``HttpExchange.header`` reads it: each name as first
-    seen with its values joined, in first-seen order."""
-    return tuple((name, ", ".join(values)) for name, values in headers.values())
+    """A header index as ``HttpExchange.header`` reads it: each lowercase
+    name with its values joined, in first-seen order."""
+    return tuple((name, ", ".join(values)) for name, values in headers.items())
 
 
 def _http_client(raw: bytes, method: str):
@@ -242,20 +242,20 @@ class TestPinnedDifferences:
 
     def test_obs_fold_continues_the_value_after_one_space(self):
         raw = b"HTTP/1.1 200 OK\r\nX-A: one\r\n  two\r\nContent-Length: 0\r\n\r\n"
-        assert _framed(raw, "GET")[1] == (("X-A", "one two"), ("Content-Length", "0"))
-        assert _reference(raw, "GET")[1] == (("X-A", "one\r\n  two"), ("Content-Length", "0"))
+        assert _framed(raw, "GET")[1] == (("x-a", "one two"), ("content-length", "0"))
+        assert _reference(raw, "GET")[1] == (("x-a", "one\r\n  two"), ("content-length", "0"))
 
     @pytest.mark.parametrize("bad", [b"no colon here", b"Bad Name: x", b": no name"])
     def test_a_malformed_line_is_skipped(self, bad):
         raw = b"HTTP/1.1 200 OK\r\nX-A: 1\r\n" + bad + b"\r\nContent-Length: 2\r\n\r\nok"
         status, headers, body, keep_alive = _framed(raw, "GET")
-        assert headers == (("X-A", "1"), ("Content-Length", "2")) and body == b"ok"
+        assert headers == (("x-a", "1"), ("content-length", "2")) and body == b"ok"
         assert keep_alive
         reference = _reference(raw, "GET")
         if bad.startswith(b":"):  # http.client drops just that line
             assert reference == (status, headers, body, keep_alive)
         else:  # http.client ends the header section there and reads to EOF
-            assert reference == (200, (("X-A", "1"),), b"ok", False)
+            assert reference == (200, (("x-a", "1"),), b"ok", False)
 
     @pytest.mark.parametrize("status", [204, 304, 101])
     def test_no_body_status_ignores_chunked(self, status):

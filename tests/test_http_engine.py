@@ -268,6 +268,27 @@ class TestSetCookieParsing:
         else:
             assert before + lifetime <= expiry <= time.time() + lifetime
 
+    @pytest.mark.parametrize(
+        "date",
+        ["Wed, 21 Oct 2037 07:28:00 GMT", "Wed, 21 Oct 2037 07:28:00 -0000",
+         "Wed Oct 21 07:28:00 2037", "Wed, 21 Oct 2037 07:28:00 +0200"],
+        ids=["gmt", "minus-zero", "asctime", "other-zone"],
+    )
+    def test_an_expires_date_is_utc_in_any_local_zone(self, monkeypatch, date):
+        """RFC 6265 §5.1.1 reads every cookie date as UTC, so the expiry
+        depends neither on the zone the scanner runs in nor on one that the
+        date names."""
+        monkeypatch.setenv("TZ", "America/New_York")
+        time.tzset()
+        try:
+            victim = Identity(role=Role.VICTIM)
+            victim.store_set_cookie("shop.example", f"sid=1; Expires={date}")
+        finally:
+            monkeypatch.undo()
+            time.tzset()
+        expiry = victim.cookie_jar[("shop.example", "sid")].expiry
+        assert expiry == datetime(2037, 10, 21, 7, 28, tzinfo=timezone.utc).timestamp()
+
     @pytest.mark.parametrize("set_cookie", ["s\nid=1", "sid=a\rb", "sid=a\x00", "sid=a\nb; Path=/"])
     def test_a_control_character_keeps_the_cookie_out(self, set_cookie):
         assert _jar("sid=1", set_cookie) == {"sid": "1"}

@@ -335,7 +335,6 @@ class TestOracle:
             name="nothing_matches",
             default_cached=DefaultCached.EXTENSION_LIST,
             static_extensions=frozenset(),
-            honored=(("no-store", False), ("no-cache", False), ("private", False)),
         )
         site = catalog._account_site(
             "unit-nomatch",

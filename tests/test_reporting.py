@@ -15,7 +15,6 @@ from wcdscan.http1 import index_fields
 from wcdscan import reporting
 from wcdscan.http_engine import HttpExchange
 from wcdscan.reporting import (
-    CdnFingerprint,
     Counts3,
     DegenerateTable,
     MalformedRecord,
@@ -82,7 +81,6 @@ def _exchange(headers: dict[str, str]) -> HttpExchange:
         status=200,
         headers=index_fields(list(headers.items())),
         body=b"",
-        timing=0.0,
     )
 
 
@@ -106,10 +104,6 @@ class TestCdnLabel:
     def test_akamai_and_fastly_patterns(self):
         assert cdn_label(_exchange({"server": "AkamaiGHost"})) == ["Akamai"]
         assert cdn_label(_exchange({"x-served-by": "cache-bos4620-BOS"})) == ["Fastly"]
-
-    def test_fingerprint_requires_patterns(self):
-        with pytest.raises(ValueError):
-            CdnFingerprint("Empty", ())
 
 
 def _verdict(

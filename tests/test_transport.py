@@ -410,8 +410,8 @@ class TestResponseShape:
         exchange = fetch(victim, f"http://{HOST}/", fast_limiter(), transport)
         transport.close()
         reference = requests.get(f"http://127.0.0.1:{server.port}/", timeout=5)
-        stored = tuple((name, ", ".join(values)) for name, values in exchange.headers.values())
-        assert stored == tuple(reference.headers.items())
+        stored = tuple((name, ", ".join(values)) for name, values in exchange.headers.items())
+        assert stored == tuple((name.lower(), value) for name, value in reference.headers.items())
         assert exchange.header("x-cache") == "HIT, MISS from edge"
         assert {(c.name, c.value) for c in victim.cookie_jar.values()} == {("a", "1"), ("b", "2")}
 
