@@ -389,8 +389,8 @@ def _cmd_selfcheck(args) -> int:
         print(f"  {technique.value:<22}{expected:>26}{agreed:>16}")
     print(
         f"  lab requests: {report.requests} ({report.requests_with_cookie} with a cookie, "
-        f"{report.requests_without_cookie} without); "
-        f"{report.attacker_steps_skipped} tests sent no attacker step"
+        f"{report.requests_without_cookie} without) over {report.lab_connections} "
+        f"connections; {report.attacker_steps_skipped} tests sent no attacker step"
     )
     print(f"  inconclusive verdicts: {report.inconclusive}")
     print(f"  disagreements with oracle: {len(report.disagreements)}")

@@ -333,7 +333,13 @@ def crawl_domain(
             continue
         scoped = in_scope.get(page.host)
         if scoped is None:
-            scoped = in_scope[page.host] = registrable_domain(page.host) == site_scope
+            # registrable_domain gives a suffix of the host lowercased and
+            # stripped of trailing dots: a host without the site's as its
+            # suffix is off-site, whatever the table says.
+            scoped = in_scope[page.host] = (
+                page.host.lower().rstrip(".").endswith(site_scope)
+                and registrable_domain(page.host) == site_scope
+            )
         if not scoped:
             continue
 

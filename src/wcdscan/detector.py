@@ -562,6 +562,8 @@ class ScanSettings:
     rate_limiter: RateLimiter = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.workers < 1:
+            raise ValueError("workers must be positive")
         self.rate_limiter = RateLimiter(rate=self.rate)
 
 

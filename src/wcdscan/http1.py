@@ -82,6 +82,12 @@ _VERSION = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})", re.ASCII)
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
 # http.client sends Content-Length: 0 for these methods when there is no body.
 _METHODS_WITH_BODY = ("PATCH", "POST", "PUT")
+# RFC 9110 section 5.6.2: a field name is a token.
+FIELD_NAME = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+# A field value holding one of these would end its line early and let the
+# rest pass as further fields or another message (http.client refuses CR
+# and LF).
+UNSENDABLE_IN_VALUE = re.compile(r"[\x00\r\n]")
 
 Headers = dict[str, list[str]]  # lowercase name -> values in wire order
 

@@ -23,13 +23,14 @@ import threading
 import time
 import zlib
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from datetime import timezone
 from enum import Enum
 from email.utils import parsedate_to_datetime
 from urllib.parse import quote, urlencode, urljoin
 
-from .http1 import FramingError, Headers, read_response, render_request
+from .http1 import UNSENDABLE_IN_VALUE, FramingError, Headers, read_response, render_request
 from .url_toolkit import DEFAULT_PORTS, parse_url
 
 log = logging.getLogger(__name__)
@@ -57,11 +58,6 @@ ACCEPT_ENCODING = "gzip, deflate"
 
 # Characters http.client refuses in a host name.
 _UNSENDABLE_HOST = re.compile(r"[\x00-\x20\x7f]")
-
-# A header value holding one of these would end its line early and let the
-# rest pass as further headers or another request (http.client refuses CR
-# and LF).
-_UNSENDABLE_VALUE = re.compile(r"[\x00\r\n]")
 
 # What RFC 6265 §5.2 trims from a cookie's name, value and attributes, and
 # the one form of Max-Age it reads.
@@ -174,7 +170,7 @@ class Identity:
         pair, *attributes = header_value.split(";")
         name, eq, value = pair.partition("=")
         name, value = name.strip(_WSP), value.strip(_WSP)
-        if not eq or not name or _UNSENDABLE_VALUE.search(name + value):
+        if not eq or not name or UNSENDABLE_IN_VALUE.search(name + value):
             log.debug("Set-Cookie from %s not stored: %r", host, header_value)
             return
         domain = ""
@@ -290,8 +286,9 @@ class Transport:
     connect to over plain HTTP while still sending the logical Host header;
     this is how the scanner reaches lab vhosts without DNS. Connections are
     pooled per thread and keyed by endpoint (scheme, connect host, port), so
-    a worker reuses one socket per endpoint for every identity without
-    locking; :meth:`close` closes the calling thread's connections. HTTPS
+    a worker reuses one socket per endpoint for every identity and every
+    site without locking; :meth:`close` closes the calling thread's
+    connections, or those that its next site will not use. HTTPS
     certificates and hostnames are verified against the default trust store.
     Proxy settings in the environment are not used.
     """
@@ -358,12 +355,19 @@ class Transport:
             f"{method} {scheme}://{host}:{port}{target} failed after retries: {last_exc}"
         )
 
-    def close(self) -> None:
-        """Close every connection the calling thread holds."""
+    def close(self, keep: Iterable[str] = ()) -> None:
+        """Close the calling thread's connections, except those to the
+        endpoints that the URLs in ``keep`` route to. A URL that cannot be
+        routed keeps nothing."""
+        kept = set()
+        for url in keep:
+            try:
+                kept.add(_route(url, self)[1])
+            except NetworkError:
+                pass
         pool = self._pool()
-        for conn in pool.values():
-            conn.close()
-        pool.clear()
+        for endpoint in [e for e in pool if e not in kept]:
+            pool.pop(endpoint).close()
 
 
 def _route(url: str, transport: Transport) -> tuple[str, Endpoint, str, str, bool]:
@@ -442,7 +446,7 @@ def fetch(
         host, endpoint, target, host_value, overridden = _route(current, transport)
         cookie = identity.cookie_header(host)
         for value in (identity.user_agent, cookie or ""):
-            if _UNSENDABLE_VALUE.search(value):
+            if UNSENDABLE_IN_VALUE.search(value):
                 raise NetworkError(f"header value for {host} holds CR, LF or NUL: {value!r}")
         rate_limiter.acquire(host)
         payload = urlencode(data).encode() if data else b""

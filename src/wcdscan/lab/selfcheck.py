@@ -37,6 +37,7 @@ class SelfcheckReport:
     # Requests the lab logged during the run, with and without a Cookie header.
     requests_with_cookie: int
     requests_without_cookie: int
+    lab_connections: int  # connections the lab accepted during the run
 
     @property
     def requests(self) -> int:
@@ -84,6 +85,7 @@ def run_selfcheck(
         pool = pool_from_lab_sites(sites)
         run = scan_pool(pool, settings)
         cookies = [e.has_cookie for site in sites for e in server.request_log(site.host)]
+        connections = server.connections_accepted
     finally:
         server.stop()
 
@@ -122,4 +124,5 @@ def run_selfcheck(
         elapsed_seconds=time.monotonic() - started,
         requests_with_cookie=sum(cookies),
         requests_without_cookie=len(cookies) - sum(cookies),
+        lab_connections=connections,
     )

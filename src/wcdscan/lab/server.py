@@ -41,11 +41,13 @@ class _VhostServer(socketserver.ThreadingTCPServer):
         # server_close, which reads them.
         self.connections: set[socket.socket] = set()
         self.connections_lock = threading.Lock()
+        self.accepted = 0  # connections accepted since the listener started
         super().__init__(*args, **kwargs)
 
     def process_request(self, request, client_address):
         with self.connections_lock:
             self.connections.add(request)
+            self.accepted += 1
         super().process_request(request, client_address)
 
     def shutdown_request(self, request):
@@ -229,6 +231,11 @@ class LabServer:
         self._httpd.server_close()
         if self._thread:
             self._thread.join(timeout=5)
+
+    @property
+    def connections_accepted(self) -> int:
+        """Client connections accepted since the listener started."""
+        return self._httpd.accepted
 
     def resolve_overrides(self) -> dict[str, tuple[str, int]]:
         return {host: (self.address, self.port) for host in self.runtimes}

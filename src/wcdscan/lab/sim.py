@@ -29,6 +29,7 @@ from ..cache_policy import (
     profile_to_dict,
     decide,
 )
+from ..http1 import FIELD_NAME, UNSENDABLE_IN_VALUE
 from .origin import OriginSemantics, route
 
 GENERIC_404_BODY = (
@@ -135,12 +136,32 @@ def _string(value, what: str) -> str:
 
 
 def _strings(mapping, what: str) -> dict[str, str]:
-    """A scenario mapping of strings to strings, such as a resource's headers."""
+    """A scenario mapping of strings to strings, such as an account's values."""
     mapping = dict(mapping)
     for k, v in mapping.items():
         _string(k, f"{what} name")
         _string(v, f"{what} {k!r}")
     return mapping
+
+
+def _field_value(value, what: str) -> str:
+    """A scenario string that the lab writes into a response header: a CR,
+    LF or NUL would end the header line early and let the rest pass as
+    further fields."""
+    value = _string(value, what)
+    if UNSENDABLE_IN_VALUE.search(value):
+        raise ValueError(f"{what} holds CR, LF or NUL: {value!r}")
+    return value
+
+
+def _fields(mapping) -> dict[str, str]:
+    """A resource's headers: each name a token, each value one line."""
+    fields = dict(mapping)
+    for name, value in fields.items():
+        if not FIELD_NAME.fullmatch(_string(name, "resource header name")):
+            raise ValueError(f"resource header name {name!r} is not a token")
+        _field_value(value, f"resource header {name!r}")
+    return fields
 
 
 @dataclass
@@ -246,9 +267,9 @@ class SimSite:
             auth = LabAuth(
                 accounts={account.username: account for account in accounts},
                 marker_labels=marker_labels,
-                cookie_name=_string(ad.get("cookie_name", "sid"), "auth cookie_name"),
+                cookie_name=_field_value(ad.get("cookie_name", "sid"), "auth cookie_name"),
                 mode=mode,
-                login_path=_string(ad.get("login_path", "/login"), "auth login_path"),
+                login_path=_field_value(ad.get("login_path", "/login"), "auth login_path"),
                 rotate=bool(ad.get("rotate", False)),
             )
         resources: dict[str, LabResource] = {}
@@ -260,9 +281,9 @@ class SimSite:
                 path=path,
                 body_template=_string(r["body"], "resource body"),
                 status=int(r.get("status", 200)),
-                headers=_strings(r.get("headers", {}), "resource header"),
+                headers=_fields(r.get("headers", {})),
                 protected=bool(r.get("protected", False)),
-                content_type=_string(
+                content_type=_field_value(
                     r.get("content_type", "text/html; charset=utf-8"), "resource content_type"
                 ),
             )

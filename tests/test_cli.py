@@ -487,9 +487,27 @@ def _auth(**fields) -> dict:
      ("auth", _auth(login_path=["/login"]), "auth login_path must be a string, got list"),
      ("auth", _auth(mode="open"), "auth mode must be 'redirect' or 'forbid', got 'open'"),
      ("auth", _auth(marker_labels=["email", "phone"]),
-      "marker label 'phone' names no victim value")],
+      "marker label 'phone' names no victim value"),
+     # Each of these is written into a response header, where a line break
+     # would start a field of the scenario's choosing.
+     ("resources", [{"path": "/", "body": "", "headers": {"X-A": "1\r\nX-Evil: 1"}}],
+      "resource header 'X-A' holds CR, LF or NUL: '1\\r\\nX-Evil: 1'"),
+     ("resources", [{"path": "/", "body": "", "headers": {"X-A\x00": "1"}}],
+      "resource header name 'X-A\\x00' is not a token"),
+     ("resources", [{"path": "/", "body": "", "headers": {"X A": "1"}}],
+      "resource header name 'X A' is not a token"),
+     ("resources", [{"path": "/", "body": "", "headers": {"X-A:": "1"}}],
+      "resource header name 'X-A:' is not a token"),
+     ("resources", [{"path": "/", "body": "", "headers": {"": "1"}}],
+      "resource header name '' is not a token"),
+     ("resources", [{"path": "/", "body": "", "content_type": "text/html\rX-Evil: 1"}],
+      "resource content_type holds CR, LF or NUL"),
+     ("auth", _auth(cookie_name="sid\nX-Evil: 1"), "auth cookie_name holds CR, LF or NUL"),
+     ("auth", _auth(login_path="/login\x00"), "auth login_path holds CR, LF or NUL")],
     ids=["profile", "variant", "status", "body", "path", "account-value", "host",
-         "header-value", "header-name", "cookie-name", "login-path", "mode", "marker-label"],
+         "header-value", "header-name", "cookie-name", "login-path", "mode", "marker-label",
+         "header-value-crlf", "header-name-nul", "header-name-space", "header-name-colon",
+         "header-name-empty", "content-type-cr", "cookie-name-lf", "login-path-nul"],
 )
 def test_scenario_entry_with_a_bad_value_is_named(
     tmp_path, capsys, monkeypatch, command, field, value, reason

@@ -22,7 +22,7 @@ from wcdscan.lab import catalog
 from wcdscan.lab.origin import OriginSemantics
 from wcdscan.lab.sim import LabResource, SimSite
 from wcdscan.lab.server import LabServer
-from wcdscan.url_toolkit import group_key, parse_url, pick_per_group
+from wcdscan.url_toolkit import group_key, parse_url, pick_per_group, registrable_domain
 
 from conftest import fast_limiter, lab_connections_left_open
 
@@ -510,6 +510,24 @@ class TestCrawlDomain:
         # A host of the site's registrable domain is crawled; another is not.
         assert {p.text() for p in surface.pages} == {"http://home.test/", "http://www.home.test/"}
         assert other_requests == []
+
+
+_LABEL = st.sampled_from(["a", "B", "co", "uk", "com", "au", "1", "10", "x-y", ""])
+_HOST = st.lists(_LABEL, min_size=1, max_size=5).map(".".join) | st.sampled_from(
+    ["127.0.0.1", "home.test.", "WWW.Shop.Co.UK", "shop.co.uk", "co.uk", "..", "a..b"]
+)
+
+
+@given(host=_HOST, primary=_HOST)
+@example(host="evil-home.test", primary="home.test")
+@example(host="home.test.", primary="HOME.test")
+def test_the_crawls_quick_scope_test_never_drops_an_in_scope_host(host, primary):
+    """crawl_domain skips registrable_domain for a host whose lowercased,
+    dot-stripped form does not end with the site's registrable domain: that
+    call could only have said the host is off-site."""
+    scope = registrable_domain(primary)
+    if not host.lower().rstrip(".").endswith(scope):
+        assert registrable_domain(host) != scope
 
 
 @pytest.fixture(scope="module")

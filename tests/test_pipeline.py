@@ -4,6 +4,7 @@ import gc
 import json
 import subprocess
 import sys
+import threading
 import types
 import warnings
 from dataclasses import replace
@@ -13,15 +14,15 @@ import pytest
 
 import wcdscan
 from wcdscan import detector, pipeline
-from wcdscan.crawler import SeedPool, site_config_from_dict
+from wcdscan.crawler import SeedPool, SiteConfig, site_config_from_dict
 from wcdscan.lab import catalog, selfcheck
 from wcdscan.lab.selfcheck import pool_from_lab_sites
 from wcdscan.lab.server import LabServer
-from wcdscan.http_engine import AuthFailure, Transport
+from wcdscan.http_engine import AuthFailure, Identity, Role, Transport, fetch
 from wcdscan.pipeline import ScanSettings, scan_pool
 from wcdscan.url_toolkit import PathConfusionTechnique, parse_url
 
-from conftest import lab_connections_left_open
+from conftest import fast_limiter, lab_connections_left_open
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +203,9 @@ def test_selfcheck_counts_its_lab_requests():
     # step, and only a vulnerable test sends the unauthenticated step.
     assert report.attacker_steps_skipped == 1734
     assert all((v.unauth_status != 0) == v.vulnerable for v in report.verdicts)
+    # Every lab site routes to one endpoint, so each of the 8 workers
+    # carries its one connection from site to site.
+    assert 1 <= report.lab_connections <= 8
 
 
 def test_per_site_budget_override(pipeline_lab):
@@ -283,8 +287,9 @@ def test_verdicts_serialize_to_records(pipeline_lab):
 
 
 def test_no_pooled_connection_outlives_scan_pool(pipeline_lab):
-    """Each worker closes its keep-alive connections when a site is done, so
-    nothing is left for the garbage collector (which would warn) or the lab."""
+    """Each worker closes its keep-alive connections when it runs out of
+    sites, so nothing is left for the garbage collector (which would warn)
+    or the lab."""
     unraisable = []
     previous_hook = sys.unraisablehook
     sys.unraisablehook = unraisable.append
@@ -299,6 +304,107 @@ def test_no_pooled_connection_outlives_scan_pool(pipeline_lab):
     assert not run.errors and run.verdicts
     assert [u.exc_value for u in unraisable] == []
     assert lab_connections_left_open(pipeline_lab) == 0
+
+
+@pytest.fixture()
+def two_labs():
+    """classic-pp and pacing on two listeners, and a transport reaching both."""
+    a = LabServer([catalog.classic_site()]).start()
+    b = LabServer([catalog.pacing_site()]).start()
+    try:
+        routes = {**a.resolve_overrides(), **b.resolve_overrides()}
+        yield a, b, Transport(resolve_overrides=routes)
+    finally:
+        a.stop()
+        b.stop()
+
+
+def test_close_keeps_the_connections_its_urls_route_to(two_labs):
+    a, b, transport = two_labs
+    guest, limiter = Identity(role=Role.UNAUTHENTICATED), fast_limiter()
+    try:
+        for host in ("classic-pp.test", "pacing.test"):
+            assert fetch(guest, f"http://{host}/", limiter, transport).status == 200
+        assert (a.connections_accepted, b.connections_accepted) == (1, 1)
+        transport.close(keep=["http://classic-pp.test/"])
+        assert lab_connections_left_open(b) == 0
+        # The kept socket answers the next request: A accepts no new one.
+        assert fetch(guest, "http://classic-pp.test/", limiter, transport).status == 200
+        assert a.connections_accepted == 1
+        assert len(a._httpd.connections) == 1
+    finally:
+        transport.close()
+    assert lab_connections_left_open(a) == 0
+
+
+def test_a_worker_closes_what_its_next_site_does_not_route_to(two_labs, monkeypatch):
+    a, b, transport = two_labs
+    open_elsewhere = []
+    real_scan_site = pipeline.scan_site
+
+    def scan_site(site, settings):
+        other = b if site.primary_domain == "classic-pp.test" else a
+        open_elsewhere.append((site.primary_domain, lab_connections_left_open(other)))
+        return real_scan_site(site, settings)
+
+    monkeypatch.setattr(pipeline, "scan_site", scan_site)
+    pool = pool_from_lab_sites([catalog.classic_site(), catalog.pacing_site()])
+    settings = ScanSettings(rate=500.0, workers=1, seed=3, transport=transport)
+    run = scan_pool(pool, settings)
+    assert not run.errors and run.verdicts
+    assert open_elsewhere == [("classic-pp.test", 0), ("pacing.test", 0)]
+    assert (a.connections_accepted, b.connections_accepted) == (1, 1)
+    assert lab_connections_left_open(a) == 0
+    assert lab_connections_left_open(b) == 0
+
+
+def test_a_site_that_raises_is_recorded_and_the_worker_goes_on(pipeline_lab, monkeypatch):
+    real_scan_site = pipeline.scan_site
+
+    def scan_site(site, settings):
+        if site.primary_domain == "classic-pp.test":
+            raise RuntimeError("boom")
+        return real_scan_site(site, settings)
+
+    monkeypatch.setattr(pipeline, "scan_site", scan_site)
+    pool = pool_from_lab_sites([catalog.classic_site(), catalog.pacing_site()])
+    run = scan_pool(pool, _settings(pipeline_lab, workers=1))
+    assert run.errors == [("classic-pp.test", "boom")]
+    assert [r.site.primary_domain for r in run.site_results] == ["classic-pp.test", "pacing.test"]
+    assert run.site_results[1].verdicts
+    assert lab_connections_left_open(pipeline_lab) == 0
+
+
+def test_a_run_needs_a_worker():
+    with pytest.raises(ValueError, match="workers must be positive"):
+        ScanSettings(workers=0)
+
+
+def test_many_workers_take_every_site_once(monkeypatch):
+    """More workers than cores, switching threads as often as the
+    interpreter allows: no site is taken twice, and none is lost."""
+    taken = []
+
+    def scan_site(site, settings):
+        taken.append(site.primary_domain)
+        return pipeline.SiteScanResult(site=site)
+
+    monkeypatch.setattr(pipeline, "scan_site", scan_site)
+    pool = SeedPool(sites=tuple(SiteConfig(f"s{i:03}.test") for i in range(300)))
+    runs = []
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        thread = threading.Thread(
+            target=lambda: runs.append(scan_pool(pool, ScanSettings(workers=16)))
+        )
+        thread.start()
+        thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not thread.is_alive()
+    assert sorted(taken) == [site.primary_domain for site in pool.sites]
+    assert [r.site for r in runs[0].site_results] == list(pool.sites)
 
 
 def test_a_malformed_anchor_costs_that_link_not_the_site():
