@@ -68,7 +68,7 @@ class SiteConfig:
     scheme: str = "http"
     victim_login: LoginDescriptor | None = None
     attacker_login: LoginDescriptor | None = None
-    markers: MarkerSet | None = None
+    markers: MarkerSet = field(default_factory=lambda: MarkerSet([]))
     budget: int | None = None  # overrides the scan-wide page-group budget
 
     @property
@@ -119,14 +119,12 @@ def site_config_from_dict(primary: str, subdomains: tuple[str, ...], data: dict)
     if "login" in data:
         victim_login = _login_descriptor(scheme, primary, data["login"], "victim")
         attacker_login = _login_descriptor(scheme, primary, data["login"], "attacker")
-    markers = None
-    if data.get("markers"):
-        try:
-            markers = MarkerSet([(m["label"], m["value"]) for m in data["markers"]])
-        except KeyError as exc:
-            raise ConfigError(f"bad markers: an entry lacks {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"bad markers: {exc}") from exc
+    try:
+        markers = MarkerSet([(m["label"], m["value"]) for m in data.get("markers") or ()])
+    except KeyError as exc:
+        raise ConfigError(f"bad markers: an entry lacks {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"bad markers: {exc}") from exc
     budget = data.get("budget")
     if "budget" in data and (type(budget) is not int or budget < 1):
         raise ConfigError(f"site budget must be a positive integer, got {budget!r}")
@@ -333,13 +331,7 @@ def crawl_domain(
             continue
         scoped = in_scope.get(page.host)
         if scoped is None:
-            # registrable_domain gives a suffix of the host lowercased and
-            # stripped of trailing dots: a host without the site's as its
-            # suffix is off-site, whatever the table says.
-            scoped = in_scope[page.host] = (
-                page.host.lower().rstrip(".").endswith(site_scope)
-                and registrable_domain(page.host) == site_scope
-            )
+            scoped = in_scope[page.host] = registrable_domain(page.host) == site_scope
         if not scoped:
             continue
 

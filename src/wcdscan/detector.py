@@ -193,8 +193,6 @@ def strip_dictionary_words(value: str, config: RandomnessConfig) -> str:
 def randomness_score(value: str, config: RandomnessConfig) -> tuple[int, float]:
     """(residual length, Shannon entropy bits/char) after dictionary removal."""
     residual = strip_dictionary_words(value, config)
-    if not residual:
-        return (0, 0.0)
     return (len(residual), shannon_entropy(residual))
 
 

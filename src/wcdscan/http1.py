@@ -12,19 +12,20 @@ indexed once, by :func:`index_fields`, as each lowercase name's values in
 wire order, and every later lookup reads that index; a request's headers
 are handed on as a plain dict of each name's first value.
 
-:func:`render_request` writes the bytes ``http.client`` sends: the request
-line, ``Host`` first unless the caller gives it among the fields, then a
-``Content-Length`` for a body or for PATCH, POST and PUT, then the fields
-in order. :func:`render_response` alone decides which responses carry no
-body: a response to HEAD, and a 1xx, 204 or 304 response. It writes the
-``Content-Length`` of the body, which a HEAD response announces without
-sending, and none on a 1xx, 204 or 304 response (RFC 9110 section 8.6).
+:func:`render_request` writes the bytes ``http.client`` sends for a URL
+that names the host it connects to: the request line, ``Host`` always first
+(RFC 9110 section 7.2), then a ``Content-Length`` for a body or for PATCH,
+POST and PUT, then the fields in order. :func:`render_response` alone
+decides which responses carry no body: a response to HEAD, and a 1xx, 204
+or 304 response. It writes the ``Content-Length`` of the body, which a HEAD
+response announces without sending, and none on a 1xx, 204 or 304 response
+(RFC 9110 section 8.6).
 
 Field values are kept as ``http.client`` keeps them: leading blanks and the
 line ending are removed, trailing blanks stay. Limits are ``http.client``'s
 as well: 65,536 bytes a line and 100 lines in a header or trailer section.
-Where ``http.client`` follows its e-mail parser instead of RFC 9112, this
-module follows the RFC:
+Where ``http.client`` departs from RFC 9112 or RFC 9110, mostly by
+following its e-mail parser, this module follows the RFC:
 
 - an obs-fold line continues the previous value after one space;
 - a line with no colon, or whose name is not printable ASCII without
@@ -37,7 +38,12 @@ module follows the RFC:
   an HTTP/1.0 message is kept only with a ``keep-alive`` option (or, on a
   response, a ``Keep-Alive`` field or a ``Proxy-Connection`` holding
   ``keep-alive``, as ``http.client`` reads them);
-- a 1xx, 204 or 304 response has no body even with ``Transfer-Encoding:
+- every 1xx response ahead of the final one is skipped with its fields,
+  and a ``101 Switching Protocols`` raises :class:`FramingError`, since
+  the bytes after it are not HTTP/1.1 (RFC 9110 section 15.2), where
+  ``http.client`` skips only ``100`` and reads any other 1xx as the final
+  response, leaving that response on the connection for the next request;
+- a 204 or 304 response has no body even with ``Transfer-Encoding:
   chunked``; when it announces one (any ``Transfer-Encoding``, or a
   ``Content-Length`` other than 0) the connection is not kept, so bytes the
   server may send after it never reach the next response;
@@ -121,17 +127,14 @@ def _bodiless(status: int) -> bool:
 
 
 def render_request(
-    method: str, target: str, host: str | None, fields: list[tuple[str, str]], body: bytes
+    method: str, target: str, host: str, fields: list[tuple[str, str]], body: bytes
 ) -> bytes:
     """A request as ``http.client`` writes it: the request line, ``Host:
-    host`` unless ``host`` is None (the caller then gives Host among
-    ``fields``), a ``Content-Length`` for a body or for PATCH, POST and PUT,
-    the fields in order, and the body. With ``("Transfer-Encoding",
-    "chunked")`` among the fields, the body goes as one chunk and no
-    ``Content-Length`` is written."""
-    lines = [f"{method} {target} HTTP/1.1"]
-    if host is not None:
-        lines.append(f"Host: {host}")
+    host``, a ``Content-Length`` for a body or for PATCH, POST and PUT, the
+    fields in order, and the body. With ``("Transfer-Encoding", "chunked")``
+    among the fields, the body goes as one chunk and no ``Content-Length``
+    is written."""
+    lines = [f"{method} {target} HTTP/1.1", f"Host: {host}"]
     if ("Transfer-Encoding", "chunked") in fields:
         body = (b"%x\r\n%s\r\n" % (len(body), body) if body else b"") + b"0\r\n\r\n"
     elif body or method in _METHODS_WITH_BODY:
@@ -279,14 +282,18 @@ def read_response(fp: BinaryIO, method: str) -> tuple[int, Headers, bytes, bool]
     """Read one response to ``method``: (status, header index as
     :func:`index_fields` builds it, body, keep-alive).
 
-    A ``100 Continue`` ahead of the response is skipped. The body is chunked,
+    Every 1xx interim response ahead of the final one is skipped, and a
+    ``101 Switching Protocols`` raises :class:`FramingError` (RFC 9110
+    section 15.2). The body is chunked,
     ``Content-Length`` bytes, or everything up to EOF (and then the
     connection is not kept); a ``Transfer-Encoding`` overrides
     ``Content-Length`` (RFC 9112 section 6.3). Any framing fault raises
     :class:`FramingError`.
     """
     version, status = _status_line(fp)
-    while status == 100:
+    while status < 200:
+        if status == 101:
+            raise FramingError("101 Switching Protocols: the connection leaves HTTP/1.1")
         read_fields(fp)
         version, status = _status_line(fp)
     if version in ("HTTP/1.0", "HTTP/0.9"):

@@ -370,9 +370,9 @@ class Transport:
             pool.pop(endpoint).close()
 
 
-def _route(url: str, transport: Transport) -> tuple[str, Endpoint, str, str, bool]:
+def _route(url: str, transport: Transport) -> tuple[str, Endpoint, str, str]:
     """Where to send a request for ``url``: (host, endpoint, request target,
-    Host header value, whether that value overrides the endpoint's).
+    Host header value).
 
     The target keeps existing ``%XX`` escapes and reserved characters byte for
     byte (attack payloads depend on it) and percent-encodes only spaces,
@@ -389,7 +389,7 @@ def _route(url: str, transport: Transport) -> tuple[str, Endpoint, str, str, boo
         target = quote(target, safe=string.punctuation)
         if host in transport.resolve_overrides:
             ip, port = transport.resolve_overrides[host]
-            return host, ("http", ip, port), target, host, True
+            return host, ("http", ip, port), target, host
         if _UNSENDABLE_HOST.search(host):
             raise ValueError(f"bad host {host!r}")
         try:
@@ -402,7 +402,7 @@ def _route(url: str, transport: Transport) -> tuple[str, Endpoint, str, str, boo
         host_value = f"[{host_value}]"
     if parsed.port != DEFAULT_PORTS[parsed.scheme]:
         host_value = f"{host_value}:{parsed.port}"
-    return host, (parsed.scheme, host, parsed.port), target, host_value, False
+    return host, (parsed.scheme, host, parsed.port), target, host_value
 
 
 def _decode(body: bytes, content_encoding: str | None) -> bytes:
@@ -435,7 +435,10 @@ def fetch(
 
     Cookies are sent/stored per the identity's jar (never for the
     unauthenticated role), every hop takes a pacing token, and the full hop
-    chain is recorded on the returned exchange. A hop that cannot be routed
+    chain is recorded on the returned exchange. A redirect keeps the method
+    and form, except that a POST becomes a GET without a form on a 301 or
+    302, and so does every method but HEAD on a 303 (RFC 9110 section 15.4).
+    A hop that cannot be routed
     raises :class:`NetworkError` without taking a token, and so does a
     ``User-Agent`` or ``Cookie`` value holding CR, LF or NUL (a stored
     cookie never does: ``store_set_cookie`` drops such values).
@@ -443,7 +446,7 @@ def fetch(
     history: list[tuple[str, int]] = []
     current = url
     for _hop in range(MAX_REDIRECTS + 1):
-        host, endpoint, target, host_value, overridden = _route(current, transport)
+        host, endpoint, target, host_value = _route(current, transport)
         cookie = identity.cookie_header(host)
         for value in (identity.user_agent, cookie or ""):
             if UNSENDABLE_IN_VALUE.search(value):
@@ -452,14 +455,11 @@ def fetch(
         payload = urlencode(data).encode() if data else b""
         fields = [("User-Agent", identity.user_agent), ("Accept", "*/*"),
                   ("Accept-Encoding", ACCEPT_ENCODING)]
-        if overridden:  # then sent among the fields, as http.client sends a given Host
-            fields.append(("Host", host_value))
         if cookie:
             fields.append(("Cookie", cookie))
         if payload:
             fields.append(("Content-Type", "application/x-www-form-urlencoded"))
-        host_line = None if overridden else host_value
-        message = render_request(method, target, host_line, fields, payload)
+        message = render_request(method, target, host_value, fields, payload)
         status, headers, body = transport.issue(method, endpoint, target, message)
         for value in headers.get("set-cookie", ()):
             identity.store_set_cookie(host, value)
@@ -471,7 +471,7 @@ def fetch(
                 current = urljoin(current, location)
             except ValueError as exc:
                 raise NetworkError(f"cannot route redirect to {location!r}: {exc}") from None
-            if status in (301, 302, 303):
+            if status == 303 and method != "HEAD" or status in (301, 302) and method == "POST":
                 method, data = "GET", None
             continue
         return HttpExchange(current, status, headers, body, tuple(history))

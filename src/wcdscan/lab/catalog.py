@@ -144,11 +144,13 @@ def _standard_resources(protected_headers: dict[str, str]) -> dict[str, LabResou
 
 def _account_site(
     name: str,
-    variants: frozenset[OriginVariant],
-    profile_name: str,
-    no_store: bool,
+    variants: frozenset[OriginVariant] = frozenset({OriginVariant.PATH_PARAMETER_FALLBACK}),
+    profile_name: str = "akamai_default",
+    no_store: bool = False,
     rotate: bool = False,
 ) -> SimSite:
+    """A site with the standard pages and accounts; by default the classic
+    one, a path-parameter fallback origin behind an extension-list cache."""
     decode = bool(variants & _TRUNCATION_VARIANTS)
     headers = {"Cache-Control": "no-store"} if no_store else {}
     return SimSite(
@@ -179,36 +181,16 @@ def matrix_sites() -> list[SimSite]:
 
 
 def classic_site() -> SimSite:
-    """Path-parameter fallback origin behind an extension-list cache: the
-    textbook scenario where /account.php/<bogus>.jpg gets stored."""
-    return _account_site(
-        "classic-pp",
-        frozenset({OriginVariant.PATH_PARAMETER_FALLBACK}),
-        "akamai_default",
-        no_store=False,
-    )
+    """The textbook scenario, where /account.php/<bogus>.jpg gets stored."""
+    return _account_site("classic-pp")
 
 
 def rotation_site() -> SimSite:
-    return _account_site(
-        "rotation",
-        frozenset({OriginVariant.PATH_PARAMETER_FALLBACK}),
-        "akamai_default",
-        no_store=False,
-        rotate=True,
-    )
+    return _account_site("rotation", rotate=True)
 
 
 def ttl_sites() -> list[SimSite]:
-    return [
-        _account_site(
-            name,
-            frozenset({OriginVariant.PATH_PARAMETER_FALLBACK}),
-            "akamai_default",
-            no_store=False,
-        )
-        for name in ("ttl-zero", "ttl-late")
-    ]
+    return [_account_site(name) for name in ("ttl-zero", "ttl-late")]
 
 
 def pacing_site() -> SimSite:

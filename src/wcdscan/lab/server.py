@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import socket
 import socketserver
-import sys
 import threading
 import time
 from email.utils import formatdate
@@ -69,8 +68,6 @@ class _VhostServer(socketserver.ThreadingTCPServer):
         super().server_close()
 
 
-# The Server header as http.server writes it.
-_SERVER = f"BaseHTTP/0.6 Python/{sys.version.split()[0]}"
 _METHODS = ("GET", "HEAD", "POST")
 
 
@@ -80,9 +77,9 @@ def _http_date(second: int) -> str:
 
 
 def _render(status: int, headers: list[tuple[str, str]], body: bytes, method: str) -> bytes:
-    """The response with the lab's own fields ahead of ``headers``: Server,
-    Date, and a Content-Type unless ``headers`` give one."""
-    fields = [("Server", _SERVER), ("Date", _http_date(int(time.time())))]
+    """The response with the lab's own fields ahead of ``headers``: Date,
+    and a Content-Type unless ``headers`` give one."""
+    fields = [("Date", _http_date(int(time.time())))]
     if not any(k.lower() == "content-type" for k, _ in headers):
         fields.append(("Content-Type", "text/html; charset=utf-8"))
     return render_response(status, [*fields, *headers], body, method)

@@ -277,10 +277,14 @@ class SimSite:
             path = _string(r["path"], "resource path")
             if path in resources:
                 raise ValueError(f"resource path {path!r} appears twice")
+            # A 1xx is not a final response, so a client reads past it.
+            status = int(r.get("status", 200))
+            if not 200 <= status <= 599:
+                raise ValueError(f"resource status must be 200 to 599, got {status}")
             resources[path] = LabResource(
                 path=path,
                 body_template=_string(r["body"], "resource body"),
-                status=int(r.get("status", 200)),
+                status=status,
                 headers=_fields(r.get("headers", {})),
                 protected=bool(r.get("protected", False)),
                 content_type=_field_value(

@@ -22,7 +22,6 @@ from .crawler import (
     filter_marked_pages,
 )
 from .detector import (
-    MarkerSet,
     ScanSettings,
     ScanVerdict,
     WcdTestConfig,
@@ -99,10 +98,9 @@ def scan_site(site: SiteConfig, settings: ScanSettings) -> SiteScanResult:
         respect_robots=settings.respect_robots,
         html_scans=config.html_scans,
     )
-    markers = site.markers or MarkerSet([])
     if settings.mode == "marker-gated":
         surface = filter_marked_pages(
-            surface, markers, victim,
+            surface, site.markers, victim,
             rate_limiter=settings.rate_limiter, transport=settings.transport,
         )
 
@@ -117,7 +115,7 @@ def scan_site(site: SiteConfig, settings: ScanSettings) -> SiteScanResult:
                 )
                 continue
             verdicts.append(
-                run_wcd_test(page, technique, victim, attacker, markers, config)
+                run_wcd_test(page, technique, victim, attacker, site.markers, config)
             )
     return SiteScanResult(site=site, verdicts=verdicts)
 

@@ -473,6 +473,9 @@ def _auth(**fields) -> dict:
     [("cache_profile", "nope", "no builtin profile named 'nope'"),
      ("origin", {"variants": ["bogus"]}, "'bogus' is not a valid OriginVariant"),
      ("resources", [{"path": "/", "body": "", "status": "ok"}], "invalid literal for int()"),
+     # A client reads past a 1xx, so the lab never sends one as an answer.
+     ("resources", [{"path": "/", "body": "", "status": 103}],
+      "resource status must be 200 to 599, got 103"),
      ("resources", [{"path": "/", "body": 5}], "resource body must be a string, got int"),
      ("resources", [{"path": ["/"], "body": ""}], "resource path must be a string, got list"),
      ("auth", {"accounts": [{"username": "victim", "password": "pw",
@@ -504,7 +507,7 @@ def _auth(**fields) -> dict:
       "resource content_type holds CR, LF or NUL"),
      ("auth", _auth(cookie_name="sid\nX-Evil: 1"), "auth cookie_name holds CR, LF or NUL"),
      ("auth", _auth(login_path="/login\x00"), "auth login_path holds CR, LF or NUL")],
-    ids=["profile", "variant", "status", "body", "path", "account-value", "host",
+    ids=["profile", "variant", "status", "status-1xx", "body", "path", "account-value", "host",
          "header-value", "header-name", "cookie-name", "login-path", "mode", "marker-label",
          "header-value-crlf", "header-name-nul", "header-name-space", "header-name-colon",
          "header-name-empty", "content-type-cr", "cookie-name-lf", "login-path-nul"],

@@ -82,16 +82,19 @@ def _framed(raw: bytes, method: str):
     return status, _stored(headers), body, keep_alive
 
 
-def _agree(raw: bytes, method: str = "GET"):
-    """Both readers agree on ``raw``, except that differing Content-Length
-    values raise FramingError where http.client uses the first, a 1xx, 204
-    or 304 response that announces a body closes the connection where
-    http.client keeps it, and a header or trailer section cut off by EOF
-    raises FramingError where http.client reads the message as whole (all
-    three pinned in TestPinnedDifferences)."""
-    (expected, cut_off), got = _http_client(raw, method), _framed(raw, method)
+def _agree(raw: bytes, method: str = "GET", interim: bytes = b""):
+    """Both readers agree on ``raw``, which this module reads after the
+    interim responses ``interim``, except that differing Content-Length
+    values raise FramingError where http.client uses the first, a 204 or
+    304 response that announces a body closes the connection where
+    http.client keeps it, a header or trailer section cut off by EOF raises
+    FramingError where http.client reads the message as whole, and a 1xx
+    that http.client reads as the final response raises FramingError: a
+    101 always, any other because no final response follows it here (all
+    pinned in TestPinnedDifferences)."""
+    (expected, cut_off), got = _http_client(raw, method), _framed(interim + raw, method)
     if not isinstance(expected, type):
-        if _lengths_differ(expected) or cut_off:
+        if _lengths_differ(expected) or cut_off or expected[0] < 200:
             expected = FramingError
         elif _announces_a_body(expected, method):
             expected = expected[:3] + (False,)
@@ -115,7 +118,7 @@ def _announces_a_body(result, method: str) -> bool:
     """A no-body status whose headers announce a body anyway: a
     Transfer-Encoding, or a first Content-Length value other than 0."""
     status, headers, _body, _keep_alive = result
-    if method == "HEAD" or not (status < 200 or status in (204, 304)):
+    if method == "HEAD" or status not in (204, 304):
         return False
     fields = {name.lower(): value for name, value in headers}
     length = fields.get("content-length", "0").split(",")[0]
@@ -156,7 +159,8 @@ def _chunked(draw, body: bytes) -> bytes:
 
 @st.composite
 def responses(draw):
-    """(raw response bytes, request method)."""
+    """(raw response bytes, request method, interim responses to read
+    ahead of them)."""
     method = draw(st.sampled_from(["GET", "GET", "HEAD"]))
     version = draw(st.sampled_from(["HTTP/1.1", "HTTP/1.1", "HTTP/1.0", "HTTP/0.9", "HTTP/1.2"]))
     status = draw(st.sampled_from([200, 200, 201, 204, 206, 301, 302, 304, 404, 500, 101, 199]))
@@ -189,20 +193,21 @@ def responses(draw):
     if connection:
         lines.insert(draw(st.integers(1, len(lines))), f"Connection: {connection}")
     raw = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
-    if draw(st.booleans()):
-        raw = b"HTTP/1.1 100 Continue\r\nX-Note: go on\r\n\r\n" + raw
     if draw(st.integers(0, 4)) == 0:  # truncated anywhere
         raw = raw[: draw(st.integers(0, len(raw)))]
-    return raw, method
+    interim = b"".join(
+        f"HTTP/1.1 {status} X\r\nX-Note: go on\r\n\r\n".encode()
+        for status in draw(st.lists(st.sampled_from([100, 102, 103, 199]), max_size=2))
+    )
+    return raw, method, interim
 
 
 @settings(max_examples=400, deadline=None)
 @given(responses())
-@example((b"HTTP/1.1 204 X\r\nContent-Length:", "GET"))
-@example((b"HTTP/1.1 304 X\r\nContent-Length:", "GET"))
+@example((b"HTTP/1.1 204 X\r\nContent-Length:", "GET", b""))
+@example((b"HTTP/1.1 304 X\r\nContent-Length:", "GET", b""))
 def test_framing_agrees_with_http_client(case):
-    raw, method = case
-    _agree(raw, method)
+    _agree(*case)
 
 
 @pytest.mark.parametrize(
@@ -236,9 +241,25 @@ def test_edge_cases_agree_with_http_client(raw):
     _agree(raw)
 
 
+def _tail(raw: bytes):
+    """(body, keep-alive) of a GET's response as ``read_response`` reads
+    it, or FramingError."""
+    framed = _framed(raw, "GET")
+    return framed if framed is FramingError else framed[2:]
+
+
+def _unless_101(status: int, tail):
+    """``tail``, or FramingError for a 101: the bytes after a 101 speak
+    another protocol (RFC 9110 section 15.2), so they frame nothing,
+    whatever fields the 101 carries."""
+    return FramingError if status == 101 else tail
+
+
 class TestPinnedDifferences:
     """Where http.client follows its e-mail parser and this module follows
-    RFC 9112 (sections 5.2, 6.3 and 8) and RFC 9110 (section 7.6.1)."""
+    RFC 9112 (sections 5.2, 6.3 and 8) and RFC 9110 (sections 7.6.1 and
+    15.2). http.client reads a 101 as a final response without a body; here
+    it is refused."""
 
     def test_obs_fold_continues_the_value_after_one_space(self):
         raw = b"HTTP/1.1 200 OK\r\nX-A: one\r\n  two\r\nContent-Length: 0\r\n\r\n"
@@ -261,19 +282,30 @@ class TestPinnedDifferences:
     def test_no_body_status_ignores_chunked(self, status):
         raw = (f"HTTP/1.1 {status} X\r\nTransfer-Encoding: chunked\r\n\r\n".encode()
                + b"2\r\nok\r\n0\r\n\r\n")
-        assert _framed(raw, "GET")[2:] == (b"", False)  # the chunk stays unread: close
+        assert _tail(raw) == _unless_101(status, (b"", False))  # the chunk stays unread: close
         assert _reference(raw, "GET")[2:] == (b"ok", True)
 
     @pytest.mark.parametrize("status", [204, 304, 101])
     @pytest.mark.parametrize("length", ["2", "x", " 2", ""])
     def test_no_body_status_with_a_length_is_not_kept(self, status, length):
         raw = f"HTTP/1.1 {status} X\r\nContent-Length: {length}\r\n\r\nok".encode()
-        assert _framed(raw, "GET")[2:] == (b"", False)
+        assert _tail(raw) == _unless_101(status, (b"", False))
         assert _reference(raw, "GET")[2:] == (b"", True)  # "ok" is left for the next response
 
     @pytest.mark.parametrize("status", [204, 304, 101])
     def test_no_body_status_with_length_0_is_kept(self, status):
         _agree(f"HTTP/1.1 {status} X\r\nContent-Length: 0\r\n\r\n".encode())
+
+    @pytest.mark.parametrize("status", [102, 103, 199])
+    def test_every_interim_response_is_skipped(self, status):
+        final = b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\npage"
+        raw = f"HTTP/1.1 {status} X\r\nLink: </a.css>\r\n\r\n".encode() + final
+        assert _framed(raw, "GET") == _framed(final, "GET") == (
+            200, (("content-length", "4"),), b"page", True
+        )
+        # http.client reads the interim response as the final one and
+        # leaves the real one on the connection for the next request.
+        assert _reference(raw, "GET") == (status, (("link", "</a.css>"),), b"", True)
 
     @pytest.mark.parametrize("size, length", [(b"0x5", 5), (b"1_0", 16), (b"+5", 5), (b" 5", 5)])
     def test_chunk_size_must_be_hex_digits(self, size, length):
@@ -498,7 +530,7 @@ def _rendered_requests(draw):
     """(request bytes, the Request that ``read_request`` must give back)."""
     method = draw(st.sampled_from(["GET", "HEAD", "POST"]))
     target = draw(_targets())
-    host = draw(st.sampled_from([None, "lab.test", "lab.test:8080"]))
+    host = draw(st.sampled_from(["lab.test", "lab.test:8080"]))
     fields = draw(_FIELDS)
     connection = draw(st.sampled_from([None, "close", "keep-alive", "te, Close"]))
     if connection:
@@ -507,7 +539,7 @@ def _rendered_requests(draw):
     chunked = draw(st.booleans())
     if chunked:
         fields.append(("Transfer-Encoding", "chunked"))
-    sent = [("Host", host)] if host else []
+    sent = [("Host", host)]
     if not chunked and (body or method == "POST"):
         sent.append(("Content-Length", str(len(body))))
     first: dict[str, str] = {}
@@ -539,12 +571,17 @@ def test_no_strict_prefix_of_a_request_reads_as_one(case):
 @st.composite
 def _rendered_responses(draw):
     """(response bytes, request method, what ``read_response`` must give
-    back as _framed gives it)."""
+    back as _framed gives it): a final response after up to two interim
+    ones, which the reader skips."""
     method = draw(st.sampled_from(["GET", "HEAD"]))
-    status = draw(st.sampled_from([200, 201, 301, 404, 500, 101, 103, 199, 204, 304]))
+    raw = b"".join(
+        render_response(status, draw(_FIELDS), draw(_BODIES), method)
+        for status in draw(st.lists(st.sampled_from([100, 102, 103, 199]), max_size=2))
+    )
+    status = draw(st.sampled_from([200, 201, 301, 404, 500, 204, 304]))
     fields, body = draw(_FIELDS), draw(_BODIES)
-    raw = render_response(status, fields, body, method)
-    bodiless = status < 200 or status in (204, 304)
+    raw += render_response(status, fields, body, method)
+    bodiless = status in (204, 304)
     if not bodiless:
         fields = fields + [("Content-Length", str(len(body)))]
     sent = b"" if bodiless or method == "HEAD" else body

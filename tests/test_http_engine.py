@@ -378,6 +378,15 @@ class TestFetchAgainstLab:
         assert exchange.history and exchange.history[0][1] == 302
         assert exchange.url.endswith("/login")
 
+    def test_a_head_stays_a_head_across_a_redirect(self, support_lab, support_transport, limiter):
+        before = _log_len(support_lab, self.HOST)
+        exchange = fetch(Identity(role=Role.UNAUTHENTICATED), f"http://{self.HOST}/logout",
+                         limiter, support_transport, method="HEAD")
+        entries = support_lab.request_log(self.HOST)[before:]
+        assert [(e.method, e.target) for e in entries] == [("HEAD", "/logout"), ("HEAD", "/")]
+        assert (exchange.status, exchange.body) == (200, b"")
+        assert exchange.history == ((f"http://{self.HOST}/logout", 302),)
+
     def test_every_redirect_hop_waits_on_the_limiter(self, support_lab, support_transport):
         limiter = RecordingLimiter()
         unauth = Identity(role=Role.UNAUTHENTICATED)

@@ -16,12 +16,12 @@ from hypothesis import given, settings, strategies as st
 
 from wcdscan.cache_policy import CdnProfile, DefaultCached
 from wcdscan.errors import ScenarioError
-from wcdscan.http1 import MAX_LINE, Request, read_request
+from wcdscan.http1 import MAX_LINE, Request, read_fields, read_request
 from wcdscan.http_engine import Transport
 from wcdscan.lab import catalog
 from wcdscan.lab.oracle import enumerate_oracle, oracle_vulnerable
 from wcdscan.lab.origin import OriginSemantics, OriginVariant, effective_path, route
-from wcdscan.lab.selfcheck import pool_from_lab_sites
+from wcdscan.lab.selfcheck import pool_from_lab_sites, selfcheck_sites
 from wcdscan.lab import server as server_module
 from wcdscan.lab.server import LabServer, serve
 from wcdscan.lab.sim import (
@@ -40,12 +40,7 @@ from conftest import lab_connections_left_open
 
 
 def _pp_site(profile_name="akamai_default", no_store=False, **kwargs):
-    site = catalog._account_site(
-        "unit-pp",
-        frozenset({OriginVariant.PATH_PARAMETER_FALLBACK}),
-        profile_name,
-        no_store,
-    )
+    site = catalog._account_site("unit-pp", profile_name=profile_name, no_store=no_store)
     for key, value in kwargs.items():
         setattr(site, key, value)
     return site
@@ -774,6 +769,41 @@ def test_a_head_response_is_the_get_response_without_its_body(host, target, leng
     head_section, body = get.split(b"\r\n\r\n", 1)
     assert len(body) == length
     assert _masked(head) == _masked(head_section + b"\r\n\r\n")
+
+
+# Fields that a message carries at most once: none of them is a list
+# (RFC 9110 section 5.3).
+_SINGLE_FIELDS = ("server", "date", "content-type", "content-length", "location")
+
+
+def _repeated_single_fields(response: bytes) -> set[str]:
+    fp = io.BufferedReader(io.BytesIO(response))
+    fp.readline()  # the status line
+    names = [name.lower() for name, _ in read_fields(fp)]
+    return {name for name in _SINGLE_FIELDS if names.count(name) > 1}
+
+
+def test_no_lab_answer_repeats_a_field_that_is_not_a_list():
+    """Each resource of the selfcheck sites, asked for twice (the second
+    may come from the cache) with and without the victim's session, each
+    site's login, a control endpoint and an unknown host."""
+    repeated: dict[str, set[str]] = {}
+    runtimes = {site.host: SiteRuntime(site) for site in selfcheck_sites()}
+    for host, runtime in runtimes.items():
+        site = runtime.site
+        session = {"cookie": f"{site.auth.cookie_name}={runtime.log_in('victim')}"}
+        requests = [Request("GET", path, {"host": host, **cookie}, b"", True)
+                    for path in site.resources for cookie in ({}, session, {}, session)]
+        form = f"username=victim&password={catalog.VICTIM_PASSWORD}".encode()
+        requests.append(Request("POST", site.auth.login_path, {"host": host}, form, True))
+        for request in requests:
+            repeated.setdefault(site.name, set()).update(
+                _repeated_single_fields(serve(runtimes, request, 0.0))
+            )
+    for host, target in [("classic-pp.test", "/_lab/state"), ("stranger.test", "/")]:
+        response = serve(runtimes, Request("GET", target, {"host": host}, b"", True), 0.0)
+        repeated[host] = _repeated_single_fields(response)
+    assert {name: fields for name, fields in repeated.items() if fields} == {}
 
 
 @pytest.mark.parametrize(

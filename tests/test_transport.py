@@ -179,10 +179,16 @@ class TestWireFormat:
 
 
 def _http_client_head(server: ScriptedServer, address: str, method: str, target: str,
-                      headers: dict[str, str], body: bytes | None) -> bytes:
-    """The request head ``http.client`` sends for the same request."""
+                      headers: dict[str, str], body: bytes | None,
+                      host: str | None = None) -> bytes:
+    """The request head ``http.client`` sends for the same request; with
+    ``host``, the one it sends to a ``host`` on the default port that
+    resolved to ``address``."""
     conn = http.client.HTTPConnection(address, server.port, timeout=5)
     try:
+        if host is not None:
+            conn.connect()
+            conn.host, conn.port = host, conn.default_port
         conn.request(method, target, body=body, headers=headers)
         conn.getresponse().read()
     finally:
@@ -219,15 +225,14 @@ class TestRequestBytesMatchHttpClient:
         sent = server.requests[-1][1]
         headers = {"User-Agent": identity.user_agent, "Accept": "*/*",
                    "Accept-Encoding": "gzip, deflate"}
-        if overridden:
-            headers["Host"] = HOST
         if with_cookie:
             headers["Cookie"] = "sid=s0123456789abcde"
         body = None
         if form:
             body = urlencode(form).encode()
             headers["Content-Type"] = "application/x-www-form-urlencoded"
-        assert sent == _http_client_head(server, "127.0.0.1", method, target, headers, body)
+        assert sent == _http_client_head(server, "127.0.0.1", method, target, headers, body,
+                                         host=HOST if overridden else None)
 
     def test_ipv6_host_is_bracketed(self, scripted):
         server = scripted(_always(_response(b"ok")), address="::1")
@@ -253,8 +258,8 @@ class TestRequestBytesMatchHttpClient:
         ],
     )
     def test_host_header_matches_http_client(self, url, host_line):
-        _, (scheme, host, port), _, host_value, overridden = _route(url, Transport())
-        assert (host_value, overridden) == (host_line, False)
+        _, (scheme, host, port), _, host_value = _route(url, Transport())
+        assert host_value == host_line
         sent = []
 
         class Capture:  # stands in for the socket http.client writes to
@@ -280,7 +285,7 @@ def _urlsplit_route(url: str, transport: Transport):
         target = quote(target, safe=string.punctuation)
         if host in transport.resolve_overrides:
             ip, port = transport.resolve_overrides[host]
-            return host, ("http", ip, port), target, host, True
+            return host, ("http", ip, port), target, host
         scheme = parts.scheme.lower()
         if scheme not in ("http", "https"):
             raise ValueError(f"scheme {scheme!r} is not http or https")
@@ -298,7 +303,7 @@ def _urlsplit_route(url: str, transport: Transport):
         host_value = f"[{host_value}]"
     if port != default_port:
         host_value = f"{host_value}:{port}"
-    return host, (scheme, host, port), target, host_value, False
+    return host, (scheme, host, port), target, host_value
 
 
 def _routed(url: str, transport: Transport):
@@ -428,6 +433,56 @@ class TestResponseShape:
         assert fetch(identity, f"http://{HOST}/", fast_limiter(), transport).body == b"ok"
         transport.close()
         assert server.connections == 2
+
+    def test_each_identity_reads_its_own_response_after_early_hints(self, scripted):
+        """A 103 ahead of each response is skipped. Read as the final
+        response, it would leave the victim's page on the shared socket,
+        and the attacker's fetch would read that page as its own."""
+        early_hints = b"HTTP/1.1 103 Early Hints\r\nLink: </app.css>; rel=preload\r\n\r\n"
+        server = scripted(lambda _index, _head: (early_hints + _response(
+            b"private page served for request %d" % (len(server.requests) - 1)), "keep"))
+        transport = server.transport()
+        got = [fetch(Identity(role=role), f"http://{HOST}/account.php", fast_limiter(),
+                     transport) for role in (Role.VICTIM, Role.ATTACKER)]
+        transport.close()
+        assert [(e.status, e.body) for e in got] == [
+            (200, b"private page served for request 0"),
+            (200, b"private page served for request 1"),
+        ]
+        assert server.connections == 1
+
+    def test_a_101_is_a_network_error(self, scripted, transport_limits):
+        switching = b"HTTP/1.1 101 Switching Protocols\r\nUpgrade: websocket\r\n\r\n"
+        server = scripted(_always(switching + b"\x81\x02hi"))
+        transport_limits(retries=0)
+        transport = server.transport()
+        with pytest.raises(NetworkError, match="101"):
+            fetch(Identity(role=Role.VICTIM), f"http://{HOST}/", fast_limiter(), transport)
+        transport.close()
+
+
+@pytest.mark.parametrize(
+    "status,method,then",
+    [(301, "POST", "GET"), (302, "POST", "GET"), (303, "POST", "GET"), (303, "PUT", "GET"),
+     (301, "HEAD", "HEAD"), (302, "HEAD", "HEAD"), (303, "HEAD", "HEAD"), (302, "PUT", "PUT"),
+     (307, "POST", "POST"), (308, "POST", "POST")],
+)
+def test_a_redirect_changes_the_method_as_rfc_9110_allows(scripted, status, method, then):
+    """RFC 9110 section 15.4: a POST may turn into a GET on a 301 or 302, and
+    a 303 asks for a GET of any method but HEAD; the form goes with the
+    method it was sent with."""
+    moved = _response(b"", "Location: /next", status=f"{status} Moved")
+    server = scripted(lambda _index, head: (moved if head.split()[1] == b"/" else
+                                            _response(b""), "keep"))
+    transport = server.transport()
+    form = None if method == "HEAD" else {"a": "1"}
+    fetch(Identity(role=Role.VICTIM), f"http://{HOST}/", fast_limiter(), transport,
+          method=method, data=form)
+    transport.close()
+    (_, first, _), (_, second, body) = server.requests
+    assert first.startswith(f"{method} / ".encode())
+    assert second.startswith(f"{then} /next ".encode())
+    assert body == (b"a=1" if then == method and form else b"")
 
 
 class TestHeaderInjection:
