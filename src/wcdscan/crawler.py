@@ -311,7 +311,6 @@ def crawl_domain(
 
     queue: deque[str] = deque([start])
     seen: set[str] = {start}  # every URL ever queued
-    in_scope: dict[str, bool] = {}  # host -> same registrable domain as the site
     members: dict[UrlGroupKey, list[ParsedUrl]] = {}
     victim_bodies: dict[str, bytes] = {}
     html_scans = {} if html_scans is None else html_scans
@@ -325,14 +324,12 @@ def crawl_domain(
         except MalformedUrl:
             log.debug("skipping malformed link %s", raw_url)
             continue
+        # Scope first: most links of a large page leave the site.
+        if registrable_domain(page.host) != site_scope:
+            continue
         if is_logout_link(page.raw_path, page.raw_query):
             continue
         if robots is not None and not robots.can_fetch(identity.user_agent, raw_url):
-            continue
-        scoped = in_scope.get(page.host)
-        if scoped is None:
-            scoped = in_scope[page.host] = registrable_domain(page.host) == site_scope
-        if not scoped:
             continue
 
         key = group_key(page)

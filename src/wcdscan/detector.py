@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import product
 from operator import attrgetter
 from typing import Callable, NamedTuple, get_type_hints
-from urllib.parse import parse_qsl, urlsplit
+from urllib.parse import urlsplit
 
 from .entropy import shannon_entropy
 from .http_engine import (
@@ -40,6 +40,7 @@ from .url_toolkit import (
     PathConfusionTechnique,
     RandomNameGenerator,
     make_attack_url,
+    query_pairs,
 )
 from .words import COMMON_WORDS
 
@@ -147,24 +148,53 @@ class RandomnessConfig:
     dictionary: tuple[str, ...] = COMMON_WORDS
 
     def __post_init__(self):
-        self._words, self._lengths = _dictionary_index(tuple(self.dictionary))
+        self._words, self._lengths, self._pattern = _dictionary_index(tuple(self.dictionary))
+
+
+def _longest_word_source(words: frozenset[str]) -> str:
+    """A pattern that matches, at any position, the longest of ``words`` that
+    starts there: a trie of the words as nested alternations, each character
+    escaped, where every node tries its longer continuations before the word
+    that ends at it. Matches only the empty string when ``words`` is empty."""
+    trie: dict = {}
+    for word in words:
+        node = trie
+        for char in word:
+            node = node.setdefault(char, {})
+        node[""] = {}  # a word ends here
+
+    def source(node: dict) -> str:
+        branches = [
+            re.escape(char) + source(child) for char, child in sorted(node.items()) if char
+        ]
+        body = "|".join(branches)
+        if "" in node:
+            return f"(?:{body})?" if branches else ""
+        return body if len(branches) == 1 else f"(?:{body})"
+
+    return source(trie)
 
 
 @lru_cache(maxsize=8)
 def _dictionary_index(
     dictionary: tuple[str, ...],
-) -> tuple[frozenset[str], dict[str, tuple[int, ...]]]:
-    """The lowered words of at least MIN_WORD_LENGTH characters, and for each
+) -> tuple[frozenset[str], dict[str, tuple[int, ...]], re.Pattern | None]:
+    """The lowered words of at least MIN_WORD_LENGTH characters; for each
     word's first MIN_WORD_LENGTH characters the lengths of the words that
-    start with them, longest first. Built once per distinct dictionary and
-    shared by every config that uses it; never mutated."""
+    start with them, longest first; and the words' longest-match pattern, or
+    None where its nesting is too deep for the re module to compile. Built
+    once per distinct dictionary and shared by every config that uses it;
+    never mutated."""
     words = frozenset(w.lower() for w in dictionary if len(w) >= MIN_WORD_LENGTH)
     lengths: dict[str, set[int]] = {}
     for word in words:
         lengths.setdefault(word[:MIN_WORD_LENGTH], set()).add(len(word))
-    return words, {
-        prefix: tuple(sorted(found, reverse=True)) for prefix, found in lengths.items()
-    }
+    by_prefix = {prefix: tuple(sorted(found, reverse=True)) for prefix, found in lengths.items()}
+    try:
+        pattern = re.compile(_longest_word_source(words))
+    except RecursionError:  # a prefix chain of some hundreds of words
+        pattern = None
+    return words, by_prefix, pattern
 
 
 def strip_dictionary_words(value: str, config: RandomnessConfig) -> str:
@@ -173,8 +203,11 @@ def strip_dictionary_words(value: str, config: RandomnessConfig) -> str:
 
     Positions index both ``value`` and its lowered form, so where lowering
     lengthens a character (``"İ"`` lowers to two) the two drift apart; the
-    reference the tests keep reads them the same way."""
+    reference the tests keep reads them the same way. A value that lowering
+    leaves as it is goes through the dictionary's pattern in one pass."""
     lowered = value.lower()
+    if lowered == value and config._pattern is not None:
+        return config._pattern.sub("", value)
     words, by_prefix = config._words, config._lengths
     n = len(value)
     out: list[str] = []
@@ -381,9 +414,9 @@ def scan_html(text: str) -> HtmlSurfaces:
     closes hides the rest of the text, as it does in a browser.
     """
     hidden_inputs, anchor_hrefs, script_srcs, inline_scripts = [], [], [], []
-    for token in _HTML_TOKEN.finditer(text):
-        tag, raw_attrs, body = token.group("tag", "attrs", "body")
-        if tag is None:  # end tag, comment, doctype or text the tag rule rejects
+    # Groups 4 to 7 are _HTML_ATTR's, read again from ``raw_attrs`` below.
+    for tag, _, raw_attrs, _, _, _, _, body in _HTML_TOKEN.findall(text):
+        if not tag:  # end tag, comment, doctype or text the tag rule rejects
             continue
         tag = tag.lower()
         if tag not in ("a", "input", "script"):
@@ -492,7 +525,7 @@ def extract_secrets(
                 pair
                 for query in map(_url_query, scan.anchor_hrefs)
                 if query
-                for pair in parse_qsl(query, keep_blank_values=True)
+                for pair in query_pairs(query)
             ],
         ),
         (

@@ -154,12 +154,27 @@ def _field_value(value, what: str) -> str:
     return value
 
 
+# Fields the lab writes or frames itself, lowered; a resource that set one
+# too would be answered with the field twice.
+_LAB_FIELDS = frozenset(("content-length", "transfer-encoding", "connection", "date"))
+
+
 def _fields(mapping) -> dict[str, str]:
-    """A resource's headers: each name a token, each value one line."""
+    """A resource's headers: each name a token, none written by the lab and
+    no two equal ignoring case (RFC 9110 section 5.1); each value one line."""
     fields = dict(mapping)
+    folded: dict[str, str] = {}
     for name, value in fields.items():
         if not FIELD_NAME.fullmatch(_string(name, "resource header name")):
             raise ValueError(f"resource header name {name!r} is not a token")
+        key = name.lower()
+        if key == "content-type":
+            raise ValueError(f"resource header {name!r} is set by the resource's content_type")
+        if key in _LAB_FIELDS:
+            raise ValueError(f"resource header {name!r} is written by the lab")
+        if key in folded:
+            raise ValueError(f"resource headers {folded[key]!r} and {name!r} name one field")
+        folded[key] = name
         _field_value(value, f"resource header {name!r}")
     return fields
 
@@ -384,9 +399,8 @@ def origin_resolve(site: SimSite, raw_target: str, user: str | None = None) -> L
         values = None
         if site.auth and user in site.auth.accounts:
             values = site.auth.accounts[user].values
-    headers = {"Content-Type": res.content_type}
-    headers.update(res.headers)
-    return LabResponse(res.status, list(headers.items()), res.render(values))
+    headers = [("Content-Type", res.content_type), *res.headers.items()]
+    return LabResponse(res.status, headers, res.render(values))
 
 
 def handle_login(runtime: SiteRuntime, form: dict[str, str]) -> LabResponse:

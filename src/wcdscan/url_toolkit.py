@@ -10,6 +10,7 @@ import random
 import re
 import string
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple
 from urllib.parse import parse_qsl, urlsplit
 
@@ -193,16 +194,17 @@ def group_key(url: ParsedUrl) -> UrlGroupKey:
     placeholder and query values are discarded (names kept, sorted)."""
     abstract = _DIGIT_SEGMENT.sub(_SLASH_PLACEHOLDER, "/" + url.raw_path.lstrip("/"))
     query = url.raw_query
-    if not query:
-        names: tuple[str, ...] = ()
-    elif "%" in query or "+" in query:
-        pairs = parse_qsl(query, keep_blank_values=True)
-        names = tuple(sorted({name for name, _ in pairs}))
-    else:
-        # Without escapes parse_qsl's names are each non-empty pair's text
-        # before its first "=".
-        names = tuple(sorted({pair.partition("=")[0] for pair in query.split("&") if pair}))
+    names = tuple(sorted({name for name, _ in query_pairs(query)})) if query else ()
     return UrlGroupKey(url.host, abstract, names)
+
+
+def query_pairs(query: str) -> list[tuple[str, str]]:
+    """``parse_qsl(query, keep_blank_values=True)``: the (name, value) pairs
+    of the query's non-empty ``&``-separated pieces, in order. Without a
+    ``%`` or ``+`` to decode, each piece is split at its first ``=`` here."""
+    if "%" in query or "+" in query:
+        return parse_qsl(query, keep_blank_values=True)
+    return [piece.partition("=")[::2] for piece in query.split("&") if piece]
 
 
 def pick_per_group(groups: dict[UrlGroupKey, list[ParsedUrl]], seed: int) -> list[ParsedUrl]:
@@ -219,12 +221,14 @@ def pick_per_group(groups: dict[UrlGroupKey, list[ParsedUrl]], seed: int) -> lis
     return chosen
 
 
+@lru_cache(maxsize=1 << 14)
 def registrable_domain(host: str) -> str:
     """Approximate registrable domain ("site" identity).
 
     Uses a small built-in table of multi-part country suffixes rather than the
     full public-suffix list; IP addresses and single-label hosts map to
-    themselves.
+    themselves. Memoized per process, so the crawls of a run, which meet the
+    same off-site hosts again and again, compute each host's site once.
     """
     host = host.lower().rstrip(".")
     labels = host.split(".")

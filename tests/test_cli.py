@@ -506,11 +506,28 @@ def _auth(**fields) -> dict:
      ("resources", [{"path": "/", "body": "", "content_type": "text/html\rX-Evil: 1"}],
       "resource content_type holds CR, LF or NUL"),
      ("auth", _auth(cookie_name="sid\nX-Evil: 1"), "auth cookie_name holds CR, LF or NUL"),
-     ("auth", _auth(login_path="/login\x00"), "auth login_path holds CR, LF or NUL")],
+     ("auth", _auth(login_path="/login\x00"), "auth login_path holds CR, LF or NUL"),
+     # The lab writes each of these itself, so the answer would carry two.
+     ("resources", [{"path": "/", "body": "", "headers": {"Content-Length": "5"}}],
+      "resource header 'Content-Length' is written by the lab"),
+     ("resources", [{"path": "/", "body": "", "headers": {"transfer-encoding": "chunked"}}],
+      "resource header 'transfer-encoding' is written by the lab"),
+     ("resources", [{"path": "/", "body": "", "headers": {"CONNECTION": "close"}}],
+      "resource header 'CONNECTION' is written by the lab"),
+     ("resources", [{"path": "/", "body": "", "headers": {"Date": "x"}}],
+      "resource header 'Date' is written by the lab"),
+     ("resources", [{"path": "/", "body": "", "headers": {"content-type": "text/plain"}}],
+      "resource header 'content-type' is set by the resource's content_type"),
+     # Field names are case-insensitive (RFC 9110 section 5.1).
+     ("resources", [{"path": "/", "body": "",
+                     "headers": {"cache-control": "max-age=60", "Cache-Control": "no-store"}}],
+      "resource headers 'cache-control' and 'Cache-Control' name one field")],
     ids=["profile", "variant", "status", "status-1xx", "body", "path", "account-value", "host",
          "header-value", "header-name", "cookie-name", "login-path", "mode", "marker-label",
          "header-value-crlf", "header-name-nul", "header-name-space", "header-name-colon",
-         "header-name-empty", "content-type-cr", "cookie-name-lf", "login-path-nul"],
+         "header-name-empty", "content-type-cr", "cookie-name-lf", "login-path-nul",
+         "header-content-length", "header-transfer-encoding", "header-connection", "header-date",
+         "header-content-type", "header-repeated"],
 )
 def test_scenario_entry_with_a_bad_value_is_named(
     tmp_path, capsys, monkeypatch, command, field, value, reason

@@ -509,6 +509,41 @@ class TestCrawlDomain:
         assert {p.text() for p in surface.pages} == {"http://home.test/", "http://www.home.test/"}
         assert other_requests == []
 
+    def test_the_crawls_of_a_process_compute_each_hosts_site_once(self, limiter):
+        off_site = "".join(
+            f'<a href="http://{host}/">x</a>' for host in ("a.example", "www.b.example", "c.co.uk")
+        )
+
+        def site(host):
+            return SimSite(
+                name=host, host=host, origin=OriginSemantics(),
+                cache_profile=builtin_profile("akamai_default"),
+                resources={
+                    "/": LabResource(path="/", body_template=off_site + '<a href="/next">n</a>'),
+                    "/next": LabResource(path="/next", body_template=off_site),
+                },
+            )
+
+        server = LabServer([site("one.test"), site("two.test")]).start()
+        transport = Transport(resolve_overrides=server.resolve_overrides())
+        registrable_domain.cache_clear()
+        try:
+            for host in ("one.test", "two.test"):
+                surface = crawl_domain(
+                    SiteConfig(primary_domain=host),
+                    Identity(role=Role.VICTIM),
+                    budget=500,
+                    rate_limiter=limiter,
+                    transport=transport,
+                )
+                assert surface.pages_seen == 2
+        finally:
+            transport.close()
+            server.stop()
+        # one.test, two.test and the three off-site hosts, each met on both
+        # pages of both crawls.
+        assert registrable_domain.cache_info().misses == 5
+
 
 @pytest.fixture(scope="module")
 def robots_lab():

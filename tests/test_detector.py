@@ -154,7 +154,61 @@ def test_configs_share_one_dictionary_index():
     first, second = RandomnessConfig(), RandomnessConfig()
     assert first._words is second._words
     assert first._lengths is second._lengths
-    assert RandomnessConfig(dictionary=("token",))._words is not first._words
+    assert first._pattern is second._pattern
+    other = RandomnessConfig(dictionary=("token",))
+    assert other._words is not first._words
+    assert other._pattern is not first._pattern
+
+
+# Words that hold regex metacharacters, and words nested as prefixes of one
+# another; values drawn from them are lowercase, so the pattern strips them.
+_TRICKY_WORDS = ("c++", "a.b", "(x)", "[x]", "\\d\\", "^$|", "the", "there", "therefore")
+_lowercase_values = st.lists(
+    st.one_of(
+        st.sampled_from(_TRICKY_WORDS),
+        st.text(alphabet="abcdefhort+.()[]\\^$|?*x9", min_size=1, max_size=4),
+    ),
+    max_size=8,
+).map("".join)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_lowercase_values)
+@example("therefor")
+@example("theretherefore")
+@example("c+++a.ba-b(x)[x]")
+def test_lowercase_stripper_matches_reference_on_metacharacters(value):
+    assert value.lower() == value
+    config = RandomnessConfig(dictionary=_TRICKY_WORDS)
+    assert config._pattern is not None
+    assert strip_dictionary_words(value, config) == reference_strip(value, _TRICKY_WORDS)
+
+
+@given(_lowercase_values)
+def test_an_empty_dictionary_strips_nothing(value):
+    assert strip_dictionary_words(value, RandomnessConfig(dictionary=())) == value
+
+
+def _prefixes(length: int) -> tuple[str, ...]:
+    word = "".join(random.Random(length).choice("abcdefgh") for _ in range(length))
+    return tuple(word[:n] for n in range(1, length + 1))
+
+
+def test_every_prefix_of_a_long_word_builds_and_strips():
+    words = _prefixes(400)
+    config = RandomnessConfig(dictionary=words)
+    assert config._pattern is not None
+    word = words[-1]
+    for value in (word, word + "x" + word, "zz" + word[:57] + "9" + word[:2] + word[:300]):
+        assert strip_dictionary_words(value, config) == reference_strip(value, words)
+
+
+def test_a_dictionary_nested_too_deep_for_re_keeps_the_loop():
+    words = _prefixes(1000)
+    config = RandomnessConfig(dictionary=words)
+    assert config._pattern is None
+    value = "q" + words[-1][:120] + "z" + words[-1][:3]
+    assert strip_dictionary_words(value, config) == reference_strip(value, words)
 
 
 def _reference_kept(name: str, value: str, config: RandomnessConfig):

@@ -85,9 +85,9 @@ class _CountingTokenizer:
         self.pattern = pattern
         self.texts: list[str] = []
 
-    def finditer(self, text):
+    def findall(self, text):
         self.texts.append(text)
-        return self.pattern.finditer(text)
+        return self.pattern.findall(text)
 
 
 def test_each_distinct_body_is_tokenized_once_per_site(monkeypatch):

@@ -22,6 +22,7 @@ from wcdscan.url_toolkit import (
     make_attack_url,
     parse_url,
     pick_per_group,
+    query_pairs,
     registrable_domain,
 )
 from wcdscan.lab.origin import OriginSemantics, OriginVariant, effective_path
@@ -350,6 +351,18 @@ def test_group_key_path_matches_segment_rule(raw_path):
 def test_group_key_names_match_parse_qsl(raw_query):
     expected = tuple(sorted({n for n, _ in parse_qsl(raw_query, keep_blank_values=True)}))
     assert _key_of("/", raw_query).param_names == expected
+
+
+# Whole pieces, "&" and "=" runs, escapes and "+" to decode, ";" (no
+# separator since Python 3.10) and letters; "&&" and a trailing "&" give
+# empty pieces.
+@given(st.lists(st.sampled_from(["a", "Zq", "=", "==", "&", "&&", "%", "%41", "%4", "%zz",
+                                 "+", ";", "é", "x=y", ""]), max_size=10).map("".join))
+@example("")
+@example("a=1&&b&=c&d==e&")
+@example("a+b=%20&c")
+def test_query_pairs_is_parse_qsl_keeping_blank_values(query):
+    assert query_pairs(query) == parse_qsl(query, keep_blank_values=True)
 
 
 def test_url_values_are_immutable_and_hashable():
