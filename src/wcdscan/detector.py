@@ -53,6 +53,12 @@ MIN_MARKER_ENTROPY = 3.0  # bits/char, makes accidental collisions negligible
 MIN_WORD_LENGTH = 3
 MIN_RESIDUAL_LENGTH = 8
 MIN_RESIDUAL_ENTROPY = 3.0
+# The stripping pattern's trie nests a level per character of its longest
+# word, and building and compiling it recurse that deep, so a dictionary
+# with a longer word keeps the per-position loop. A fixed bound, well inside
+# the recursion limit, makes the choice the same however deep the caller's
+# stack is.
+MAX_PATTERN_WORD_LENGTH = 100
 
 DEFAULT_KEYWORDS = ("csrf", "xsrf", "token", "state", "client_id")
 # Finds any keyword in a lowered name, case-sensitively as ``in`` does.
@@ -182,18 +188,17 @@ def _dictionary_index(
     """The lowered words of at least MIN_WORD_LENGTH characters; for each
     word's first MIN_WORD_LENGTH characters the lengths of the words that
     start with them, longest first; and the words' longest-match pattern, or
-    None where its nesting is too deep for the re module to compile. Built
-    once per distinct dictionary and shared by every config that uses it;
-    never mutated."""
+    None where a word is longer than MAX_PATTERN_WORD_LENGTH. Built once per
+    distinct dictionary and shared by every config that uses it; never
+    mutated."""
     words = frozenset(w.lower() for w in dictionary if len(w) >= MIN_WORD_LENGTH)
     lengths: dict[str, set[int]] = {}
     for word in words:
         lengths.setdefault(word[:MIN_WORD_LENGTH], set()).add(len(word))
     by_prefix = {prefix: tuple(sorted(found, reverse=True)) for prefix, found in lengths.items()}
-    try:
+    pattern = None
+    if max(map(len, words), default=0) <= MAX_PATTERN_WORD_LENGTH:
         pattern = re.compile(_longest_word_source(words))
-    except RecursionError:  # a prefix chain of some hundreds of words
-        pattern = None
     return words, by_prefix, pattern
 
 
@@ -203,11 +208,22 @@ def strip_dictionary_words(value: str, config: RandomnessConfig) -> str:
 
     Positions index both ``value`` and its lowered form, so where lowering
     lengthens a character (``"İ"`` lowers to two) the two drift apart; the
-    reference the tests keep reads them the same way. A value that lowering
-    leaves as it is goes through the dictionary's pattern in one pass."""
+    reference the tests keep reads them the same way. Where lowering keeps the
+    length, the dictionary's pattern finds the words in the lowered form in
+    one pass and the characters between them are kept from ``value``; only a
+    value that lowering lengthens, or a dictionary with no pattern, takes the
+    per-position loop."""
     lowered = value.lower()
-    if lowered == value and config._pattern is not None:
-        return config._pattern.sub("", value)
+    pattern = config._pattern
+    if pattern is not None and len(lowered) == len(value):
+        if lowered == value:
+            return pattern.sub("", value)
+        kept = ""
+        last = 0
+        for match in pattern.finditer(lowered):
+            kept += value[last : match.start()]
+            last = match.end()
+        return kept + value[last:]
     words, by_prefix = config._words, config._lengths
     n = len(value)
     out: list[str] = []

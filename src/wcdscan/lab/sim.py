@@ -89,7 +89,9 @@ class LabResponse:
 @dataclass
 class LabResource:
     """One origin resource; the body template may carry ``$field`` slots that
-    render from the requesting account's values."""
+    render from the requesting account's values. Its status, headers and
+    content type are checked however it is built, since ``origin_resolve``
+    writes the headers after the Content-Type as they are."""
 
     path: str
     body_template: str
@@ -97,6 +99,13 @@ class LabResource:
     headers: dict[str, str] = field(default_factory=dict)
     protected: bool = False
     content_type: str = "text/html; charset=utf-8"
+
+    def __post_init__(self):
+        # A 1xx is not a final response, so a client reads past it.
+        if not 200 <= self.status <= 599:
+            raise ValueError(f"resource status must be 200 to 599, got {self.status}")
+        self.headers = _fields(self.headers)
+        _field_value(self.content_type, "resource content_type")
 
     def render(self, values: dict[str, str] | None) -> bytes:
         return Template(self.body_template).safe_substitute(values or {}).encode()
@@ -292,19 +301,13 @@ class SimSite:
             path = _string(r["path"], "resource path")
             if path in resources:
                 raise ValueError(f"resource path {path!r} appears twice")
-            # A 1xx is not a final response, so a client reads past it.
-            status = int(r.get("status", 200))
-            if not 200 <= status <= 599:
-                raise ValueError(f"resource status must be 200 to 599, got {status}")
             resources[path] = LabResource(
                 path=path,
                 body_template=_string(r["body"], "resource body"),
-                status=status,
-                headers=_fields(r.get("headers", {})),
+                status=int(r.get("status", 200)),
+                headers=r.get("headers", {}),
                 protected=bool(r.get("protected", False)),
-                content_type=_field_value(
-                    r.get("content_type", "text/html; charset=utf-8"), "resource content_type"
-                ),
+                content_type=r.get("content_type", "text/html; charset=utf-8"),
             )
         return cls(
             name=_string(data["name"], "name"),

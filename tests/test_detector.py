@@ -16,6 +16,7 @@ from wcdscan.cache_policy import CdnProfile, DefaultCached, builtin_profile
 from wcdscan.crawler import extract_links
 from wcdscan.detector import (
     DEFAULT_KEYWORDS,
+    MAX_PATTERN_WORD_LENGTH,
     MIN_RESIDUAL_ENTROPY,
     MIN_RESIDUAL_LENGTH,
     MarkerSet,
@@ -131,11 +132,13 @@ def _mixed_case(word: str):
 
 
 # Dictionary words in any case, and junk that holds "İ", whose lower() is
-# two characters long, so positions in the value and its lowered form drift.
+# two characters long, so positions in the value and its lowered form drift,
+# and characters that lower to one character but not to themselves alone:
+# the Kelvin sign lowers to an ASCII "k", "Σ" to "σ" or "ς" by context.
 _stripper_values = st.lists(
     st.one_of(
         st.sampled_from(COMMON_WORDS).flatmap(_mixed_case),
-        st.text(alphabet="xqzXQZ0123456789-_.İ", min_size=1, max_size=4),
+        st.text(alphabet="xqzXQZ0123456789-_.İ\u212aΣſẞ", min_size=1, max_size=4),
     ),
     max_size=8,
 ).map("".join)
@@ -145,6 +148,8 @@ _stripper_values = st.lists(
 @given(_stripper_values)
 @example("İthe")
 @example("xİİtoken")
+@example("\u212aeyTHEſ")
+@example("ΣTHEΣ")
 def test_stripper_matches_reference(value):
     config = RandomnessConfig()
     assert strip_dictionary_words(value, config) == reference_strip(value, COMMON_WORDS)
@@ -161,7 +166,7 @@ def test_configs_share_one_dictionary_index():
 
 
 # Words that hold regex metacharacters, and words nested as prefixes of one
-# another; values drawn from them are lowercase, so the pattern strips them.
+# another, in values of any case.
 _TRICKY_WORDS = ("c++", "a.b", "(x)", "[x]", "\\d\\", "^$|", "the", "there", "therefore")
 _lowercase_values = st.lists(
     st.one_of(
@@ -173,12 +178,12 @@ _lowercase_values = st.lists(
 
 
 @settings(deadline=None, max_examples=300)
-@given(_lowercase_values)
+@given(_lowercase_values | _lowercase_values.flatmap(_mixed_case))
 @example("therefor")
 @example("theretherefore")
 @example("c+++a.ba-b(x)[x]")
-def test_lowercase_stripper_matches_reference_on_metacharacters(value):
-    assert value.lower() == value
+@example("THEREfore(X)C++")
+def test_stripper_matches_reference_on_metacharacters(value):
     config = RandomnessConfig(dictionary=_TRICKY_WORDS)
     assert config._pattern is not None
     assert strip_dictionary_words(value, config) == reference_strip(value, _TRICKY_WORDS)
@@ -194,20 +199,36 @@ def _prefixes(length: int) -> tuple[str, ...]:
     return tuple(word[:n] for n in range(1, length + 1))
 
 
-def test_every_prefix_of_a_long_word_builds_and_strips():
-    words = _prefixes(400)
+def _under_frames(depth: int, build):
+    return _under_frames(depth - 1, build) if depth else build()
+
+
+def test_every_prefix_of_the_longest_word_builds_and_strips():
+    words = _prefixes(MAX_PATTERN_WORD_LENGTH)
     config = RandomnessConfig(dictionary=words)
     assert config._pattern is not None
     word = words[-1]
-    for value in (word, word + "x" + word, "zz" + word[:57] + "9" + word[:2] + word[:300]):
+    values = (word, word + "x" + word, "zz" + word[:57] + "9" + word[:2] + word[:80])
+    for value in (*values, word[:90].upper() + "x" + word):
         assert strip_dictionary_words(value, config) == reference_strip(value, words)
 
 
-def test_a_dictionary_nested_too_deep_for_re_keeps_the_loop():
-    words = _prefixes(1000)
+def test_a_deep_callers_stack_does_not_change_whether_a_pattern_is_built():
+    words = _prefixes(MAX_PATTERN_WORD_LENGTH)
+    detector._dictionary_index.cache_clear()
+    try:
+        # Four hundred frames above the build, and the pattern is still built.
+        config = _under_frames(400, lambda: RandomnessConfig(dictionary=words))
+    finally:
+        detector._dictionary_index.cache_clear()
+    assert config._pattern is not None
+
+
+def test_a_dictionary_with_a_longer_word_keeps_the_loop():
+    words = _prefixes(MAX_PATTERN_WORD_LENGTH + 1)
     config = RandomnessConfig(dictionary=words)
     assert config._pattern is None
-    value = "q" + words[-1][:120] + "z" + words[-1][:3]
+    value = "q" + words[-1][:70] + "z" + words[-1][:3] + words[-1].upper()
     assert strip_dictionary_words(value, config) == reference_strip(value, words)
 
 

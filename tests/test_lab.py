@@ -433,6 +433,20 @@ class TestScenarioFiles:
             SimSite(name=site.name, host=site.host, origin=site.origin,
                     cache_profile=site.cache_profile, resources=resources)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"headers": {"Content-Type": "text/plain"}}, "set by the resource's content_type"),
+            ({"headers": {"content-length": "5"}}, "is written by the lab"),
+            ({"headers": {"X-A": "1", "x-a": "2"}}, "name one field"),
+            ({"content_type": "text/plain\r\nX-B: 1"}, "holds CR, LF or NUL"),
+            ({"status": 101}, "must be 200 to 599"),
+        ],
+    )
+    def test_a_resource_built_in_code_is_checked_like_a_scenario_entry(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            LabResource(path="/", body_template="b", **kwargs)
+
 
 def test_two_scenarios_with_one_host_are_refused_before_binding(monkeypatch):
     classic = catalog.classic_site()
