@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import product
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Callable, NamedTuple, get_type_hints
 from urllib.parse import urlsplit
@@ -266,11 +266,16 @@ class _FieldKind(NamedTuple):
 
     json_types: tuple[type, ...]  # the types json.loads may give the field
     label: str  # what the field must hold, for the error message
+    text: str  # its JSON text: an expression of the value {v}, quoting with " only
+    types: tuple[type, ...] = ()  # the types the writer takes; () if json_types
+    write_label: str = ""  # what the writer takes, where label does not say it
     to_json: Callable | None = None  # None: JSON writes the value as it is
     from_json: Callable | None = None  # None: the JSON value is the value
 
 
 _ONLY_STR = frozenset((str,))
+# repr() of a float as json.dumps writes it where the two differ.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _strings(items: list) -> tuple[str, ...]:
@@ -285,6 +290,36 @@ def _string_pairs(mapping: dict) -> tuple[tuple[str, str], ...]:
     return tuple(mapping.items())
 
 
+def _number_text(number: float) -> str:
+    text = repr(number)
+    return _NON_FINITE.get(text, text)
+
+
+def _array_text(items: tuple, item_type: type, item_text: Callable[..., str]) -> str:
+    if not items:
+        return "[]"
+    if {*map(type, items)} != {item_type}:
+        raise _Mistyped
+    return "[" + ", ".join(map(item_text, items)) + "]"
+
+
+def _object_text(pairs: tuple[tuple[str, str], ...]) -> str:
+    """``json.dumps(dict(pairs))``: a repeated name keeps its first position
+    and its last value."""
+    if not pairs:
+        return "{}"
+    try:
+        mapping = dict(pairs)
+    except (TypeError, ValueError):
+        raise _Mistyped from None
+    if {*map(type, mapping), *map(type, mapping.values())} != {str}:
+        raise _Mistyped
+    return "{" + ", ".join([
+        encode_basestring_ascii(name) + ": " + encode_basestring_ascii(value)
+        for name, value in mapping.items()
+    ]) + "}"
+
+
 def _enum_kind(kind: type[Enum]) -> _FieldKind:
     """A member is written as its string value and read back through a
     {value: member} table; a miss raises the ValueError ``kind(value)``
@@ -297,7 +332,10 @@ def _enum_kind(kind: type[Enum]) -> _FieldKind:
             raise ValueError(f"{value!r} is not a valid {kind.__qualname__}")
         return member
 
-    return _FieldKind((str,), "a string", attrgetter("_value_"), from_json)
+    return _FieldKind(
+        (str,), "a string", "encode_basestring_ascii({v}._value_)", (kind,),
+        f"a {kind.__qualname__}", attrgetter("_value_"), from_json,
+    )
 
 
 class _RecordCodec:
@@ -305,6 +343,13 @@ class _RecordCodec:
     hints: one key per field, in field order. Only enum, cache-evidence and
     secret fields are converted; JSON writes every other value as it is, a
     tuple as an array.
+
+    ``line`` and ``read`` are compiled once per class from the field kinds,
+    as ``collections.namedtuple`` compiles its ``__new__``. ``line(value)`` is
+    ``json.dumps(encode(value))``, written without the dict; a value whose
+    record ``read`` would refuse raises TypeError naming its first such
+    field. ``read(record)`` takes a record with every key and well-typed
+    values at once, and any other record to ``read_fields``.
 
     Reading checks each present key's JSON type against its field, and a
     mistyped value raises TypeError naming the field. A missing key takes the
@@ -324,11 +369,71 @@ class _RecordCodec:
         self.encoders = [
             (name, kind.to_json) for name, kind in zip(self.names, self.kinds) if kind.to_json
         ]
-        self.decoders = [
-            (index, kind.from_json) for index, kind in enumerate(self.kinds) if kind.from_json
-        ]
-        # Every tuple of value types that a complete, well-typed record has.
-        self.shapes = frozenset(product(*(kind.json_types for kind in self.kinds)))
+        self.line, self.read = self._compile()
+
+    def _compile(self) -> tuple[Callable, Callable]:
+        bound = {"_cls": self.cls, "_new": tuple.__new__, "_refusal": self._refusal,
+                 "_read_fields": self.read_fields}
+        values, checks, texts, gets, json_checks, reads = [], [], [], [], [], []
+        for index, (name, kind) in enumerate(zip(self.names, self.kinds)):
+            value = f"v{index}"
+            values.append(value)
+            bound[f"_w{index}"] = kind.types or kind.json_types
+            checks.append(f"type({value}) in _w{index}")
+            # A field name is an identifier, so its JSON text holds no quote;
+            # the backslash of a \u escape stays one in the f-string.
+            key = encode_basestring_ascii(name).replace("\\", "\\\\")
+            texts.append(f"{', ' if index else ''}{key}: {{({kind.text.format(v=value)})}}")
+            gets.append(f"{value} = record[{name!r}]")
+            bound[f"_j{index}"] = kind.json_types
+            json_checks.append(f"type({value}) in _j{index}")
+            if kind.from_json:
+                bound[f"_f{index}"] = kind.from_json
+                value = f"_f{index}({value})"
+            reads.append(value)
+        newline = "\n" + " " * 12
+        source = f"""\
+def make({", ".join(bound)}):
+    def line(value, /):
+        {", ".join(values)}, = value
+        if {" and ".join(checks)}:
+            try:
+                return f'{{{{{"".join(texts)}}}}}'
+            except _Mistyped:
+                pass
+        raise _refusal(value)
+
+    def read(record, /):
+        if type(record) is not dict:
+            raise _Mistyped("a record must be a JSON object")
+        try:
+            {newline.join(gets)}
+        except KeyError:
+            return _read_fields(record)
+        if {" and ".join(json_checks)}:
+            try:
+                return _new(_cls, ({", ".join(reads)},))
+            except _Mistyped:
+                pass
+        return _read_fields(record)
+
+    return line, read
+"""
+        namespace: dict = {}
+        exec(source, globals(), namespace)
+        return namespace["make"](**bound)
+
+    def _refusal(self, value: tuple) -> TypeError:
+        """The error ``line`` raises for ``value``: the first field, in field
+        order, whose type or items its kind does not take."""
+        for name, kind, item in zip(self.names, self.kinds, value):
+            if type(item) in (kind.types or kind.json_types):
+                try:
+                    eval(kind.text.format(v="item"), globals(), {"item": item})
+                    continue
+                except _Mistyped:
+                    pass
+            return TypeError(f"field {name!r} must be {kind.write_label or kind.label}")
 
     def encode(self, value: tuple) -> dict:
         record = dict(zip(self.names, value))
@@ -336,23 +441,9 @@ class _RecordCodec:
             record[name] = to_json(record[name])
         return record
 
-    def decode(self, record: dict):
-        if type(record) is not dict:
-            raise _Mistyped("a record must be a JSON object")
-        try:
-            values = list(map(record.__getitem__, self.names))
-        except KeyError:
-            pass
-        else:
-            if tuple(map(type, values)) in self.shapes:
-                try:
-                    for index, from_json in self.decoders:
-                        values[index] = from_json(values[index])
-                except _Mistyped:
-                    pass
-                else:
-                    return self.cls._make(values)
-        # A key is missing or a value is mistyped: read field by field.
+    def read_fields(self, record: dict):
+        """The record read key by key: the path for a missing key or a
+        mistyped value, and the reference ``read`` is tested against."""
         return self.cls(
             **{
                 name: self._read(index, record[name])
@@ -384,25 +475,33 @@ class SecretCandidate(NamedTuple):
 
     @classmethod
     def from_record(cls, record: dict) -> SecretCandidate:
-        return _SECRET_RECORDS.decode(record)
+        return _SECRET_RECORDS.read(record)
 
 
 _FIELD_KINDS = {
-    str: _FieldKind((str,), "a string"),
-    int: _FieldKind((int,), "an integer"),  # type(True) is bool, not int
-    float: _FieldKind((float, int), "a number"),
-    bool: _FieldKind((bool,), "true or false"),
-    str | None: _FieldKind((str, type(None)), "a string or null"),
+    str: _FieldKind((str,), "a string", "encode_basestring_ascii({v})"),
+    int: _FieldKind((int,), "an integer", "repr({v})"),  # type(True) is bool, not int
+    float: _FieldKind((float, int), "a number", "_number_text({v})"),
+    bool: _FieldKind((bool,), "true or false", '"true" if {v} else "false"'),
+    str | None: _FieldKind(
+        (str, type(None)), "a string or null",
+        '"null" if {v} is None else encode_basestring_ascii({v})',
+    ),
     # to_record leaves a tuple a tuple, so from_record takes one as an array.
-    tuple[str, ...]: _FieldKind((list, tuple), "an array of strings", None, _strings),
+    tuple[str, ...]: _FieldKind(
+        (list, tuple), "an array of strings",
+        "_array_text({v}, str, encode_basestring_ascii)", from_json=_strings,
+    ),
     tuple[tuple[str, str], ...]: _FieldKind(
-        (dict,), "an object of strings", dict, _string_pairs
+        (dict,), "an object of strings", "_object_text({v})", (tuple, list),
+        to_json=dict, from_json=_string_pairs,
     ),
     tuple[SecretCandidate, ...]: _FieldKind(
         (list, tuple),
         "an array of secret objects",
-        lambda secrets: [secret.to_record() for secret in secrets],
-        lambda records: tuple(map(SecretCandidate.from_record, records)) if records else (),
+        "_array_text({v}, SecretCandidate, _SECRET_RECORDS.line)",
+        to_json=lambda secrets: [secret.to_record() for secret in secrets],
+        from_json=lambda records: tuple(map(_SECRET_RECORDS.read, records)) if records else (),
     ),
 }
 _SECRET_RECORDS = _RecordCodec(SecretCandidate)
@@ -675,9 +774,14 @@ class ScanVerdict(NamedTuple):
     def to_record(self) -> dict:
         return _VERDICT_RECORDS.encode(self)
 
+    def to_line(self) -> str:
+        """``json.dumps(self.to_record())``; TypeError for a value that
+        ``from_record`` would refuse."""
+        return _VERDICT_RECORDS.line(self)
+
     @classmethod
     def from_record(cls, record: dict) -> ScanVerdict:
-        return _VERDICT_RECORDS.decode(record)
+        return _VERDICT_RECORDS.read(record)
 
 
 _VERDICT_RECORDS = _RecordCodec(ScanVerdict)

@@ -163,9 +163,13 @@ def _field_value(value, what: str) -> str:
     return value
 
 
-# Fields the lab writes or frames itself, lowered; a resource that set one
-# too would be answered with the field twice.
-_LAB_FIELDS = frozenset(("content-length", "transfer-encoding", "connection", "date"))
+# Fields the lab writes or frames itself whatever the profile, lowered (Age on
+# each cache hit, X-Lab-Event on each answer); a resource that set one too
+# would be answered with the field twice. SimSite refuses the fields that its
+# cache profile's proxy writes.
+_LAB_FIELDS = frozenset(
+    ("content-length", "transfer-encoding", "connection", "date", "age", "x-lab-event")
+)
 
 
 def _fields(mapping) -> dict[str, str]:
@@ -202,9 +206,18 @@ class SimSite:
     ttl_overrides: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        proxy_fields = {
+            name.lower() for hit in (False, True) for name, _ in _proxy_headers(self, hit, "")
+        }
         for path, resource in self.resources.items():
             if path != resource.path:
                 raise ValueError(f"resource {resource.path!r} is filed under {path!r}")
+            for name in resource.headers:
+                if name.lower() in proxy_fields:
+                    raise ValueError(
+                        f"resource header {name!r} is written by the lab's "
+                        f"{self.cache_profile.name} proxy"
+                    )
 
     def marker_pages(self) -> list[str]:
         """Protected resource paths whose victim rendering embeds a marker."""

@@ -14,7 +14,6 @@ import re
 from collections import defaultdict
 from dataclasses import asdict, dataclass, replace
 from itertools import count
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, TextIO
 from urllib.parse import urlsplit
 
@@ -336,17 +335,12 @@ def stats_to_records(stats: AggregateStats) -> dict:
 
 def write_records(verdicts: Iterable[ScanVerdict], fh: TextIO) -> None:
     """One line per verdict, ``json.dumps(verdict.to_record())`` and a
-    newline, each written as soon as it is encoded. ``json.dumps`` builds a
-    C encoder per call; this builds one, with the arguments its default
-    ``JSONEncoder`` passes, and reuses it."""
-    defaults = json.JSONEncoder()
-    encode = c_make_encoder(
-        {}, defaults.default, encode_basestring_ascii, None, defaults.key_separator,
-        defaults.item_separator, False, False, True,
-    )
+    newline, each written as soon as it is made. A verdict that its record's
+    reader would refuse raises TypeError, and nothing of it is written."""
     write = fh.write
+    to_line = ScanVerdict.to_line
     for verdict in verdicts:
-        write("".join(encode(verdict.to_record(), 0)) + "\n")
+        write(to_line(verdict) + "\n")
 
 
 class MalformedRecord(ValueError):
@@ -356,11 +350,14 @@ class MalformedRecord(ValueError):
 
 def iter_records(lines: Iterable[str]) -> Iterator[ScanVerdict]:
     """The verdicts of JSON record lines, one at a time; blank lines are
-    skipped. A line that is not a verdict raises MalformedRecord with its
-    number once the verdicts before it have been yielded."""
+    skipped. A line is stripped of JSON's whitespace only (RFC 8259 section
+    2), as ``json.loads`` skips it. A line that is not a verdict raises
+    MalformedRecord with its number once the verdicts before it have been
+    yielded."""
     scan = json.JSONDecoder().scan_once
+    from_record = ScanVerdict.from_record
     for number, line in enumerate(lines, 1):
-        line = line.strip()
+        line = line.strip(" \t\n\r")
         if not line:
             continue
         try:
@@ -370,7 +367,7 @@ def iter_records(lines: Iterable[str]) -> Iterator[ScanVerdict]:
                 end = -1
             if end != len(line):  # not one JSON value: json.loads raises its error
                 record = json.loads(line)
-            verdict = ScanVerdict.from_record(record)
+            verdict = from_record(record)
         except (ValueError, TypeError, AttributeError) as exc:
             raise MalformedRecord(f"{number}: {exc}") from None
         yield verdict

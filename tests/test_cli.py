@@ -518,6 +518,15 @@ def _auth(**fields) -> dict:
       "resource header 'Date' is written by the lab"),
      ("resources", [{"path": "/", "body": "", "headers": {"content-type": "text/plain"}}],
       "resource header 'content-type' is set by the resource's content_type"),
+     ("resources", [{"path": "/", "body": "", "headers": {"Age": "5"}}],
+      "resource header 'Age' is written by the lab"),
+     ("resources", [{"path": "/", "body": "", "headers": {"X-Lab-Event": "hit"}}],
+      "resource header 'X-Lab-Event' is written by the lab"),
+     # pacing's profile is akamai_default, whose proxy writes these two.
+     ("resources", [{"path": "/", "body": "", "headers": {"x-cache": "lab"}}],
+      "resource header 'x-cache' is written by the lab's akamai_default proxy"),
+     ("resources", [{"path": "/", "body": "", "headers": {"Server": "mine"}}],
+      "resource header 'Server' is written by the lab's akamai_default proxy"),
      # Field names are case-insensitive (RFC 9110 section 5.1).
      ("resources", [{"path": "/", "body": "",
                      "headers": {"cache-control": "max-age=60", "Cache-Control": "no-store"}}],
@@ -527,7 +536,8 @@ def _auth(**fields) -> dict:
          "header-value-crlf", "header-name-nul", "header-name-space", "header-name-colon",
          "header-name-empty", "content-type-cr", "cookie-name-lf", "login-path-nul",
          "header-content-length", "header-transfer-encoding", "header-connection", "header-date",
-         "header-content-type", "header-repeated"],
+         "header-content-type", "header-age", "header-lab-event", "header-x-cache",
+         "header-server", "header-repeated"],
 )
 def test_scenario_entry_with_a_bad_value_is_named(
     tmp_path, capsys, monkeypatch, command, field, value, reason

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wcdscan.cache_policy import CdnProfile, DefaultCached
+from wcdscan.cache_policy import CdnProfile, DefaultCached, builtin_profiles
 from wcdscan.errors import ScenarioError
 from wcdscan.http1 import MAX_LINE, Request, read_fields, read_request
 from wcdscan.http_engine import Transport
@@ -441,11 +441,37 @@ class TestScenarioFiles:
             ({"headers": {"X-A": "1", "x-a": "2"}}, "name one field"),
             ({"content_type": "text/plain\r\nX-B: 1"}, "holds CR, LF or NUL"),
             ({"status": 101}, "must be 200 to 599"),
+            ({"headers": {"Age": "5"}}, "is written by the lab"),
+            ({"headers": {"x-lab-event": "hit"}}, "is written by the lab"),
         ],
     )
     def test_a_resource_built_in_code_is_checked_like_a_scenario_entry(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             LabResource(path="/", body_template="b", **kwargs)
+
+    @pytest.mark.parametrize(
+        "profile",
+        [*builtin_profiles(), CdnProfile("custom", DefaultCached.ALL_OBJECTS)],
+        ids=lambda profile: profile.name,
+    )
+    def test_a_resource_may_not_set_a_field_that_the_proxy_writes(self, profile):
+        """Each field a cache hit carries beyond the origin's own would reach
+        the client twice if the resource set it too."""
+        style = LabResource(path="/style.css", body_template="b", content_type="text/css")
+        site = SimSite(name="p", host="p.test", origin=OriginSemantics(),
+                       cache_profile=profile, resources={"/style.css": style})
+        runtime = SiteRuntime(site)
+        proxy_handle(runtime, LabRequest(target="/style.css"))
+        hit, event = proxy_handle(runtime, LabRequest(target="/style.css"))
+        assert event is CacheEvent.HIT
+        origin = {name for name, _ in origin_resolve(site, "/style.css").headers}
+        added = [name for name, _ in hit.headers if name not in origin]
+        assert "Age" in added and len(added) >= 3
+        for name in added:
+            with pytest.raises(ValueError, match=f"resource header '{name.lower()}' is written"):
+                resource = LabResource(path="/", body_template="b", headers={name.lower(): "x"})
+                SimSite(name="p", host="p.test", origin=OriginSemantics(),
+                        cache_profile=profile, resources={"/": resource})
 
 
 def test_two_scenarios_with_one_host_are_refused_before_binding(monkeypatch):

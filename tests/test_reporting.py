@@ -10,7 +10,9 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from wcdscan.detector import ScanVerdict, SecretCandidate, SecretSource, SecretTrigger
+from wcdscan.detector import (
+    _VERDICT_RECORDS, ScanVerdict, SecretCandidate, SecretSource, SecretTrigger,
+)
 from wcdscan.http1 import index_fields
 from wcdscan import reporting
 from wcdscan.http_engine import HttpExchange
@@ -681,6 +683,54 @@ def test_an_unknown_enum_value_is_refused_as_enum_would(line, message):
     assert str(refused.value) == f"1: {message}"
 
 
+# --- the writer refuses a verdict whose record the reader would refuse ---
+
+_SECRET = HANDFUL[0].secrets[0]
+UNWRITABLE = [
+    ("victim_status", True, "field 'victim_status' must be an integer"),
+    ("victim_status", 200.0, "field 'victim_status' must be an integer"),
+    ("vulnerable", 1, "field 'vulnerable' must be true or false"),
+    ("page", None, "field 'page' must be a string"),
+    ("error", 404, "field 'error' must be a string or null"),
+    ("technique", "path_parameter", "field 'technique' must be a PathConfusionTechnique"),
+    ("markers_leaked", "email", "field 'markers_leaked' must be an array of strings"),
+    ("cdn_labels", ("Akamai", None), "field 'cdn_labels' must be an array of strings"),
+    ("cache_evidence", (("age", 3),), "field 'cache_evidence' must be an object of strings"),
+    ("cache_evidence", (("age",),), "field 'cache_evidence' must be an object of strings"),
+    ("secrets", "csrf", "field 'secrets' must be an array of secret objects"),
+    ("secrets", ({"name": "csrf"},), "field 'secrets' must be an array of secret objects"),
+    ("secrets", (_SECRET._replace(entropy_bits_per_char=False),),
+     "field 'entropy_bits_per_char' must be a number"),
+    ("secrets", (_SECRET._replace(residual_length=12.0),),
+     "field 'residual_length' must be an integer"),
+    ("secrets", (_SECRET._replace(source="hidden_form_field"),),
+     "field 'source' must be a SecretSource"),
+]
+
+
+@pytest.mark.parametrize("field,value,message", UNWRITABLE,
+                         ids=[f"{case[0]}-{index}" for index, case in enumerate(UNWRITABLE)])
+def test_a_verdict_the_reader_would_refuse_is_not_written(field, value, message):
+    buffer = io.StringIO()
+    with pytest.raises(TypeError) as refused:
+        write_records([HANDFUL[1], HANDFUL[0]._replace(**{field: value}), HANDFUL[1]], buffer)
+    assert str(refused.value) == message
+    assert buffer.getvalue() == HANDFUL_TEXT.splitlines(keepends=True)[1]
+
+
+def test_a_list_in_a_tuple_field_is_written_as_the_tuple():
+    verdict = HANDFUL[0]._replace(markers_leaked=("email",), cache_evidence=(("age", "3"),))
+    listed = verdict._replace(
+        markers_leaked=["email"], secrets=list(verdict.secrets),
+        cache_evidence=[["age", "3"]], cdn_labels=list(verdict.cdn_labels),
+    )
+    buffer = io.StringIO()
+    write_records([verdict, listed], buffer)
+    first, second = buffer.getvalue().splitlines()
+    assert first == second
+    assert read_records([second]) == [verdict]
+
+
 # --- records are read one line at a time, with the errors they always had ---
 
 @pytest.mark.parametrize("k", [0, 1, 5])
@@ -709,8 +759,15 @@ _GOOD_LINE = HANDFUL_TEXT.splitlines()[0]
          "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
         ("[]", "a record must be a JSON object"),
         ("null", "a record must be a JSON object"),
+        # Only " \t\r\n" is JSON whitespace (RFC 8259 section 2); str.strip()
+        # also strips these, and json.loads refuses them.
+        ("\xa0" + _GOOD_LINE, "Expecting value: line 1 column 1 (char 0)"),
+        (_GOOD_LINE + "\x1c",
+         f"Extra data: line 1 column {len(_GOOD_LINE) + 1} (char {len(_GOOD_LINE)})"),
+        ("\u2028", "Expecting value: line 1 column 1 (char 0)"),
     ],
-    ids=["not-json", "trailing-data", "bom", "array", "null"],
+    ids=["not-json", "trailing-data", "bom", "array", "null", "nbsp", "file-separator",
+         "line-separator"],
 )
 def test_a_line_that_is_not_one_record_keeps_its_message(line, message):
     with pytest.raises(MalformedRecord) as refused:
@@ -768,6 +825,59 @@ def test_write_records_writes_the_json_dumps_bytes(verdicts):
     buffer = io.StringIO()
     write_records(verdicts, buffer)
     assert buffer.getvalue() == "".join(json.dumps(v.to_record()) + "\n" for v in verdicts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_VERDICTS, max_size=4))
+def test_read_records_gives_back_what_write_records_wrote(verdicts):
+    buffer = io.StringIO()
+    write_records(verdicts, buffer)
+    buffer.seek(0)
+    # A record's cache_evidence is a JSON object, so a repeated name keeps its
+    # first position and its last value. Compared by repr: a NaN entropy reads
+    # back as a NaN, which equals nothing.
+    folded = [v._replace(cache_evidence=tuple(dict(v.cache_evidence).items())) for v in verdicts]
+    assert repr(read_records(buffer)) == repr(folded)
+
+
+# --- the generated reader against the field-by-field path it falls back to ---
+
+_ENUM_VALUES = [member.value for kind in (PathConfusionTechnique, SecretSource, SecretTrigger)
+                for member in kind]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(_ENUM_VALUES),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _mangled(data, record: dict) -> dict:
+    """``record`` with up to two keys dropped, up to two given any JSON value,
+    and up to two added that name no field."""
+    keys = sorted(record)
+    dropped = data.draw(st.sets(st.sampled_from(keys), max_size=2))
+    changed = data.draw(st.dictionaries(st.sampled_from(keys), _JSON_VALUES, max_size=2))
+    extra = data.draw(st.dictionaries(st.text(max_size=6), _JSON_VALUES, max_size=2))
+    kept = {key: value for key, value in record.items() if key not in dropped}
+    return {**extra, **kept, **changed}
+
+
+def _outcome(read, record: dict):
+    try:
+        return read(record)
+    except (TypeError, ValueError) as exc:  # iter_records reports these by message
+        return f"raised: {exc}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_VERDICTS, st.data())
+def test_the_generated_reader_matches_the_field_by_field_path(verdict, data):
+    record = json.loads(verdict.to_line())
+    record["secrets"] = [_mangled(data, secret) for secret in record["secrets"]]
+    record = _mangled(data, record)
+    assert _outcome(_VERDICT_RECORDS.read, record) == _outcome(_VERDICT_RECORDS.read_fields, record)
 
 # --- the page-set fold against the per-cell id-set fold it replaced ---
 
