@@ -54,6 +54,8 @@ def _parse_resolve(entries: list[str]) -> dict[str, tuple[str, int]]:
             raise ConfigError(f"bad --resolve entry {entry!r} (want HOST=IP:PORT)") from exc
         if not 1 <= port <= 65535:
             raise ConfigError(f"bad --resolve entry {entry!r}: port not in 1-65535")
+        if ip.startswith("[") and ip.endswith("]"):  # a bracketed IPv6 literal
+            ip = ip[1:-1]
         overrides[host.lower()] = (ip, port)
     return overrides
 

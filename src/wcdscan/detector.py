@@ -54,9 +54,9 @@ MIN_WORD_LENGTH = 3
 MIN_RESIDUAL_LENGTH = 8
 MIN_RESIDUAL_ENTROPY = 3.0
 # The stripping pattern's trie nests a level per character of its longest
-# word, and building and compiling it recurse that deep, so a dictionary
-# with a longer word keeps the per-position loop. A fixed bound, well inside
-# the recursion limit, makes the choice the same however deep the caller's
+# word, and building and compiling it recurse that deep, so a longer word is
+# a literal alternative ahead of the trie instead. A fixed bound, well inside
+# the recursion limit, makes the build the same however deep the caller's
 # stack is.
 MAX_PATTERN_WORD_LENGTH = 100
 
@@ -154,14 +154,14 @@ class RandomnessConfig:
     dictionary: tuple[str, ...] = COMMON_WORDS
 
     def __post_init__(self):
-        self._words, self._lengths, self._pattern = _dictionary_index(tuple(self.dictionary))
+        self._pattern = _dictionary_pattern(tuple(self.dictionary))
 
 
-def _longest_word_source(words: frozenset[str]) -> str:
+def _longest_word_source(words: set[str]) -> str:
     """A pattern that matches, at any position, the longest of ``words`` that
     starts there: a trie of the words as nested alternations, each character
     escaped, where every node tries its longer continuations before the word
-    that ends at it. Matches only the empty string when ``words`` is empty."""
+    that ends at it."""
     trie: dict = {}
     for word in words:
         node = trie
@@ -182,61 +182,42 @@ def _longest_word_source(words: frozenset[str]) -> str:
 
 
 @lru_cache(maxsize=8)
-def _dictionary_index(
-    dictionary: tuple[str, ...],
-) -> tuple[frozenset[str], dict[str, tuple[int, ...]], re.Pattern | None]:
-    """The lowered words of at least MIN_WORD_LENGTH characters; for each
-    word's first MIN_WORD_LENGTH characters the lengths of the words that
-    start with them, longest first; and the words' longest-match pattern, or
-    None where a word is longer than MAX_PATTERN_WORD_LENGTH. Built once per
-    distinct dictionary and shared by every config that uses it; never
-    mutated."""
-    words = frozenset(w.lower() for w in dictionary if len(w) >= MIN_WORD_LENGTH)
-    lengths: dict[str, set[int]] = {}
-    for word in words:
-        lengths.setdefault(word[:MIN_WORD_LENGTH], set()).add(len(word))
-    by_prefix = {prefix: tuple(sorted(found, reverse=True)) for prefix, found in lengths.items()}
-    pattern = None
-    if max(map(len, words), default=0) <= MAX_PATTERN_WORD_LENGTH:
-        pattern = re.compile(_longest_word_source(words))
-    return words, by_prefix, pattern
+def _dictionary_pattern(dictionary: tuple[str, ...]) -> re.Pattern:
+    """The pattern that matches, at any position, the longest lowered word of
+    at least MIN_WORD_LENGTH characters that starts there: each word longer
+    than MAX_PATTERN_WORD_LENGTH as a literal, longest first, then the trie of
+    the rest. Matches only the empty string when there is no such word. Built
+    once per distinct dictionary and shared by every config that uses it."""
+    words = {w.lower() for w in dictionary if len(w) >= MIN_WORD_LENGTH}
+    literals = sorted(
+        (w for w in words if len(w) > MAX_PATTERN_WORD_LENGTH), key=len, reverse=True
+    )
+    alternatives = [re.escape(w) for w in literals]
+    if short := words.difference(literals):
+        alternatives.append(_longest_word_source(short))
+    return re.compile("|".join(alternatives))
 
 
 def strip_dictionary_words(value: str, config: RandomnessConfig) -> str:
     """Remove dictionary words greedily (longest match first, left to right,
     case-insensitive); characters not starting a word are kept.
 
-    Positions index both ``value`` and its lowered form, so where lowering
-    lengthens a character (``"İ"`` lowers to two) the two drift apart; the
-    reference the tests keep reads them the same way. Where lowering keeps the
-    length, the dictionary's pattern finds the words in the lowered form in
-    one pass and the characters between them are kept from ``value``; only a
-    value that lowering lengthens, or a dictionary with no pattern, takes the
-    per-position loop."""
-    lowered = value.lower()
+    The dictionary's pattern finds the words in the lowered value in one pass.
+    A lowercase value is stripped by the pattern in one call; any other keeps
+    its own characters between the matches. Positions index both ``value`` and
+    its lowered form, so where lowering lengthens a character (``"İ"`` lowers
+    to two) the two drift apart; the reference the tests keep reads them the
+    same way."""
     pattern = config._pattern
-    if pattern is not None and len(lowered) == len(value):
-        if lowered == value:
-            return pattern.sub("", value)
-        kept = ""
-        last = 0
-        for match in pattern.finditer(lowered):
-            kept += value[last : match.start()]
-            last = match.end()
-        return kept + value[last:]
-    words, by_prefix = config._words, config._lengths
-    n = len(value)
-    out: list[str] = []
-    i = 0
-    while i < n:
-        for length in by_prefix.get(lowered[i : i + MIN_WORD_LENGTH], ()):
-            if lowered[i : i + length] in words:
-                i += length
-                break
-        else:
-            out.append(value[i])
-            i += 1
-    return "".join(out)
+    lowered = value.lower()
+    if lowered == value:
+        return pattern.sub("", value)
+    kept = ""
+    last = 0
+    for match in pattern.finditer(lowered):
+        kept += value[last : match.start()]
+        last = match.end()
+    return kept + value[last:]
 
 
 def randomness_score(value: str, config: RandomnessConfig) -> tuple[int, float]:

@@ -28,7 +28,7 @@ from .detector import (
     inconclusive_verdict,
     run_wcd_test,
 )
-from .http_engine import AuthFailure, Identity, Role, maintain_session
+from .http_engine import AuthFailure, Identity, NetworkError, Role, maintain_session
 from .reporting import cdn_label
 from .url_toolkit import RandomNameGenerator
 
@@ -109,9 +109,9 @@ def scan_site(site: SiteConfig, settings: ScanSettings) -> SiteScanResult:
         for technique in settings.techniques:
             try:
                 _log_in((victim, attacker), settings)
-            except AuthFailure as exc:  # costs this test, not the site
+            except (AuthFailure, NetworkError) as exc:  # costs this test, not the site
                 verdicts.append(
-                    inconclusive_verdict(page, technique, f"AuthFailure: {exc}")
+                    inconclusive_verdict(page, technique, f"{type(exc).__name__}: {exc}")
                 )
                 continue
             verdicts.append(

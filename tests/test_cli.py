@@ -658,6 +658,29 @@ def test_resolve_port_out_of_range_is_config_error(capsys, monkeypatch, port):
     assert "port not in 1-65535" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entry, expected",
+    [
+        ("H=127.0.0.1:8400", {"h": ("127.0.0.1", 8400)}),
+        ("h=[::1]:8080", {"h": ("::1", 8080)}),
+        ("h=::1:8080", {"h": ("::1", 8080)}),
+    ],
+    ids=["ipv4", "bracketed-ipv6", "bare-ipv6"],
+)
+def test_resolve_entry_reaches_the_transport(tmp_path, monkeypatch, entry, expected):
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("")
+    used = []
+
+    def recording_scan_pool(pool, settings):
+        used.append(settings)
+        return pipeline.ScanRunResult(site_results=[])
+
+    monkeypatch.setattr(pipeline, "scan_pool", recording_scan_pool)
+    assert main(["scan", "--seeds", str(seeds), "--no-probe", "--resolve", entry]) == EXIT_CLEAN
+    assert used[0].transport.resolve_overrides == expected
+
+
 def test_scan_wordlist_reaches_the_dictionary_stripper(tmp_path, monkeypatch):
     wordlist = tmp_path / "words.txt"
     wordlist.write_text("zebra\nquokka\n", encoding="utf-8")

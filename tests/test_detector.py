@@ -157,11 +157,8 @@ def test_stripper_matches_reference(value):
 
 def test_configs_share_one_dictionary_index():
     first, second = RandomnessConfig(), RandomnessConfig()
-    assert first._words is second._words
-    assert first._lengths is second._lengths
     assert first._pattern is second._pattern
     other = RandomnessConfig(dictionary=("token",))
-    assert other._words is not first._words
     assert other._pattern is not first._pattern
 
 
@@ -215,20 +212,59 @@ def test_every_prefix_of_the_longest_word_builds_and_strips():
 
 def test_a_deep_callers_stack_does_not_change_whether_a_pattern_is_built():
     words = _prefixes(MAX_PATTERN_WORD_LENGTH)
-    detector._dictionary_index.cache_clear()
+    detector._dictionary_pattern.cache_clear()
     try:
         # Four hundred frames above the build, and the pattern is still built.
         config = _under_frames(400, lambda: RandomnessConfig(dictionary=words))
     finally:
-        detector._dictionary_index.cache_clear()
+        detector._dictionary_pattern.cache_clear()
     assert config._pattern is not None
 
 
-def test_a_dictionary_with_a_longer_word_keeps_the_loop():
+def test_a_dictionary_with_a_longer_word_gets_a_pattern():
     words = _prefixes(MAX_PATTERN_WORD_LENGTH + 1)
     config = RandomnessConfig(dictionary=words)
-    assert config._pattern is None
+    assert config._pattern is not None
     value = "q" + words[-1][:70] + "z" + words[-1][:3] + words[-1].upper()
+    assert strip_dictionary_words(value, config) == reference_strip(value, words)
+
+
+def _chain(stem: str, lengths: list[int]) -> list[str]:
+    """Prefixes of one long word, so that the words are prefixes of each other."""
+    word = (stem * (max(lengths) // len(stem) + 1))[: max(lengths)]
+    return [word[:n] for n in lengths]
+
+
+# Dictionaries that mix short words with words well past the trie's bound,
+# some of them prefixes of one another, and values made of their pieces in
+# any case, with "İ" among the junk between them.
+_long_word_dictionaries = st.tuples(
+    st.lists(st.text(alphabet="abc", min_size=3, max_size=6), max_size=6),
+    st.lists(
+        st.builds(
+            _chain,
+            st.text(alphabet="abc", min_size=1, max_size=5),
+            st.lists(st.integers(3, 3 * MAX_PATTERN_WORD_LENGTH), min_size=1, max_size=4),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+).map(lambda drawn: (*drawn[0], *(w for chain in drawn[1] for w in chain)))
+
+
+def _word_or_prefix(word: str):
+    return st.one_of(st.just(word), st.integers(1, len(word)).map(lambda n: word[:n]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_long_word_dictionaries, st.data())
+def test_a_dictionary_with_long_words_strips_as_the_reference(words, data):
+    pieces = st.one_of(
+        st.sampled_from(words).flatmap(_word_or_prefix),
+        st.text(alphabet="abcxz9İ", min_size=1, max_size=3),
+    )
+    value = data.draw(st.lists(pieces.flatmap(_mixed_case), max_size=6).map("".join))
+    config = RandomnessConfig(dictionary=words)
     assert strip_dictionary_words(value, config) == reference_strip(value, words)
 
 

@@ -18,7 +18,7 @@ from wcdscan.crawler import SeedPool, SiteConfig, site_config_from_dict
 from wcdscan.lab import catalog, selfcheck
 from wcdscan.lab.selfcheck import pool_from_lab_sites
 from wcdscan.lab.server import LabServer
-from wcdscan.http_engine import AuthFailure, Identity, Role, Transport, fetch
+from wcdscan.http_engine import AuthFailure, Identity, NetworkError, Role, Transport, fetch
 from wcdscan.pipeline import ScanSettings, scan_pool
 from wcdscan.url_toolkit import PathConfusionTechnique, parse_url
 
@@ -235,9 +235,10 @@ def test_auth_failure_isolated_per_site(pipeline_lab):
     assert by_domain["pacing.test"].verdicts  # clean site still scanned
 
 
-def test_failed_relogin_costs_one_test_not_the_site(pipeline_lab, monkeypatch):
-    """A re-login that fails before one test makes that test inconclusive;
-    the verdicts already produced are kept."""
+@pytest.mark.parametrize("failure", [AuthFailure, NetworkError], ids=lambda c: c.__name__)
+def test_failed_relogin_costs_one_test_not_the_site(pipeline_lab, monkeypatch, failure):
+    """A re-login that is refused or cut off before one test makes that test
+    inconclusive; the verdicts already produced are kept."""
     real = pipeline.maintain_session
     calls = []
     first_failure = 2 + 2 * 11 + 1  # after the initial logins and 11 tests
@@ -245,7 +246,7 @@ def test_failed_relogin_costs_one_test_not_the_site(pipeline_lab, monkeypatch):
     def failing_from_then_on(identity, *args, **kwargs):
         calls.append(identity.role)
         if len(calls) >= first_failure:
-            raise AuthFailure("login rejected")
+            raise failure("login POST reset")
         return real(identity, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "maintain_session", failing_from_then_on)
@@ -258,7 +259,7 @@ def test_failed_relogin_costs_one_test_not_the_site(pipeline_lab, monkeypatch):
     assert all(v.attack_url for v in kept)
     assert any(v.vulnerable for v in kept)  # /account.php via path_parameter
     assert all(
-        v.inconclusive and not v.vulnerable and v.error.startswith("AuthFailure")
+        v.inconclusive and not v.vulnerable and v.error == f"{failure.__name__}: login POST reset"
         for v in lost
     )
     assert [(v.page, v.technique) for v in lost] == [
